@@ -41,7 +41,7 @@ class AggregatorSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ParameterError(f"unknown aggregator kind {self.kind!r}")
+            raise ParameterError(f"kind must be one of {list(KINDS)}, got {self.kind!r}")
         if self.f_hat < 0:
             raise ParameterError("f_hat must be >= 0")
         if self.gm_tolerance <= 0 or self.gm_max_iters <= 0:

@@ -28,7 +28,7 @@ class AttackStrategy:
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ParameterError(f"unknown attack kind {self.kind!r}")
+            raise ParameterError(f"kind must be one of {list(ATTACK_KINDS)}, got {self.kind!r}")
         if self.variance < 0:
             raise ParameterError("variance must be >= 0")
         if self.kind == "fixed_vector" and self.vector is None:

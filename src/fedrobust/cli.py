@@ -10,7 +10,7 @@ Schema sketch::
     {
       "schema_version": 1,
       "kind": "simulate" | "sweep" | "audit" | "report",
-      "problem":    {"kind": "two_group_quadratic", "n": 10, "f": 2, "f_hat": 3, "G": 1.0},
+      "problem":    {"kind": "two_group_quadratic", "n": 10, "f": 2, "G": 1.0},
       "aggregator": {"kind": "cwtm", "f_hat": 3},
       "attack":     {"kind": "honest_mimic"},
       "engine":     {"T": 100, "H": 1, "schedule": {"kind": "constant", "gamma": 0.01},
@@ -20,6 +20,10 @@ Schema sketch::
       "results":    "out/earlier-sweep",
       "seed": 0
     }
+
+The aggregator, attack and engine.schedule sections are the fields of
+AggregatorSpec, AttackStrategy and Schedule, with the same defaults and range
+checks.
 
 Exit codes: 0 success, 1 invalid config, 2 runtime failure, 3 sweep finished
 with failed cells.
@@ -32,8 +36,8 @@ import difflib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
@@ -42,8 +46,8 @@ import numpy as np
 from . import audit as audit_mod
 from . import bounds
 from .aggregators import AggregatorSpec
-from .attacks import ATTACK_KINDS, AttackStrategy
-from .engine import RunConfig, Schedule, config_digest, run
+from .attacks import AttackStrategy
+from .engine import RunConfig, Schedule, run
 from .errors import ConfigError, ParameterError
 from .problems import (
     homogeneous_quadratic_problem,
@@ -52,33 +56,34 @@ from .problems import (
 )
 
 SCHEMA_VERSION = 1
+CONFIG_KINDS = ("audit", "simulate", "sweep", "report")
 
 CSV_COLUMNS = (
-    "run_id",
-    "config_digest",
-    "round",
-    "grad_metric",
-    "running_avg_grad",
-    "loss_gap",
-    "agg_deviation",
-    "diverged",
+    "run_id", "config_digest", "round", "grad_metric", "running_avg_grad", "loss_gap",
+    "agg_deviation", "diverged",
 )
 
 _TOP_KEYS = {
     "schema_version", "kind", "problem", "aggregator", "attack", "engine",
     "grid", "audit", "results", "seed",
 }
-_PROBLEM_KEYS = {
-    "two_group_quadratic": {"kind", "n", "f", "f_hat", "G"},
-    "homogeneous_quadratic": {"kind", "n", "f"},
-    "random_quadratic": {"kind", "n", "f", "d", "G_target", "radius", "seed"},
+# problem kind -> {key: (JSON type, default)} for its keys besides kind, n
+# and f; a key whose default is None may be left out.
+_PROBLEM_PARAMS = {
+    "two_group_quadratic": {"G": (float, 1.0)},
+    "homogeneous_quadratic": {},
+    "random_quadratic": {
+        "d": (int, 1), "G_target": (float, 1.0), "radius": (float, 1.0), "seed": (int, None),
+    },
 }
-_AGG_KEYS = {"kind", "f_hat", "pre_nnm", "gm_tolerance", "gm_max_iters", "krum_squared"}
-_ATTACK_KEYS = {"kind", "variance", "scale", "vector"}
 _ENGINE_KEYS = {"T", "H", "schedule", "w0", "kappa"}
-_SCHEDULE_KEYS = {"kind", "gamma", "beta"}
-_GRID_KEYS = {"f_hat", "f", "seeds"}
-_AUDIT_KEYS = {"n", "d", "subset_budget"}
+_AUDIT_DEFAULTS = {"n": None, "d": 1, "subset_budget": 20000}
+
+_INVALID = object()  # a value that failed its type check
+_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
+    tuple: "a list of finite numbers",
+}
 
 
 @dataclass
@@ -98,133 +103,131 @@ def _unknown_keys(section: dict, allowed: set, where: str, errors: list) -> None
             errors.append(f"unknown key {key!r} in {where}{suffix}")
 
 
+def _object(section, where: str, errors: list) -> dict | None:
+    """``section`` if it is a JSON object, else None after recording an error."""
+    if isinstance(section, dict):
+        return section
+    errors.append(f"'{where}' must be an object")
+    return None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # the comparison also rejects NaN, infinities and integers too large for a float
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _typed(value, hint, name: str, errors: list):
+    """``value`` checked against a field type: bool, int, float, str, tuple
+    (of numbers, from a JSON list) or Optional of one of them.  Integers are
+    accepted as floats and converted.  Returns _INVALID after recording an
+    error."""
+    options = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in options:
+        return None
+    kind = options[0]
+    if kind is float and _is_number(value):
+        return float(value)
+    if kind is tuple and isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(value)
+    if (kind in (bool, str) and isinstance(value, kind)) or (kind is int and _is_int(value)):
+        return value
+    errors.append(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return _INVALID
+
+
+def _check_range(name: str, values, errors: list, lo: int = 0, n=None) -> bool:
+    """Record an error for each value that is not an integer >= lo (and
+    < n/2 when n is given); returns whether all of them are."""
+    key = name.rpartition(".")[2]
+    rule = f"{lo} <= {key}" + (f" < n/2 (n={n})" if n is not None else "")
+    bad = [v for v in values if not (_is_int(v) and v >= lo and (n is None or 2 * v < n))]
+    errors.extend(f"{name} = {v!r} violates {rule}" for v in bad)
+    return not bad
+
+
+def _build_spec(cls, section, where: str, errors: list) -> dict:
+    """Build the library dataclass ``cls`` from its config section and return
+    ``dataclasses.asdict`` of it ({} when it cannot be built).  The fields are
+    the allowed keys and their defaults fill in missing keys; type errors and
+    the dataclass's own range checks are recorded in ``errors``."""
+    if _object(section, where, errors) is None:
+        return {}
+    _unknown_keys(section, {f.name for f in fields(cls)}, where, errors)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in section:
+            kwargs[f.name] = _typed(section[f.name], hints[f.name], f"{where}.{f.name}", errors)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            errors.append(f"{where}.{f.name} is required")
+            kwargs[f.name] = _INVALID
+    if _INVALID in kwargs.values():
+        return {}
+    try:
+        return asdict(cls(**kwargs))
+    except (ParameterError, TypeError, ValueError) as exc:
+        errors.append(f"{where}: {exc}")
+        return {}
+
+
 def _normalize_problem(section, errors) -> dict:
-    if not isinstance(section, dict):
-        errors.append("'problem' must be an object")
+    if _object(section, "problem", errors) is None:
         return {}
-    kind = section.get("kind")
-    if kind not in _PROBLEM_KEYS:
-        errors.append(f"problem.kind must be one of {sorted(_PROBLEM_KEYS)}, got {kind!r}")
+    kind, kinds = section.get("kind"), sorted(_PROBLEM_PARAMS)
+    if kind not in kinds:
+        errors.append(f"problem.kind must be one of {kinds}, got {kind!r}")
         return {}
-    _unknown_keys(section, _PROBLEM_KEYS[kind], "problem", errors)
+    params = _PROBLEM_PARAMS[kind]
+    _unknown_keys(section, {"kind", "n", "f", *params}, "problem", errors)
     out = {"kind": kind, "n": section.get("n"), "f": section.get("f", 0)}
-    if not isinstance(out["n"], int) or out["n"] < 1:
-        errors.append("problem.n must be a positive integer")
-        return out
-    if not isinstance(out["f"], int) or not 0 <= out["f"] < out["n"] / 2:
-        errors.append("problem.f must satisfy 0 <= f < n/2")
-    if kind == "two_group_quadratic":
-        out["f_hat"] = section.get("f_hat", max(out["f"], 1))
-        out["G"] = float(section.get("G", 1.0))
-    elif kind == "random_quadratic":
-        out["d"] = section.get("d", 1)
-        out["G_target"] = float(section.get("G_target", 1.0))
-        out["radius"] = float(section.get("radius", 1.0))
-        if "seed" in section:
-            out["seed"] = section["seed"]
-    return out
-
-
-def _normalize_aggregator(section, n, errors, where="aggregator") -> dict:
-    if not isinstance(section, dict):
-        errors.append(f"'{where}' must be an object")
+    if not _check_range("problem.n", [out["n"]], errors, lo=1):
         return {}
-    _unknown_keys(section, _AGG_KEYS, where, errors)
-    kind = section.get("kind")
-    if kind not in ("mean", "cwtm", "cwmed", "gm", "krum"):
-        errors.append(f"{where}.kind must be one of ['mean', 'cwtm', 'cwmed', 'gm', 'krum'], got {kind!r}")
-        return {}
-    out = {
-        "kind": kind,
-        "f_hat": section.get("f_hat", 0),
-        "pre_nnm": bool(section.get("pre_nnm", False)),
-        "gm_tolerance": float(section.get("gm_tolerance", 1e-9)),
-        "gm_max_iters": int(section.get("gm_max_iters", 500)),
-        "krum_squared": bool(section.get("krum_squared", True)),
-    }
-    if n is not None and not 0 <= out["f_hat"] < n / 2:
-        errors.append(f"{where}.f_hat violates the constraint f_hat < n/2 (f_hat={out['f_hat']}, n={n})")
-    return out
-
-
-def _normalize_attack(section, errors) -> dict:
-    if section is None:
-        section = {"kind": "honest_mimic"}
-    if not isinstance(section, dict):
-        errors.append("'attack' must be an object")
-        return {}
-    _unknown_keys(section, _ATTACK_KEYS, "attack", errors)
-    kind = section.get("kind")
-    if kind not in ATTACK_KINDS:
-        errors.append(f"attack.kind must be one of {list(ATTACK_KINDS)}, got {kind!r}")
-        return {}
-    out = {
-        "kind": kind,
-        "variance": float(section.get("variance", 0.0)),
-        "scale": float(section.get("scale", 1.0)),
-        "vector": section.get("vector"),
-    }
-    if out["variance"] < 0:
-        errors.append("attack.variance must be >= 0")
-    if kind == "fixed_vector" and out["vector"] is None:
-        errors.append("attack.vector is required for the fixed_vector attack")
+    _check_range("problem.f", [out["f"]], errors, n=out["n"])
+    for key, (hint, default) in params.items():
+        if key in section or default is not None:
+            out[key] = _typed(section.get(key, default), hint, f"problem.{key}", errors)
     return out
 
 
 def _normalize_engine(section, errors) -> dict:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        errors.append("'engine' must be an object")
+    section = {} if section is None else section
+    if _object(section, "engine", errors) is None:
         return {}
     _unknown_keys(section, _ENGINE_KEYS, "engine", errors)
-    schedule = section.get("schedule") or {"kind": "constant", "gamma": 0.01}
-    if not isinstance(schedule, dict):
-        errors.append("engine.schedule must be an object")
-        schedule = {}
-    _unknown_keys(schedule, _SCHEDULE_KEYS, "engine.schedule", errors)
-    sched = {
-        "kind": schedule.get("kind", "constant"),
-        "gamma": float(schedule.get("gamma", 0.01)),
-        "beta": float(schedule.get("beta", 0.5)),
-    }
-    if sched["kind"] not in ("constant", "grad_cube", "pl_power", "step_wise"):
-        errors.append(f"unknown schedule kind {sched['kind']!r}")
-    if sched["kind"] in ("constant", "step_wise") and sched["gamma"] <= 0:
-        errors.append("engine.schedule.gamma must be positive")
-    if sched["kind"] == "pl_power" and not 0 < sched["beta"] < 1:
-        errors.append("engine.schedule.beta must lie in (0, 1)")
+    schedule = section.get("schedule")
+    w0 = section.get("w0")
     out = {
         "T": section.get("T", 100),
         "H": section.get("H", 1),
-        "schedule": sched,
-        "w0": section.get("w0"),
-        "kappa": float(section.get("kappa", 0.0)),
+        "schedule": _build_spec(Schedule, {} if schedule is None else schedule, "engine.schedule", errors),
+        "w0": (float(w0),) if _is_number(w0) else _typed(w0, typing.Optional[tuple], "engine.w0", errors),
+        "kappa": _typed(section.get("kappa", 0.0), float, "engine.kappa", errors),
     }
-    if not isinstance(out["T"], int) or out["T"] < 0:
-        errors.append("engine.T must be an integer >= 0")
-    if not isinstance(out["H"], int) or out["H"] < 1:
-        errors.append("engine.H must be an integer >= 1")
-    if isinstance(out["w0"], (int, float)):
-        out["w0"] = [float(out["w0"])]
+    _check_range("engine.T", [out["T"]], errors)
+    _check_range("engine.H", [out["H"]], errors, lo=1)
+    if out["kappa"] is not _INVALID and out["kappa"] < 0:
+        errors.append(f"engine.kappa = {out['kappa']!r} violates 0 <= kappa")
     return out
 
 
-def _normalize_grid(section, base, errors) -> dict:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        errors.append("'grid' must be an object")
+def _normalize_grid(section, defaults: dict, n, errors) -> dict:
+    """Each axis is a non-empty list of integers, 0 <= value < n/2 for f and
+    f_hat; an absent axis holds its default, checked where it came from."""
+    section = {} if section is None else section
+    if _object(section, "grid", errors) is None:
         return {}
-    _unknown_keys(section, _GRID_KEYS, "grid", errors)
-    out = {
-        "f_hat": section.get("f_hat", [base["aggregator"].get("f_hat", 0)]),
-        "f": section.get("f", [base["problem"].get("f", 0)]),
-        "seeds": section.get("seeds", [base["seed"]]),
-    }
-    for axis in ("f_hat", "f", "seeds"):
-        if not isinstance(out[axis], list) or len(out[axis]) == 0:
+    _unknown_keys(section, set(defaults), "grid", errors)
+    out = {}
+    for axis, default in defaults.items():
+        values = out[axis] = section.get(axis, [default])
+        if not isinstance(values, list) or not values:
             errors.append(f"grid.{axis} must be a non-empty list")
+        elif axis in section:
+            _check_range(f"grid.{axis}", values, errors, n=None if axis == "seeds" else n)
     return out
 
 
@@ -234,7 +237,7 @@ def parse_config(text: str) -> ExperimentConfig:
     errors: list[str] = []
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
@@ -244,72 +247,43 @@ def parse_config(text: str) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         errors.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     kind = raw.get("kind")
-    if kind not in ("audit", "simulate", "sweep", "report"):
-        errors.append(f"kind must be one of ['audit', 'simulate', 'sweep', 'report'], got {kind!r}")
+    if kind not in CONFIG_KINDS:
+        errors.append(f"kind must be one of {list(CONFIG_KINDS)}, got {kind!r}")
         raise ConfigError(errors)
-
-    normalized: dict = {"schema_version": SCHEMA_VERSION, "kind": kind, "seed": raw.get("seed", 0)}
-    if not isinstance(normalized["seed"], int):
-        errors.append("seed must be an integer")
+    seed = raw.get("seed", 0)
+    _check_range("seed", [seed], errors)
+    normalized: dict = {"schema_version": SCHEMA_VERSION, "kind": kind, "seed": seed}
 
     if kind == "report":
         results = raw.get("results")
         if not isinstance(results, str) or not results:
             errors.append("report configs need a 'results' path")
         normalized["results"] = results
-        if errors:
-            raise ConfigError(errors)
-        return ExperimentConfig(kind=kind, normalized=normalized)
-
-    if kind == "audit":
-        section = raw.get("audit")
-        if not isinstance(section, dict):
-            errors.append("audit configs need an 'audit' object with the cloud shape")
-            section = {}
-        _unknown_keys(section, _AUDIT_KEYS, "audit", errors)
-        n = section.get("n")
-        if not isinstance(n, int) or n < 1:
-            errors.append("audit.n must be a positive integer")
-            n = None
-        normalized["audit"] = {
-            "n": n,
-            "d": section.get("d", 1),
-            "subset_budget": section.get("subset_budget", 20000),
-        }
-        normalized["aggregator"] = _normalize_aggregator(raw.get("aggregator"), n, errors)
-        normalized["grid"] = _normalize_grid(
-            raw.get("grid"),
-            {"aggregator": normalized["aggregator"], "problem": {"f": 0}, "seed": normalized["seed"]},
-            errors,
+    elif kind == "audit":
+        section = _object(raw.get("audit"), "audit", errors) or {}
+        _unknown_keys(section, set(_AUDIT_DEFAULTS), "audit", errors)
+        audit = normalized["audit"] = {key: section.get(key, v) for key, v in _AUDIT_DEFAULTS.items()}
+        valid = {key: _check_range(f"audit.{key}", [v], errors, lo=1) for key, v in audit.items()}
+        n = audit["n"] if valid["n"] else None
+    else:
+        normalized["problem"] = _normalize_problem(raw.get("problem"), errors)
+        n = normalized["problem"].get("n")
+        attack = raw.get("attack")
+        normalized["attack"] = _build_spec(
+            AttackStrategy, {"kind": "honest_mimic"} if attack is None else attack, "attack", errors
         )
-        if n is not None:
-            for f in normalized["grid"].get("f", []):
-                if not (isinstance(f, int) and 0 <= f < n / 2):
-                    errors.append(f"grid.f value {f!r} violates 0 <= f < n/2")
-            for fh in normalized["grid"].get("f_hat", []):
-                if not (isinstance(fh, int) and 0 <= fh < n / 2):
-                    errors.append(f"grid.f_hat value {fh!r} violates the constraint f_hat < n/2")
-        if errors:
-            raise ConfigError(errors)
-        return ExperimentConfig(kind=kind, normalized=normalized)
+        normalized["engine"] = _normalize_engine(raw.get("engine"), errors)
 
-    # simulate / sweep
-    normalized["problem"] = _normalize_problem(raw.get("problem"), errors)
-    n = normalized["problem"].get("n")
-    normalized["aggregator"] = _normalize_aggregator(raw.get("aggregator"), n, errors)
-    normalized["attack"] = _normalize_attack(raw.get("attack"), errors)
-    normalized["engine"] = _normalize_engine(raw.get("engine"), errors)
-    if kind == "sweep":
-        normalized["grid"] = _normalize_grid(raw.get("grid"), normalized, errors)
-        if n is not None:
-            for fh in normalized["grid"].get("f_hat", []):
-                if not (isinstance(fh, int) and 0 <= fh < n / 2):
-                    errors.append(f"grid.f_hat value {fh!r} violates the constraint f_hat < n/2")
-            for f in normalized["grid"].get("f", []):
-                if not (isinstance(f, int) and 0 <= f < n / 2):
-                    errors.append(f"grid.f value {f!r} violates 0 <= f < n/2")
-    elif raw.get("grid") is not None:
-        errors.append("'grid' is only valid for sweep configs")
+    if kind != "report":
+        agg = normalized["aggregator"] = _build_spec(AggregatorSpec, raw.get("aggregator"), "aggregator", errors)
+        if agg and n is not None:
+            _check_range("aggregator.f_hat", [agg["f_hat"]], errors, n=n)
+        if kind != "simulate":
+            problem_f = normalized.get("problem", {}).get("f", 0)
+            defaults = {"f_hat": agg.get("f_hat", 0), "f": problem_f, "seeds": seed}
+            normalized["grid"] = _normalize_grid(raw.get("grid"), defaults, n, errors)
+        elif raw.get("grid") is not None:
+            errors.append("'grid' is only valid for sweep and audit configs")
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(kind=kind, normalized=normalized)
@@ -328,40 +302,23 @@ def _build_problem(pspec: dict, f: int, f_hat: int, seed: int):
         return two_group_quadratic_problem(pspec["n"], f, f_hat, pspec["G"])
     if kind == "homogeneous_quadratic":
         return homogeneous_quadratic_problem(pspec["n"], f)
-    if kind == "random_quadratic":
-        return random_quadratic_problem(
-            pspec["n"], f, pspec["d"], pspec["G_target"], pspec["radius"], pspec.get("seed", seed)
-        )
-    raise ConfigError([f"unknown problem kind {kind!r}"])
+    return random_quadratic_problem(
+        pspec["n"], f, pspec["d"], pspec["G_target"], pspec["radius"], pspec.get("seed", seed)
+    )
 
 
 def _build_run_config(cfg: dict, f: int, f_hat: int, seed: int) -> RunConfig:
     problem = _build_problem(cfg["problem"], f, f_hat, seed)
-    agg = dict(cfg["aggregator"])
-    agg["f_hat"] = f_hat
-    aggregator = AggregatorSpec(**agg)
-    attack_spec = cfg["attack"]
-    attack = AttackStrategy(
-        kind=attack_spec["kind"],
-        variance=attack_spec["variance"],
-        scale=attack_spec["scale"],
-        vector=tuple(attack_spec["vector"]) if attack_spec["vector"] is not None else None,
-    )
     eng = cfg["engine"]
-    schedule = Schedule(**eng["schedule"])
     w0 = eng["w0"]
     if w0 is not None and len(w0) == 1 and problem.d > 1:
         w0 = [w0[0]] * problem.d
     return RunConfig(
         problem=problem,
-        aggregator=aggregator,
-        attack=attack,
-        T=eng["T"],
-        H=eng["H"],
-        schedule=schedule,
-        w0=np.asarray(w0) if w0 is not None else None,
-        seed=seed,
-        kappa=eng["kappa"],
+        aggregator=AggregatorSpec(**{**cfg["aggregator"], "f_hat": f_hat}),
+        attack=AttackStrategy(**cfg["attack"]),
+        T=eng["T"], H=eng["H"], schedule=Schedule(**eng["schedule"]),
+        w0=w0, seed=seed, kappa=eng["kappa"],
     )
 
 
@@ -378,36 +335,30 @@ def _fmt(x) -> str:
 
 
 def _csv_rows(run_id: str, record) -> list[str]:
-    rows = []
     diverged = "1" if record.diverged else "0"
-    n_dev = record.agg_deviation.shape[0]
-    for t in range(record.rows):
-        dev = _fmt(record.agg_deviation[t]) if t < n_dev else ""
-        rows.append(
-            ",".join(
-                (
-                    run_id,
-                    record.config_digest,
-                    str(t),
-                    _fmt(record.grad_metric[t]),
-                    _fmt(record.running_avg[t]),
-                    _fmt(record.loss_gap[t]),
-                    dev,
-                    diverged,
-                )
-            )
-        )
-    return rows
+    deviations = [_fmt(x) for x in record.agg_deviation]
+    return [
+        ",".join((
+            run_id, record.config_digest, str(t), _fmt(record.grad_metric[t]),
+            _fmt(record.running_avg[t]), _fmt(record.loss_gap[t]),
+            deviations[t] if t < len(deviations) else "", diverged,
+        ))
+        for t in range(record.rows)
+    ]
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cell_bounds(problem, f_hat: int, eng: dict, record) -> dict:
     out = {"grad_floor": None, "gap_floor": None, "grad_ceiling": None}
     try:
-        grad_floor, gap_floor = bounds.convergence_floor(
+        out["grad_floor"], out["gap_floor"] = bounds.convergence_floor(
             problem.n, problem.f, f_hat, np.sqrt(problem.G2), problem.mu
         )
-        out["grad_floor"] = grad_floor
-        out["gap_floor"] = gap_floor
     except ParameterError:
         pass
     if eng["schedule"]["kind"] == "grad_cube" and eng["kappa"] > 0 and record.rows > 0:
@@ -441,15 +392,9 @@ def _run_cell(cfg: ExperimentConfig, index: int, cell: tuple[int, int, int]) -> 
         "seed": seed,
         "config_digest": record.config_digest,
         "problem": run_config.problem.descriptor,
-        "aggregator": cfg.normalized["aggregator"]["kind"]
-        + ("_nnm" if cfg.normalized["aggregator"]["pre_nnm"] else ""),
-        "attack": cfg.normalized["attack"]["kind"],
-        "constants": {
-            "L": run_config.problem.L,
-            "mu": run_config.problem.mu,
-            "G2": run_config.problem.G2,
-            "l_star": run_config.problem.l_star,
-        },
+        "aggregator": run_config.aggregator.name,
+        "attack": run_config.attack.kind,
+        "constants": {key: getattr(run_config.problem, key) for key in ("L", "mu", "G2", "l_star")},
         "initial": {
             "grad_metric": float(record.grad_metric[0]) if record.rows else None,
             "loss_gap": float(record.loss_gap[0]) if record.rows else None,
@@ -469,7 +414,7 @@ def _run_cell(cfg: ExperimentConfig, index: int, cell: tuple[int, int, int]) -> 
     return summary
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False) -> int:
+def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     """Execute every grid cell, streaming rows to results.csv as cells
     complete (in cell order) and writing summary.json at the end.
 
@@ -477,15 +422,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = _cells(cfg)
     failures = 0
     summaries = []
     with open(out / "results.csv", "w", newline="") as sink:
         sink.write(",".join(CSV_COLUMNS) + "\n")
         sink.flush()
-
-        def finish(result: dict) -> None:
-            nonlocal failures
+        for index, cell in enumerate(_cells(cfg)):
+            result = _run_cell(cfg, index, cell)
             if "error" in result:
                 failures += 1
                 if not quiet:
@@ -501,29 +444,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False
                         f"{result['run_id']}: f={result['f']} f_hat={result['f_hat']} "
                         f"seed={result['seed']} grad={grad} diverged={term['diverged']}"
                     )
-            rows = result.pop("rows", None)
-            if rows is not None:
-                result["row_count"] = len(rows)
+            result["row_count"] = len(result.pop("rows"))
             summaries.append(result)
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for result in pool.map(lambda item: _run_cell(cfg, *item), enumerate(cells)):
-                    finish(result)
-        else:
-            for index, cell in enumerate(cells):
-                finish(_run_cell(cfg, index, cell))
-
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": cfg.kind,
-        "config": cfg.normalized,
-        "cells": summaries,
-        "failed_cells": failures,
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", {
+        "schema_version": SCHEMA_VERSION, "kind": cfg.kind, "config": cfg.normalized,
+        "cells": summaries, "failed_cells": failures,
+    })
     return failures
 
 
@@ -533,11 +460,10 @@ def run_audit(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     section = cfg.normalized["audit"]
     n, d, budget = section["n"], section["d"], section["subset_budget"]
-    grid = cfg.normalized["grid"]
     agg = cfg.normalized["aggregator"]
     failures = 0
     rows = []
-    for f, f_hat, seed in product(grid["f"], grid["f_hat"], grid["seeds"]):
+    for f, f_hat, seed in _cells(cfg):
         spec = AggregatorSpec(**{**agg, "f_hat": f_hat})
         cloud = audit_mod.random_cloud(n, d, [seed, n, d])
         try:
@@ -558,50 +484,43 @@ def run_audit(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     with open(out / "audits.jsonl", "w") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(
-            {"schema_version": SCHEMA_VERSION, "kind": "audit", "config": cfg.normalized,
-             "rows": rows, "failed_cells": failures},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(out / "summary.json", {
+        "schema_version": SCHEMA_VERSION, "kind": "audit", "config": cfg.normalized,
+        "rows": rows, "failed_cells": failures,
+    })
     return failures
 
 
-def _load_results(results_dir: Path) -> tuple[dict, list[dict]]:
+def _load_summary(results_dir: Path) -> dict:
+    """The sweep's summary.json, after checking that its results.csv header
+    has every column."""
     csv_path = results_dir / "results.csv"
     summary_path = results_dir / "summary.json"
     if not csv_path.exists():
         raise ConfigError([f"no results.csv under {results_dir}"])
     if not summary_path.exists():
         raise ConfigError([f"no summary.json under {results_dir}"])
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-    lines = csv_path.read_text().splitlines()
-    header = lines[0].split(",") if lines else []
+    with open(csv_path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
     for column in CSV_COLUMNS:
         if column not in header:
             raise ConfigError([f"results.csv is missing column {column!r}"])
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    return summary, rows
+    with open(summary_path) as fh:
+        return json.load(fh)
 
 
 def _cell_bound_context(summary: dict, cell: dict) -> dict | None:
     """Full serialized bound context for one healthy cell, when its
     parameters fall in a regime the calculators cover."""
     try:
-        constants = cell["constants"]
-        engine = summary["config"]["engine"]
-        n = cell["problem"]["n"]
-        gap0 = cell["initial"]["loss_gap"]
-        doc = bounds.bound_report(
-            n=n, f=cell["f"], f_hat=cell["f_hat"],
+        constants, engine, gap0 = cell["constants"], summary["config"]["engine"], cell["initial"]["loss_gap"]
+        return bounds.bound_report(
+            n=cell["problem"]["n"], f=cell["f"], f_hat=cell["f_hat"],
             G=float(np.sqrt(constants["G2"])), mu=constants["mu"], L=constants["L"],
             H=engine["H"], T=engine["T"],
             kappa=engine["kappa"] if engine["kappa"] > 0 else None,
             loss_gap0=gap0 if gap0 is not None else 0.0,
-        )
-        return doc.to_json()
+        ).to_json()
     except (ParameterError, KeyError, TypeError):
         return None
 
@@ -612,7 +531,7 @@ def report(results_dir, out_dir, quiet: bool = False) -> dict:
     results_dir = Path(results_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary, _rows = _load_results(results_dir)
+    summary = _load_summary(results_dir)
     entries = []
     for cell in summary.get("cells", []):
         if "error" in cell:
@@ -632,21 +551,13 @@ def report(results_dir, out_dir, quiet: bool = False) -> dict:
             "grad_floor": cell_bounds["grad_floor"],
             "grad_ceiling": cell_bounds["grad_ceiling"],
         }
+        floor, ceiling = cell_bounds["grad_floor"], cell_bounds["grad_ceiling"]
         if term["diverged"]:
-            entry["floor_ok"] = None
-            entry["ceiling_ok"] = None
-            entry["status"] = "diverged"
+            entry.update(floor_ok=None, ceiling_ok=None, status="diverged")
         else:
-            floor = cell_bounds["grad_floor"]
-            ceiling = cell_bounds["grad_ceiling"]
-            entry["floor_ok"] = (
-                None if floor is None else bool(term["grad_metric"] >= floor * (1.0 - 1e-9))
-            )
-            entry["ceiling_ok"] = (
-                None if ceiling is None else bool(term["running_avg_grad"] <= ceiling)
-            )
-            checks = [v for v in (entry["floor_ok"], entry["ceiling_ok"]) if v is not None]
-            entry["status"] = "pass" if all(checks) else "fail"
+            entry["floor_ok"] = None if floor is None else bool(term["grad_metric"] >= floor * (1.0 - 1e-9))
+            entry["ceiling_ok"] = None if ceiling is None else bool(term["running_avg_grad"] <= ceiling)
+            entry["status"] = "fail" if False in (entry["floor_ok"], entry["ceiling_ok"]) else "pass"
         entry["bound_context"] = _cell_bound_context(summary, cell)
         entries.append(entry)
 
@@ -666,9 +577,7 @@ def report(results_dir, out_dir, quiet: bool = False) -> dict:
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text)
     doc = {"schema_version": SCHEMA_VERSION, "kind": "report", "cells": entries}
-    with open(out / "report.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", doc)
     if not quiet:
         print(text, end="")
     return doc
@@ -680,14 +589,12 @@ def report(results_dir, out_dir, quiet: bool = False) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedrobust", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("audit", "simulate", "sweep", "report"):
+    for name in CONFIG_KINDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
-        if name == "sweep":
-            cmd.add_argument("--jobs", type=int, default=1, help="max concurrent grid cells")
     return parser
 
 
@@ -710,15 +617,11 @@ def main(argv=None) -> int:
         if "grid" in cfg.normalized:
             cfg.normalized["grid"]["seeds"] = [args.seed]
     try:
-        if cfg.kind in ("simulate", "sweep"):
-            jobs = getattr(args, "jobs", 1)
-            failures = run_sweep(cfg, args.out, jobs=jobs, quiet=args.quiet)
-            return 3 if failures else 0
-        if cfg.kind == "audit":
-            failures = run_audit(cfg, args.out, quiet=args.quiet)
-            return 3 if failures else 0
-        report(cfg.normalized["results"], args.out, quiet=args.quiet)
-        return 0
+        if cfg.kind == "report":
+            report(cfg.normalized["results"], args.out, quiet=args.quiet)
+            return 0
+        failures = (run_audit if cfg.kind == "audit" else run_sweep)(cfg, args.out, quiet=args.quiet)
+        return 3 if failures else 0
     except ConfigError as exc:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,9 +36,9 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
-            raise ParameterError(f"unknown schedule kind {self.kind!r}")
+            raise ParameterError(f"kind must be one of {list(SCHEDULE_KINDS)}, got {self.kind!r}")
         if self.kind in ("constant", "step_wise") and self.gamma <= 0:
-            raise ParameterError("stepsize must be positive")
+            raise ParameterError("gamma must be positive")
         if self.kind == "pl_power" and not 0 < self.beta < 1:
             raise ParameterError("beta must lie in (0, 1)")
 
@@ -138,43 +138,31 @@ def local_update(loss_k: ClientLoss, w_t, gamma: float, H: int) -> np.ndarray:
     return loss_k.descend(w_t, gamma, H)
 
 
+def _describe(value):
+    """JSON-compatible form of one RunConfig field value."""
+    if isinstance(value, Problem):
+        return dict(value.descriptor) if value.descriptor else {
+            "kind": "custom",
+            "n": value.n,
+            "f": value.f,
+            "honest_set": list(value.honest_set),
+            "curvature": value.losses[0].curvature.tolist(),
+            "centers": [loss.center.tolist() for loss in value.losses],
+        }
+    if is_dataclass(value):
+        return {f.name: _describe(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_describe(v) for v in value]
+    return value
+
+
 def run_config_descriptor(config: RunConfig) -> dict:
-    """JSON-compatible description of a run; the digest is taken over its
-    canonical serialization, so field order never matters."""
-    problem = config.problem
-    pdesc = dict(problem.descriptor) if problem.descriptor else {
-        "kind": "custom",
-        "n": problem.n,
-        "f": problem.f,
-        "honest_set": list(problem.honest_set),
-        "curvature": problem.losses[0].curvature.tolist(),
-        "centers": [loss.center.tolist() for loss in problem.losses],
-    }
-    agg = config.aggregator
-    attack = config.attack
-    return {
-        "problem": pdesc,
-        "aggregator": {
-            "kind": agg.kind,
-            "f_hat": agg.f_hat,
-            "pre_nnm": agg.pre_nnm,
-            "gm_tolerance": agg.gm_tolerance,
-            "gm_max_iters": agg.gm_max_iters,
-            "krum_squared": agg.krum_squared,
-        },
-        "attack": {
-            "kind": attack.kind,
-            "variance": attack.variance,
-            "scale": attack.scale,
-            "vector": list(attack.vector) if attack.vector is not None else None,
-        },
-        "T": config.T,
-        "H": config.H,
-        "schedule": {"kind": config.schedule.kind, "gamma": config.schedule.gamma, "beta": config.schedule.beta},
-        "w0": config.w0.tolist(),
-        "seed": config.seed,
-        "kappa": config.kappa,
-    }
+    """JSON-compatible description of a run, one entry per RunConfig field;
+    the digest is taken over its canonical serialization, so field order
+    never matters."""
+    return _describe(config)
 
 
 def config_digest(config: RunConfig) -> str:

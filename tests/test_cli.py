@@ -1,13 +1,16 @@
 """Config parsing, sweep execution, persistence, and reporting."""
 
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fedrobust import ConfigError
 from fedrobust.cli import (
+    _build_run_config,
     _cells,
     load_config,
     main,
@@ -16,6 +19,7 @@ from fedrobust.cli import (
     run_audit,
     run_sweep,
 )
+from fedrobust.engine import config_digest
 
 MINIMAL_SIMULATE = {
     "schema_version": 1,
@@ -134,13 +138,6 @@ def test_sweep_repeats_byte_identical(tmp_path):
     run_sweep(cfg, tmp_path / "a", quiet=True)
     run_sweep(cfg, tmp_path / "b", quiet=True)
     assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
-
-
-def test_sweep_with_jobs_matches_sequential(tmp_path):
-    cfg = parse_config(json.dumps(SWEEP_TEMPLATE))
-    run_sweep(cfg, tmp_path / "seq", jobs=1, quiet=True)
-    run_sweep(cfg, tmp_path / "par", jobs=4, quiet=True)
-    assert (tmp_path / "seq" / "results.csv").read_bytes() == (tmp_path / "par" / "results.csv").read_bytes()
 
 
 def test_failed_cell_recorded_and_sweep_continues(tmp_path, capsys):
@@ -292,3 +289,108 @@ def test_load_config_from_file(tmp_path):
     path.write_text(json.dumps(MINIMAL_SIMULATE))
     cfg = load_config(path)
     assert cfg.kind == "simulate"
+
+
+# ---------------------------------------------------------------------------
+# schema validation
+
+AUDIT_TEMPLATE = {
+    "schema_version": 1,
+    "kind": "audit",
+    "audit": {"n": 8, "d": 2, "subset_budget": 100},
+    "aggregator": {"kind": "krum", "f_hat": 2, "pre_nnm": True},
+    "grid": {"f_hat": [2], "f": [1], "seeds": [0]},
+}
+
+
+def _readme_config_example() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema (version 1)", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def _with(doc: dict, path: str, value) -> dict:
+    doc = copy.deepcopy(doc)
+    *parents, key = path.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    return doc
+
+
+MALFORMED = [
+    (SWEEP_TEMPLATE, "attack", {"kind": "gaussian_noise", "variance": "high"}),
+    (SWEEP_TEMPLATE, "problem", {"kind": "two_group_quadratic", "n": 10, "f": 1, "G": None}),
+    (SWEEP_TEMPLATE, "aggregator.f_hat", "1"),
+    (SWEEP_TEMPLATE, "aggregator.gm_max_iters", "x"),
+    (SWEEP_TEMPLATE, "aggregator.gm_tolerance", 0),
+    (SWEEP_TEMPLATE, "aggregator.pre_nnm", "yes"),
+    (SWEEP_TEMPLATE, "engine.kappa", -1),
+    (SWEEP_TEMPLATE, "engine.schedule.gamma", 0),
+    (SWEEP_TEMPLATE, "grid.seeds", ["a"]),
+    (AUDIT_TEMPLATE, "audit.d", -1),
+    (AUDIT_TEMPLATE, "audit.subset_budget", 0),
+]
+
+
+@pytest.mark.parametrize("template, path, value", MALFORMED, ids=[f"{p}={v!r}" for _, p, v in MALFORMED])
+def test_malformed_value_is_config_error(tmp_path, template, path, value):
+    doc = _with(template, path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    section = path.split(".")[0]
+    assert any(e.startswith(section) for e in exc.value.errors), exc.value.errors
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    assert main([doc["kind"], "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+
+
+def _paths(doc: dict, prefix: str = ""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, f"{prefix}{key}.")
+
+
+@pytest.mark.parametrize(
+    "bad", [None, "x", -1, 0.5, True, float("nan"), 10**400, [], [[]], {}], ids=lambda v: repr(v)[:8]
+)
+def test_parse_config_raises_only_config_error(bad):
+    for template in (json.loads(_readme_config_example()), SWEEP_TEMPLATE, AUDIT_TEMPLATE):
+        for path in _paths(template):
+            try:
+                parse_config(json.dumps(_with(template, path, bad)))
+            except ConfigError:
+                pass
+
+
+def test_problem_f_hat_is_unknown_key():
+    doc = _with(SWEEP_TEMPLATE, "problem", {"kind": "two_group_quadratic", "n": 10, "f": 1, "f_hat": 3})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.errors == ["unknown key 'f_hat' in problem"]
+
+
+def test_spec_section_unknown_key_suggests_field():
+    doc = _with(SWEEP_TEMPLATE, "aggregator.pre_nmm", True)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.errors == ["unknown key 'pre_nmm' in aggregator; did you mean 'pre_nnm'?"]
+
+
+def test_integer_and_float_values_give_the_same_digest():
+    def digest(gamma, variance):
+        doc = _with(SWEEP_TEMPLATE, "engine.schedule.gamma", gamma)
+        doc["attack"] = {"kind": "gaussian_noise", "variance": variance}
+        cfg = parse_config(json.dumps(doc))
+        return config_digest(_build_run_config(cfg.normalized, *_cells(cfg)[0]))
+
+    assert digest(1, 5) == digest(1.0, 5.0)
+    assert digest(1, 5) != digest(0.5, 5.0) != digest(0.5, 4.0)
+
+
+def test_readme_config_example_parses():
+    cfg = parse_config(_readme_config_example())
+    assert cfg.kind == "sweep"
+    assert len(_cells(cfg)) == 6

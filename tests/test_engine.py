@@ -1,6 +1,7 @@
 """Simulation engine: local updates, stepsize schedules, round mechanics,
 divergence handling, and determinism."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from fedrobust import (
     AggregatorSpec,
     AttackStrategy,
+    ClientLoss,
     ParameterError,
+    Problem,
     RunConfig,
     Schedule,
     homogeneous_quadratic_problem,
@@ -238,3 +241,41 @@ def test_run_config_validation():
     with pytest.raises(ParameterError):
         RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
                   attack=AttackStrategy("honest_mimic"), T=-1)
+
+
+def test_descriptor_has_one_entry_per_field():
+    config = RunConfig(
+        problem=homogeneous_quadratic_problem(4), aggregator=AggregatorSpec("mean"),
+        attack=AttackStrategy("honest_mimic"), T=1,
+    )
+    desc = run_config_descriptor(config)
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(desc) == names(RunConfig)
+    assert set(desc["aggregator"]) == names(AggregatorSpec)
+    assert set(desc["attack"]) == names(AttackStrategy)
+    assert set(desc["schedule"]) == names(Schedule)
+
+
+def test_config_digests_are_pinned():
+    # digests recorded from the earlier hand-written descriptor; a change to
+    # how the descriptor is built must not move them
+    p = random_quadratic_problem(7, 2, 3, 1.5, 2.0, 11)
+    config = RunConfig(
+        problem=p,
+        aggregator=AggregatorSpec("gm", f_hat=2, pre_nnm=True, gm_tolerance=1e-7, gm_max_iters=50),
+        attack=AttackStrategy("fixed_vector", vector=(1.0, -2.0, 0.5)), T=9, H=3,
+        schedule=Schedule("pl_power", beta=0.25), w0=np.array([1.0, 2.0, 3.0]), seed=5, kappa=0.5,
+    )
+    assert config_digest(config) == "12c09f52485713f1"
+
+    losses = tuple(ClientLoss(curvature=[1.0, 1.0], center=[float(k), -float(k)]) for k in range(3))
+    custom = Problem(n=3, f=1, honest_set=(0, 1), losses=losses, L=2.0, mu=2.0, G2=2.0, l_star=0.5)
+    config = RunConfig(
+        problem=custom, aggregator=AggregatorSpec("krum", f_hat=1, krum_squared=False),
+        attack=AttackStrategy("sign_flip", scale=3.0), T=4,
+    )
+    assert run_config_descriptor(config)["problem"]["kind"] == "custom"
+    assert config_digest(config) == "3e32e89ff1462ef8"
