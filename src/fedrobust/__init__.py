@@ -29,11 +29,11 @@ from .bounds import (
     kappa_guarantee,
     kappa_lower_bound,
 )
-from .engine import RunConfig, RunRecord, Schedule, local_update, run, stepsize_at
+from .engine import RunConfig, RunRecord, Schedule, run, stepsize_at
 from .errors import ConfigError, ConstructionError, DimensionError, ParameterError
 from .problems import (
-    ClientLoss,
     Problem,
+    descend,
     heterogeneity_at,
     homogeneous_quadratic_problem,
     honest_objective,
@@ -48,7 +48,6 @@ __all__ = [
     "AttackContext",
     "AttackStrategy",
     "AuditResult",
-    "ClientLoss",
     "ConfigError",
     "ConstructionError",
     "DimensionError",
@@ -65,6 +64,7 @@ __all__ = [
     "cwmed",
     "cwtm",
     "cwtm_break_witness",
+    "descend",
     "empirical_kappa",
     "error_ratio",
     "gap_ceiling",
@@ -77,7 +77,6 @@ __all__ = [
     "kappa_guarantee",
     "kappa_lower_bound",
     "krum",
-    "local_update",
     "lower_bound_witness",
     "mean",
     "nnm",

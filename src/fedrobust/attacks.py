@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .problems import ClientLoss
+from .problems import Problem, descend
 
 ATTACK_KINDS = ("honest_mimic", "escalating_outlier", "gaussian_noise", "sign_flip", "fixed_vector")
 
@@ -50,9 +50,9 @@ class AttackContext:
     rng: np.random.Generator    # per-(client, round) substream
 
 
-def honest_mimic(ctx: AttackContext, loss_k: ClientLoss) -> np.ndarray:
-    """Behave exactly like an honest client: H local GD steps on own loss."""
-    return loss_k.descend(ctx.w_t, ctx.gamma, ctx.H)
+def honest_mimic(ctx: AttackContext, problem: Problem, k: int) -> np.ndarray:
+    """Behave exactly like an honest client: H local GD steps on client k's own loss."""
+    return descend(problem, [k], ctx.w_t, ctx.gamma, ctx.H)[0]
 
 
 def escalating_outlier(ctx: AttackContext) -> np.ndarray:
@@ -77,10 +77,10 @@ def sign_flip(ctx: AttackContext, scale: float) -> np.ndarray:
     return ctx.w_t - scale * mean_delta
 
 
-def byzantine_upload(strategy: AttackStrategy, ctx: AttackContext, loss_k: ClientLoss) -> np.ndarray:
-    """Produce one Byzantine client's upload for the round."""
+def byzantine_upload(strategy: AttackStrategy, ctx: AttackContext, problem: Problem, k: int) -> np.ndarray:
+    """Produce Byzantine client k's upload for the round."""
     if strategy.kind == "honest_mimic":
-        return honest_mimic(ctx, loss_k)
+        return honest_mimic(ctx, problem, k)
     if strategy.kind == "escalating_outlier":
         return escalating_outlier(ctx)
     if strategy.kind == "gaussian_noise":

@@ -20,7 +20,7 @@ import numpy as np
 from .aggregators import AggregatorSpec, aggregate
 from .attacks import AttackContext, AttackStrategy, byzantine_upload
 from .errors import ParameterError
-from .problems import ClientLoss, Problem, honest_objective
+from .problems import Problem, descend, honest_objective
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
 
@@ -94,6 +94,8 @@ class RunConfig:
             raise ParameterError("aggregator f_hat must satisfy 0 <= f_hat < n/2")
         if self.kappa < 0:
             raise ParameterError("kappa must be >= 0")
+        if self.attack.kind == "fixed_vector" and np.atleast_1d(self.attack.vector).shape != (self.problem.d,):
+            raise ParameterError(f"attack vector must have dimension {self.problem.d}")
 
 
 @dataclass
@@ -133,11 +135,6 @@ class RunRecord:
         return float(self.loss_gap[-1])
 
 
-def local_update(loss_k: ClientLoss, w_t, gamma: float, H: int) -> np.ndarray:
-    """H gradient-descent steps on the client's own loss, starting at w_t."""
-    return loss_k.descend(w_t, gamma, H)
-
-
 def _describe(value):
     """JSON-compatible form of one RunConfig field value."""
     if isinstance(value, Problem):
@@ -146,8 +143,8 @@ def _describe(value):
             "n": value.n,
             "f": value.f,
             "honest_set": list(value.honest_set),
-            "curvature": value.losses[0].curvature.tolist(),
-            "centers": [loss.center.tolist() for loss in value.losses],
+            "curvature": value.curvature.tolist(),
+            "centers": value.centers.tolist(),
         }
     if is_dataclass(value):
         return {f.name: _describe(getattr(value, f.name)) for f in fields(value)}
@@ -208,12 +205,9 @@ def run_round(state: RunState, config: RunConfig) -> RunState:
     problem = config.problem
     t = state.t
     gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
-    honest = list(problem.honest_set)
-    honest_uploads = np.stack(
-        [local_update(problem.losses[k], state.w, gamma, config.H) for k in honest]
-    )
+    honest_uploads = descend(problem, problem.honest_set, state.w, gamma, config.H)
     uploads = np.empty((problem.n, state.w.shape[0]))
-    uploads[honest] = honest_uploads
+    uploads[list(problem.honest_set)] = honest_uploads
     for k in problem.byzantine_set:
         ctx = AttackContext(
             t=t,
@@ -226,7 +220,7 @@ def run_round(state: RunState, config: RunConfig) -> RunState:
             honest_uploads=honest_uploads,
             rng=np.random.default_rng([config.seed, k, t]),
         )
-        uploads[k] = byzantine_upload(config.attack, ctx, problem.losses[k])
+        uploads[k] = byzantine_upload(config.attack, ctx, problem, k)
 
     deltas = uploads - state.w
     aggregated = aggregate(config.aggregator, deltas)

@@ -1,9 +1,12 @@
-"""Per-client quadratic loss families with analytically known constants.
+"""Quadratic client loss families with analytically known constants.
 
-Every family uses a curvature shared by all clients and all coordinates,
-so the smoothness constant L, the gradient-dominance constant mu, the
-honest-gradient dispersion G^2 and the minimum value l_star all have exact
-closed forms, and the dispersion is independent of the evaluation point.
+A problem is stored as arrays: one curvature (d,) shared by all clients and
+an (n, d) array of client centers, so client k holds
+sum_j a_j ([w]_j - [b_k]_j)^2.  Every family also uses the same curvature on
+every coordinate, so the smoothness constant L, the gradient-dominance
+constant mu, the honest-gradient dispersion G^2 and the minimum value
+l_star all have exact closed forms, and the dispersion is independent of
+the evaluation point.
 """
 
 from __future__ import annotations
@@ -16,47 +19,16 @@ from .errors import ConstructionError, ParameterError
 
 
 @dataclass(frozen=True)
-class ClientLoss:
-    """Quadratic loss sum_j a_j ([w]_j - [b]_j)^2 with gradient 2 a (w - b)."""
-
-    curvature: np.ndarray  # (d,), positive
-    center: np.ndarray     # (d,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "curvature", np.atleast_1d(np.asarray(self.curvature, dtype=np.float64)))
-        object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=np.float64)))
-        if self.curvature.shape != self.center.shape:
-            raise ConstructionError("curvature and center must have matching shapes")
-        if not np.all(self.curvature > 0):
-            raise ConstructionError("curvature must be positive")
-        if not np.all(np.isfinite(self.center)):
-            raise ConstructionError("centers must be finite")
-
-    def value(self, w) -> float:
-        w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-        return float(np.sum(self.curvature * (w - self.center) ** 2))
-
-    def gradient(self, w) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-        return 2.0 * self.curvature * (w - self.center)
-
-    def descend(self, w, gamma: float, steps: int) -> np.ndarray:
-        """Run ``steps`` plain gradient-descent updates from ``w``."""
-        w = np.atleast_1d(np.asarray(w, dtype=np.float64)).copy()
-        for _ in range(steps):
-            w = w - gamma * self.gradient(w)
-        return w
-
-
-@dataclass(frozen=True)
 class Problem:
-    """n client losses, of which the clients outside ``honest_set`` are
-    Byzantine, plus the closed-form constants of the honest objective."""
+    """n quadratic client losses sum_j a_j ([w]_j - [b_k]_j)^2 sharing one
+    curvature a, with client k's center b_k in row k of ``centers``; the
+    clients outside ``honest_set`` are Byzantine.  Also holds the
+    closed-form constants of the honest objective."""
 
-    n: int
     f: int
-    honest_set: tuple
-    losses: tuple
+    honest_set: tuple      # None means the first n - f clients
+    curvature: np.ndarray  # (d,), positive
+    centers: np.ndarray    # (n, d)
     L: float
     mu: float
     G2: float
@@ -64,33 +36,41 @@ class Problem:
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        curvature = np.array(self.curvature, dtype=np.float64, ndmin=1)
+        centers = np.array(self.centers, dtype=np.float64)
+        if centers.ndim != 2 or centers.shape[1:] != curvature.shape:
+            raise ConstructionError("centers must have shape (n, d) with d = len(curvature)")
+        if not np.all(curvature > 0):
+            raise ConstructionError("curvature must be positive")
+        if not np.all(np.isfinite(centers)):
+            raise ConstructionError("centers must be finite")
+        for name, value in (("curvature", curvature), ("centers", centers)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if not 0 <= self.f < self.n / 2:
             raise ParameterError(f"require 0 <= f < n/2, got f={self.f}, n={self.n}")
-        if len(self.honest_set) != self.n - self.f:
-            raise ParameterError("honest set must have size n - f")
-        if len(self.losses) != self.n:
-            raise ParameterError("need one loss per client")
+        object.__setattr__(self, "honest_set", _honest_set(self.n, self.f, self.honest_set))
         _verify_constants(self)
 
     @property
+    def n(self) -> int:
+        return self.centers.shape[0]
+
+    @property
     def d(self) -> int:
-        return self.losses[0].center.shape[0]
+        return self.centers.shape[1]
 
     @property
     def byzantine_set(self) -> tuple:
-        return tuple(k for k in range(self.n) if k not in set(self.honest_set))
+        return tuple(sorted(set(range(self.n)) - set(self.honest_set)))
 
 
 def _verify_constants(p: Problem) -> None:
-    """Recompute every constant from the losses and compare; catches
+    """Recompute every constant from the arrays and compare; catches
     construction bugs at the source."""
-    a = p.losses[0].curvature
-    for loss in p.losses:
-        if not np.array_equal(loss.curvature, a):
-            raise ConstructionError("all clients must share the same curvature")
-    centers = np.stack([p.losses[k].center for k in p.honest_set])
-    center_mean = centers.mean(axis=0)
-    spread = centers - center_mean
+    a = p.curvature
+    spread = p.centers[list(p.honest_set)]
+    spread = spread - spread.mean(axis=0)
     l_star = float(np.sum(a * (spread ** 2).mean(axis=0)))
     g2 = float(np.sum(4.0 * a ** 2 * (spread ** 2).mean(axis=0)))
     checks = {
@@ -107,9 +87,13 @@ def _verify_constants(p: Problem) -> None:
             )
 
 
-def _default_honest_set(n: int, f: int) -> tuple:
-    # Byzantine clients default to the last f indices.
-    return tuple(range(n - f))
+def _honest_set(n: int, f: int, honest_set) -> tuple:
+    """The given honest set, checked to hold n - f distinct indices in
+    [0, n); by default the first n - f, so Byzantine clients are the last f."""
+    honest_set = tuple(range(n - f)) if honest_set is None else tuple(honest_set)
+    if len(honest_set) != n - f or len(set(honest_set)) != n - f or not set(honest_set) <= set(range(n)):
+        raise ParameterError(f"honest set must hold n - f = {n - f} distinct indices in [0, {n})")
+    return honest_set
 
 
 def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float, honest_set=None) -> Problem:
@@ -129,16 +113,11 @@ def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float, honest_set
         raise ParameterError("G must be positive")
     c = (n - f) / (2.0 * np.sqrt(f_hat * (n - f - f_hat)))
     a = c * G
-    losses = tuple(
-        ClientLoss(curvature=a, center=-1.0 if k < f_hat else 0.0) for k in range(n)
-    )
-    if honest_set is None:
-        honest_set = _default_honest_set(n, f)
     return Problem(
-        n=n,
         f=f,
-        honest_set=tuple(honest_set),
-        losses=losses,
+        honest_set=honest_set,
+        curvature=[a],
+        centers=np.where(np.arange(n) < f_hat, -1.0, 0.0)[:, None],
         L=2.0 * a,
         mu=2.0 * a,
         G2=G * G,
@@ -151,14 +130,11 @@ def homogeneous_quadratic_problem(n: int, f: int = 0, honest_set=None) -> Proble
     """Every client holds w^2/2; zero heterogeneity, L = mu = 1, l_star = 0."""
     if n < 1:
         raise ParameterError("need n >= 1")
-    losses = tuple(ClientLoss(curvature=0.5, center=0.0) for _ in range(n))
-    if honest_set is None:
-        honest_set = _default_honest_set(n, f)
     return Problem(
-        n=n,
         f=f,
-        honest_set=tuple(honest_set),
-        losses=losses,
+        honest_set=honest_set,
+        curvature=[0.5],
+        centers=np.zeros((n, 1)),
         L=1.0,
         mu=1.0,
         G2=0.0,
@@ -190,9 +166,7 @@ def random_quadratic_problem(
     radii = radius * rng.random(n) ** (1.0 / d)
     centers = radii[:, None] * directions
 
-    if honest_set is None:
-        honest_set = _default_honest_set(n, f)
-    honest_set = tuple(honest_set)
+    honest_set = _honest_set(n, f, honest_set)
     honest_centers = centers[list(honest_set)]
     center_mean = honest_centers.mean(axis=0)
     dispersion = float(np.sum(4.0 * a * a * ((honest_centers - center_mean) ** 2).mean(axis=0)))
@@ -204,14 +178,13 @@ def random_quadratic_problem(
         s = G_target / np.sqrt(dispersion)
         centers = center_mean + s * (centers - center_mean)
 
-    losses = tuple(ClientLoss(curvature=np.full(d, a), center=centers[k]) for k in range(n))
     honest_centers = centers[list(honest_set)]
     spread = honest_centers - honest_centers.mean(axis=0)
     return Problem(
-        n=n,
         f=f,
         honest_set=honest_set,
-        losses=losses,
+        curvature=np.full(d, a),
+        centers=centers,
         L=2.0 * a,
         mu=2.0 * a,
         G2=float(np.sum(4.0 * a * a * (spread ** 2).mean(axis=0))),
@@ -228,20 +201,33 @@ def random_quadratic_problem(
     )
 
 
+def descend(p: Problem, clients, w, gamma: float, steps: int) -> np.ndarray:
+    """Run ``steps`` plain gradient-descent updates from ``w`` on each listed
+    client's own loss; row i of the result belongs to ``clients[i]``."""
+    centers = p.centers[list(clients)]
+    w = np.array(np.broadcast_to(np.asarray(w, dtype=np.float64), centers.shape))
+    for _ in range(steps):
+        w = w - gamma * (2.0 * p.curvature * (w - centers))
+    return w
+
+
 def honest_objective(p: Problem, w) -> tuple[float, np.ndarray]:
-    """Value and gradient of the average honest loss at ``w``."""
+    """Value and gradient of the average honest loss at ``w``.
+
+    The clients' terms are added one after another in honest-set order (a
+    cumulative sum, not numpy's pairwise sum), so the result is the same to
+    the bit as a client-by-client sum; a value that overflows becomes inf,
+    which the engine reports as divergence."""
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    value = 0.0
-    grad = np.zeros_like(w)
-    for k in p.honest_set:
-        value += p.losses[k].value(w)
-        grad += p.losses[k].gradient(w)
+    diff = w - p.centers[list(p.honest_set)]
+    with np.errstate(over="ignore"):
+        value = float(np.cumsum((p.curvature * diff ** 2).sum(axis=1))[-1])
     m = len(p.honest_set)
-    return value / m, grad / m
+    return value / m, np.cumsum(2.0 * p.curvature * diff, axis=0)[-1] / m
 
 
 def heterogeneity_at(p: Problem, w) -> float:
     """Mean squared deviation of honest gradients from their average at ``w``."""
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    grads = np.stack([p.losses[k].gradient(w) for k in p.honest_set])
+    grads = 2.0 * p.curvature * (w - p.centers[list(p.honest_set)])
     return float(((grads - grads.mean(axis=0)) ** 2).sum(axis=1).mean())

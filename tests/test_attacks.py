@@ -9,8 +9,8 @@ from fedrobust import (
     AttackStrategy,
     ParameterError,
     byzantine_upload,
+    descend,
     homogeneous_quadratic_problem,
-    local_update,
     two_group_quadratic_problem,
 )
 from fedrobust.attacks import escalating_outlier, gaussian_noise, honest_mimic, sign_flip
@@ -28,28 +28,30 @@ def make_ctx(t=0, w=1.0, gamma=0.1, H=1, n=5, f=2, f_hat=1, honest=None, seed=0,
 
 
 def test_honest_mimic_matches_local_descent():
-    loss = homogeneous_quadratic_problem(5).losses[0]
+    q = homogeneous_quadratic_problem(5)
     ctx = make_ctx(w=1.0, gamma=0.1, H=2)
-    assert honest_mimic(ctx, loss)[0] == pytest.approx(0.81, abs=1e-15)
+    assert honest_mimic(ctx, q, 0)[0] == pytest.approx(0.81, abs=1e-15)
 
     ctx0 = make_ctx(w=1.7, gamma=0.0, H=3)
-    assert honest_mimic(ctx0, loss)[0] == 1.7
+    assert honest_mimic(ctx0, q, 0)[0] == 1.7
 
     p = two_group_quadratic_problem(10, 2, 3, 1.0)
     c = p.L / 2
     for gamma, H in ((0.05, 1), (0.01, 4)):
         ctx = make_ctx(w=1.0, gamma=gamma, H=H)
-        centered_client = p.losses[-1]  # holds the unshifted quadratic
+        centered_client = p.n - 1  # holds the unshifted quadratic
         want = (1 - 2 * c * gamma) ** H
-        assert honest_mimic(ctx, centered_client)[0] == pytest.approx(want, rel=1e-12)
+        assert honest_mimic(ctx, p, centered_client)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_honest_mimic_bitwise_identical_to_engine_pipeline():
     p = two_group_quadratic_problem(10, 2, 3, 1.0)
+    # the engine descends all honest clients at once
+    honest_rows = descend(p, p.honest_set, np.array([0.37]), 0.02, 7)
     for k in (0, 5):
         ctx = make_ctx(w=0.37, gamma=0.02, H=7)
-        via_attack = honest_mimic(ctx, p.losses[k])
-        via_engine = local_update(p.losses[k], np.array([0.37]), 0.02, 7)
+        via_attack = honest_mimic(ctx, p, k)
+        via_engine = honest_rows[p.honest_set.index(k)]
         assert np.array_equal(via_attack, via_engine)
 
 
@@ -101,7 +103,7 @@ def test_sign_flip_formulas():
 
 def test_dispatch_and_fixed_vector():
     ctx = make_ctx(w=np.zeros(2))
-    out = byzantine_upload(AttackStrategy("fixed_vector", vector=(3.0, -1.0)), ctx, None)
+    out = byzantine_upload(AttackStrategy("fixed_vector", vector=(3.0, -1.0)), ctx, None, 0)
     assert np.array_equal(out, [3.0, -1.0])
     with pytest.raises(ParameterError):
         AttackStrategy("fixed_vector")
@@ -110,13 +112,13 @@ def test_dispatch_and_fixed_vector():
 
 
 def test_strategies_deterministic_given_seed_and_context():
-    loss = homogeneous_quadratic_problem(3).losses[0]
+    p = homogeneous_quadratic_problem(3)
     for strategy in (
         AttackStrategy("honest_mimic"),
         AttackStrategy("escalating_outlier"),
         AttackStrategy("gaussian_noise", variance=2.0),
         AttackStrategy("sign_flip", scale=1.5),
     ):
-        a = byzantine_upload(strategy, make_ctx(t=3, w=0.4, seed=9, client=2), loss)
-        b = byzantine_upload(strategy, make_ctx(t=3, w=0.4, seed=9, client=2), loss)
+        a = byzantine_upload(strategy, make_ctx(t=3, w=0.4, seed=9, client=2), p, 0)
+        b = byzantine_upload(strategy, make_ctx(t=3, w=0.4, seed=9, client=2), p, 0)
         assert np.array_equal(a, b)

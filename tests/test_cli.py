@@ -1,6 +1,7 @@
 """Config parsing, sweep execution, persistence, and reporting."""
 
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,6 +134,40 @@ def test_golden_csv_bytes(tmp_path):
     assert (tmp_path / "results.csv").read_text() == GOLDEN_CSV
 
 
+# results.csv sha256 of two larger sweeps, recorded before problems were
+# stored as arrays: criterion 9's sweep (random problems, d = 3, Krum after
+# NNM under noise) and a two-group sweep with H = 5 honest-mimic steps.
+PINNED_SWEEPS = [
+    ({
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "random_quadratic", "n": 8, "f": 2, "d": 3,
+                    "G_target": 1.0, "radius": 2.0},
+        "aggregator": {"kind": "krum", "pre_nnm": True},
+        "attack": {"kind": "gaussian_noise", "variance": 5.0},
+        "engine": {"T": 50, "H": 2,
+                   "schedule": {"kind": "constant", "gamma": 0.005}, "w0": 1.0},
+        "grid": {"f_hat": [2, 3], "f": [1, 2], "seeds": [0, 1]},
+    }, "f5937fe255a5f74565fbe0b36d4e393eb4f33d49122a741232e933620862ed7a"),
+    ({
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "two_group_quadratic", "n": 10, "f": 2, "G": 1.0},
+        "aggregator": {"kind": "cwtm", "f_hat": 3},
+        "attack": {"kind": "honest_mimic"},
+        "engine": {"T": 50, "H": 5,
+                   "schedule": {"kind": "constant", "gamma": 0.01}, "w0": 1.0},
+        "grid": {"f": [0, 2], "f_hat": [3, 4], "seeds": [0]},
+    }, "6cc9cffb402b2f3e9d10e72bdf17cf6c97e5888ab1edcb374d5a49959e084a33"),
+]
+
+
+@pytest.mark.parametrize("config,sha256", PINNED_SWEEPS, ids=["criterion9", "two_group"])
+def test_results_csv_sha256_is_pinned(tmp_path, config, sha256):
+    assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256
+
+
 def test_sweep_repeats_byte_identical(tmp_path):
     cfg = parse_config(json.dumps(SWEEP_TEMPLATE))
     run_sweep(cfg, tmp_path / "a", quiet=True)
@@ -161,6 +196,25 @@ def test_failed_cell_recorded_and_sweep_continues(tmp_path, capsys):
     # the healthy cell still produced rows
     lines = (tmp_path / "results.csv").read_text().splitlines()
     assert len(lines) == 1 + 3  # header + T+1 rows
+
+
+def test_fixed_vector_of_wrong_dimension_is_failed_cell(tmp_path):
+    config = {
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "random_quadratic", "n": 6, "d": 3, "G_target": 1.0, "radius": 2.0},
+        "aggregator": {"kind": "cwmed"},
+        "attack": {"kind": "fixed_vector", "vector": [1.0, 2.0]},
+        "engine": {"T": 2},
+        "grid": {"f_hat": [1], "f": [1], "seeds": [0]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["failed_cells"] == 1
+    assert "dimension 3" in summary["cells"][0]["error"]
+    assert len((tmp_path / "o" / "results.csv").read_text().splitlines()) == 1  # header only
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ import pytest
 from fedrobust import (
     AggregatorSpec,
     AttackStrategy,
-    ClientLoss,
     ParameterError,
     Problem,
     RunConfig,
     Schedule,
+    descend,
     homogeneous_quadratic_problem,
     honest_objective,
-    local_update,
     random_quadratic_problem,
     run,
     stepsize_at,
@@ -37,14 +36,14 @@ def quiet_run(config):
 
 def test_local_update_examples():
     p = homogeneous_quadratic_problem(3)
-    assert local_update(p.losses[0], np.array([1.0]), 0.1, 2)[0] == pytest.approx(0.81, abs=1e-15)
+    assert descend(p, [0], np.array([1.0]), 0.1, 2)[0, 0] == pytest.approx(0.81, abs=1e-15)
 
     q = two_group_quadratic_problem(10, 2, 3, 1.0)
     c = q.L / 2
-    shifted = q.losses[0]  # centered at -1
-    assert local_update(shifted, np.array([0.0]), 0.03, 1)[0] == pytest.approx(-2 * c * 0.03, rel=1e-12)
+    shifted = [0]  # client 0 is centered at -1
+    assert descend(q, shifted, np.array([0.0]), 0.03, 1)[0, 0] == pytest.approx(-2 * c * 0.03, rel=1e-12)
     # zero gradient at the loss center is a fixed point
-    assert local_update(shifted, np.array([-1.0]), 0.2, 5)[0] == -1.0
+    assert descend(q, shifted, np.array([-1.0]), 0.2, 5)[0, 0] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +242,21 @@ def test_run_config_validation():
                   attack=AttackStrategy("honest_mimic"), T=-1)
 
 
+def test_fixed_vector_dimension_checked():
+    p = random_quadratic_problem(7, 2, 3, 1.5, 2.0, 11)
+
+    def config(vector, problem=p):
+        return RunConfig(problem=problem, aggregator=AggregatorSpec("mean"),
+                         attack=AttackStrategy("fixed_vector", vector=vector), T=1)
+
+    for bad in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), 1.0):
+        with pytest.raises(ParameterError, match="dimension 3"):
+            config(bad)
+    assert config((1.0, 2.0, 3.0)).attack.vector == (1.0, 2.0, 3.0)
+    # a scalar is a 1-vector, as for w0
+    assert run(config(2.0, homogeneous_quadratic_problem(3, f=1))).rows == 2
+
+
 def test_descriptor_has_one_entry_per_field():
     config = RunConfig(
         problem=homogeneous_quadratic_problem(4), aggregator=AggregatorSpec("mean"),
@@ -271,8 +285,8 @@ def test_config_digests_are_pinned():
     )
     assert config_digest(config) == "12c09f52485713f1"
 
-    losses = tuple(ClientLoss(curvature=[1.0, 1.0], center=[float(k), -float(k)]) for k in range(3))
-    custom = Problem(n=3, f=1, honest_set=(0, 1), losses=losses, L=2.0, mu=2.0, G2=2.0, l_star=0.5)
+    centers = [[float(k), -float(k)] for k in range(3)]
+    custom = Problem(f=1, honest_set=(0, 1), curvature=[1.0, 1.0], centers=centers, L=2.0, mu=2.0, G2=2.0, l_star=0.5)
     config = RunConfig(
         problem=custom, aggregator=AggregatorSpec("krum", f_hat=1, krum_squared=False),
         attack=AttackStrategy("sign_flip", scale=3.0), T=4,

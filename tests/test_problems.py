@@ -1,14 +1,18 @@
 """Loss families: closed-form constants against grid/finite-difference
-oracles, plus the shared-curvature identities."""
+oracles, the shared-curvature identities, and the array functions against
+a client-by-client oracle."""
+
+import functools
+import warnings
 
 import numpy as np
 import pytest
 
 from fedrobust import (
-    ClientLoss,
     ConstructionError,
     ParameterError,
     Problem,
+    descend,
     heterogeneity_at,
     homogeneous_quadratic_problem,
     honest_objective,
@@ -39,12 +43,50 @@ def grid_minimum_1d(problem, lo, hi, steps=400001):
     grid = np.linspace(lo, hi, steps)
     total = np.zeros_like(grid)
     for k in problem.honest_set:
-        a = problem.losses[k].curvature[0]
-        b = problem.losses[k].center[0]
+        a = problem.curvature[0]
+        b = problem.centers[k, 0]
         total += a * (grid - b) ** 2
     values = total / len(problem.honest_set)
     i = int(np.argmin(values))
     return grid[i], values[i]
+
+
+# Client-by-client forms of the loss, its gradient, local descent, the honest
+# objective and the heterogeneity, as computed before problems were stored as
+# arrays.  The array functions must match them bit for bit.
+
+def client_value(p, k, w):
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    return float(np.sum(p.curvature * (w - p.centers[k]) ** 2))
+
+
+def client_gradient(p, k, w):
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    return 2.0 * p.curvature * (w - p.centers[k])
+
+
+def client_descend(p, k, w, gamma, steps):
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64)).copy()
+    for _ in range(steps):
+        w = w - gamma * client_gradient(p, k, w)
+    return w
+
+
+def loop_honest_objective(p, w):
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    value = 0.0
+    grad = np.zeros_like(w)
+    for k in p.honest_set:
+        value += client_value(p, k, w)
+        grad += client_gradient(p, k, w)
+    m = len(p.honest_set)
+    return value / m, grad / m
+
+
+def loop_heterogeneity_at(p, w):
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    grads = np.stack([client_gradient(p, k, w) for k in p.honest_set])
+    return float(((grads - grads.mean(axis=0)) ** 2).sum(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +140,7 @@ def test_two_group_validation():
 
 def test_homogeneous_family():
     p = homogeneous_quadratic_problem(5)
-    assert p.losses[2].gradient([3.0])[0] == 3.0
+    assert client_gradient(p, 2, [3.0])[0] == 3.0
     value, grad = honest_objective(p, [2.0])
     assert value == 2.0 and grad[0] == 2.0
     assert p.l_star == 0.0
@@ -121,7 +163,7 @@ def test_random_quadratic_zero_target():
     p = random_quadratic_problem(8, 3, 2, G_target=0.0, radius=5.0, seed=1)
     assert p.G2 == 0.0
     assert heterogeneity_at(p, np.ones(2)) == 0.0
-    centers = np.stack([loss.center for loss in p.losses])
+    centers = p.centers
     assert np.allclose(centers, centers[0])
 
 
@@ -135,9 +177,8 @@ def test_random_quadratic_degenerate_rescale():
 def test_random_quadratic_is_seeded():
     a = random_quadratic_problem(6, 1, 3, 1.0, 2.0, seed=9)
     b = random_quadratic_problem(6, 1, 3, 1.0, 2.0, seed=9)
-    for la, lb in zip(a.losses, b.losses):
-        assert np.array_equal(la.center, lb.center)
-        assert np.array_equal(la.curvature, lb.curvature)
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.curvature, b.curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +202,10 @@ def test_gradients_match_finite_differences(factory):
         denom = max(1.0, float(np.linalg.norm(grad)))
         assert np.linalg.norm(grad - approx) / denom < 1e-6
         k = int(rng.integers(0, p.n))
-        loss = p.losses[k]
-        approx_k = fd_gradient(loss.value, w)
-        denom_k = max(1.0, float(np.linalg.norm(loss.gradient(w))))
-        assert np.linalg.norm(loss.gradient(w) - approx_k) / denom_k < 1e-6
+        grad_k = client_gradient(p, k, w)
+        approx_k = fd_gradient(functools.partial(client_value, p, k), w)
+        denom_k = max(1.0, float(np.linalg.norm(grad_k)))
+        assert np.linalg.norm(grad_k - approx_k) / denom_k < 1e-6
 
 
 @pytest.mark.parametrize("factory", FAMILIES)
@@ -187,7 +228,7 @@ def test_smoothness_with_equality_for_scalar_families(factory):
         w1 = rng.normal(size=p.d) * 3
         w2 = rng.normal(size=p.d) * 3
         for k in (0, p.n - 1):
-            lhs = np.linalg.norm(p.losses[k].gradient(w1) - p.losses[k].gradient(w2))
+            lhs = np.linalg.norm(client_gradient(p, k, w1) - client_gradient(p, k, w2))
             rhs = p.L * np.linalg.norm(w1 - w2)
             assert lhs <= rhs * (1 + 1e-12)
             # uniform curvature means the bound is tight
@@ -219,13 +260,13 @@ def test_constants_verified_at_construction():
     good = homogeneous_quadratic_problem(4)
     with pytest.raises(ConstructionError):
         Problem(
-            n=4, f=0, honest_set=(0, 1, 2, 3), losses=good.losses,
+            f=0, honest_set=(0, 1, 2, 3), curvature=good.curvature, centers=good.centers,
             L=1.0, mu=1.0, G2=0.5, l_star=0.0,  # wrong G2
         )
     with pytest.raises(ConstructionError):
-        ClientLoss(curvature=-1.0, center=0.0)
+        Problem(f=0, honest_set=(0,), curvature=-1.0, centers=[[0.0]], L=-2.0, mu=-2.0, G2=0.0, l_star=0.0)
     with pytest.raises(ConstructionError):
-        ClientLoss(curvature=1.0, center=np.inf)
+        Problem(f=0, honest_set=(0,), curvature=1.0, centers=[[np.inf]], L=2.0, mu=2.0, G2=0.0, l_star=0.0)
 
 
 def test_byzantine_labels_default_to_last_indices_but_configurable():
@@ -233,3 +274,89 @@ def test_byzantine_labels_default_to_last_indices_but_configurable():
     assert p.byzantine_set == (8, 9)
     q = homogeneous_quadratic_problem(5, f=2, honest_set=(0, 2, 4))
     assert q.byzantine_set == (1, 3)
+
+
+def test_every_exported_name_resolves():
+    import fedrobust
+
+    missing = [name for name in fedrobust.__all__ if not hasattr(fedrobust, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("honest_set", [(0, 0, 4), (0, 1, -1), (0, 1, 7), (0, 1), (0, 1, 2, 3)])
+def test_malformed_honest_set_rejected(honest_set):
+    # n - f = 3 distinct indices in [0, 5) are required
+    with pytest.raises(ParameterError):
+        homogeneous_quadratic_problem(5, f=2, honest_set=honest_set)
+    with pytest.raises(ParameterError):
+        two_group_quadratic_problem(5, 2, 2, 1.0, honest_set=honest_set)
+    with pytest.raises(ParameterError):
+        random_quadratic_problem(5, 2, 3, 1.0, 2.0, seed=0, honest_set=honest_set)
+
+
+def test_problem_arrays_are_read_only():
+    p = random_quadratic_problem(6, 1, 3, 1.0, 2.0, seed=9)
+    with pytest.raises(ValueError):
+        p.centers[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        p.curvature[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# array functions against the client-by-client oracle
+
+def custom_problem(rng, n, f, d):
+    """Random problem with a distinct curvature per coordinate and a
+    shuffled honest set; constants computed from the definitions."""
+    a = rng.uniform(0.5, 2.0, size=d)
+    centers = rng.normal(size=(n, d)) * rng.uniform(0.1, 10)
+    honest_set = tuple(int(k) for k in rng.permutation(n)[: n - f])
+    spread = centers[list(honest_set)] - centers[list(honest_set)].mean(axis=0)
+    return Problem(
+        f=f, honest_set=honest_set, curvature=a, centers=centers,
+        L=2.0 * a.max(), mu=2.0 * a.min(),
+        G2=float(np.sum(4.0 * a ** 2 * (spread ** 2).mean(axis=0))),
+        l_star=float(np.sum(a * (spread ** 2).mean(axis=0))),
+    )
+
+
+ORACLE_SHAPES = [(3, 1, 1), (10, 2, 1), (20, 3, 1), (7, 2, 3), (10, 2, 8), (12, 5, 9), (9, 0, 130)]
+
+
+@pytest.mark.parametrize("n,f,d", ORACLE_SHAPES)
+def test_array_functions_match_client_loop_exactly(n, f, d):
+    rng = np.random.default_rng(n * 1000 + f * 100 + d)
+    problems = [
+        custom_problem(rng, n, f, d),
+        random_quadratic_problem(n, f, d, G_target=1.5, radius=4.0, seed=d),
+    ]
+    if d == 1:
+        problems.append(two_group_quadratic_problem(n, f, max(f, 1), 1.0))
+    for p in problems:
+        for scale in (1e-3, 1.0, 1e3):
+            w = rng.normal(size=d) * scale
+            value, grad = honest_objective(p, w)
+            want_value, want_grad = loop_honest_objective(p, w)
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+            assert heterogeneity_at(p, w) == loop_heterogeneity_at(p, w)
+
+            clients = [p.honest_set, p.byzantine_set, tuple(rng.permutation(p.n)[:3])]
+            for ks in clients:
+                for gamma, steps in ((0.01, 1), (0.3, 5), (0.0, 2), (0.05, 0)):
+                    got = descend(p, ks, w, gamma, steps)
+                    assert got.shape == (len(ks), p.d)
+                    for row, k in zip(got, ks):
+                        assert np.array_equal(row, client_descend(p, k, w, gamma, steps))
+
+
+def test_honest_objective_overflow_is_silent_inf():
+    # each client's loss is finite, their sum is not: the value becomes inf
+    # without a warning, as a client-by-client float sum would
+    p = homogeneous_quadratic_problem(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = honest_objective(p, [1.3e154])
+    want_value, want_grad = loop_honest_objective(p, [1.3e154])
+    assert value == np.inf == want_value
+    assert np.array_equal(grad, want_grad) and np.isfinite(grad[0])
