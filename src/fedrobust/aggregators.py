@@ -95,10 +95,14 @@ def cwtm(xs, f_hat: int) -> np.ndarray:
     averages the n - 2*f_hat that remain.
     """
     pts = stack_points(xs)
-    n = pts.shape[0]
-    _check_f_hat(n, f_hat)
+    _check_f_hat(pts.shape[0], f_hat)
+    return _cwtm(pts, f_hat)
+
+
+def _cwtm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     if f_hat == 0:
         return pts.mean(axis=0)
+    n = pts.shape[0]
     ordered = np.sort(pts, axis=0)
     return ordered[f_hat : n - f_hat].mean(axis=0)
 
@@ -153,26 +157,28 @@ def _sq_distance_matrix(pts: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _neighbor_indices(pts: np.ndarray, f_hat: int) -> np.ndarray:
-    """Indices of the n - f_hat nearest neighbours of each point.
+def _neighbor_indices(d2: np.ndarray, f_hat: int) -> np.ndarray:
+    """Indices of the n - f_hat nearest neighbours of each point, given the
+    squared distance matrix ``d2``.
 
     The point itself is always included (distance zero); ties are broken
     toward the lowest index via a stable sort.
     """
-    n = pts.shape[0]
-    d2 = _sq_distance_matrix(pts)
     order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, : n - f_hat]
+    return order[:, : d2.shape[0] - f_hat]
 
 
 def krum_index(xs, f_hat: int, squared: bool = True) -> int:
     """Index of the point with the smallest summed distance to its
     n - f_hat nearest neighbours (ties to the lowest index)."""
     pts = stack_points(xs)
-    n = pts.shape[0]
-    _check_f_hat(n, f_hat)
+    _check_f_hat(pts.shape[0], f_hat)
+    return _krum_index(pts, f_hat, squared)
+
+
+def _krum_index(pts: np.ndarray, f_hat: int, squared: bool) -> int:
     d2 = _sq_distance_matrix(pts)
-    neighbors = _neighbor_indices(pts, f_hat)
+    neighbors = _neighbor_indices(d2, f_hat)
     scores_matrix = d2 if squared else np.sqrt(d2)
     scores = np.take_along_axis(scores_matrix, neighbors, axis=1).sum(axis=1)
     return int(np.argmin(scores))
@@ -182,7 +188,8 @@ def krum(xs, f_hat: int, squared: bool = True) -> np.ndarray:
     """Krum selection rule: returns the input point chosen by
     :func:`krum_index`."""
     pts = stack_points(xs)
-    return pts[krum_index(pts, f_hat, squared)].copy()
+    _check_f_hat(pts.shape[0], f_hat)
+    return pts[_krum_index(pts, f_hat, squared)].copy()
 
 
 def nnm(xs, f_hat: int) -> np.ndarray:
@@ -190,29 +197,35 @@ def nnm(xs, f_hat: int) -> np.ndarray:
     n - f_hat nearest neighbours (self included).  Returns an (n, d) matrix."""
     pts = stack_points(xs)
     _check_f_hat(pts.shape[0], f_hat)
-    neighbors = _neighbor_indices(pts, f_hat)
-    return pts[neighbors].mean(axis=1)
+    return _nnm(pts, f_hat)
+
+
+def _nnm(pts: np.ndarray, f_hat: int) -> np.ndarray:
+    return pts[_neighbor_indices(_sq_distance_matrix(pts), f_hat)].mean(axis=1)
 
 
 def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
     """Dispatch ``xs`` through the rule named by ``spec``.
 
     For ``pre_nnm`` specs the points are first nearest-neighbour mixed with
-    the same f_hat, then the inner rule runs on the mixed points.
+    the same f_hat, then the inner rule runs on the mixed points.  The input
+    is validated once, here, and the rules run on the validated array; GM
+    goes through the public :func:`weiszfeld`, so its iteration count stays
+    observable there, at the cost of a second validation next to the solve.
     """
     pts = stack_points(xs)
     if spec.kind in ("cwtm", "krum") or spec.pre_nnm:
         _check_f_hat(pts.shape[0], spec.f_hat)
     if spec.pre_nnm:
-        pts = nnm(pts, spec.f_hat)
+        pts = _nnm(pts, spec.f_hat)
     if spec.kind == "mean":
         return pts.mean(axis=0)
     if spec.kind == "cwtm":
-        return cwtm(pts, spec.f_hat)
+        return _cwtm(pts, spec.f_hat)
     if spec.kind == "cwmed":
-        return cwmed(pts)
+        return np.median(pts, axis=0)
     if spec.kind == "gm":
         return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
     if spec.kind == "krum":
-        return krum(pts, spec.f_hat, spec.krum_squared)
+        return pts[_krum_index(pts, spec.f_hat, spec.krum_squared)].copy()
     raise ParameterError(f"unknown aggregator kind {spec.kind!r}")

@@ -7,6 +7,27 @@ the subset variance vanishes but the aggregator output does not match the
 subset mean; no such ratio exists, which is a stronger statement than any
 finite value.  The marker is only ever assigned, never produced by
 arithmetic.
+
+:func:`empirical_kappa` scores every candidate subset at once with a
+subset-weight matrix ``W`` of shape (num, n), whose row k is 1/size on the
+members of subset k and 0 elsewhere.  With the cloud centred on the
+aggregator output, ``c = pts - output``, one product ``W @ [c | ||c||^2]``
+gives each subset's mean offset ``m`` and mean squared distance ``q``, so
+``err = ||m||^2`` and ``var = q - err``.  Two rules keep the result equal,
+bit for bit, to the gathered per-subset formula that :func:`error_ratio`
+uses:
+
+- the guard: subsets with ``var <= GUARD * q``, where the subtraction may
+  have cancelled (including every subset of identical points), are scored
+  with the gathered formula, so ``INFINITE_RATIO`` is still assigned only
+  when the gathered variance is exactly 0;
+- the window: every subset whose fast ratio is within the fast path's
+  rounding-error bound (:func:`_fast_error_bound`) of the largest one is
+  rescored with the gathered formula, and the first subset attaining the
+  exact maximum is reported.
+
+Audits of at most ``GATHER_ALL_MAX`` gathered values skip the product and
+score every subset with the gathered formula.
 """
 
 from __future__ import annotations
@@ -26,6 +47,17 @@ INFINITE_RATIO = math.inf
 
 # Numerator at or below this is treated as zero when the denominator vanishes.
 ZERO_ERROR_EPS = 1e-18
+
+# Fast variances at or below this fraction of q are recomputed (the guard).
+GUARD = 1e-5
+
+# Up to this many gathered values (num subsets of size members, d
+# coordinates plus a squared distance each) scoring every subset the gathered
+# way costs less than the fast path's fixed overhead of about 30 numpy calls
+# (crossover measured at 1,700-2,500 on a 2-core x86-64 machine).
+GATHER_ALL_MAX = 2048
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -57,35 +89,112 @@ def error_ratio(spec: AggregatorSpec, xs, honest_set) -> float:
     if np.unique(subset).size != subset.size:
         raise ParameterError("honest_set contains repeated indices")
     output = aggregate(spec, pts)
-    return _ratio_for_output(output, pts, subset)
+    return float(_gathered_ratios(output, pts, subset[None, :])[0])
 
 
-def _ratio_for_output(output: np.ndarray, pts: np.ndarray, subset: np.ndarray) -> float:
-    chosen = pts[subset]
-    center = chosen.mean(axis=0)
-    err = float(np.sum((output - center) ** 2))
-    var = float(((chosen - center) ** 2).sum(axis=1).mean())
-    if var == 0.0:
-        return 0.0 if err <= ZERO_ERROR_EPS else INFINITE_RATIO
-    return err / var
+def _gathered_ratios(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Exact ratios of the subsets in the rows of the (num, size) index array
+    ``subsets``, each computed from its gathered points.  A row's value does
+    not depend on which other rows are passed with it."""
+    size = subsets.shape[1]
+    chosen = pts[subsets]                       # (num, size, d)
+    centers = chosen.sum(axis=1) / size         # the arithmetic of .mean(axis=1)
+    err = ((output - centers) ** 2).sum(axis=1)
+    var = ((chosen - centers[:, None, :]) ** 2).sum(axis=2).sum(axis=1) / size
+    zero = var == 0.0
+    if not zero.any():
+        return err / var
+    ratios = np.empty(subsets.shape[0])
+    np.divide(err, var, out=ratios, where=~zero)
+    ratios[zero] = np.where(err[zero] <= ZERO_ERROR_EPS, 0.0, INFINITE_RATIO)
+    return ratios
+
+
+def _subset_weights(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Weight matrix of the (num, size) index array ``subsets``: row k is
+    1/size on the members of subset k and 0 elsewhere."""
+    weights = np.zeros((subsets.shape[0], n))
+    np.put_along_axis(weights, subsets, 1.0 / subsets.shape[1], axis=1)
+    return weights
 
 
 @lru_cache(maxsize=128)
 def _all_subsets(n: int, size: int) -> np.ndarray:
-    return np.array(list(combinations(range(n), size)), dtype=np.intp)
+    """Read-only weight matrix of every size-subset of range(n), in
+    lexicographic order."""
+    subsets = np.array(list(combinations(range(n), size)), dtype=np.intp)
+    weights = _subset_weights(subsets, n)
+    weights.flags.writeable = False
+    return weights
 
 
-def _batch_ratios(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Ratios for many subsets at once; subsets is (num, size)."""
-    chosen = pts[subsets]                       # (num, size, d)
-    centers = chosen.mean(axis=1)               # (num, d)
-    err = ((output[None, :] - centers) ** 2).sum(axis=1)
-    var = ((chosen - centers[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
-    ratios = np.empty(subsets.shape[0])
-    zero = var == 0.0
-    np.divide(err, var, out=ratios, where=~zero)
-    ratios[zero] = np.where(err[zero] <= ZERO_ERROR_EPS, 0.0, INFINITE_RATIO)
-    return ratios
+def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float) -> float:
+    """Bound on the difference between the fast ratio and the gathered ratio
+    of a subset with fast ratio at most ``ratio`` and variance at least
+    ``var``.
+
+    Let B = (size + d + 4)·eps bound the relative rounding of a weighted sum
+    of size terms of d-term squared norms.  A mean of size rows rounds to
+    within (size + 2)·eps times the largest row norm: the gathered mean at
+    the scale of the points, the fast one at the scale of c.  So with
+    ``length`` L >= max|x_i| + max|c_i|, to first order over both paths,
+
+        |d err| <= 2B·L·sqrt(err) + 2B·err
+        |d var| <= B·q + |d err| + 2B·var + B²L²
+
+    (B²L² covers the gathered path squaring offsets from a rounded mean).
+    With q = err + var and err = r·var this gives
+
+        |d r| <= B·[5r + 3r² + 2(1 + r)·L·sqrt(r/var) + r·B·L²/var],
+
+    increasing in r and decreasing in var; it is doubled for the terms of
+    second order.  The guard keeps var > GUARD·q, so the relative error of
+    var, which the first-order step assumes small, is at most about
+    3B/GUARD ~ (size + d)·eps/GUARD ~ 1e-9 at n = 16, d = 5.
+    """
+    b = (size + d + 4) * _EPS
+    spread = length * math.sqrt(ratio / var)
+    return 2.0 * b * (5 * ratio + 3 * ratio * ratio + 2 * (1 + ratio) * spread
+                      + ratio * b * length * length / var)
+
+
+def _candidates(output: np.ndarray, pts: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Rows of ``weights`` that the fast path cannot rule out as the first
+    holder of the largest exact ratio: the guarded rows and the window."""
+    n, d = pts.shape
+    stacked = np.empty((n, d + 1))              # [c | ||c||^2]
+    c = np.subtract(pts, output, out=stacked[:, :d])
+    sq_norms = np.add.reduce(c * c, axis=1, out=stacked[:, d])
+    moments = weights @ stacked                 # (num, d + 1): m and q
+    offsets = moments[:, :d]
+    q = moments[:, d]
+    err = np.add.reduce(offsets * offsets, axis=1)
+    var = q - err
+    fast = var > GUARD * q                      # false for NaN as well
+    ratios = np.divide(err, var, out=np.full(q.shape, -np.inf), where=fast)
+    candidates = ~fast
+    top = float(ratios.max())
+    if top > -np.inf:
+        # |x_i| <= |c_i| + |output|
+        length = 2.0 * math.sqrt(sq_norms.max()) + math.sqrt(output @ output)
+        slack = _fast_error_bound(top, float(var.min(where=fast, initial=np.inf)), size, d, length)
+        # negated so that a NaN bound (from overflowing inputs) keeps every row
+        candidates |= ~(ratios < top - 2.0 * slack)
+    return np.flatnonzero(candidates)
+
+
+def _worst(output: np.ndarray, pts: np.ndarray, weights: np.ndarray, size: int):
+    """The largest exact ratio over the subsets in the rows of ``weights``
+    and the first subset attaining it."""
+    num, d = weights.shape[0], pts.shape[1]
+    if num * size * (d + 1) <= GATHER_ALL_MAX:
+        rows = slice(None)
+    else:
+        rows = _candidates(output, pts, weights, size)
+    subsets = np.nonzero(weights[rows])[1].reshape(-1, size)
+    exact = _gathered_ratios(output, pts, subsets)
+    k = int(np.argmax(exact))
+    return float(exact[k]), tuple(subsets[k].tolist())
 
 
 def empirical_kappa(
@@ -109,19 +218,17 @@ def empirical_kappa(
     output = aggregate(spec, pts)
     exhaustive = math.comb(n, f) <= subset_budget
     if exhaustive:
-        subsets = _all_subsets(n, size)
+        weights = _all_subsets(n, size)
     else:
         rng = np.random.default_rng(seed)
         sampled = np.argsort(rng.random((subset_budget, n)), axis=1)[:, :size]
-        sampled.sort(axis=1)
-        anchors = np.array([list(range(size)), list(range(f, n))], dtype=np.intp)
-        subsets = np.vstack([anchors, sampled])
-    ratios = _batch_ratios(output, pts, subsets)
-    worst = int(np.argmax(ratios))
+        anchors = np.array([range(size), range(f, n)], dtype=np.intp)
+        weights = _subset_weights(np.vstack([anchors, sampled]), n)
+    worst_ratio, worst_subset = _worst(output, pts, weights, size)
     return AuditResult(
-        worst_ratio=float(ratios[worst]),
-        worst_subset=tuple(int(i) for i in subsets[worst]),
-        samples_checked=subsets.shape[0],
+        worst_ratio=worst_ratio,
+        worst_subset=worst_subset,
+        samples_checked=weights.shape[0],
         exhaustive=exhaustive,
     )
 

@@ -281,6 +281,60 @@ def test_aggregate_name_and_validation():
         aggregate(AggregatorSpec("cwmed", f_hat=3, pre_nnm=True), np.zeros((5, 2)))
 
 
+def composed_aggregate(spec, xs):
+    """``aggregate`` as a composition of the public rule functions, each
+    validating its own input."""
+    pts = np.asarray(xs, dtype=float)
+    if spec.pre_nnm:
+        pts = nnm(pts, spec.f_hat)
+    if spec.kind == "mean":
+        return mean(pts)
+    if spec.kind == "cwtm":
+        return cwtm(pts, spec.f_hat)
+    if spec.kind == "cwmed":
+        return cwmed(pts)
+    if spec.kind == "gm":
+        return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
+    return krum(pts, spec.f_hat, spec.krum_squared)
+
+
+def test_aggregate_matches_public_rule_composition_bitwise():
+    rng = np.random.default_rng(21)
+    clouds = [rng.normal(size=(n, d)) * rng.uniform(0.1, 10) for n, d in ((5, 1), (10, 5), (16, 3))]
+    clouds.append(np.vstack([np.tile([0.3, -1.7], (6, 1)), rng.normal(size=(4, 2))]))
+    for pts in clouds:
+        top = -(-len(pts) // 2) - 1
+        for kind in ("mean", "cwtm", "cwmed", "gm", "krum"):
+            for pre_nnm in (False, True):
+                for f_hat in range(top + 1):
+                    for squared in (True, False):
+                        spec = AggregatorSpec(kind, f_hat=f_hat, pre_nnm=pre_nnm, krum_squared=squared)
+                        got = aggregate(spec, pts)
+                        want = composed_aggregate(spec, pts)
+                        assert got.tobytes() == want.tobytes(), (spec, pts.shape)
+
+
+def test_every_public_rule_validates_its_input():
+    nan_points = np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]])
+    cube = np.zeros((5, 2, 2))
+    rules = (
+        mean,
+        cwmed,
+        lambda xs: cwtm(xs, 1),
+        lambda xs: krum(xs, 1),
+        lambda xs: krum_index(xs, 1),
+        lambda xs: nnm(xs, 1),
+        weiszfeld,
+        geometric_median,
+        lambda xs: aggregate(AggregatorSpec("krum", f_hat=1, pre_nnm=True), xs),
+    )
+    for rule in rules:
+        with pytest.raises(ValueError):
+            rule(nan_points)
+        with pytest.raises(DimensionError):
+            rule(cube)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -3,6 +3,7 @@ adversarial witness families."""
 
 import json
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +19,7 @@ from fedrobust import (
     error_ratio,
     lower_bound_witness,
 )
-from fedrobust.audit import random_cloud, to_jsonl_row
+from fedrobust.audit import ZERO_ERROR_EPS, random_cloud, to_jsonl_row
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +42,57 @@ def oracle_worst_ratio(spec, pts, f):
     output = aggregate(spec, pts)
     n = len(pts)
     return max(oracle_ratio(output, pts, s) for s in combinations(range(n), n - f))
+
+
+@lru_cache(maxsize=None)
+def oracle_all_subsets(n, size):
+    """Every size-subset of range(n) as rows of an index array, in
+    lexicographic order."""
+    return np.array(list(combinations(range(n), size)), dtype=np.intp)
+
+
+def oracle_batch_ratios(output, pts, subsets):
+    """Gathered ratios for many subsets at once; subsets is (num, size)."""
+    chosen = pts[subsets]                       # (num, size, d)
+    centers = chosen.mean(axis=1)               # (num, d)
+    err = ((output[None, :] - centers) ** 2).sum(axis=1)
+    var = ((chosen - centers[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+    ratios = np.empty(subsets.shape[0])
+    zero = var == 0.0
+    np.divide(err, var, out=ratios, where=~zero)
+    ratios[zero] = np.where(err[zero] <= ZERO_ERROR_EPS, 0.0, INFINITE_RATIO)
+    return ratios
+
+
+def oracle_kappa(spec, xs, f, subset_budget=20000, seed=0):
+    """(worst_ratio, worst_subset) by scoring every candidate subset with the
+    gathered formula; the same subsets, in the same order, as
+    ``empirical_kappa``."""
+    pts = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    n = pts.shape[0]
+    size = n - f
+    output = aggregate(spec, pts)
+    if math.comb(n, f) <= subset_budget:
+        subsets = oracle_all_subsets(n, size)
+    else:
+        rng = np.random.default_rng(seed)
+        sampled = np.argsort(rng.random((subset_budget, n)), axis=1)[:, :size]
+        sampled.sort(axis=1)
+        anchors = np.array([list(range(size)), list(range(f, n))], dtype=np.intp)
+        subsets = np.vstack([anchors, sampled])
+    ratios = oracle_batch_ratios(output, pts, subsets)
+    worst = int(np.argmax(ratios))
+    return float(ratios[worst]), tuple(int(i) for i in subsets[worst])
+
+
+def assert_matches_oracle(spec, pts, f, **kwargs):
+    """``empirical_kappa`` reports the oracle's worst ratio and subset
+    exactly, and ``error_ratio`` of that subset is the worst ratio."""
+    got = empirical_kappa(spec, pts, f, **kwargs)
+    want = oracle_kappa(spec, pts, f, **kwargs)
+    assert (got.worst_ratio, got.worst_subset) == want, (spec, pts.shape, f, kwargs)
+    assert error_ratio(spec, pts, got.worst_subset) == got.worst_ratio, (spec, pts.shape, f)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +179,101 @@ def test_empirical_kappa_sampled_path():
 def test_empirical_kappa_parameter_error():
     with pytest.raises(ParameterError):
         empirical_kappa(AggregatorSpec("cwmed"), np.zeros((4, 1)), f=2)
+
+
+def audit_specs(f_hat):
+    specs = [AggregatorSpec("mean"), AggregatorSpec("cwmed"), AggregatorSpec("gm")]
+    for h in sorted({1, f_hat}):
+        specs += [
+            AggregatorSpec("cwtm", f_hat=h),
+            AggregatorSpec("krum", f_hat=h),
+            AggregatorSpec("krum", f_hat=h, pre_nnm=True),
+        ]
+    return specs
+
+
+@pytest.mark.parametrize("n", [4, 6, 7, 10, 16])
+def test_empirical_kappa_equals_gathered_oracle_exactly(n):
+    top = -(-n // 2) - 1
+    for d in (1, 5):
+        clouds = [random_cloud(n, d, [31, n, d])]
+        clouds += [lower_bound_witness(n, f, top, d).points for f in (0, top)]
+        clouds.append(cwtm_break_witness(n, top, top - 1, d).points)
+        for pts in clouds:
+            for spec in audit_specs(top):
+                for f in range(top + 1):
+                    assert_matches_oracle(spec, pts, f)
+                    if f > 0:
+                        budget = min(math.comb(n, f) - 1, 300)
+                        for seed in (0, 1, 2):
+                            got = assert_matches_oracle(spec, pts, f, subset_budget=budget, seed=seed)
+                            assert not got.exhaustive
+
+
+def cancellation_clouds():
+    """Clouds that stress rounding, by name: far from the origin, with
+    (near-)duplicate points, or with one huge outlier."""
+    rng = np.random.default_rng(41)
+    clouds = {}
+    for shift in (1e6, 1e8):
+        for k in range(3):
+            clouds[f"shift{shift:g}-{k}"] = random_cloud(10, 5, [41, k]) + shift
+            # mirror pairs of subsets tie up to a 1e-9 nudge, below the
+            # rounding of the gathered mean at this offset
+            half = rng.normal(size=(5, 5))
+            mirror = np.vstack([half, -half[::-1]])
+            mirror[0] += 1e-9 * rng.normal(size=5)
+            clouds[f"mirror{shift:g}-{k}"] = mirror + shift
+    for k in range(4):
+        # even k: dyadic duplicates, whose gathered mean is exact (variance
+        # 0); odd k: duplicates whose mean rounds (variance tiny, not 0)
+        p = rng.integers(-8, 8, size=(1, 3)) / 4 if k % 2 == 0 else rng.normal(size=(1, 3)) * 3.3
+        clouds[f"duplicates-{k}"] = np.vstack([np.tile(p, (7, 1)), rng.normal(size=(3, 3))])
+        clouds[f"near-duplicates-{k}"] = np.vstack(
+            [1e-150 * rng.normal(size=(7, 3)), p + rng.normal(size=(3, 3))]
+        )
+        outlier = rng.normal(size=(10, 2))
+        outlier[k] = [1e10, -1e10]
+        clouds[f"outlier-{k}"] = outlier
+    return clouds
+
+
+def gathered_variance(pts, subset):
+    """The subset's variance as the oracle computes it."""
+    chosen = pts[np.array([subset])]
+    centers = chosen.mean(axis=1)
+    return float(((chosen - centers[:, None, :]) ** 2).sum(axis=2).mean(axis=1)[0])
+
+
+@pytest.mark.parametrize("name", list(cancellation_clouds()))
+def test_cancellation_matches_gathered_oracle(name):
+    pts = cancellation_clouds()[name]
+    specs = (AggregatorSpec("mean"), AggregatorSpec("cwmed"), AggregatorSpec("cwtm", f_hat=3),
+             AggregatorSpec("krum", f_hat=3), AggregatorSpec("krum", f_hat=3, pre_nnm=True))
+    for spec in specs:
+        for f in (1, 3, 4):
+            got = assert_matches_oracle(spec, pts, f)
+            if math.isinf(got.worst_ratio):
+                assert gathered_variance(pts, got.worst_subset) == 0.0
+            if not name.startswith("duplicates"):
+                assert math.isfinite(got.worst_ratio), (name, spec, f)
+
+
+def test_infinite_ratio_only_for_zero_gathered_variance():
+    # The seven duplicates form the only subset of size 7 with (near) zero
+    # variance, and the mean sits off them.  Only when their gathered
+    # variance is exactly 0 is the ratio the marker.
+    spec = AggregatorSpec("mean")
+    clouds = cancellation_clouds()
+    exact = empirical_kappa(spec, clouds["duplicates-0"], f=3)
+    assert exact.worst_subset == tuple(range(7))
+    assert gathered_variance(clouds["duplicates-0"], exact.worst_subset) == 0.0
+    assert exact.worst_ratio == INFINITE_RATIO
+    for name in ("duplicates-1", "near-duplicates-0"):
+        got = empirical_kappa(spec, clouds[name], f=3)
+        assert got.worst_subset == tuple(range(7))
+        assert 0.0 < gathered_variance(clouds[name], got.worst_subset) < 1e-20
+        assert 1e20 < got.worst_ratio < INFINITE_RATIO
 
 
 # ---------------------------------------------------------------------------
