@@ -11,7 +11,7 @@ from .aggregators import (
     nnm,
     weiszfeld,
 )
-from .attacks import AttackContext, AttackStrategy, byzantine_upload
+from .attacks import AttackStrategy, byzantine_upload
 from .audit import (
     INFINITE_RATIO,
     AuditResult,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatorSpec",
-    "AttackContext",
     "AttackStrategy",
     "AuditResult",
     "ConfigError",

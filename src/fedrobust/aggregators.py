@@ -11,7 +11,7 @@ n points in R^1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,9 +50,6 @@ class AggregatorSpec:
     @property
     def name(self) -> str:
         return f"{self.kind}_nnm" if self.pre_nnm else self.kind
-
-    def with_f_hat(self, f_hat: int) -> "AggregatorSpec":
-        return replace(self, f_hat=int(f_hat))
 
 
 class WeiszfeldResult(NamedTuple):

@@ -1,9 +1,12 @@
 """Byzantine upload strategies.
 
-A strategy maps the round context to the full model vector a Byzantine
-client uploads; the engine converts uploads to deltas before aggregation.
-Omniscient strategies may read the honest uploads of the same round.  All
-strategies are deterministic given (seed stream, context).
+An attack is one rule that gives the whole Byzantine group of a round its
+uploads: ``byzantine_upload`` returns one (f, d) block, a full model vector
+per client of ``problem.byzantine_set``, and the engine converts uploads to
+deltas before aggregation.  Omniscient kinds may read the honest uploads of
+the same round.  The only random kind, ``gaussian_noise``, draws client k's
+row of round t from its own stream keyed by (seed, k, t), so every kind is
+deterministic given the seed and the round.
 """
 
 from __future__ import annotations
@@ -35,58 +38,35 @@ class AttackStrategy:
             raise ParameterError("fixed_vector attack needs a vector")
 
 
-@dataclass(frozen=True)
-class AttackContext:
-    """Everything visible to a Byzantine client during one round."""
+def byzantine_upload(
+    strategy: AttackStrategy, problem: Problem, w: np.ndarray, gamma: float, H: int,
+    t: int, seed: int, honest_uploads: np.ndarray,
+) -> np.ndarray:
+    """Uploads of round ``t`` from iterate ``w``: row i belongs to client
+    ``problem.byzantine_set[i]``.  The kinds that send one vector return a
+    read-only broadcast of it.
 
-    t: int
-    w_t: np.ndarray
-    gamma: float
-    H: int
-    n: int
-    f: int
-    f_hat: int
-    honest_uploads: np.ndarray  # (n - f, d), fixed for the round
-    rng: np.random.Generator    # per-(client, round) substream
-
-
-def honest_mimic(ctx: AttackContext, problem: Problem, k: int) -> np.ndarray:
-    """Behave exactly like an honest client: H local GD steps on client k's own loss."""
-    return descend(problem, [k], ctx.w_t, ctx.gamma, ctx.H)[0]
-
-
-def escalating_outlier(ctx: AttackContext) -> np.ndarray:
-    """Upload n*|(1-gamma)^H w_t| + t (absolute value per coordinate).
-
-    Grows linearly with the round index, so a trimmed mean configured with
-    too small a robustness degree keeps averaging it in and the run blows up.
+    honest_mimic:       H local GD steps on each Byzantine client's own loss.
+    escalating_outlier: n*|(1-gamma)^H w| + t per coordinate; it grows with
+                        the round, so a trimmed mean with too small a
+                        robustness degree keeps averaging it in and blows up.
+    gaussian_noise:     i.i.d. N(0, variance) entries, client k's row drawn
+                        from ``default_rng([seed, k, t])``.
+    sign_flip:          w - scale * (mean honest delta), the negated honest
+                        direction.
+    fixed_vector:       the strategy's vector.
     """
-    return ctx.n * np.abs((1.0 - ctx.gamma) ** ctx.H * ctx.w_t) + ctx.t
-
-
-def gaussian_noise(ctx: AttackContext, variance: float, d: int) -> np.ndarray:
-    """Upload i.i.d. N(0, variance) entries drawn from the context stream."""
-    if variance < 0:
-        raise ParameterError("variance must be >= 0")
-    return np.sqrt(variance) * ctx.rng.standard_normal(d)
-
-
-def sign_flip(ctx: AttackContext, scale: float) -> np.ndarray:
-    """Upload w_t - scale * (mean honest delta): the negated honest direction."""
-    mean_delta = ctx.honest_uploads.mean(axis=0) - ctx.w_t
-    return ctx.w_t - scale * mean_delta
-
-
-def byzantine_upload(strategy: AttackStrategy, ctx: AttackContext, problem: Problem, k: int) -> np.ndarray:
-    """Produce Byzantine client k's upload for the round."""
+    clients, d = problem.byzantine_set, w.shape[0]
     if strategy.kind == "honest_mimic":
-        return honest_mimic(ctx, problem, k)
-    if strategy.kind == "escalating_outlier":
-        return escalating_outlier(ctx)
+        return descend(problem, clients, w, gamma, H)
     if strategy.kind == "gaussian_noise":
-        return gaussian_noise(ctx, strategy.variance, ctx.w_t.shape[0])
-    if strategy.kind == "sign_flip":
-        return sign_flip(ctx, strategy.scale)
-    if strategy.kind == "fixed_vector":
-        return np.asarray(strategy.vector, dtype=np.float64)
-    raise ParameterError(f"unknown attack kind {strategy.kind!r}")
+        std = np.sqrt(strategy.variance)
+        rows = [std * np.random.default_rng([seed, k, t]).standard_normal(d) for k in clients]
+        return np.array(rows).reshape(len(clients), d)
+    if strategy.kind == "escalating_outlier":
+        row = problem.n * np.abs((1.0 - gamma) ** H * w) + t
+    elif strategy.kind == "sign_flip":
+        row = w - strategy.scale * (honest_uploads.mean(axis=0) - w)
+    else:  # fixed_vector; AttackStrategy admits no other kind
+        row = np.asarray(strategy.vector, dtype=np.float64)
+    return np.broadcast_to(row, (len(clients), d))

@@ -1,10 +1,11 @@
 """Round-based simulation of robust federated averaging.
 
 Each round: every honest client runs H local gradient-descent steps from the
-current global iterate, Byzantine clients produce attack uploads, and the
-server applies the configured robust aggregator to the client deltas
-(upload - w_t) to advance the global iterate.  The full metric trajectory is
-recorded; sampling an output iterate is left to post-processing.
+current global iterate, one attack call gives the Byzantine clients their
+uploads, and the server applies the configured robust aggregator to the
+client deltas (upload - w_t) to advance the global iterate.  The full
+metric trajectory is recorded; sampling an output iterate is left to
+post-processing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .aggregators import AggregatorSpec, aggregate
-from .attacks import AttackContext, AttackStrategy, byzantine_upload
+from .attacks import AttackStrategy, byzantine_upload
 from .errors import ParameterError
 from .problems import Problem, descend, honest_objective
 
@@ -189,7 +190,8 @@ def _record_metrics(state: RunState, config: RunConfig, w0_scale: float) -> bool
         return False
     value, grad = honest_objective(config.problem, w)
     gap = value - config.problem.l_star
-    gm = float(grad @ grad)
+    with np.errstate(over="ignore"):  # a runaway iterate overflows to inf, caught below
+        gm = float(grad @ grad)
     if not (np.isfinite(gm) and np.isfinite(gap)):
         state.diverged = True
         state.diverged_round = state.t
@@ -208,24 +210,15 @@ def run_round(state: RunState, config: RunConfig) -> RunState:
     honest_uploads = descend(problem, problem.honest_set, state.w, gamma, config.H)
     uploads = np.empty((problem.n, state.w.shape[0]))
     uploads[list(problem.honest_set)] = honest_uploads
-    for k in problem.byzantine_set:
-        ctx = AttackContext(
-            t=t,
-            w_t=state.w,
-            gamma=gamma,
-            H=config.H,
-            n=problem.n,
-            f=problem.f,
-            f_hat=config.aggregator.f_hat,
-            honest_uploads=honest_uploads,
-            rng=np.random.default_rng([config.seed, k, t]),
-        )
-        uploads[k] = byzantine_upload(config.attack, ctx, problem, k)
+    uploads[list(problem.byzantine_set)] = byzantine_upload(
+        config.attack, problem, state.w, gamma, config.H, t, config.seed, honest_uploads
+    )
 
     deltas = uploads - state.w
     aggregated = aggregate(config.aggregator, deltas)
     deviation = aggregated - honest_uploads.mean(axis=0) + state.w
-    state.agg_deviation.append(float(deviation @ deviation))
+    with np.errstate(over="ignore"):  # overflow to inf marks divergence in run()
+        state.agg_deviation.append(float(deviation @ deviation))
     state.w = state.w + aggregated
     state.t = t + 1
     return state

@@ -159,10 +159,32 @@ PINNED_SWEEPS = [
                    "schedule": {"kind": "constant", "gamma": 0.01}, "w0": 1.0},
         "grid": {"f": [0, 2], "f_hat": [3, 4], "seeds": [0]},
     }, "6cc9cffb402b2f3e9d10e72bdf17cf6c97e5888ab1edcb374d5a49959e084a33"),
+] + [
+    # one sweep per attack kind not covered above, recorded with the
+    # per-client attack layer that byzantine_upload's (f, d) block replaced
+    ({
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "random_quadratic", "n": 11, "f": 3, "d": 3,
+                    "G_target": 1.0, "radius": 2.0},
+        "aggregator": {"kind": "cwtm"},
+        "attack": attack,
+        "engine": {"T": 60, "H": 3,
+                   "schedule": {"kind": "step_wise", "gamma": 0.01}, "w0": 1.0},
+        "grid": {"f_hat": [2, 4], "f": [1, 3], "seeds": [0, 5]},
+    }, sha256) for attack, sha256 in (
+        ({"kind": "sign_flip", "scale": 2.0},
+         "d070a57a37741125b8c892dad090d45e48cd0e04404808a98f5d70261da873d0"),
+        ({"kind": "escalating_outlier"},
+         "95cf4fa6df32f24de70ed2cb6992a9ee832032f3ed1bd73316603ee020285143"),
+        ({"kind": "fixed_vector", "vector": [1.0, -2.0, 0.5]},
+         "e7499cf68fb19d5659ad3cacad9d9f6a60d13a310d0fdb75aeaa005185529bce"),
+    )
 ]
 
 
-@pytest.mark.parametrize("config,sha256", PINNED_SWEEPS, ids=["criterion9", "two_group"])
+@pytest.mark.parametrize("config,sha256", PINNED_SWEEPS,
+                         ids=["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector"])
 def test_results_csv_sha256_is_pinned(tmp_path, config, sha256):
     assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256

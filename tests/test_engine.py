@@ -14,6 +14,7 @@ from fedrobust import (
     Problem,
     RunConfig,
     Schedule,
+    byzantine_upload,
     descend,
     homogeneous_quadratic_problem,
     honest_objective,
@@ -22,6 +23,7 @@ from fedrobust import (
     stepsize_at,
     two_group_quadratic_problem,
 )
+from fedrobust import engine
 from fedrobust.engine import config_digest, run_config_descriptor
 
 
@@ -168,6 +170,41 @@ def test_divergence_flag_and_partial_record():
     assert record.rows == record.diverged_round
     assert np.all(np.isfinite(record.grad_metric))
     assert np.all(np.isfinite(record.loss_gap))
+
+
+@pytest.mark.parametrize("agg,attack,w0,diverged_round", [
+    # |w0| = 1e9 puts the runaway threshold at inf, so the metric overflows first
+    ("cwtm", AttackStrategy("escalating_outlier"), 1e9, 451),
+    # the aggregation deviation overflows in the first round
+    ("mean", AttackStrategy("fixed_vector", vector=(1e200,)), 1.0, 1),
+])
+def test_runaway_overflow_is_silent_divergence(agg, attack, w0, diverged_round):
+    config = RunConfig(
+        problem=homogeneous_quadratic_problem(5, 2), aggregator=AggregatorSpec(agg, f_hat=1), attack=attack,
+        T=3000, H=1, schedule=Schedule("constant", gamma=0.1), w0=np.array([w0]), seed=0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        record = run(config)
+    assert record.diverged
+    assert record.diverged_round == diverged_round
+
+
+def test_attack_layer_called_once_per_round(monkeypatch):
+    rounds = []
+
+    def counting(strategy, problem, w, gamma, H, t, seed, honest_uploads):
+        rounds.append(t)
+        return byzantine_upload(strategy, problem, w, gamma, H, t, seed, honest_uploads)
+
+    monkeypatch.setattr(engine, "byzantine_upload", counting)
+    config = RunConfig(
+        problem=random_quadratic_problem(9, 3, 2, 1.0, 2.0, seed=0), aggregator=AggregatorSpec("cwtm", f_hat=3),
+        attack=AttackStrategy("gaussian_noise", variance=1.0), T=6, H=2,
+        schedule=Schedule("constant", gamma=0.01), w0=np.ones(2), seed=4,
+    )
+    run(config)
+    assert rounds == list(range(6))
 
 
 def test_aggregation_deviation_tracks_honest_mean_gap():
