@@ -5,7 +5,6 @@ from .aggregators import (
     aggregate,
     cwmed,
     cwtm,
-    geometric_median,
     krum,
     mean,
     nnm,
@@ -67,7 +66,6 @@ __all__ = [
     "empirical_kappa",
     "error_ratio",
     "gap_ceiling",
-    "geometric_median",
     "grad_ceiling",
     "heterogeneity_at",
     "homogeneous_quadratic_problem",

@@ -144,11 +144,6 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     return WeiszfeldResult(z, displacement, iterations)
 
 
-def geometric_median(xs, tol: float = 1e-9, max_iters: int = 500) -> np.ndarray:
-    """Approximate minimizer of sum_k ||v - x_k|| (see :func:`weiszfeld`)."""
-    return weiszfeld(xs, tol, max_iters).point
-
-
 def _sq_distance_matrix(pts: np.ndarray) -> np.ndarray:
     diff = pts[:, None, :] - pts[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
@@ -165,14 +160,6 @@ def _neighbor_indices(d2: np.ndarray, f_hat: int) -> np.ndarray:
     return order[:, : d2.shape[0] - f_hat]
 
 
-def krum_index(xs, f_hat: int, squared: bool = True) -> int:
-    """Index of the point with the smallest summed distance to its
-    n - f_hat nearest neighbours (ties to the lowest index)."""
-    pts = stack_points(xs)
-    _check_f_hat(pts.shape[0], f_hat)
-    return _krum_index(pts, f_hat, squared)
-
-
 def _krum_index(pts: np.ndarray, f_hat: int, squared: bool) -> int:
     d2 = _sq_distance_matrix(pts)
     neighbors = _neighbor_indices(d2, f_hat)
@@ -182,8 +169,8 @@ def _krum_index(pts: np.ndarray, f_hat: int, squared: bool) -> int:
 
 
 def krum(xs, f_hat: int, squared: bool = True) -> np.ndarray:
-    """Krum selection rule: returns the input point chosen by
-    :func:`krum_index`."""
+    """Krum selection rule: returns the input point with the smallest summed
+    distance to its n - f_hat nearest neighbours (ties to the lowest index)."""
     pts = stack_points(xs)
     _check_f_hat(pts.shape[0], f_hat)
     return pts[_krum_index(pts, f_hat, squared)].copy()

@@ -7,7 +7,6 @@ rearrangement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -109,49 +108,3 @@ def gap_ceiling(
     transient = np.exp(-mu * T ** beta / (8.0 * c * L)) * loss_gap0
     return float(transient + G * G / (2.0 * mu * T ** (2.0 - 2.0 * beta)) + 45.0 * kappa * G * G / mu)
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Named bound values for one parameter context."""
-
-    n: int
-    f: int
-    f_hat: int
-    G: float
-    mu: float
-    L: float
-    H: int
-    T: int
-    kappa: float
-    values: dict
-
-    def to_json(self) -> dict:
-        return {
-            "context": {
-                "n": self.n, "f": self.f, "f_hat": self.f_hat, "G": self.G,
-                "mu": self.mu, "L": self.L, "H": self.H, "T": self.T, "kappa": self.kappa,
-            },
-            "bounds": dict(self.values),
-        }
-
-
-def bound_report(
-    n: int, f: int, f_hat: int, G: float, mu: float, L: float, H: int, T: int,
-    kappa: float | None = None, loss_gap0: float = 1.0,
-) -> BoundReport:
-    """Evaluate every applicable bound for one parameter context."""
-    _check_range(n, f, f_hat)
-    chain = kappa_composite_chain(n, f, f_hat)
-    if kappa is None:
-        kappa = chain.ceiling
-    grad_floor, gap_floor = convergence_floor(n, f, f_hat, G, mu)
-    values = {
-        "kappa_lower_bound": kappa_lower_bound(n, f, f_hat),
-        "krum_kappa": chain.krum_kappa,
-        "boosted_kappa": chain.boosted_kappa,
-        "composite_ceiling": chain.ceiling,
-        "grad_floor": grad_floor,
-        "gap_floor": gap_floor,
-        "grad_ceiling": grad_ceiling(kappa, L, H, T, loss_gap0, G),
-    }
-    return BoundReport(n=n, f=f, f_hat=f_hat, G=G, mu=mu, L=L, H=H, T=T, kappa=kappa, values=values)

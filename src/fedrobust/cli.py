@@ -1,29 +1,21 @@
 """Command-line front end: audits, simulations, sweeps, and bound reports.
 
-Configs are single JSON documents (schema below, version 1).  Every result
+Configs are single JSON documents (schema version 1).  Every result
 row carries the digest of the cell's full run configuration, and numeric CSV
 fields use the shortest round-trip float representation, so repeated runs of
 the same config produce byte-identical results.csv files.
 
-Schema sketch::
+Each config kind reads only its own sections (_SECTIONS; README.md has the
+full schema), and the schema is read off the library:
 
-    {
-      "schema_version": 1,
-      "kind": "simulate" | "sweep" | "audit" | "report",
-      "problem":    {"kind": "two_group_quadratic", "n": 10, "f": 2, "G": 1.0},
-      "aggregator": {"kind": "cwtm", "f_hat": 3},
-      "attack":     {"kind": "honest_mimic"},
-      "engine":     {"T": 100, "H": 1, "schedule": {"kind": "constant", "gamma": 0.01},
-                     "w0": 1.0, "kappa": 0.0},
-      "grid":       {"f_hat": [2, 3, 4], "f": [2], "seeds": [0]},
-      "audit":      {"n": 10, "d": 1, "subset_budget": 20000},
-      "results":    "out/earlier-sweep",
-      "seed": 0
-    }
-
-The aggregator, attack and engine.schedule sections are the fields of
-AggregatorSpec, AttackStrategy and Schedule, with the same defaults and range
-checks.
+- aggregator, attack and engine.schedule take the fields of AggregatorSpec,
+  AttackStrategy and Schedule, with their types, defaults and range checks;
+- engine takes the RunConfig fields that no cell sets (T = 100, H = 1,
+  schedule, w0 = None, kappa = 0.0); one number for w0 is repeated over
+  every coordinate;
+- problem takes kind, f (default 0) and the parameters of the factory
+  f"{kind}_problem", with its type hints and defaults, less f_hat and
+  honest_set; an absent seed is the cell's seed.
 
 Exit codes: 0 success, 1 invalid config, 2 runtime failure, 3 sweep finished
 with failed cells.
@@ -33,11 +25,12 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import inspect
 import json
 import sys
 import time
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import product
 from pathlib import Path
 
@@ -49,40 +42,39 @@ from .aggregators import AggregatorSpec
 from .attacks import AttackStrategy
 from .engine import RunConfig, Schedule, run
 from .errors import ConfigError, ParameterError
-from .problems import (
+from .problems import (  # noqa: F401 - looked up by name, see PROBLEM_KINDS
     homogeneous_quadratic_problem,
     random_quadratic_problem,
     two_group_quadratic_problem,
 )
 
 SCHEMA_VERSION = 1
-CONFIG_KINDS = ("audit", "simulate", "sweep", "report")
+# config kind -> the sections it reads besides schema_version, kind and seed
+_SECTIONS = {
+    "audit": ("audit", "aggregator", "grid"),
+    "simulate": ("problem", "aggregator", "attack", "engine"),
+    "sweep": ("problem", "aggregator", "attack", "engine", "grid"),
+    "report": ("results",),
+}
+CONFIG_KINDS = tuple(_SECTIONS)
 
 CSV_COLUMNS = (
     "run_id", "config_digest", "round", "grad_metric", "running_avg_grad", "loss_gap",
     "agg_deviation", "diverged",
 )
 
-_TOP_KEYS = {
-    "schema_version", "kind", "problem", "aggregator", "attack", "engine",
-    "grid", "audit", "results", "seed",
-}
-# problem kind -> {key: (JSON type, default)} for its keys besides kind, n
-# and f; a key whose default is None may be left out.
-_PROBLEM_PARAMS = {
-    "two_group_quadratic": {"G": (float, 1.0)},
-    "homogeneous_quadratic": {},
-    "random_quadratic": {
-        "d": (int, 1), "G_target": (float, 1.0), "radius": (float, 1.0), "seed": (int, None),
-    },
-}
-_ENGINE_KEYS = {"T", "H", "schedule", "w0", "kappa"}
+# Each kind names the factory f"{kind}_problem", looked up in this module
+# when it is called.
+PROBLEM_KINDS = ("homogeneous_quadratic", "random_quadratic", "two_group_quadratic")
+# Factory parameters and RunConfig fields that each sweep cell sets.
+_CELL_PARAMS = ("f_hat", "honest_set")
+_CELL_FIELDS = ("problem", "aggregator", "attack", "seed")
 _AUDIT_DEFAULTS = {"n": None, "d": 1, "subset_budget": 20000}
 
 _INVALID = object()  # a value that failed its type check
 _TYPE_NAMES = {
     bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
-    tuple: "a list of finite numbers",
+    tuple: "a list of finite numbers", np.ndarray: "a list of finite numbers",
 }
 
 
@@ -121,17 +113,22 @@ def _is_number(value) -> bool:
 
 
 def _typed(value, hint, name: str, errors: list):
-    """``value`` checked against a field type: bool, int, float, str, tuple
-    (of numbers, from a JSON list) or Optional of one of them.  Integers are
-    accepted as floats and converted.  Returns _INVALID after recording an
-    error."""
+    """``value`` checked against a field type: bool, int, float, str, tuple or
+    array (of numbers, from a JSON list; an array also takes one number), a
+    dataclass (from its section; null means all defaults) or Optional of one
+    of them.  Integers are accepted as floats and converted.  Returns
+    _INVALID after recording an error."""
     options = typing.get_args(hint) or (hint,)
+    kind = options[0]
+    if is_dataclass(kind):
+        return _build_spec(kind, {} if value is None else value, name, errors)
     if value is None and type(None) in options:
         return None
-    kind = options[0]
     if kind is float and _is_number(value):
         return float(value)
-    if kind is tuple and isinstance(value, list) and all(map(_is_number, value)):
+    if kind is np.ndarray and _is_number(value):
+        return (float(value),)
+    if kind in (tuple, np.ndarray) and isinstance(value, list) and all(map(_is_number, value)):
         return tuple(value)
     if (kind in (bool, str) and isinstance(value, kind)) or (kind is int and _is_int(value)):
         return value
@@ -149,22 +146,32 @@ def _check_range(name: str, values, errors: list, lo: int = 0, n=None) -> bool:
     return not bad
 
 
+def _read_fields(cls, section: dict, where: str, errors: list, skip=()) -> dict:
+    """The fields of the dataclass ``cls``, less ``skip``, read from their
+    config section: the fields are the allowed keys, each value is checked
+    against the field's type, and an absent key takes the field's default
+    (_INVALID after recording an error when it has none)."""
+    wanted = [f for f in fields(cls) if f.name not in skip]
+    _unknown_keys(section, {f.name for f in wanted}, where, errors)
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in wanted:
+        if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
+            errors.append(f"{where}.{f.name} is required")
+            out[f.name] = _INVALID
+        else:  # a field with a default factory is a dataclass, whose default is an empty section
+            default = None if f.default is MISSING else f.default
+            out[f.name] = _typed(section.get(f.name, default), hints[f.name], f"{where}.{f.name}", errors)
+    return out
+
+
 def _build_spec(cls, section, where: str, errors: list) -> dict:
     """Build the library dataclass ``cls`` from its config section and return
-    ``dataclasses.asdict`` of it ({} when it cannot be built).  The fields are
-    the allowed keys and their defaults fill in missing keys; type errors and
+    ``dataclasses.asdict`` of it ({} when it cannot be built); type errors and
     the dataclass's own range checks are recorded in ``errors``."""
     if _object(section, where, errors) is None:
         return {}
-    _unknown_keys(section, {f.name for f in fields(cls)}, where, errors)
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in section:
-            kwargs[f.name] = _typed(section[f.name], hints[f.name], f"{where}.{f.name}", errors)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            errors.append(f"{where}.{f.name} is required")
-            kwargs[f.name] = _INVALID
+    kwargs = _read_fields(cls, section, where, errors)
     if _INVALID in kwargs.values():
         return {}
     try:
@@ -174,43 +181,51 @@ def _build_spec(cls, section, where: str, errors: list) -> dict:
         return {}
 
 
+def _problem_params(kind: str) -> dict:
+    """{name: (type, default)} for each parameter of the kind's factory
+    except those a sweep cell sets; the default is inspect.Parameter.empty
+    where the signature has none."""
+    factory = globals()[f"{kind}_problem"]
+    hints = typing.get_type_hints(factory)
+    return {
+        name: (hints[name], param.default)
+        for name, param in inspect.signature(factory).parameters.items()
+        if name not in _CELL_PARAMS
+    }
+
+
 def _normalize_problem(section, errors) -> dict:
+    """Checks n and f by their range rules and the other keys by the
+    factory's types.  An absent key takes the factory's default, except that
+    f defaults to 0; seed has no default and, when absent, the cell's seed
+    fills it in."""
     if _object(section, "problem", errors) is None:
         return {}
-    kind, kinds = section.get("kind"), sorted(_PROBLEM_PARAMS)
-    if kind not in kinds:
-        errors.append(f"problem.kind must be one of {kinds}, got {kind!r}")
+    kind = section.get("kind")
+    if kind not in PROBLEM_KINDS:
+        errors.append(f"problem.kind must be one of {list(PROBLEM_KINDS)}, got {kind!r}")
         return {}
-    params = _PROBLEM_PARAMS[kind]
-    _unknown_keys(section, {"kind", "n", "f", *params}, "problem", errors)
+    params = _problem_params(kind)
+    _unknown_keys(section, {"kind", "f", *params}, "problem", errors)
     out = {"kind": kind, "n": section.get("n"), "f": section.get("f", 0)}
     if not _check_range("problem.n", [out["n"]], errors, lo=1):
         return {}
     _check_range("problem.f", [out["f"]], errors, n=out["n"])
     for key, (hint, default) in params.items():
-        if key in section or default is not None:
+        if key not in out and (key in section or default is not inspect.Parameter.empty):
             out[key] = _typed(section.get(key, default), hint, f"problem.{key}", errors)
     return out
 
 
 def _normalize_engine(section, errors) -> dict:
+    """The RunConfig fields that no sweep cell sets."""
     section = {} if section is None else section
     if _object(section, "engine", errors) is None:
         return {}
-    _unknown_keys(section, _ENGINE_KEYS, "engine", errors)
-    schedule = section.get("schedule")
-    w0 = section.get("w0")
-    out = {
-        "T": section.get("T", 100),
-        "H": section.get("H", 1),
-        "schedule": _build_spec(Schedule, {} if schedule is None else schedule, "engine.schedule", errors),
-        "w0": (float(w0),) if _is_number(w0) else _typed(w0, typing.Optional[tuple], "engine.w0", errors),
-        "kappa": _typed(section.get("kappa", 0.0), float, "engine.kappa", errors),
-    }
-    _check_range("engine.T", [out["T"]], errors)
-    _check_range("engine.H", [out["H"]], errors, lo=1)
-    if out["kappa"] is not _INVALID and out["kappa"] < 0:
-        errors.append(f"engine.kappa = {out['kappa']!r} violates 0 <= kappa")
+    out = _read_fields(RunConfig, section, "engine", errors, skip=_CELL_FIELDS)
+    for key, lo in (("T", 0), ("H", 1), ("kappa", 0)):
+        if out[key] is not _INVALID and out[key] < lo:
+            errors.append(f"engine.{key} = {out[key]!r} violates {lo} <= {key}")
     return out
 
 
@@ -242,7 +257,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
 
-    _unknown_keys(raw, _TOP_KEYS, "config", errors)
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         errors.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -250,22 +264,24 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in CONFIG_KINDS:
         errors.append(f"kind must be one of {list(CONFIG_KINDS)}, got {kind!r}")
         raise ConfigError(errors)
+    sections = _SECTIONS[kind]
+    _unknown_keys(raw, {"schema_version", "kind", "seed", *sections}, f"{kind} config", errors)
     seed = raw.get("seed", 0)
     _check_range("seed", [seed], errors)
     normalized: dict = {"schema_version": SCHEMA_VERSION, "kind": kind, "seed": seed}
 
-    if kind == "report":
-        results = raw.get("results")
+    n = None
+    if "results" in sections:
+        results = normalized["results"] = raw.get("results")
         if not isinstance(results, str) or not results:
             errors.append("report configs need a 'results' path")
-        normalized["results"] = results
-    elif kind == "audit":
+    if "audit" in sections:
         section = _object(raw.get("audit"), "audit", errors) or {}
         _unknown_keys(section, set(_AUDIT_DEFAULTS), "audit", errors)
         audit = normalized["audit"] = {key: section.get(key, v) for key, v in _AUDIT_DEFAULTS.items()}
         valid = {key: _check_range(f"audit.{key}", [v], errors, lo=1) for key, v in audit.items()}
         n = audit["n"] if valid["n"] else None
-    else:
+    if "problem" in sections:
         normalized["problem"] = _normalize_problem(raw.get("problem"), errors)
         n = normalized["problem"].get("n")
         attack = raw.get("attack")
@@ -273,17 +289,14 @@ def parse_config(text: str) -> ExperimentConfig:
             AttackStrategy, {"kind": "honest_mimic"} if attack is None else attack, "attack", errors
         )
         normalized["engine"] = _normalize_engine(raw.get("engine"), errors)
-
-    if kind != "report":
+    if "aggregator" in sections:
         agg = normalized["aggregator"] = _build_spec(AggregatorSpec, raw.get("aggregator"), "aggregator", errors)
         if agg and n is not None:
             _check_range("aggregator.f_hat", [agg["f_hat"]], errors, n=n)
-        if kind != "simulate":
-            problem_f = normalized.get("problem", {}).get("f", 0)
-            defaults = {"f_hat": agg.get("f_hat", 0), "f": problem_f, "seeds": seed}
-            normalized["grid"] = _normalize_grid(raw.get("grid"), defaults, n, errors)
-        elif raw.get("grid") is not None:
-            errors.append("'grid' is only valid for sweep and audit configs")
+    if "grid" in sections:
+        problem_f = normalized.get("problem", {}).get("f", 0)
+        defaults = {"f_hat": normalized["aggregator"].get("f_hat", 0), "f": problem_f, "seeds": seed}
+        normalized["grid"] = _normalize_grid(raw.get("grid"), defaults, n, errors)
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(kind=kind, normalized=normalized)
@@ -297,14 +310,10 @@ def load_config(path) -> ExperimentConfig:
 # cell construction and execution
 
 def _build_problem(pspec: dict, f: int, f_hat: int, seed: int):
-    kind = pspec["kind"]
-    if kind == "two_group_quadratic":
-        return two_group_quadratic_problem(pspec["n"], f, f_hat, pspec["G"])
-    if kind == "homogeneous_quadratic":
-        return homogeneous_quadratic_problem(pspec["n"], f)
-    return random_quadratic_problem(
-        pspec["n"], f, pspec["d"], pspec["G_target"], pspec["radius"], pspec.get("seed", seed)
-    )
+    factory = globals()[f"{pspec['kind']}_problem"]
+    accepted = inspect.signature(factory).parameters
+    values = {"seed": seed, **pspec, "f": f, "f_hat": f_hat}
+    return factory(**{key: value for key, value in values.items() if key in accepted})
 
 
 def _build_run_config(cfg: dict, f: int, f_hat: int, seed: int) -> RunConfig:
@@ -509,22 +518,6 @@ def _load_summary(results_dir: Path) -> dict:
         return json.load(fh)
 
 
-def _cell_bound_context(summary: dict, cell: dict) -> dict | None:
-    """Full serialized bound context for one healthy cell, when its
-    parameters fall in a regime the calculators cover."""
-    try:
-        constants, engine, gap0 = cell["constants"], summary["config"]["engine"], cell["initial"]["loss_gap"]
-        return bounds.bound_report(
-            n=cell["problem"]["n"], f=cell["f"], f_hat=cell["f_hat"],
-            G=float(np.sqrt(constants["G2"])), mu=constants["mu"], L=constants["L"],
-            H=engine["H"], T=engine["T"],
-            kappa=engine["kappa"] if engine["kappa"] > 0 else None,
-            loss_gap0=gap0 if gap0 is not None else 0.0,
-        ).to_json()
-    except (ParameterError, KeyError, TypeError):
-        return None
-
-
 def report(results_dir, out_dir, quiet: bool = False) -> dict:
     """Compare each cell's measured terminal metrics against its theoretical
     floor and ceiling; writes report.txt and report.json."""
@@ -558,7 +551,6 @@ def report(results_dir, out_dir, quiet: bool = False) -> dict:
             entry["floor_ok"] = None if floor is None else bool(term["grad_metric"] >= floor * (1.0 - 1e-9))
             entry["ceiling_ok"] = None if ceiling is None else bool(term["running_avg_grad"] <= ceiling)
             entry["status"] = "fail" if False in (entry["floor_ok"], entry["ceiling_ok"]) else "pass"
-        entry["bound_context"] = _cell_bound_context(summary, cell)
         entries.append(entry)
 
     def cell_line(e: dict) -> str:
@@ -600,22 +592,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    errors: list[str] = []
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        for err in exc.errors:
+        errors = exc.errors
+    except OSError as exc:
+        errors = [str(exc)]
+    else:
+        if cfg.kind != args.command:
+            errors.append(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
+        if args.seed is not None and _check_range("seed", [args.seed], errors):
+            cfg.normalized["seed"] = args.seed
+            if "grid" in cfg.normalized:
+                cfg.normalized["grid"]["seeds"] = [args.seed]
+    if errors:
+        for err in errors:
             print(f"config error: {err}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    if cfg.kind != args.command:
-        print(f"config error: config kind {cfg.kind!r} does not match subcommand {args.command!r}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        cfg.normalized["seed"] = args.seed
-        if "grid" in cfg.normalized:
-            cfg.normalized["grid"]["seeds"] = [args.seed]
     try:
         if cfg.kind == "report":
             report(cfg.normalized["results"], args.out, quiet=args.quiet)

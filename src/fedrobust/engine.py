@@ -73,10 +73,10 @@ class RunConfig:
     problem: Problem
     aggregator: AggregatorSpec
     attack: AttackStrategy
-    T: int
+    T: int = 100
     H: int = 1
     schedule: Schedule = field(default_factory=Schedule)
-    w0: np.ndarray = None
+    w0: Optional[np.ndarray] = None  # None means the origin
     seed: int = 0
     kappa: float = 0.0  # robustness coefficient used by the c' stepsize rule
 

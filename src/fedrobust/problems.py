@@ -96,7 +96,7 @@ def _honest_set(n: int, f: int, honest_set) -> tuple:
     return honest_set
 
 
-def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float, honest_set=None) -> Problem:
+def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, honest_set=None) -> Problem:
     """Scalar worst-case family: f_hat clients hold c*G*(w+1)^2, the other
     n - f_hat hold c*G*w^2, with c chosen so the honest-gradient dispersion
     equals G^2 exactly.
@@ -144,14 +144,15 @@ def homogeneous_quadratic_problem(n: int, f: int = 0, honest_set=None) -> Proble
 
 
 def random_quadratic_problem(
-    n: int, f: int, d: int, G_target: float, radius: float, seed: int, honest_set=None
+    n: int, f: int, d: int = 1, G_target: float = 1.0, radius: float = 1.0, *, seed: int, honest_set=None
 ) -> Problem:
     """Seeded fuzz family: one shared curvature drawn from [0.5, 2], client
     centers drawn in a ball of the given radius, then rescaled about the
     honest mean so the honest-gradient dispersion equals G_target^2 exactly.
 
     The curvature is a single scalar across coordinates so that the
-    gradient-dominance identity hot path stays an exact equality.
+    gradient-dominance identity hot path stays an exact equality.  ``seed``
+    is keyword-only and has no default, so no instance is unseeded.
     """
     if not 0 <= f < n / 2:
         raise ParameterError(f"require 0 <= f < n/2, got f={f}, n={n}")

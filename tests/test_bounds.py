@@ -12,7 +12,6 @@ from fedrobust import (
     kappa_guarantee,
     kappa_lower_bound,
 )
-from fedrobust.bounds import bound_report
 
 
 def test_kappa_guarantee_exact_estimation_row():
@@ -127,10 +126,3 @@ def test_gap_ceiling_examples():
     with pytest.raises(ParameterError):
         gap_ceiling(1.0, 1.0, 0.0, 1, 100, 0.5, 1.0, 1.0)
 
-
-def test_bound_report_serializes():
-    report = bound_report(10, 2, 3, G=1.0, mu=1.0, L=1.0, H=1, T=100)
-    doc = report.to_json()
-    assert doc["context"]["n"] == 10
-    assert doc["bounds"]["composite_ceiling"] == pytest.approx(50.4)
-    assert doc["bounds"]["grad_floor"] == pytest.approx(0.6)

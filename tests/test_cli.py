@@ -2,15 +2,20 @@
 
 import copy
 import hashlib
+import inspect
 import json
+import re
 import subprocess
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import pytest
 
-from fedrobust import ConfigError
+from fedrobust import ConfigError, RunConfig, problems, random_quadratic_problem
 from fedrobust.cli import (
+    CONFIG_KINDS,
+    PROBLEM_KINDS,
     _build_run_config,
     _cells,
     load_config,
@@ -57,6 +62,7 @@ cell0001,ec7db04ed1ae01bf,3,0.5314410000000002,0.74938525,0.2657205000000001,,0
 def test_minimal_simulate_config_gets_documented_defaults():
     cfg = parse_config(json.dumps(MINIMAL_SIMULATE))
     engine = cfg.normalized["engine"]
+    assert engine["T"] == 100
     assert engine["H"] == 1
     assert engine["schedule"] == {"kind": "constant", "gamma": 0.01, "beta": 0.5}
     assert cfg.normalized["seed"] == 0
@@ -379,10 +385,20 @@ AUDIT_TEMPLATE = {
 }
 
 
-def _readme_config_example() -> str:
+def _readme_schema() -> str:
+    """README from its config schema heading on."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Config schema (version 1)", 1)[1]
-    return section.split("```json\n", 1)[1].split("```", 1)[0]
+    return readme.split("### Config schema (version 1)", 1)[1]
+
+
+def _readme_config_example() -> str:
+    return _readme_schema().split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_sections() -> dict:
+    """README's table: config kind -> the sections it reads."""
+    rows = (line.strip("|").split("|") for line in _readme_schema().splitlines() if line.startswith("| `"))
+    return {kind.strip(" `"): set(re.findall(r"`(\w+)`", sections)) for kind, sections in rows}
 
 
 def _with(doc: dict, path: str, value) -> dict:
@@ -403,6 +419,9 @@ MALFORMED = [
     (SWEEP_TEMPLATE, "aggregator.gm_tolerance", 0),
     (SWEEP_TEMPLATE, "aggregator.pre_nnm", "yes"),
     (SWEEP_TEMPLATE, "engine.kappa", -1),
+    (SWEEP_TEMPLATE, "engine.T", -5),
+    (SWEEP_TEMPLATE, "engine.H", 0),
+    (SWEEP_TEMPLATE, "engine.w0", "x"),
     (SWEEP_TEMPLATE, "engine.schedule.gamma", 0),
     (SWEEP_TEMPLATE, "grid.seeds", ["a"]),
     (AUDIT_TEMPLATE, "audit.d", -1),
@@ -470,3 +489,137 @@ def test_readme_config_example_parses():
     cfg = parse_config(_readme_config_example())
     assert cfg.kind == "sweep"
     assert len(_cells(cfg)) == 6
+
+
+# ---------------------------------------------------------------------------
+# sections per config kind
+
+VALID = {
+    "simulate": MINIMAL_SIMULATE,
+    "sweep": SWEEP_TEMPLATE,
+    "audit": AUDIT_TEMPLATE,
+    "report": {"schema_version": 1, "kind": "report", "results": "out"},
+}
+# a well-formed value for every section
+SECTION_VALUES = {
+    "problem": {"kind": "homogeneous_quadratic", "n": 4},
+    "aggregator": {"kind": "mean"},
+    "attack": {"kind": "honest_mimic"},
+    "engine": {"T": 1},
+    "grid": {"f": [0]},
+    "audit": {"n": 4},
+    "results": "out",
+}
+
+
+def _foreign_sections() -> list:
+    table = _readme_sections()
+    every = set().union(*table.values())
+    return [(kind, section) for kind in table for section in sorted(every - table[kind])]
+
+
+@pytest.mark.parametrize("kind", CONFIG_KINDS)
+def test_config_kind_reads_its_documented_sections(kind):
+    table = _readme_sections()
+    assert set(table) == set(CONFIG_KINDS)
+    doc = {"schema_version": 1, "kind": kind, "seed": 1, **{s: SECTION_VALUES[s] for s in table[kind]}}
+    assert set(parse_config(json.dumps(doc)).normalized) >= table[kind]
+
+
+@pytest.mark.parametrize("kind, section", _foreign_sections())
+def test_section_foreign_to_config_kind_is_config_error(kind, section):
+    doc = dict(VALID[kind], **{section: SECTION_VALUES[section]})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert any(repr(section) in e for e in exc.value.errors), exc.value.errors
+
+
+@pytest.mark.parametrize("attack", [{"kind": "gaussian_noise", "variance": 1.0}, {"kind": "honest_mimic"}])
+def test_seed_override_obeys_the_seed_rule(tmp_path, capsys, attack):
+    doc = dict(MINIMAL_SIMULATE, attack=attack, engine={"T": 1})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(doc, seed=-1)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 1
+    from_config = capsys.readouterr().err
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "b"), "--seed", "-1", "--quiet"]) == 1
+    assert capsys.readouterr().err == from_config == "config error: seed = -1 violates 0 <= seed\n"
+    assert not (tmp_path / "b").exists()
+
+
+# ---------------------------------------------------------------------------
+# the schema is read off the library
+
+def _factory_params(kind: str) -> dict:
+    params = inspect.signature(getattr(problems, f"{kind}_problem")).parameters
+    return {name: p.default for name, p in params.items() if name not in ("f_hat", "honest_set")}
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_problem_section_is_read_off_the_factory(kind):
+    params = _factory_params(kind)
+    defaults = {k: v for k, v in params.items() if v is not inspect.Parameter.empty}
+    minimal = parse_config(json.dumps(_with(SWEEP_TEMPLATE, "problem", {"kind": kind, "n": 6})))
+    assert minimal.normalized["problem"] == {"kind": kind, "n": 6, **defaults, "f": 0}
+
+    full = {"kind": kind, **defaults, "n": 6, "f": 1, **({"seed": 3} if "seed" in params else {})}
+    cfg = parse_config(json.dumps(_with(SWEEP_TEMPLATE, "problem", full)))
+    assert set(cfg.normalized["problem"]) == {"kind", "f", *params}
+    for extra in ("f_hat", "honest_set", "bogus"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(_with(SWEEP_TEMPLATE, "problem", dict(full, **{extra: 1}))))
+        assert [e.split(";")[0] for e in exc.value.errors] == [f"unknown key {extra!r} in problem"]
+
+
+def test_random_problem_seed_is_required_in_the_library_and_the_cell_seed_in_configs():
+    with pytest.raises(TypeError):
+        random_quadratic_problem(6, 1)
+    doc = dict(SWEEP_TEMPLATE, problem={"kind": "random_quadratic", "n": 6, "f": 1}, attack={"kind": "honest_mimic"})
+    cfg = parse_config(json.dumps(doc))
+    assert _build_run_config(cfg.normalized, 1, 1, 7).problem.descriptor["seed"] == 7
+    pinned = parse_config(json.dumps(_with(doc, "problem.seed", 2)))
+    assert _build_run_config(pinned.normalized, 1, 1, 7).problem.descriptor["seed"] == 2
+
+
+def test_engine_section_is_read_off_run_config():
+    wanted = [f for f in fields(RunConfig) if f.name not in ("problem", "aggregator", "attack", "seed")]
+    defaults = {f.name: asdict(f.default_factory()) if f.default is MISSING else f.default for f in wanted}
+    assert parse_config(json.dumps(MINIMAL_SIMULATE)).normalized["engine"] == defaults
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(dict(MINIMAL_SIMULATE, engine={"seed": 1})))
+    assert exc.value.errors == ["unknown key 'seed' in engine"]
+
+
+def test_readme_problem_parameters_match_the_factories():
+    schema = " ".join(_readme_schema().split())
+    listed = dict(re.findall(r"`(\w+_quadratic)` \(([^)]*)\)", schema))
+    assert set(listed) == set(PROBLEM_KINDS)
+    for kind, names in listed.items():
+        params = _factory_params(kind)
+        documented = dict(name.partition("=")[::2] for name in names.split(", "))
+        assert set(documented) == set(params), kind
+        for name, default in documented.items():
+            if name != "f":  # f defaults to 0 for every kind
+                want = params[name]
+                assert (float(default) == want) if default else (want is inspect.Parameter.empty), (kind, name)
+
+
+def test_report_cell_holds_the_documented_keys(tmp_path):
+    schema = " ".join(_readme_schema().split())
+    healthy, failed = (
+        set(re.findall(r"`(\w+)`", part))
+        for part in schema.split("A `report.json` cell holds", 1)[1].split(".", 1)[0].split("; a failed cell")
+    )
+    config = {
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "two_group_quadratic", "n": 10},
+        "aggregator": {"kind": "cwtm"},
+        "engine": {"T": 2, "w0": 1.0},
+        "grid": {"f_hat": [2], "f": [3, 2], "seeds": [0]},  # f > f_hat fails the first cell
+    }
+    run_sweep(parse_config(json.dumps(config)), tmp_path / "res", quiet=True)
+    report(tmp_path / "res", tmp_path / "rep", quiet=True)
+    cells = json.loads((tmp_path / "rep" / "report.json").read_text())["cells"]
+    assert [set(cell) for cell in cells] == [failed, healthy]
+    assert "bound_context" not in healthy

@@ -280,7 +280,7 @@ def test_run_config_validation():
 
 
 def test_fixed_vector_dimension_checked():
-    p = random_quadratic_problem(7, 2, 3, 1.5, 2.0, 11)
+    p = random_quadratic_problem(7, 2, 3, 1.5, 2.0, seed=11)
 
     def config(vector, problem=p):
         return RunConfig(problem=problem, aggregator=AggregatorSpec("mean"),
@@ -313,7 +313,7 @@ def test_descriptor_has_one_entry_per_field():
 def test_config_digests_are_pinned():
     # digests recorded from the earlier hand-written descriptor; a change to
     # how the descriptor is built must not move them
-    p = random_quadratic_problem(7, 2, 3, 1.5, 2.0, 11)
+    p = random_quadratic_problem(7, 2, 3, 1.5, 2.0, seed=11)
     config = RunConfig(
         problem=p,
         aggregator=AggregatorSpec("gm", f_hat=2, pre_nnm=True, gm_tolerance=1e-7, gm_max_iters=50),
