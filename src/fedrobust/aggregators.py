@@ -210,6 +210,5 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
         return np.median(pts, axis=0)
     if spec.kind == "gm":
         return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
-    if spec.kind == "krum":
-        return pts[_krum_index(pts, spec.f_hat, spec.krum_squared)].copy()
-    raise ParameterError(f"unknown aggregator kind {spec.kind!r}")
+    # krum, the one kind left: AggregatorSpec admits no other
+    return pts[_krum_index(pts, spec.f_hat, spec.krum_squared)].copy()

@@ -195,7 +195,7 @@ def _problem_params(kind: str) -> dict:
 
 
 def _normalize_problem(section, errors) -> dict:
-    """Checks n and f by their range rules and the other keys by the
+    """Checks n, f and seed by their range rules and the other keys by the
     factory's types.  An absent key takes the factory's default, except that
     f defaults to 0; seed has no default and, when absent, the cell's seed
     fills it in."""
@@ -214,6 +214,8 @@ def _normalize_problem(section, errors) -> dict:
     for key, (hint, default) in params.items():
         if key not in out and (key in section or default is not inspect.Parameter.empty):
             out[key] = _typed(section.get(key, default), hint, f"problem.{key}", errors)
+    if out.get("seed", _INVALID) is not _INVALID:
+        _check_range("problem.seed", [out["seed"]], errors)
     return out
 
 

@@ -4,8 +4,12 @@ Each round: every honest client runs H local gradient-descent steps from the
 current global iterate, one attack call gives the Byzantine clients their
 uploads, and the server applies the configured robust aggregator to the
 client deltas (upload - w_t) to advance the global iterate.  The full
-metric trajectory is recorded; sampling an output iterate is left to
-post-processing.
+metric trajectory is recorded into arrays allocated once per run; sampling an
+output iterate is left to post-processing.
+
+A run stops at the first row t it cannot record (w_t or its metrics not
+finite, w_t run away, or round t-1's deviation not finite) and is then
+diverged, with ``diverged_round == rows``.
 """
 
 from __future__ import annotations
@@ -59,13 +63,12 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
     if schedule.kind == "pl_power":
         c = max(4.0 * np.sqrt(2.0), np.sqrt(384.0 * kappa))
         return 1.0 / (c * L * H * T ** (1.0 - schedule.beta))
-    if schedule.kind == "step_wise":
-        if t < T / 2:
-            return schedule.gamma
-        if t < 3 * T / 4:
-            return 0.1 * schedule.gamma
-        return 0.01 * schedule.gamma
-    raise ParameterError(f"unknown schedule kind {schedule.kind!r}")
+    # step_wise, the one kind left: Schedule admits no other
+    if t < T / 2:
+        return schedule.gamma
+    if t < 3 * T / 4:
+        return 0.1 * schedule.gamma
+    return 0.01 * schedule.gamma
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,9 @@ class RunRecord:
     Row t holds the metrics evaluated at iterate w_t; ``agg_deviation[t]`` is
     the squared distance between the aggregated delta of round t and the mean
     honest delta.  A completed T-round run has T+1 metric rows (the last one
-    for the final iterate) and T deviation entries.
+    for the final iterate) and T deviation entries.  A diverged run has
+    ``diverged_round == rows <= T`` and ``rows`` deviations, or ``rows - 1``
+    when the deviation of round ``rows - 1`` was the one not finite.
     """
 
     iterates: np.ndarray        # (rows, d)
@@ -122,10 +127,6 @@ class RunRecord:
     @property
     def rows(self) -> int:
         return self.grad_metric.shape[0]
-
-    @property
-    def final_iterate(self) -> np.ndarray:
-        return self.iterates[-1]
 
     @property
     def final_grad_metric(self) -> float:
@@ -168,60 +169,37 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass
-class RunState:
-    w: np.ndarray
-    t: int = 0
-    iterates: list = field(default_factory=list)
-    grad_metric: list = field(default_factory=list)
-    loss_gap: list = field(default_factory=list)
-    agg_deviation: list = field(default_factory=list)
-    diverged: bool = False
-    diverged_round: Optional[int] = None
-
-
-def _record_metrics(state: RunState, config: RunConfig, w0_scale: float) -> bool:
-    """Append the metric row for the current iterate; returns False (and
-    marks divergence) on the first non-finite or runaway value."""
-    w = state.w
-    if not np.all(np.isfinite(w)) or np.abs(w).max() > DIVERGENCE_SCALE * (1.0 + w0_scale):
-        state.diverged = True
-        state.diverged_round = state.t
-        return False
-    value, grad = honest_objective(config.problem, w)
-    gap = value - config.problem.l_star
+def _metrics(problem: Problem, w: np.ndarray, limit: float):
+    """``(grad_metric, loss_gap)`` at iterate ``w``, or None when ``w`` or a
+    value is not finite or some |w_i| exceeds ``limit``."""
+    if not np.all(np.isfinite(w)) or np.abs(w).max() > limit:
+        return None
+    value, grad = honest_objective(problem, w)
+    gap = value - problem.l_star
     with np.errstate(over="ignore"):  # a runaway iterate overflows to inf, caught below
         gm = float(grad @ grad)
     if not (np.isfinite(gm) and np.isfinite(gap)):
-        state.diverged = True
-        state.diverged_round = state.t
-        return False
-    state.iterates.append(w.copy())
-    state.grad_metric.append(gm)
-    state.loss_gap.append(gap)
-    return True
+        return None
+    return gm, gap
 
 
-def run_round(state: RunState, config: RunConfig) -> RunState:
-    """Execute one communication round from the current state."""
+def run_round(config: RunConfig, w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
+    """Round ``t`` from iterate ``w``: the next iterate and the squared
+    distance between the aggregated delta and the mean honest delta."""
     problem = config.problem
-    t = state.t
     gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
-    honest_uploads = descend(problem, problem.honest_set, state.w, gamma, config.H)
-    uploads = np.empty((problem.n, state.w.shape[0]))
+    honest_uploads = descend(problem, problem.honest_set, w, gamma, config.H)
+    uploads = np.empty((problem.n, w.shape[0]))
     uploads[list(problem.honest_set)] = honest_uploads
     uploads[list(problem.byzantine_set)] = byzantine_upload(
-        config.attack, problem, state.w, gamma, config.H, t, config.seed, honest_uploads
+        config.attack, problem, w, gamma, config.H, t, config.seed, honest_uploads
     )
 
-    deltas = uploads - state.w
-    aggregated = aggregate(config.aggregator, deltas)
-    deviation = aggregated - honest_uploads.mean(axis=0) + state.w
+    aggregated = aggregate(config.aggregator, uploads - w)
+    deviation = aggregated - honest_uploads.mean(axis=0) + w
     with np.errstate(over="ignore"):  # overflow to inf marks divergence in run()
-        state.agg_deviation.append(float(deviation @ deviation))
-    state.w = state.w + aggregated
-    state.t = t + 1
-    return state
+        deviation = float(deviation @ deviation)
+    return w + aggregated, deviation
 
 
 def _preflight(config: RunConfig) -> None:
@@ -242,32 +220,35 @@ def run(config: RunConfig) -> RunRecord:
     """Execute the configured number of rounds (halting early on divergence)
     and return the full metric record."""
     _preflight(config)
-    state = RunState(w=config.w0.copy())
-    w0_scale = float(np.abs(config.w0).max())
-    for _ in range(config.T):
-        if not _record_metrics(state, config, w0_scale):
+    T, problem, w = config.T, config.problem, config.w0
+    limit = DIVERGENCE_SCALE * (1.0 + float(np.abs(w).max()))
+    iterates = np.empty((T + 1, w.shape[0]))
+    grad_metric, loss_gap, agg_deviation = np.empty(T + 1), np.empty(T + 1), np.empty(T)
+    rows = aggregations = 0
+    for t in range(T + 1):
+        metrics = _metrics(problem, w, limit)
+        if metrics is None:
             break
-        run_round(state, config)
-        if not np.all(np.isfinite(state.agg_deviation[-1:])):
-            state.agg_deviation.pop()
-            state.diverged = True
-            state.diverged_round = state.t
+        iterates[t] = w
+        grad_metric[t], loss_gap[t] = metrics
+        rows = t + 1
+        if t == T:
             break
-    else:
-        _record_metrics(state, config, w0_scale)
+        w, deviation = run_round(config, w, t)
+        if not np.isfinite(deviation):
+            break
+        agg_deviation[t] = deviation
+        aggregations = t + 1
 
-    grad_metric = np.asarray(state.grad_metric)
-    cum = np.cumsum(grad_metric)
-    running_avg = cum / np.arange(1, grad_metric.shape[0] + 1) if grad_metric.size else cum
-    d = config.w0.shape[0]
+    grad_metric = grad_metric[:rows]
     return RunRecord(
-        iterates=np.asarray(state.iterates).reshape(-1, d),
+        iterates=iterates[:rows],
         grad_metric=grad_metric,
-        loss_gap=np.asarray(state.loss_gap),
-        running_avg=running_avg,
-        agg_deviation=np.asarray(state.agg_deviation),
-        diverged=state.diverged,
-        diverged_round=state.diverged_round,
+        loss_gap=loss_gap[:rows],
+        running_avg=np.cumsum(grad_metric) / np.arange(1, rows + 1),
+        agg_deviation=agg_deviation[:aggregations],
+        diverged=rows <= T,
+        diverged_round=rows if rows <= T else None,
         seed=config.seed,
         config_digest=config_digest(config),
     )

@@ -169,7 +169,7 @@ def test_criterion_5_convergence_floor_attained():
             schedule=Schedule("constant", gamma=1.0 / c), w0=np.array([1.0]), seed=0,
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             record = run(frozen)
         assert np.all(record.iterates[:, 0] == 1.0)
 
@@ -180,7 +180,7 @@ def test_criterion_5_convergence_floor_attained():
             schedule=Schedule("constant", gamma=1.0 / c), w0=np.array([1.0]), seed=0,
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             record = run(alternating)
         assert np.all(record.iterates[:, 0] == (-1.0) ** np.arange(record.rows))
 
@@ -191,7 +191,7 @@ def test_criterion_5_convergence_floor_attained():
             schedule=Schedule("constant", gamma=1.1 / c), w0=np.array([1.0]), seed=0,
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             record = run(overshoot)
         assert record.diverged
 

@@ -414,6 +414,7 @@ def _with(doc: dict, path: str, value) -> dict:
 MALFORMED = [
     (SWEEP_TEMPLATE, "attack", {"kind": "gaussian_noise", "variance": "high"}),
     (SWEEP_TEMPLATE, "problem", {"kind": "two_group_quadratic", "n": 10, "f": 1, "G": None}),
+    (SWEEP_TEMPLATE, "problem", {"kind": "random_quadratic", "n": 5, "f": 1, "seed": -1}),
     (SWEEP_TEMPLATE, "aggregator.f_hat", "1"),
     (SWEEP_TEMPLATE, "aggregator.gm_max_iters", "x"),
     (SWEEP_TEMPLATE, "aggregator.gm_tolerance", 0),

@@ -3,6 +3,7 @@ divergence handling, and determinism."""
 
 import dataclasses
 import warnings
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from fedrobust import (
     ParameterError,
     Problem,
     RunConfig,
+    RunRecord,
     Schedule,
+    aggregate,
     byzantine_upload,
     descend,
     homogeneous_quadratic_problem,
@@ -24,12 +27,12 @@ from fedrobust import (
     two_group_quadratic_problem,
 )
 from fedrobust import engine
-from fedrobust.engine import config_digest, run_config_descriptor
+from fedrobust.engine import DIVERGENCE_SCALE, _preflight, config_digest, run_config_descriptor
 
 
 def quiet_run(config):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         return run(config)
 
 
@@ -157,14 +160,18 @@ def test_zero_round_run_records_initial_metrics_only():
     assert record.loss_gap[0] == pytest.approx(4.5)
 
 
-def test_divergence_flag_and_partial_record():
+def overshoot_config():
+    """A 10% stepsize overshoot on the two-group problem, which diverges."""
     p = two_group_quadratic_problem(10, 2, 3, 1.0)
     c = p.L / 2
-    config = RunConfig(
+    return RunConfig(
         problem=p, aggregator=AggregatorSpec("cwtm", f_hat=3), attack=AttackStrategy("honest_mimic"),
         T=2000, H=5, schedule=Schedule("constant", gamma=1.1 / c), w0=np.array([1.0]), seed=0,
     )
-    record = quiet_run(config)
+
+
+def test_divergence_flag_and_partial_record():
+    record = quiet_run(overshoot_config())
     assert record.diverged
     assert record.diverged_round is not None
     assert record.rows == record.diverged_round
@@ -172,22 +179,32 @@ def test_divergence_flag_and_partial_record():
     assert np.all(np.isfinite(record.loss_gap))
 
 
-@pytest.mark.parametrize("agg,attack,w0,diverged_round", [
-    # |w0| = 1e9 puts the runaway threshold at inf, so the metric overflows first
-    ("cwtm", AttackStrategy("escalating_outlier"), 1e9, 451),
-    # the aggregation deviation overflows in the first round
-    ("mean", AttackStrategy("fixed_vector", vector=(1e200,)), 1.0, 1),
-])
-def test_runaway_overflow_is_silent_divergence(agg, attack, w0, diverged_round):
-    config = RunConfig(
+RUNAWAY = [
+    # |w0| = 1e9 puts the runaway threshold at inf, so the metric overflows
+    # first: row 451 is not recorded, after 451 rows and 451 deviations
+    ("cwtm", AttackStrategy("escalating_outlier"), 1e9, 451, 451, 451),
+    # the aggregation deviation overflows in the first round: row 0 is
+    # recorded, its deviation and row 1 are not
+    ("mean", AttackStrategy("fixed_vector", vector=(1e200,)), 1.0, 1, 1, 0),
+]
+
+
+def runaway_config(agg, attack, w0):
+    return RunConfig(
         problem=homogeneous_quadratic_problem(5, 2), aggregator=AggregatorSpec(agg, f_hat=1), attack=attack,
         T=3000, H=1, schedule=Schedule("constant", gamma=0.1), w0=np.array([w0]), seed=0,
     )
+
+
+@pytest.mark.parametrize("agg,attack,w0,diverged_round,rows,deviations", RUNAWAY)
+def test_runaway_overflow_is_silent_divergence(agg, attack, w0, diverged_round, rows, deviations):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        record = run(config)
+        record = run(runaway_config(agg, attack, w0))
     assert record.diverged
     assert record.diverged_round == diverged_round
+    assert record.rows == rows
+    assert len(record.agg_deviation) == deviations
 
 
 def test_attack_layer_called_once_per_round(monkeypatch):
@@ -219,6 +236,144 @@ def test_aggregation_deviation_tracks_honest_mean_gap():
     agg_delta = (3 * (-0.1) + 2 * 9.0) / 5
     assert record.agg_deviation[0] == pytest.approx((agg_delta - (-0.1)) ** 2, rel=1e-12)
     assert record.iterates[1, 0] == pytest.approx(1.0 + agg_delta, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the list-building engine that preceded the preallocated arrays
+
+@dataclasses.dataclass
+class OracleState:
+    w: np.ndarray
+    t: int = 0
+    iterates: list = dataclasses.field(default_factory=list)
+    grad_metric: list = dataclasses.field(default_factory=list)
+    loss_gap: list = dataclasses.field(default_factory=list)
+    agg_deviation: list = dataclasses.field(default_factory=list)
+    diverged: bool = False
+    diverged_round: Optional[int] = None
+
+
+def oracle_record_metrics(state, config, w0_scale):
+    """Append the metric row for the current iterate; returns False (and
+    marks divergence) on the first non-finite or runaway value."""
+    w = state.w
+    if not np.all(np.isfinite(w)) or np.abs(w).max() > DIVERGENCE_SCALE * (1.0 + w0_scale):
+        state.diverged = True
+        state.diverged_round = state.t
+        return False
+    value, grad = honest_objective(config.problem, w)
+    gap = value - config.problem.l_star
+    with np.errstate(over="ignore"):  # a runaway iterate overflows to inf, caught below
+        gm = float(grad @ grad)
+    if not (np.isfinite(gm) and np.isfinite(gap)):
+        state.diverged = True
+        state.diverged_round = state.t
+        return False
+    state.iterates.append(w.copy())
+    state.grad_metric.append(gm)
+    state.loss_gap.append(gap)
+    return True
+
+
+def oracle_round(state, config):
+    """Execute one communication round from the current state."""
+    problem = config.problem
+    t = state.t
+    gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
+    honest_uploads = descend(problem, problem.honest_set, state.w, gamma, config.H)
+    uploads = np.empty((problem.n, state.w.shape[0]))
+    uploads[list(problem.honest_set)] = honest_uploads
+    uploads[list(problem.byzantine_set)] = byzantine_upload(
+        config.attack, problem, state.w, gamma, config.H, t, config.seed, honest_uploads
+    )
+
+    deltas = uploads - state.w
+    aggregated = aggregate(config.aggregator, deltas)
+    deviation = aggregated - honest_uploads.mean(axis=0) + state.w
+    with np.errstate(over="ignore"):  # overflow to inf marks divergence in run()
+        state.agg_deviation.append(float(deviation @ deviation))
+    state.w = state.w + aggregated
+    state.t = t + 1
+    return state
+
+
+def oracle_run(config):
+    """Execute the configured number of rounds (halting early on divergence)
+    and return the full metric record."""
+    _preflight(config)
+    state = OracleState(w=config.w0.copy())
+    w0_scale = float(np.abs(config.w0).max())
+    for _ in range(config.T):
+        if not oracle_record_metrics(state, config, w0_scale):
+            break
+        oracle_round(state, config)
+        if not np.all(np.isfinite(state.agg_deviation[-1:])):
+            state.agg_deviation.pop()
+            state.diverged = True
+            state.diverged_round = state.t
+            break
+    else:
+        oracle_record_metrics(state, config, w0_scale)
+
+    grad_metric = np.asarray(state.grad_metric)
+    cum = np.cumsum(grad_metric)
+    running_avg = cum / np.arange(1, grad_metric.shape[0] + 1) if grad_metric.size else cum
+    d = config.w0.shape[0]
+    return RunRecord(
+        iterates=np.asarray(state.iterates).reshape(-1, d),
+        grad_metric=grad_metric,
+        loss_gap=np.asarray(state.loss_gap),
+        running_avg=running_avg,
+        agg_deviation=np.asarray(state.agg_deviation),
+        diverged=state.diverged,
+        diverged_round=state.diverged_round,
+        seed=config.seed,
+        config_digest=config_digest(config),
+    )
+
+
+def assert_matches_oracle(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got, want = run(config), oracle_run(config)
+    for name in ("iterates", "grad_metric", "loss_gap", "running_avg", "agg_deviation"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.diverged, got.diverged_round) == (want.diverged, want.diverged_round)
+
+
+ORACLE_AGGREGATORS = [
+    AggregatorSpec("mean"),
+    AggregatorSpec("cwtm", f_hat=3),
+    AggregatorSpec("cwmed"),
+    AggregatorSpec("gm"),
+    AggregatorSpec("krum", f_hat=3),
+    AggregatorSpec("krum", f_hat=3, pre_nnm=True),
+]
+ORACLE_ATTACKS = [
+    AttackStrategy("honest_mimic"),
+    AttackStrategy("escalating_outlier"),
+    AttackStrategy("gaussian_noise", variance=1.0),
+    AttackStrategy("sign_flip", scale=2.0),
+    AttackStrategy("fixed_vector", vector=(3.0, -1.0)),
+]
+
+
+@pytest.mark.parametrize("attack", ORACLE_ATTACKS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("agg", ORACLE_AGGREGATORS, ids=lambda a: a.name)
+def test_run_matches_list_building_oracle(agg, attack):
+    p = random_quadratic_problem(9, 3, 2, 1.0, 2.0, seed=3)
+    for T in (0, 1, 7):
+        for H in (1, 3):
+            assert_matches_oracle(RunConfig(
+                problem=p, aggregator=agg, attack=attack, T=T, H=H,
+                schedule=Schedule("constant", gamma=0.05), w0=np.array([1.0, -2.0]), seed=4,
+            ))
+
+
+@pytest.mark.parametrize("config", [overshoot_config(), *(runaway_config(*case[:3]) for case in RUNAWAY)],
+                         ids=["overshoot", "metric_overflow", "deviation_overflow"])
+def test_divergent_run_matches_list_building_oracle(config):
+    assert_matches_oracle(config)
 
 
 # ---------------------------------------------------------------------------
