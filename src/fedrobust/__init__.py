@@ -1,15 +1,6 @@
 """Desk-scale testbed for Byzantine-robust federated learning."""
 
-from .aggregators import (
-    AggregatorSpec,
-    aggregate,
-    cwmed,
-    cwtm,
-    krum,
-    mean,
-    nnm,
-    weiszfeld,
-)
+from .aggregators import AggregatorSpec, aggregate, weiszfeld
 from .attacks import AttackStrategy, byzantine_upload
 from .audit import (
     INFINITE_RATIO,
@@ -59,8 +50,6 @@ __all__ = [
     "aggregate",
     "byzantine_upload",
     "convergence_floor",
-    "cwmed",
-    "cwtm",
     "cwtm_break_witness",
     "descend",
     "empirical_kappa",
@@ -73,10 +62,7 @@ __all__ = [
     "kappa_composite_chain",
     "kappa_guarantee",
     "kappa_lower_bound",
-    "krum",
     "lower_bound_witness",
-    "mean",
-    "nnm",
     "random_quadratic_problem",
     "run",
     "stepsize_at",

@@ -3,7 +3,9 @@
 Every rule is a pure function mapping n client vectors (rows of an (n, d)
 array) to a single vector in R^d.  ``AggregatorSpec`` names a rule plus its
 robustness degree ``f_hat`` (the number of Byzantine clients the rule is
-configured to tolerate) and is dispatched through :func:`aggregate`.
+configured to tolerate), and :func:`aggregate` is the one entry point that
+runs it.  The geometric-median solver :func:`weiszfeld` stays public as well,
+because its ``WeiszfeldResult`` carries the solver diagnostics.
 
 Scalar inputs are accepted as a length-n sequence of numbers and treated as
 n points in R^1.
@@ -12,7 +14,7 @@ n points in R^1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +25,9 @@ KINDS = ("mean", "cwtm", "cwmed", "gm", "krum")
 
 @dataclass(frozen=True)
 class AggregatorSpec:
-    """Which rule to apply and with what parameters.
-
-    ``pre_nnm=True`` turns the rule into the composite that first replaces
-    every point by the mean of its n - f_hat nearest neighbours and then
-    applies the named rule to the mixed points.  ``krum_squared`` selects
-    squared Euclidean distances for the Krum score (the default); the
-    unsquared variant is exposed for comparison.
-    """
+    """Which rule to apply and with what parameters; :func:`aggregate`
+    defines each rule and option.  ``krum_squared=False`` is kept for
+    comparison."""
 
     kind: str
     f_hat: int = 0
@@ -75,39 +72,12 @@ def stack_points(xs) -> np.ndarray:
     return pts
 
 
-def _check_f_hat(n: int, f_hat: int) -> None:
-    if not 0 <= f_hat < n / 2:
-        raise ParameterError(f"require 0 <= f_hat < n/2, got f_hat={f_hat} with n={n}")
-
-
-def mean(xs) -> np.ndarray:
-    """Coordinate-wise arithmetic mean."""
-    return stack_points(xs).mean(axis=0)
-
-
-def cwtm(xs, f_hat: int) -> np.ndarray:
-    """Coordinate-wise trimmed mean.
-
-    Per coordinate, drops the f_hat smallest and f_hat largest values and
-    averages the n - 2*f_hat that remain.
-    """
-    pts = stack_points(xs)
-    _check_f_hat(pts.shape[0], f_hat)
-    return _cwtm(pts, f_hat)
-
-
 def _cwtm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     if f_hat == 0:
         return pts.mean(axis=0)
     n = pts.shape[0]
     ordered = np.sort(pts, axis=0)
     return ordered[f_hat : n - f_hat].mean(axis=0)
-
-
-def cwmed(xs) -> np.ndarray:
-    """Coordinate-wise median (midpoint of the two central order statistics
-    for even counts)."""
-    return np.median(stack_points(xs), axis=0)
 
 
 def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
@@ -150,12 +120,8 @@ def _sq_distance_matrix(pts: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_indices(d2: np.ndarray, f_hat: int) -> np.ndarray:
-    """Indices of the n - f_hat nearest neighbours of each point, given the
-    squared distance matrix ``d2``.
-
-    The point itself is always included (distance zero); ties are broken
-    toward the lowest index via a stable sort.
-    """
+    """Indices of the n - f_hat nearest neighbours of each point, self
+    included, given the squared distance matrix ``d2`` (stable sort)."""
     order = np.argsort(d2, axis=1, kind="stable")
     return order[:, : d2.shape[0] - f_hat]
 
@@ -168,38 +134,36 @@ def _krum_index(pts: np.ndarray, f_hat: int, squared: bool) -> int:
     return int(np.argmin(scores))
 
 
-def krum(xs, f_hat: int, squared: bool = True) -> np.ndarray:
-    """Krum selection rule: returns the input point with the smallest summed
-    distance to its n - f_hat nearest neighbours (ties to the lowest index)."""
-    pts = stack_points(xs)
-    _check_f_hat(pts.shape[0], f_hat)
-    return pts[_krum_index(pts, f_hat, squared)].copy()
-
-
-def nnm(xs, f_hat: int) -> np.ndarray:
-    """Nearest-neighbour mixing: replaces each point by the mean of its
-    n - f_hat nearest neighbours (self included).  Returns an (n, d) matrix."""
-    pts = stack_points(xs)
-    _check_f_hat(pts.shape[0], f_hat)
-    return _nnm(pts, f_hat)
-
-
 def _nnm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     return pts[_neighbor_indices(_sq_distance_matrix(pts), f_hat)].mean(axis=1)
 
 
 def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
-    """Dispatch ``xs`` through the rule named by ``spec``.
+    """Apply the rule named by ``spec`` to the n points ``xs``.
 
-    For ``pre_nnm`` specs the points are first nearest-neighbour mixed with
-    the same f_hat, then the inner rule runs on the mixed points.  The input
-    is validated once, here, and the rules run on the validated array; GM
-    goes through the public :func:`weiszfeld`, so its iteration count stays
-    observable there, at the cost of a second validation next to the solve.
+    - mean: the coordinate-wise arithmetic mean.
+    - cwtm: per coordinate, drop the f_hat smallest and f_hat largest values
+      and average the n - 2*f_hat left.
+    - cwmed: the coordinate-wise median, the midpoint of the two central
+      values for even n.
+    - gm: the geometric median by :func:`weiszfeld`, with the spec's
+      ``gm_tolerance`` and ``gm_max_iters``.
+    - krum: the input point with the smallest summed distance to its
+      n - f_hat nearest neighbours; squared distances unless
+      ``krum_squared`` is false; ties go to the lowest index.
+    - ``pre_nnm`` (nearest-neighbour mixing): first replace each point by
+      the mean of its n - f_hat nearest neighbours, itself included, with a
+      stable tie-break, then apply the rule to the mixed points.
+
+    cwtm, krum and ``pre_nnm`` need 0 <= f_hat < n/2.  The input is
+    validated once, here.  GM goes through the module-level
+    :func:`weiszfeld`, so its iteration count stays observable there, at
+    the cost of a second validation next to the solve.
     """
     pts = stack_points(xs)
-    if spec.kind in ("cwtm", "krum") or spec.pre_nnm:
-        _check_f_hat(pts.shape[0], spec.f_hat)
+    n = pts.shape[0]
+    if (spec.kind in ("cwtm", "krum") or spec.pre_nnm) and not 0 <= spec.f_hat < n / 2:
+        raise ParameterError(f"require 0 <= f_hat < n/2, got f_hat={spec.f_hat} with n={n}")
     if spec.pre_nnm:
         pts = _nnm(pts, spec.f_hat)
     if spec.kind == "mean":

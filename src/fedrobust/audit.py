@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .aggregators import AggregatorSpec, aggregate, stack_points
+from .bounds import kappa_lower_bound
 from .errors import ParameterError
 
 INFINITE_RATIO = math.inf
@@ -214,6 +215,8 @@ def empirical_kappa(
     n = pts.shape[0]
     if not 0 <= f < n / 2:
         raise ParameterError(f"require 0 <= f < n/2, got f={f} with n={n}")
+    if subset_budget < 1:
+        raise ParameterError(f"subset_budget must be >= 1, got {subset_budget}")
     size = n - f
     output = aggregate(spec, pts)
     exhaustive = math.comb(n, f) <= subset_budget
@@ -242,11 +245,9 @@ def lower_bound_witness(n: int, f: int, f_hat: int, d: int = 1) -> WitnessInstan
     output to zero, while the audited honest set {f, ..., n-1} mixes in the
     nonzero points.
     """
-    if not 0 <= f <= f_hat < n / 2:
-        raise ParameterError(f"require 0 <= f <= f_hat < n/2, got f={f}, f_hat={f_hat}, n={n}")
+    expected_ratio = kappa_lower_bound(n, f, f_hat)
     points = np.zeros((n, d))
     points[n - f_hat :, 0] = 1.0
-    expected_ratio = f_hat / (n - f - f_hat)
     return WitnessInstance(
         points=points,
         honest_set=tuple(range(f, n)),

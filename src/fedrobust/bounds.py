@@ -19,6 +19,12 @@ def _check_range(n: int, f: int, f_hat: int) -> None:
         raise ParameterError(f"require 0 <= f <= f_hat < n/2, got n={n}, f={f}, f_hat={f_hat}")
 
 
+def stepsize_constant(kappa: float) -> float:
+    """c' = max(4*sqrt(2), sqrt(384*kappa)), the constant shared by the
+    stepsize rules and the convergence ceilings."""
+    return max(4.0 * np.sqrt(2.0), np.sqrt(384.0 * kappa))
+
+
 def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
     """Best known robustness coefficient for (aggregator, regime).
 
@@ -29,8 +35,7 @@ def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
     if not 0 <= f < n / 2 or not 0 <= f_hat < n / 2:
         raise ParameterError(f"require 0 <= f, f_hat < n/2, got n={n}, f={f}, f_hat={f_hat}")
     if aggregator == "krum_nnm":
-        _check_range(n, f, f_hat)
-        return 84.0 * f_hat / (n - f - f_hat)
+        return kappa_composite_chain(n, f, f_hat).ceiling
     if f == 0:
         if aggregator == "gm":
             return 1.0
@@ -91,7 +96,9 @@ def convergence_floor(n: int, f: int, f_hat: int, G: float, mu: float) -> tuple[
 def grad_ceiling(kappa: float, L: float, H: int, T: int, loss_gap0: float, G: float) -> float:
     """Guaranteed bound on the T-round average squared gradient norm under
     the cube-root stepsize rule."""
-    c = max(4.0 * np.sqrt(2.0), np.sqrt(384.0 * kappa))
+    if T < 1:
+        raise ParameterError(f"T must be >= 1, got {T}")
+    c = stepsize_constant(kappa)
     return (16.0 * c * L * H * loss_gap0 + G * G) / T ** (2.0 / 3.0) + 90.0 * kappa * G * G
 
 
@@ -104,7 +111,9 @@ def gap_ceiling(
         raise ParameterError("beta must lie in (0, 1)")
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    c = max(4.0 * np.sqrt(2.0), np.sqrt(384.0 * kappa))
+    if T < 1:
+        raise ParameterError(f"T must be >= 1, got {T}")
+    c = stepsize_constant(kappa)
     transient = np.exp(-mu * T ** beta / (8.0 * c * L)) * loss_gap0
     return float(transient + G * G / (2.0 * mu * T ** (2.0 - 2.0 * beta)) + 45.0 * kappa * G * G / mu)
 

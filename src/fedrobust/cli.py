@@ -359,9 +359,8 @@ def _csv_rows(run_id: str, record) -> list[str]:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # serialized before the file is opened, so a non-finite value leaves no partial file
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cell_bounds(problem, f_hat: int, eng: dict, record) -> dict:
@@ -373,9 +372,12 @@ def _cell_bounds(problem, f_hat: int, eng: dict, record) -> dict:
     except ParameterError:
         pass
     if eng["schedule"]["kind"] == "grad_cube" and eng["kappa"] > 0 and record.rows > 0:
-        out["grad_ceiling"] = bounds.grad_ceiling(
-            eng["kappa"], problem.L, eng["H"], eng["T"], float(record.loss_gap[0]), np.sqrt(problem.G2)
-        )
+        try:
+            out["grad_ceiling"] = bounds.grad_ceiling(
+                eng["kappa"], problem.L, eng["H"], eng["T"], float(record.loss_gap[0]), np.sqrt(problem.G2)
+            )
+        except ParameterError:
+            pass
     return out
 
 

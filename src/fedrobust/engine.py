@@ -24,6 +24,7 @@ import numpy as np
 
 from .aggregators import AggregatorSpec, aggregate
 from .attacks import AttackStrategy, byzantine_upload
+from .bounds import stepsize_constant
 from .errors import ParameterError
 from .problems import Problem, descend, honest_objective
 
@@ -51,18 +52,16 @@ class Schedule:
 def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: float = 0.0) -> float:
     """Stepsize for round ``t`` of a ``T``-round run.
 
-    grad_cube: 1/(c'*L*H*T^(1/3)) with c' = max(4*sqrt(2), sqrt(384*kappa));
+    grad_cube: 1/(c'*L*H*T^(1/3)) with c' = bounds.stepsize_constant(kappa);
     pl_power:  1/(c'*L*H*T^(1-beta));
     step_wise: gamma0 on [0, T/2), gamma0/10 on [T/2, 3T/4), gamma0/100 after.
     """
     if schedule.kind == "constant":
         return schedule.gamma
     if schedule.kind == "grad_cube":
-        c = max(4.0 * np.sqrt(2.0), np.sqrt(384.0 * kappa))
-        return 1.0 / (c * L * H * T ** (1.0 / 3.0))
+        return 1.0 / (stepsize_constant(kappa) * L * H * T ** (1.0 / 3.0))
     if schedule.kind == "pl_power":
-        c = max(4.0 * np.sqrt(2.0), np.sqrt(384.0 * kappa))
-        return 1.0 / (c * L * H * T ** (1.0 - schedule.beta))
+        return 1.0 / (stepsize_constant(kappa) * L * H * T ** (1.0 - schedule.beta))
     # step_wise, the one kind left: Schedule admits no other
     if t < T / 2:
         return schedule.gamma

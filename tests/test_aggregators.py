@@ -9,18 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedrobust import (
-    AggregatorSpec,
-    DimensionError,
-    ParameterError,
-    aggregate,
-    cwmed,
-    cwtm,
-    krum,
-    mean,
-    nnm,
-    weiszfeld,
-)
+from fedrobust import AggregatorSpec, DimensionError, ParameterError, aggregate, weiszfeld
+from fedrobust.aggregators import _cwtm, _krum_index, _nnm, stack_points
+
+MEAN = AggregatorSpec("mean")
+CWMED = AggregatorSpec("cwmed")
 
 
 # ---------------------------------------------------------------------------
@@ -86,24 +79,24 @@ def oracle_nnm(pts, f_hat):
 # mean
 
 def test_mean_examples():
-    assert mean([[0.0], [1.0], [2.0]]) == pytest.approx([1.0])
+    assert aggregate(MEAN, [[0.0], [1.0], [2.0]]) == pytest.approx([1.0])
     v = np.array([3.0, -2.0, 7.0])
-    assert np.array_equal(mean([v] * 5), v)
-    assert mean([[0.0, 2.0], [4.0, 0.0]]) == pytest.approx([2.0, 1.0])
+    assert np.array_equal(aggregate(MEAN, [v] * 5), v)
+    assert aggregate(MEAN, [[0.0, 2.0], [4.0, 0.0]]) == pytest.approx([2.0, 1.0])
 
 
 def test_mean_rejects_empty_and_mixed_dims():
     with pytest.raises(DimensionError):
-        mean([])
+        aggregate(MEAN, [])
     with pytest.raises((DimensionError, ValueError)):
-        mean([[1.0, 2.0], [1.0]])
+        aggregate(MEAN, [[1.0, 2.0], [1.0]])
 
 
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
-        mean([[np.nan], [1.0]])
+        aggregate(MEAN, [[np.nan], [1.0]])
     with pytest.raises(ValueError):
-        cwmed([np.inf, 1.0, 2.0])
+        aggregate(CWMED, [np.inf, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +104,11 @@ def test_rejects_non_finite():
 
 def test_cwtm_examples():
     values = [0.0, 0.0, 0.0, 1.0, 1.0]
-    assert cwtm(values, 1)[0] == oracle_trimmed_mean(values, 1) == pytest.approx(1 / 3)
-    assert cwtm(values, 2)[0] == oracle_trimmed_mean(values, 2) == 0.0
+    got = aggregate(AggregatorSpec("cwtm", f_hat=1), values)[0]
+    assert got == oracle_trimmed_mean(values, 1) == pytest.approx(1 / 3)
+    assert aggregate(AggregatorSpec("cwtm", f_hat=2), values)[0] == oracle_trimmed_mean(values, 2) == 0.0
     v = np.array([1.5, -2.0])
-    assert np.array_equal(cwtm([v] * 7, 3), v)
+    assert np.array_equal(aggregate(AggregatorSpec("cwtm", f_hat=3), [v] * 7), v)
 
 
 def test_cwtm_matches_oracle_per_coordinate():
@@ -124,30 +118,30 @@ def test_cwtm_matches_oracle_per_coordinate():
         d = int(rng.integers(1, 4))
         f_hat = int(rng.integers(0, (n - 1) // 2 + 1))
         pts = rng.normal(size=(n, d)) * 10
-        got = cwtm(pts, f_hat)
+        got = aggregate(AggregatorSpec("cwtm", f_hat=f_hat), pts)
         want = [oracle_trimmed_mean(pts[:, j].tolist(), f_hat) for j in range(d)]
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_cwtm_parameter_error():
     with pytest.raises(ParameterError):
-        cwtm([1.0, 2.0, 3.0, 4.0], 2)
+        aggregate(AggregatorSpec("cwtm", f_hat=2), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_cwtm_zero_trim_equals_mean():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(6, 3))
-    assert np.array_equal(cwtm(pts, 0), mean(pts))
+    assert np.array_equal(aggregate(AggregatorSpec("cwtm", f_hat=0), pts), aggregate(MEAN, pts))
 
 
 # ---------------------------------------------------------------------------
 # coordinate-wise median
 
 def test_cwmed_examples():
-    assert cwmed([0.0, 0.0, 1.0])[0] == oracle_median([0.0, 0.0, 1.0]) == 0.0
-    assert cwmed([0.0, 1.0, 2.0, 100.0])[0] == oracle_median([0.0, 1.0, 2.0, 100.0]) == 1.5
+    assert aggregate(CWMED, [0.0, 0.0, 1.0])[0] == oracle_median([0.0, 0.0, 1.0]) == 0.0
+    assert aggregate(CWMED, [0.0, 1.0, 2.0, 100.0])[0] == oracle_median([0.0, 1.0, 2.0, 100.0]) == 1.5
     v = np.array([0.25, 9.0])
-    assert np.array_equal(cwmed([v] * 4), v)
+    assert np.array_equal(aggregate(CWMED, [v] * 4), v)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +178,17 @@ def test_gm_reports_displacement():
 def test_krum_examples_against_oracle():
     pts = [0.0, 0.0, 0.0, 10.0]
     assert oracle_krum_index(pts, 1) == 0
-    assert krum(pts, 1)[0] == 0.0
+    assert aggregate(AggregatorSpec("krum", f_hat=1), pts)[0] == 0.0
     v = np.array([4.0, 4.0])
-    assert np.array_equal(krum([v] * 5, 2), v)
+    assert np.array_equal(aggregate(AggregatorSpec("krum", f_hat=2), [v] * 5), v)
     # Scores for the two distance conventions disagree on this instance:
     # squared selects the point 2, unsquared ties four ways and the lowest
     # index wins with point 1.  Both are pinned to the brute-force oracle.
     pts = [0.0, 1.0, 2.0, 9.0, 10.0, 11.0]
     assert oracle_krum_index(pts, 2, squared=True) == 2
-    assert krum(pts, 2, squared=True)[0] == 2.0
+    assert aggregate(AggregatorSpec("krum", f_hat=2, krum_squared=True), pts)[0] == 2.0
     assert oracle_krum_index(pts, 2, squared=False) == 1
-    assert krum(pts, 2, squared=False)[0] == 1.0
+    assert aggregate(AggregatorSpec("krum", f_hat=2, krum_squared=False), pts)[0] == 1.0
 
 
 def test_krum_brute_force_equivalence():
@@ -205,19 +199,20 @@ def test_krum_brute_force_equivalence():
         f_hat = int(rng.integers(0, (n - 1) // 2 + 1))
         pts = rng.integers(-5, 6, size=(n, d)).astype(float)
         for squared in (True, False):
-            assert np.array_equal(krum(pts, f_hat, squared), pts[oracle_krum_index(pts, f_hat, squared)])
+            spec = AggregatorSpec("krum", f_hat=f_hat, krum_squared=squared)
+            assert np.array_equal(aggregate(spec, pts), pts[oracle_krum_index(pts, f_hat, squared)])
 
 
 def test_krum_selection_property():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(7, 3))
-    out = krum(pts, 2)
+    out = aggregate(AggregatorSpec("krum", f_hat=2), pts)
     assert any(np.array_equal(out, p) for p in pts)
 
 
 def test_krum_parameter_error():
     with pytest.raises(ParameterError):
-        krum([1.0, 2.0, 3.0, 4.0], 2)
+        aggregate(AggregatorSpec("krum", f_hat=2), [1.0, 2.0, 3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +220,16 @@ def test_krum_parameter_error():
 
 def test_nnm_examples_against_oracle():
     pts = [0.0, 1.0, 10.0]
-    got = nnm(pts, 1)
+    got = _nnm(stack_points(pts), 1)
     assert np.array_equal(got, oracle_nnm([[0.0], [1.0], [10.0]], 1))
     assert got.ravel() == pytest.approx([0.5, 0.5, 5.5])
 
     rng = np.random.default_rng(5)
     cloud = rng.normal(size=(5, 2))
-    assert nnm(cloud, 0) == pytest.approx(np.tile(mean(cloud), (5, 1)), abs=1e-12)
+    assert _nnm(stack_points(cloud), 0) == pytest.approx(np.tile(aggregate(MEAN, cloud), (5, 1)), abs=1e-12)
 
     v = np.array([1.0, 2.0])
-    assert np.array_equal(nnm([v] * 4, 1), np.tile(v, (4, 1)))
+    assert np.array_equal(_nnm(stack_points([v] * 4), 1), np.tile(v, (4, 1)))
 
 
 def test_nnm_brute_force_equivalence():
@@ -244,7 +239,7 @@ def test_nnm_brute_force_equivalence():
         d = int(rng.integers(1, 3))
         f_hat = int(rng.integers(0, (n - 1) // 2 + 1))
         pts = rng.integers(-5, 6, size=(n, d)).astype(float)
-        assert np.array_equal(nnm(pts, f_hat), oracle_nnm(pts, f_hat))
+        assert np.array_equal(_nnm(stack_points(pts), f_hat), oracle_nnm(pts, f_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +274,54 @@ def test_aggregate_name_and_validation():
         aggregate(AggregatorSpec("cwmed", f_hat=3, pre_nnm=True), np.zeros((5, 2)))
 
 
+# The per-rule public functions that ``aggregate`` replaced, kept verbatim
+# as the oracle of the bitwise composition test below.
+
+def _check_f_hat(n: int, f_hat: int) -> None:
+    if not 0 <= f_hat < n / 2:
+        raise ParameterError(f"require 0 <= f_hat < n/2, got f_hat={f_hat} with n={n}")
+
+
+def mean(xs) -> np.ndarray:
+    """Coordinate-wise arithmetic mean."""
+    return stack_points(xs).mean(axis=0)
+
+
+def cwtm(xs, f_hat: int) -> np.ndarray:
+    """Coordinate-wise trimmed mean.
+
+    Per coordinate, drops the f_hat smallest and f_hat largest values and
+    averages the n - 2*f_hat that remain.
+    """
+    pts = stack_points(xs)
+    _check_f_hat(pts.shape[0], f_hat)
+    return _cwtm(pts, f_hat)
+
+
+def cwmed(xs) -> np.ndarray:
+    """Coordinate-wise median (midpoint of the two central order statistics
+    for even counts)."""
+    return np.median(stack_points(xs), axis=0)
+
+
+def krum(xs, f_hat: int, squared: bool = True) -> np.ndarray:
+    """Krum selection rule: returns the input point with the smallest summed
+    distance to its n - f_hat nearest neighbours (ties to the lowest index)."""
+    pts = stack_points(xs)
+    _check_f_hat(pts.shape[0], f_hat)
+    return pts[_krum_index(pts, f_hat, squared)].copy()
+
+
+def nnm(xs, f_hat: int) -> np.ndarray:
+    """Nearest-neighbour mixing: replaces each point by the mean of its
+    n - f_hat nearest neighbours (self included).  Returns an (n, d) matrix."""
+    pts = stack_points(xs)
+    _check_f_hat(pts.shape[0], f_hat)
+    return _nnm(pts, f_hat)
+
+
 def composed_aggregate(spec, xs):
-    """``aggregate`` as a composition of the public rule functions, each
+    """``aggregate`` as a composition of the per-rule functions above, each
     validating its own input."""
     pts = np.asarray(xs, dtype=float)
     if spec.pre_nnm:
@@ -315,15 +356,9 @@ def test_aggregate_matches_public_rule_composition_bitwise():
 def test_every_public_rule_validates_its_input():
     nan_points = np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]])
     cube = np.zeros((5, 2, 2))
-    rules = (
-        mean,
-        cwmed,
-        lambda xs: cwtm(xs, 1),
-        lambda xs: krum(xs, 1),
-        lambda xs: nnm(xs, 1),
-        weiszfeld,
-        lambda xs: aggregate(AggregatorSpec("krum", f_hat=1, pre_nnm=True), xs),
-    )
+    specs = [AggregatorSpec(kind, f_hat=1) for kind in ("mean", "cwtm", "cwmed", "gm", "krum")]
+    specs.append(AggregatorSpec("krum", f_hat=1, pre_nnm=True))
+    rules = [weiszfeld] + [lambda xs, spec=spec: aggregate(spec, xs) for spec in specs]
     for rule in rules:
         with pytest.raises(ValueError):
             rule(nan_points)
@@ -376,8 +411,10 @@ def test_translation_equivariance_selection_rules(pts, f_hat_seed, shift):
     f_hat = f_hat_seed % ((n - 1) // 2 + 1)
     c = float(shift) * np.ones(pts.shape[1])
     scale = max(1.0, np.abs(pts).max(), abs(float(shift)))
-    assert np.array_equal(krum(pts + c, f_hat), krum(pts, f_hat) + c)
-    assert nnm(pts + c, f_hat) == pytest.approx(nnm(pts, f_hat) + c, abs=1e-12 * scale)
+    krum_spec = AggregatorSpec("krum", f_hat=f_hat)
+    assert np.array_equal(aggregate(krum_spec, pts + c), aggregate(krum_spec, pts) + c)
+    mixed = _nnm(stack_points(pts), f_hat)
+    assert _nnm(stack_points(pts + c), f_hat) == pytest.approx(mixed + c, abs=1e-12 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,9 +424,8 @@ def test_translation_equivariance_averaging_rules(pts, f_hat_seed, shift):
     f_hat = f_hat_seed % ((n - 1) // 2 + 1)
     c = shift * np.ones(pts.shape[1])
     scale = max(1.0, np.abs(pts).max(), abs(shift))
-    assert mean(pts + c) == pytest.approx(mean(pts) + c, abs=1e-12 * scale)
-    assert cwtm(pts + c, f_hat) == pytest.approx(cwtm(pts, f_hat) + c, abs=1e-12 * scale)
-    assert cwmed(pts + c) == pytest.approx(cwmed(pts) + c, abs=1e-12 * scale)
+    for spec in (MEAN, AggregatorSpec("cwtm", f_hat=f_hat), CWMED):
+        assert aggregate(spec, pts + c) == pytest.approx(aggregate(spec, pts) + c, abs=1e-12 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,9 +434,8 @@ def test_positive_scaling_equivariance(pts, f_hat_seed, alpha):
     n = pts.shape[0]
     f_hat = f_hat_seed % ((n - 1) // 2 + 1)
     scale = max(1.0, alpha * np.abs(pts).max())
-    assert mean(alpha * pts) == pytest.approx(alpha * mean(pts), abs=1e-12 * scale)
-    assert cwtm(alpha * pts, f_hat) == pytest.approx(alpha * cwtm(pts, f_hat), abs=1e-12 * scale)
-    assert cwmed(alpha * pts) == pytest.approx(alpha * cwmed(pts), abs=1e-12 * scale)
+    for spec in (MEAN, AggregatorSpec("cwtm", f_hat=f_hat), CWMED):
+        assert aggregate(spec, alpha * pts) == pytest.approx(alpha * aggregate(spec, pts), abs=1e-12 * scale)
 
 
 @settings(max_examples=40, deadline=None)
@@ -410,8 +445,9 @@ def test_scaling_equivariance_selection_rules(pts, f_hat_seed, alpha):
     # unchanged and outputs scale exactly.
     n = pts.shape[0]
     f_hat = f_hat_seed % ((n - 1) // 2 + 1)
-    assert np.array_equal(krum(alpha * pts, f_hat), alpha * krum(pts, f_hat))
-    assert np.array_equal(nnm(alpha * pts, f_hat), alpha * nnm(pts, f_hat))
+    krum_spec = AggregatorSpec("krum", f_hat=f_hat)
+    assert np.array_equal(aggregate(krum_spec, alpha * pts), alpha * aggregate(krum_spec, pts))
+    assert np.array_equal(_nnm(stack_points(alpha * pts), f_hat), alpha * _nnm(stack_points(pts), f_hat))
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,9 +459,10 @@ def test_permutation_invariance_averaging_rules(pts, perm_seed):
     scale = max(1.0, np.abs(pts).max())
     # mean is only order-invariant up to summation rounding; the sorting
     # rules are bitwise identical.
-    assert mean(pts[perm]) == pytest.approx(mean(pts), abs=1e-12 * scale)
-    assert np.array_equal(cwtm(pts[perm], f_hat), cwtm(pts, f_hat))
-    assert np.array_equal(cwmed(pts[perm]), cwmed(pts))
+    assert aggregate(MEAN, pts[perm]) == pytest.approx(aggregate(MEAN, pts), abs=1e-12 * scale)
+    cwtm_spec = AggregatorSpec("cwtm", f_hat=f_hat)
+    assert np.array_equal(aggregate(cwtm_spec, pts[perm]), aggregate(cwtm_spec, pts))
+    assert np.array_equal(aggregate(CWMED, pts[perm]), aggregate(CWMED, pts))
     assert weiszfeld(pts[perm]).point == pytest.approx(weiszfeld(pts).point, abs=1e-6 * scale)
 
 
@@ -444,8 +481,10 @@ def test_permutation_invariance_selection_rules_tie_free(pts, perm_seed):
     if n > 1 and scores[0] == scores[1]:
         return
     perm = np.random.default_rng(perm_seed).permutation(n)
-    assert np.array_equal(krum(pts[perm], f_hat), krum(pts, f_hat))
-    assert np.array_equal(np.sort(nnm(pts[perm], f_hat), axis=0), np.sort(nnm(pts, f_hat), axis=0))
+    krum_spec = AggregatorSpec("krum", f_hat=f_hat)
+    assert np.array_equal(aggregate(krum_spec, pts[perm]), aggregate(krum_spec, pts))
+    mixed = _nnm(stack_points(pts), f_hat)
+    assert np.array_equal(np.sort(_nnm(stack_points(pts[perm]), f_hat), axis=0), np.sort(mixed, axis=0))
 
 
 def test_gm_translation_and_scaling_within_tolerance():

@@ -179,6 +179,11 @@ def test_empirical_kappa_sampled_path():
 def test_empirical_kappa_parameter_error():
     with pytest.raises(ParameterError):
         empirical_kappa(AggregatorSpec("cwmed"), np.zeros((4, 1)), f=2)
+    # A budget of 0 would audit only the two anchor subsets; -1 would fail
+    # inside numpy.
+    for budget in (0, -1):
+        with pytest.raises(ParameterError, match="subset_budget"):
+            empirical_kappa(AggregatorSpec("cwmed"), np.arange(8.0).reshape(4, 2), f=1, subset_budget=budget)
 
 
 def audit_specs(f_hat):

@@ -113,6 +113,9 @@ def test_grad_ceiling_examples():
 
     assert grad_ceiling(1.0, 1.0, 1, 100, 0.0, 0.0) == 0.0
 
+    with pytest.raises(ParameterError):
+        grad_ceiling(1.0, 1.0, 1, 0, 1.0, 1.0)  # no rounds
+
 
 def test_gap_ceiling_examples():
     far = gap_ceiling(kappa=8 / 3, L=1.0, mu=1.0, H=1, T=10 ** 12, beta=0.5, loss_gap0=1.0, G=1.0)
@@ -125,4 +128,6 @@ def test_gap_ceiling_examples():
         gap_ceiling(1.0, 1.0, 1.0, 1, 100, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
         gap_ceiling(1.0, 1.0, 0.0, 1, 100, 0.5, 1.0, 1.0)
+    with pytest.raises(ParameterError):
+        gap_ceiling(1.0, 1.0, 1.0, 1, 0, 0.5, 1.0, 1.0)  # no rounds
 

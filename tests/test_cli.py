@@ -4,6 +4,7 @@ import copy
 import hashlib
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fedrobust
 from fedrobust import ConfigError, RunConfig, problems, random_quadratic_problem
 from fedrobust.cli import (
     CONFIG_KINDS,
@@ -287,6 +289,23 @@ def test_report_flags_and_divergence_handling(tmp_path):
     assert "n/a" in (tmp_path / "rep2" / "report.txt").read_text()
 
 
+def test_zero_round_cell_has_no_ceiling_and_writes_strict_json(tmp_path):
+    config = dict(MINIMAL_SIMULATE, engine={"T": 0, "kappa": 1.0, "schedule": {"kind": "grad_cube"}})
+    path = tmp_path / "t0.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res"), "--quiet"]) == 0
+    report(tmp_path / "res", tmp_path / "rep", quiet=True)
+
+    def strict(text):
+        return json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+
+    summary = strict((tmp_path / "res" / "summary.json").read_text())
+    assert summary["cells"][0]["bounds"]["grad_ceiling"] is None
+    cell = strict((tmp_path / "rep" / "report.json").read_text())["cells"][0]
+    assert cell["grad_ceiling"] is None
+    assert cell["status"] == "pass"
+
+
 def test_report_missing_column_is_schema_error(tmp_path):
     out = tmp_path / "res"
     out.mkdir()
@@ -357,10 +376,13 @@ def test_seed_override(tmp_path):
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SWEEP_TEMPLATE))
+    # the child imports the package this test imported, installed or not
+    paths = [str(Path(fedrobust.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "fedrobust.cli", "sweep", "--config", str(cfg),
          "--out", str(tmp_path / "o"), "--quiet"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "results.csv").read_text() == GOLDEN_CSV
