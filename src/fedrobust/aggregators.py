@@ -13,6 +13,7 @@ n points in R^1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,18 +81,54 @@ def _cwtm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     return ordered[f_hat : n - f_hat].mean(axis=0)
 
 
-def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
-    """Iteratively reweighted solver for the geometric median.
+def _data_point_median(pts: np.ndarray) -> np.ndarray | None:
+    """The input row that passes Kuhn's test (see :func:`weiszfeld`), or None.
 
-    Starts from the coordinate-wise median and stops when the per-step
-    displacement falls below ``tol`` or after ``max_iters`` steps.  When the
-    iterate coincides with an input point the singular 1/distance weight is
-    avoided by perturbing the iterate by tol times the data scale; this also
-    lets the iteration escape a non-optimal anchor point.
+    R_j must fall short of m_j by more than a bound on its rounding error,
+    so a tie fails.  Differences are taken between halved rows and divided
+    by their largest component before their lengths, so nothing overflows
+    or underflows to a false zero length.
+    """
+    n, d = pts.shape
+    half = 0.5 * pts
+    diff = half[None, :, :] - half[:, None, :]  # diff[j, i] = (x_i - x_j) / 2
+    span = np.maximum.reduce(np.abs(diff), axis=2)
+    same = span == 0.0
+    span[same] = 1.0
+    v = diff / span[:, :, None]
+    length = np.sqrt(np.add.reduce(v * v, axis=2))  # in [1, sqrt(d)]
+    length[same] = 1.0  # v is zero there, so coincident rows add nothing
+    pull = np.add.reduce(v / length[:, :, None], axis=1)
+    r = np.sqrt(np.add.reduce(pull * pull, axis=1))
+    margin = n * (n + 2 * d + 6) * np.finfo(np.float64).eps
+    hits = np.flatnonzero(r < np.add.reduce(same, axis=1) - margin)
+    return pts[hits[0]].copy() if hits.size else None
+
+
+def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
+    """Geometric median: an exact data-point test, then Weiszfeld's
+    iteratively reweighted solver.
+
+    Kuhn's test comes first: coincident rows form one point x_j of
+    multiplicity m_j, and R_j is the length of the sum of the unit vectors
+    from x_j to every other row.  If R_j < m_j (strictly; a tie, such as
+    either central point of an even 1-d cloud, fails), x_j is the unique
+    geometric median and is returned exactly as ``WeiszfeldResult(x_j, 0.0,
+    0)``: ``iterations == 0`` means no iteration ran.
+
+    Otherwise the solver starts from the coordinate-wise median and stops
+    when the per-step displacement falls below ``tol`` or after
+    ``max_iters`` steps.  When the iterate coincides with an input point the
+    singular 1/distance weight is avoided by perturbing the iterate by tol
+    times the data scale; this also lets the iteration escape a non-optimal
+    anchor point.
     """
     pts = stack_points(xs)
     if tol <= 0:
         raise ParameterError("tol must be positive")
+    anchor = _data_point_median(pts)
+    if anchor is not None:
+        return WeiszfeldResult(anchor, 0.0, 0)
     n, d = pts.shape
     z = np.median(pts, axis=0)
     scale = max(1.0, float(np.abs(pts).max()))
@@ -99,15 +136,18 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     displacement = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        dist = np.linalg.norm(pts - z, axis=1)
-        if dist.max() == 0.0:
-            return WeiszfeldResult(z, 0.0, iterations)  # every point equals z
-        if dist.min() == 0.0:
+        diff = pts - z
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        if np.minimum.reduce(dist) == 0.0:
+            if np.maximum.reduce(dist) == 0.0:
+                return WeiszfeldResult(z, 0.0, iterations)  # every point equals z
             z = z + nudge
-            dist = np.linalg.norm(pts - z, axis=1)
+            diff = pts - z
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         weights = 1.0 / np.maximum(dist, 1e-300)
-        z_new = weights @ pts / weights.sum()
-        displacement = float(np.linalg.norm(z_new - z))
+        z_new = weights @ pts / np.add.reduce(weights)
+        step = z_new - z
+        displacement = math.sqrt(step @ step)
         z = z_new
         if displacement < tol:
             break
@@ -147,7 +187,9 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
     - cwmed: the coordinate-wise median, the midpoint of the two central
       values for even n.
     - gm: the geometric median by :func:`weiszfeld`, with the spec's
-      ``gm_tolerance`` and ``gm_max_iters``.
+      ``gm_tolerance`` and ``gm_max_iters``.  An input point whose
+      multiplicity strictly exceeds the pull of the other points (Kuhn's
+      test; a tie does not count) is returned exactly, with no iteration.
     - krum: the input point with the smallest summed distance to its
       n - f_hat nearest neighbours; squared distances unless
       ``krum_squared`` is false; ties go to the lowest index.

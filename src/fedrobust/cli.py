@@ -228,6 +228,9 @@ def _normalize_engine(section, errors) -> dict:
     for key, lo in (("T", 0), ("H", 1), ("kappa", 0)):
         if out[key] is not _INVALID and out[key] < lo:
             errors.append(f"engine.{key} = {out[key]!r} violates {lo} <= {key}")
+    kappa = out["kappa"]
+    if kappa is not _INVALID and kappa >= 0 and not np.isfinite(bounds.stepsize_constant(kappa)):
+        errors.append(f"engine.kappa = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
     return out
 
 

@@ -97,6 +97,8 @@ class RunConfig:
             raise ParameterError("aggregator f_hat must satisfy 0 <= f_hat < n/2")
         if self.kappa < 0:
             raise ParameterError("kappa must be >= 0")
+        if not np.isfinite(stepsize_constant(self.kappa)):
+            raise ParameterError("kappa overflows the stepsize constant sqrt(384*kappa)")
         if self.attack.kind == "fixed_vector" and np.atleast_1d(self.attack.vector).shape != (self.problem.d,):
             raise ParameterError(f"attack vector must have dimension {self.problem.d}")
 

@@ -188,11 +188,25 @@ PINNED_SWEEPS = [
         ({"kind": "fixed_vector", "vector": [1.0, -2.0, 0.5]},
          "e7499cf68fb19d5659ad3cacad9d9f6a60d13a310d0fdb75aeaa005185529bce"),
     )
+] + [
+    # GM after NNM under noise, recorded with Weiszfeld's data-point test: in
+    # 5 of the 8 cells some round's mixed cloud has an input row as its median
+    ({
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "random_quadratic", "n": 10, "f": 2, "d": 5,
+                    "G_target": 1.0, "radius": 5.0},
+        "aggregator": {"kind": "gm", "pre_nnm": True},
+        "attack": {"kind": "gaussian_noise", "variance": 5.0},
+        "engine": {"T": 50, "H": 1,
+                   "schedule": {"kind": "constant", "gamma": 0.01}, "w0": 1.0},
+        "grid": {"f_hat": [2, 3], "f": [1, 2], "seeds": [0, 1]},
+    }, "d0e7ce54121c604e870e1a81f690e7d38a5901f415a5b3ddff0206aa81aea716"),
 ]
 
 
 @pytest.mark.parametrize("config,sha256", PINNED_SWEEPS,
-                         ids=["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector"])
+                         ids=["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector", "gm_nnm"])
 def test_results_csv_sha256_is_pinned(tmp_path, config, sha256):
     assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256
@@ -304,6 +318,21 @@ def test_zero_round_cell_has_no_ceiling_and_writes_strict_json(tmp_path):
     cell = strict((tmp_path / "rep" / "report.json").read_text())["cells"][0]
     assert cell["grad_ceiling"] is None
     assert cell["status"] == "pass"
+
+
+def test_kappa_overflowing_the_stepsize_constant_is_config_error(tmp_path):
+    # c' = sqrt(384*kappa) would be inf, and the grad_cube ceiling inf * 0 = NaN
+    config = dict(MINIMAL_SIMULATE, engine={"T": 1, "kappa": 1e307, "schedule": {"kind": "grad_cube"}})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == ["engine.kappa = 1e+307 overflows the stepsize constant sqrt(384*kappa)"]
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res"), "--quiet"]) == 1
+    assert not (tmp_path / "res").exists()
+    config["engine"]["kappa"] = 1e300
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res"), "--quiet"]) == 0
 
 
 def test_report_missing_column_is_schema_error(tmp_path):

@@ -207,6 +207,19 @@ def test_runaway_overflow_is_silent_divergence(agg, attack, w0, diverged_round, 
     assert len(record.agg_deviation) == deviations
 
 
+def test_gm_ignores_an_overflowing_minority():
+    # The three honest uploads coincide, so GM returns them exactly and the
+    # two uploads at 1e200 never enter a norm; the run equals the attack-free one.
+    attacked = dataclasses.replace(runaway_config("gm", AttackStrategy("fixed_vector", vector=(1e200,)), 1.0), T=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        record = run(attacked)
+    assert not record.diverged and record.rows == 201
+    honest = run(dataclasses.replace(attacked, attack=AttackStrategy("honest_mimic")))
+    assert np.array_equal(record.iterates, honest.iterates)
+    assert np.array_equal(record.agg_deviation, honest.agg_deviation)
+
+
 def test_attack_layer_called_once_per_round(monkeypatch):
     rounds = []
 
@@ -432,6 +445,9 @@ def test_run_config_validation():
     with pytest.raises(ParameterError):
         RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
                   attack=AttackStrategy("honest_mimic"), T=-1)
+    with pytest.raises(ParameterError, match="kappa"):
+        RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
+                  attack=AttackStrategy("honest_mimic"), T=1, kappa=1e307)
 
 
 def test_fixed_vector_dimension_checked():
