@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 KINDS = ("mean", "cwtm", "cwmed", "gm", "krum")
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,51 @@ def _data_point_median(pts: np.ndarray) -> np.ndarray | None:
     length[same] = 1.0  # v is zero there, so coincident rows add nothing
     pull = np.add.reduce(v / length[:, :, None], axis=1)
     r = np.sqrt(np.add.reduce(pull * pull, axis=1))
-    margin = n * (n + 2 * d + 6) * np.finfo(np.float64).eps
+    margin = n * (n + 2 * d + 6) * _EPS
     hits = np.flatnonzero(r < np.add.reduce(same, axis=1) - margin)
     return pts[hits[0]].copy() if hits.size else None
 
 
+def _offsets(y: np.ndarray, z: np.ndarray):
+    """The offsets y_i - z and their lengths."""
+    diff = y - z
+    return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
+def _lowers(diff: np.ndarray, dist: np.ndarray, s: np.ndarray, new_dist: np.ndarray) -> bool:
+    """Whether f(z + s) < f(z), for f(z) = sum_i ||y_i - z||, by more than
+    the rounding error of the computed change, given the offsets y_i - z,
+    their lengths d_i and the lengths d'_i at z + s.  Each term of the change
+    is (d'^2 - d^2)/(d' + d) with d'^2 - d^2 = s.s - 2 (y_i - z).s, so it
+    keeps its precision next to the minimum, where f is flat to rounding."""
+    terms = (s @ s - 2.0 * (diff @ s)) / (dist + new_dist)
+    n, d = diff.shape
+    return np.add.reduce(terms) < -2 * (n + d) * _EPS * np.add.reduce(np.abs(terms))
+
+
+def _pull_of_others(diff: np.ndarray, dist: np.ndarray, merge: float):
+    """How many rows lie within ``merge`` of z, the weights 1/d_i of the
+    others, and the sum of their unit vectors."""
+    at = dist <= merge
+    weights = 1.0 / dist[~at]
+    return int(np.add.reduce(at)), weights, np.add.reduce(diff[~at] * weights[:, None], axis=0)
+
+
+def _newton_step(u: np.ndarray, weights: np.ndarray, dist: np.ndarray, pull: np.ndarray) -> np.ndarray:
+    """H^-1 p for H = sum_i w_i (I - u_i u_i^T), from the d x d system, or
+    from an n x n one (Woodbury's identity) when there are fewer rows than
+    coordinates.  Raises LinAlgError for a singular H."""
+    n, d = u.shape
+    total = np.add.reduce(weights)
+    if d <= n:
+        return np.linalg.solve(total * np.eye(d) - (u.T * weights) @ u, pull)
+    return (pull + u.T @ np.linalg.solve(np.diag(dist) - u @ u.T / total, u @ pull) / total) / total
+
+
 def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
-    """Geometric median: an exact data-point test, then Weiszfeld's
-    iteratively reweighted solver.
+    """Geometric median: Kuhn's exact data-point test, then a safeguarded
+    Newton iteration on f(z) = sum_i ||z - x_i|| with Weiszfeld's step as its
+    fallback.
 
     Kuhn's test comes first: coincident rows form one point x_j of
     multiplicity m_j, and R_j is the length of the sum of the unit vectors
@@ -116,12 +154,25 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     geometric median and is returned exactly as ``WeiszfeldResult(x_j, 0.0,
     0)``: ``iterations == 0`` means no iteration ran.
 
-    Otherwise the solver starts from the coordinate-wise median and stops
-    when the per-step displacement falls below ``tol`` or after
-    ``max_iters`` steps.  When the iterate coincides with an input point the
-    singular 1/distance weight is avoided by perturbing the iterate by tol
-    times the data scale; this also lets the iteration escape a non-optimal
-    anchor point.
+    Otherwise the solver works on the cloud shifted by its coordinate-wise
+    median and divided by a power of two, so the scaling is exact and no
+    distance overflows, and starts from that median.  Each iteration forms
+    the weights w_i = 1/d_i, the unit vectors u_i = (x_i - z)/d_i, the pull
+    p = sum_i u_i and the Hessian H = sum_i w_i (I - u_i u_i^T).  It takes
+    the Newton step H^-1 p if that is finite, no longer than the largest d_i
+    (the median lies in the convex hull) and lowers f by more than the
+    rounding error of the change.  Otherwise it returns the nearest row if
+    Kuhn's test passes there, and else takes Weiszfeld's step
+    p / sum_i w_i, which always descends; this covers d = 1, collinear
+    clouds and a singular H.
+
+    Rows nearer the iterate than the rounding error of the data count as m
+    rows at the iterate.  There the step is that of Vardi & Zhang (PNAS
+    2000): Weiszfeld's step over the other rows, shortened by the factor
+    1 - m/||p||; if ||p|| <= m those rows are a median and the solver stops.
+    Otherwise it stops when a step is shorter than ``tol`` or after
+    ``max_iters`` steps.  ``displacement`` is the last step's length, 0.0
+    after a stop at a row.
     """
     pts = stack_points(xs)
     if tol <= 0:
@@ -130,28 +181,55 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     if anchor is not None:
         return WeiszfeldResult(anchor, 0.0, 0)
     n, d = pts.shape
-    z = np.median(pts, axis=0)
-    scale = max(1.0, float(np.abs(pts).max()))
-    nudge = tol * scale / np.sqrt(d)
-    displacement = 0.0
+    ordered = np.sort(pts, axis=0)
+    center = 0.5 * ordered[(n - 1) // 2] + 0.5 * ordered[n // 2]  # the coordinate-wise median
+    half = 0.5 * pts - 0.5 * center  # (x_i - center) / 2, which cannot overflow
+    exponent = math.frexp(float(np.maximum.reduce(np.abs(half), axis=None)))[1]
+    scale = math.ldexp(1.0, min(exponent, 1023))
+    # y_i = (x_i - center) / (2 * scale) has coordinates in (-1, 1); lengths
+    # in y are lengths in x divided by 2 * scale
+    y = half / scale
+    tol_y = tol / scale / 2.0
+    merge = n * d * _EPS * float(np.maximum.reduce(np.abs(pts), axis=None)) / scale / 2.0
+    margin = n * (n + 2 * d + 6) * _EPS  # Kuhn's test's bound on the rounding error of R_j
+    z = np.zeros(d)
+    diff, dist = _offsets(y, z)
+    step = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        diff = pts - z
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        if np.minimum.reduce(dist) == 0.0:
-            if np.maximum.reduce(dist) == 0.0:
-                return WeiszfeldResult(z, 0.0, iterations)  # every point equals z
-            z = z + nudge
-            diff = pts - z
-            dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        weights = 1.0 / np.maximum(dist, 1e-300)
-        z_new = weights @ pts / np.add.reduce(weights)
-        step = z_new - z
-        displacement = math.sqrt(step @ step)
-        z = z_new
-        if displacement < tol:
+        if np.minimum.reduce(dist) <= merge:
+            m, weights, pull = _pull_of_others(diff, dist, merge)
+            r = math.sqrt(pull @ pull)
+            if r <= m:
+                step = 0.0
+                break
+            s = (1.0 - m / r) / np.add.reduce(weights) * pull
+            new = _offsets(y, z + s)
+        else:
+            weights = 1.0 / dist
+            u = diff * weights[:, None]
+            pull = np.add.reduce(u, axis=0)
+            try:
+                s = _newton_step(u, weights, dist, pull)
+                newton = math.hypot(*s) <= np.maximum.reduce(dist)  # False for inf or NaN
+            except np.linalg.LinAlgError:  # a singular H
+                newton = False
+            if newton:
+                new = _offsets(y, z + s)
+                newton = _lowers(diff, dist, s, new[1])
+            if not newton:
+                k = np.argmin(dist)
+                m, _, pull_there = _pull_of_others(*_offsets(y, y[k]), merge)
+                if math.sqrt(pull_there @ pull_there) < m - margin:  # Kuhn's test at row k
+                    return WeiszfeldResult(pts[k].copy(), 0.0, iterations)
+                s = pull / np.add.reduce(weights)
+                new = _offsets(y, z + s)
+        step = math.sqrt(s @ s)
+        z = z + s
+        diff, dist = new
+        if step < tol_y:
             break
-    return WeiszfeldResult(z, displacement, iterations)
+    return WeiszfeldResult(center + scale * (2.0 * z), step * 2.0 * scale, iterations)
 
 
 def _sq_distance_matrix(pts: np.ndarray) -> np.ndarray:
@@ -190,6 +268,8 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
       ``gm_tolerance`` and ``gm_max_iters``.  An input point whose
       multiplicity strictly exceeds the pull of the other points (Kuhn's
       test; a tie does not count) is returned exactly, with no iteration.
+      Otherwise a Newton iteration runs, with Weiszfeld's step as its
+      fallback wherever the Newton step does not descend.
     - krum: the input point with the smallest summed distance to its
       n - f_hat nearest neighbours; squared distances unless
       ``krum_squared`` is false; ties go to the lowest index.

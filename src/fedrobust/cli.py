@@ -376,11 +376,15 @@ def _cell_bounds(problem, f_hat: int, eng: dict, record) -> dict:
         pass
     if eng["schedule"]["kind"] == "grad_cube" and eng["kappa"] > 0 and record.rows > 0:
         try:
-            out["grad_ceiling"] = bounds.grad_ceiling(
-                eng["kappa"], problem.L, eng["H"], eng["T"], float(record.loss_gap[0]), np.sqrt(problem.G2)
-            )
+            with np.errstate(over="ignore"):
+                ceiling = bounds.grad_ceiling(
+                    eng["kappa"], problem.L, eng["H"], eng["T"], float(record.loss_gap[0]), np.sqrt(problem.G2)
+                )
         except ParameterError:
             pass
+        else:
+            # a ceiling that overflows bounds nothing, and strict JSON cannot hold inf
+            out["grad_ceiling"] = ceiling if np.isfinite(ceiling) else None
     return out
 
 

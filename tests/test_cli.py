@@ -11,10 +11,11 @@ import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedrobust
-from fedrobust import ConfigError, RunConfig, problems, random_quadratic_problem
+from fedrobust import ConfigError, RunConfig, aggregators, problems, random_quadratic_problem, run
 from fedrobust.cli import (
     CONFIG_KINDS,
     PROBLEM_KINDS,
@@ -28,6 +29,7 @@ from fedrobust.cli import (
     run_sweep,
 )
 from fedrobust.engine import config_digest
+from test_aggregators import oracle_weiszfeld
 
 MINIMAL_SIMULATE = {
     "schema_version": 1,
@@ -189,8 +191,10 @@ PINNED_SWEEPS = [
          "e7499cf68fb19d5659ad3cacad9d9f6a60d13a310d0fdb75aeaa005185529bce"),
     )
 ] + [
-    # GM after NNM under noise, recorded with Weiszfeld's data-point test: in
-    # 5 of the 8 cells some round's mixed cloud has an input row as its median
+    # GM after NNM under noise, recorded with the Newton-safeguarded solver
+    # (test_gm_nnm_sweep_stays_next_to_the_oracle_solver bounds its distance
+    # from the plain Weiszfeld iteration); in 5 of the 8 cells some round's
+    # mixed cloud has an input row as its median
     ({
         "schema_version": 1,
         "kind": "sweep",
@@ -201,7 +205,7 @@ PINNED_SWEEPS = [
         "engine": {"T": 50, "H": 1,
                    "schedule": {"kind": "constant", "gamma": 0.01}, "w0": 1.0},
         "grid": {"f_hat": [2, 3], "f": [1, 2], "seeds": [0, 1]},
-    }, "d0e7ce54121c604e870e1a81f690e7d38a5901f415a5b3ddff0206aa81aea716"),
+    }, "eda0e6d0700348a46e96dd8898cd38a39312d8067d3839ee732e483124c4ff8f"),
 ]
 
 
@@ -210,6 +214,18 @@ PINNED_SWEEPS = [
 def test_results_csv_sha256_is_pinned(tmp_path, config, sha256):
     assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256
+
+
+def test_gm_nnm_sweep_stays_next_to_the_oracle_solver(monkeypatch):
+    cfg = parse_config(json.dumps(PINNED_SWEEPS[-1][0]))
+    configs = [_build_run_config(cfg.normalized, *cell) for cell in _cells(cfg)]
+    records = [run(config) for config in configs]
+    monkeypatch.setattr(aggregators, "weiszfeld", oracle_weiszfeld)
+    for config, record in zip(configs, records):
+        want = run(config)
+        assert not record.diverged and not want.diverged
+        assert np.abs(record.iterates - want.iterates).max() <= 1e-5
+        assert record.grad_metric == pytest.approx(want.grad_metric, rel=1e-5)
 
 
 def test_sweep_repeats_byte_identical(tmp_path):
@@ -333,6 +349,23 @@ def test_kappa_overflowing_the_stepsize_constant_is_config_error(tmp_path):
     config["engine"]["kappa"] = 1e300
     path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res"), "--quiet"]) == 0
+
+
+def test_grad_ceiling_that_overflows_is_written_as_null(tmp_path):
+    # c' is finite here, but 90 * kappa * G^2 overflows
+    config = {
+        "schema_version": 1,
+        "kind": "simulate",
+        "problem": {"kind": "random_quadratic", "n": 4, "f": 1, "d": 2, "G_target": 10.0, "seed": 0},
+        "aggregator": {"kind": "cwtm", "f_hat": 1},
+        "attack": {"kind": "honest_mimic"},
+        "engine": {"T": 1, "kappa": 4e305, "schedule": {"kind": "grad_cube"}},
+    }
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+    assert summary["cells"][0]["bounds"]["grad_ceiling"] is None
 
 
 def test_report_missing_column_is_schema_error(tmp_path):
