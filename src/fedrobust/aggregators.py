@@ -82,27 +82,32 @@ def _cwtm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     return ordered[f_hat : n - f_hat].mean(axis=0)
 
 
-def _data_point_median(pts: np.ndarray) -> np.ndarray | None:
-    """The input row that passes Kuhn's test (see :func:`weiszfeld`), or None.
+def _kuhn(diff: np.ndarray, merge: float = 0.0) -> np.ndarray:
+    """Kuhn's test (see :func:`weiszfeld`) at a point x, given the offsets
+    x_i - x of every row along the last two axes of ``diff``.
 
-    R_j must fall short of m_j by more than a bound on its rounding error,
-    so a tie fails.  Differences are taken between halved rows and divided
-    by their largest component before their lengths, so nothing overflows
-    or underflows to a false zero length.
+    Rows no farther than ``merge`` from x count as m rows at x, and R is the
+    length of the sum of the unit vectors to the others.  R must fall short
+    of m by more than a bound on its rounding error, so a tie fails.  Each
+    offset is divided by its largest component before its length, so
+    nothing overflows or underflows to a false zero length.
     """
-    n, d = pts.shape
+    n, d = diff.shape[-2:]
+    span = np.maximum.reduce(np.abs(diff), axis=-1)
+    v = diff / np.where(span == 0.0, 1.0, span)[..., None]
+    length = np.sqrt(np.add.reduce(v * v, axis=-1))  # in [1, sqrt(d)], or 0 where span is
+    at = span <= merge / np.maximum(length, 1.0)
+    length[at] = np.inf  # the rows at x add nothing to R
+    pull = np.add.reduce(v / length[..., None], axis=-2)
+    r = np.sqrt(np.add.reduce(pull * pull, axis=-1))
+    return r < np.add.reduce(at, axis=-1) - n * (n + 2 * d + 6) * _EPS
+
+
+def _data_point_median(pts: np.ndarray) -> np.ndarray | None:
+    """The first input row that passes Kuhn's test, or None.  Offsets are
+    taken between halved rows, so they cannot overflow."""
     half = 0.5 * pts
-    diff = half[None, :, :] - half[:, None, :]  # diff[j, i] = (x_i - x_j) / 2
-    span = np.maximum.reduce(np.abs(diff), axis=2)
-    same = span == 0.0
-    span[same] = 1.0
-    v = diff / span[:, :, None]
-    length = np.sqrt(np.add.reduce(v * v, axis=2))  # in [1, sqrt(d)]
-    length[same] = 1.0  # v is zero there, so coincident rows add nothing
-    pull = np.add.reduce(v / length[:, :, None], axis=1)
-    r = np.sqrt(np.add.reduce(pull * pull, axis=1))
-    margin = n * (n + 2 * d + 6) * _EPS
-    hits = np.flatnonzero(r < np.add.reduce(same, axis=1) - margin)
+    hits = np.flatnonzero(_kuhn(half[None, :, :] - half[:, None, :]))  # [j, i] = (x_i - x_j) / 2
     return pts[hits[0]].copy() if hits.size else None
 
 
@@ -123,25 +128,6 @@ def _lowers(diff: np.ndarray, dist: np.ndarray, s: np.ndarray, new_dist: np.ndar
     return np.add.reduce(terms) < -2 * (n + d) * _EPS * np.add.reduce(np.abs(terms))
 
 
-def _pull_of_others(diff: np.ndarray, dist: np.ndarray, merge: float):
-    """How many rows lie within ``merge`` of z, the weights 1/d_i of the
-    others, and the sum of their unit vectors."""
-    at = dist <= merge
-    weights = 1.0 / dist[~at]
-    return int(np.add.reduce(at)), weights, np.add.reduce(diff[~at] * weights[:, None], axis=0)
-
-
-def _newton_step(u: np.ndarray, weights: np.ndarray, dist: np.ndarray, pull: np.ndarray) -> np.ndarray:
-    """H^-1 p for H = sum_i w_i (I - u_i u_i^T), from the d x d system, or
-    from an n x n one (Woodbury's identity) when there are fewer rows than
-    coordinates.  Raises LinAlgError for a singular H."""
-    n, d = u.shape
-    total = np.add.reduce(weights)
-    if d <= n:
-        return np.linalg.solve(total * np.eye(d) - (u.T * weights) @ u, pull)
-    return (pull + u.T @ np.linalg.solve(np.diag(dist) - u @ u.T / total, u @ pull) / total) / total
-
-
 def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     """Geometric median: Kuhn's exact data-point test, then a safeguarded
     Newton iteration on f(z) = sum_i ||z - x_i|| with Weiszfeld's step as its
@@ -159,17 +145,19 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     distance overflows, and starts from that median.  Each iteration forms
     the weights w_i = 1/d_i, the unit vectors u_i = (x_i - z)/d_i, the pull
     p = sum_i u_i and the Hessian H = sum_i w_i (I - u_i u_i^T).  It takes
-    the Newton step H^-1 p if that is finite, no longer than the largest d_i
-    (the median lies in the convex hull) and lowers f by more than the
-    rounding error of the change.  Otherwise it returns the nearest row if
-    Kuhn's test passes there, and else takes Weiszfeld's step
-    p / sum_i w_i, which always descends; this covers d = 1, collinear
-    clouds and a singular H.
+    the Newton step H^-1 p, from one d x d solve, if that is finite, no
+    longer than the largest d_i (the median lies in the convex hull) and
+    lowers f by more than the rounding error of the change.  Otherwise it
+    returns the nearest row if Kuhn's test passes there, and else takes
+    Weiszfeld's step p / sum_i w_i, which always descends; this covers
+    d = 1, collinear clouds and a singular H.  The solve costs O(d^3), so
+    for d well above n an iteration costs more than Weiszfeld's O(n d).
 
-    Rows nearer the iterate than the rounding error of the data count as m
-    rows at the iterate.  There the step is that of Vardi & Zhang (PNAS
-    2000): Weiszfeld's step over the other rows, shortened by the factor
-    1 - m/||p||; if ||p|| <= m those rows are a median and the solver stops.
+    Rows nearer the iterate than the rounding error of distances in the
+    scaled cloud count as m rows at the iterate.  There the step is that of
+    Vardi & Zhang (PNAS 2000): Weiszfeld's step over the other rows,
+    shortened by the factor 1 - m/||p||; if ||p|| <= m those rows are a
+    median and the solver stops.
     Otherwise it stops when a step is shorter than ``tol`` or after
     ``max_iters`` steps.  ``displacement`` is the last step's length, 0.0
     after a stop at a row.
@@ -190,15 +178,20 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     # in y are lengths in x divided by 2 * scale
     y = half / scale
     tol_y = tol / scale / 2.0
-    merge = n * d * _EPS * float(np.maximum.reduce(np.abs(pts), axis=None)) / scale / 2.0
-    margin = n * (n + 2 * d + 6) * _EPS  # Kuhn's test's bound on the rounding error of R_j
+    # The rows of y and every iterate have coordinates in (-1, 1), so a
+    # distance in y is rounded by a few d ulps of 1 and rows nearer the
+    # iterate than this cannot be told from it.
+    merge = n * d * _EPS
     z = np.zeros(d)
     diff, dist = _offsets(y, z)
     step = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if np.minimum.reduce(dist) <= merge:
-            m, weights, pull = _pull_of_others(diff, dist, merge)
+            at = dist <= merge
+            m = int(np.add.reduce(at))
+            weights = 1.0 / dist[~at]
+            pull = np.add.reduce(diff[~at] * weights[:, None], axis=0)
             r = math.sqrt(pull @ pull)
             if r <= m:
                 step = 0.0
@@ -209,8 +202,9 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
             weights = 1.0 / dist
             u = diff * weights[:, None]
             pull = np.add.reduce(u, axis=0)
+            hessian = np.add.reduce(weights) * np.eye(d) - (u.T * weights) @ u
             try:
-                s = _newton_step(u, weights, dist, pull)
+                s = np.linalg.solve(hessian, pull)
                 newton = math.hypot(*s) <= np.maximum.reduce(dist)  # False for inf or NaN
             except np.linalg.LinAlgError:  # a singular H
                 newton = False
@@ -219,8 +213,7 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
                 newton = _lowers(diff, dist, s, new[1])
             if not newton:
                 k = np.argmin(dist)
-                m, _, pull_there = _pull_of_others(*_offsets(y, y[k]), merge)
-                if math.sqrt(pull_there @ pull_there) < m - margin:  # Kuhn's test at row k
+                if _kuhn(y - y[k], merge):
                     return WeiszfeldResult(pts[k].copy(), 0.0, iterations)
                 s = pull / np.add.reduce(weights)
                 new = _offsets(y, z + s)

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from fedrobust import AggregatorSpec, DimensionError, ParameterError, aggregate, weiszfeld
 from fedrobust import aggregators
-from fedrobust.aggregators import WeiszfeldResult, _cwtm, _krum_index, _newton_step, _nnm, stack_points
+from fedrobust.aggregators import WeiszfeldResult, _cwtm, _krum_index, _nnm, stack_points
 
 MEAN = AggregatorSpec("mean")
 CWMED = AggregatorSpec("cwmed")
@@ -317,18 +317,18 @@ def test_gm_flat_clouds_stay_at_the_coordinatewise_median():
             assert got == pytest.approx(want, abs=1e-9 * max(1.0, np.abs(pts).max()))
 
 
-def test_newton_step_solves_the_smaller_system():
-    # fewer rows than coordinates go through Woodbury's n x n system
-    rng = np.random.default_rng(13)
-    for n, d in ((3, 7), (5, 6), (6, 6), (8, 4)):
-        diff = rng.normal(size=(n, d))
-        dist = np.linalg.norm(diff, axis=1)
-        weights = 1.0 / dist
-        u = diff * weights[:, None]
-        pull = u.sum(axis=0)
-        hessian = weights.sum() * np.eye(d) - (u.T * weights) @ u
-        want = np.linalg.solve(hessian, pull)
-        assert _newton_step(u, weights, dist, pull) == pytest.approx(want, abs=1e-12 * np.linalg.norm(want))
+def test_gm_narrow_cloud_far_from_the_origin():
+    # Rows 1e-6 apart at 1e8 are distinct points, though their coordinates
+    # share all but the last few digits; the median of the cloud is that of
+    # the exactly shifted cloud, to the resolution of floats at 1e8.
+    rng = np.random.default_rng(15)
+    offset = 1e8
+    for _ in range(5):
+        rel = rng.normal(size=(10, 5)) * 1e-6
+        pts = offset + rel
+        rel = pts - offset  # exact: every row is within a factor 2 of the offset
+        want = oracle_weiszfeld(rel, tol=1e-15).point
+        assert np.abs(weiszfeld(pts).point - offset - want).max() <= np.spacing(offset)
 
 
 def stress_clouds(rng, count):
