@@ -6,6 +6,7 @@ from .audit import (
     INFINITE_RATIO,
     AuditResult,
     WitnessInstance,
+    audit_profile,
     cwtm_break_witness,
     empirical_kappa,
     error_ratio,
@@ -48,6 +49,7 @@ __all__ = [
     "Schedule",
     "WitnessInstance",
     "aggregate",
+    "audit_profile",
     "byzantine_upload",
     "convergence_floor",
     "cwtm_break_witness",

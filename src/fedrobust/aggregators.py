@@ -275,7 +275,12 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
     :func:`weiszfeld`, so its iteration count stays observable there, at
     the cost of a second validation next to the solve.
     """
-    pts = stack_points(xs)
+    return _aggregate(spec, stack_points(xs))
+
+
+def _aggregate(spec: AggregatorSpec, pts: np.ndarray) -> np.ndarray:
+    """:func:`aggregate` of an (n, d) matrix that :func:`stack_points` has
+    already validated."""
     n = pts.shape[0]
     if (spec.kind in ("cwtm", "krum") or spec.pre_nnm) and not 0 <= spec.f_hat < n / 2:
         raise ParameterError(f"require 0 <= f_hat < n/2, got f_hat={spec.f_hat} with n={n}")
@@ -286,7 +291,12 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
     if spec.kind == "cwtm":
         return _cwtm(pts, spec.f_hat)
     if spec.kind == "cwmed":
-        return np.median(pts, axis=0)
+        # np.median's values: the middle order statistic, or the mean of the
+        # two middle ones, from one sort
+        ordered = np.sort(pts, axis=0)
+        if n % 2:
+            return ordered[n // 2]
+        return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
     if spec.kind == "gm":
         return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
     # krum, the one kind left: AggregatorSpec admits no other

@@ -8,14 +8,17 @@ subset mean; no such ratio exists, which is a stronger statement than any
 finite value.  The marker is only ever assigned, never produced by
 arithmetic.
 
-:func:`empirical_kappa` scores every candidate subset at once with a
-subset-weight matrix ``W`` of shape (num, n), whose row k is 1/size on the
-members of subset k and 0 elsewhere.  With the cloud centred on the
-aggregator output, ``c = pts - output``, one product ``W @ [c | ||c||^2]``
-gives each subset's mean offset ``m`` and mean squared distance ``q``, so
-``err = ||m||^2`` and ``var = q - err``.  Two rules keep the result equal,
-bit for bit, to the gathered per-subset formula that :func:`error_ratio`
-uses:
+:func:`audit_profile` audits one cloud for several aggregators and several
+f in one call; :func:`empirical_kappa` is its case of one aggregator at one
+f.  Every candidate subset is scored at once with a subset-weight matrix
+``W`` of shape (num, n), whose row k is 1/size on the members of subset k
+and 0 elsewhere.  With the cloud centred on each aggregator output, ``c_j =
+pts - output_j``, one product ``W @ [c_1 | q_1 | c_2 | q_2 | ...]`` per f,
+with ``q_j = ||c_j||^2`` per row, gives each subset's mean offset ``m`` and
+mean squared distance ``q`` for every aggregator, so ``err = ||m||^2`` and
+``var = q - err``.  Two rules, applied to each aggregator's columns, keep
+the result equal, bit for bit, to the gathered per-subset formula that
+:func:`error_ratio` uses:
 
 - the guard: subsets with ``var <= GUARD * q``, where the subtraction may
   have cancelled (including every subset of identical points), are scored
@@ -28,6 +31,14 @@ uses:
 
 Audits of at most ``GATHER_ALL_MAX`` gathered values skip the product and
 score every subset with the gathered formula.
+
+A sampled subset holds the positions of the size smallest keys in a row of
+``default_rng(seed).random((budget, n))``, drawn once per cloud.  One sort
+of the rows gives every f its threshold, the size-th smallest key, and the
+weights of f are written straight from ``keys <= threshold``.  A row whose
+threshold ties the next key would take too many members; it is set from
+its own argsort, so every subset is the one ``np.argsort(keys,
+axis=1)[:, :size]`` names.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate, stack_points
+from .aggregators import AggregatorSpec, _aggregate, aggregate, stack_points
 from .bounds import kappa_lower_bound
 from .errors import ParameterError
 
@@ -129,6 +140,21 @@ def _all_subsets(n: int, size: int) -> np.ndarray:
     return weights
 
 
+def _threshold_weights(keys: np.ndarray, cut: np.ndarray, size: int, out: np.ndarray) -> None:
+    """Write to ``out`` the weight matrix of the subsets
+    ``np.argsort(keys, axis=1)[:, :size]``, given the size-th and
+    (size + 1)-th smallest key of each row as the columns of ``cut``.
+
+    Row k's members are its keys at or below its size-th smallest.  Where
+    that key ties the next one, that rule takes too many members, so the row
+    is set from its own argsort and every row is the argsort's subset.
+    """
+    np.multiply(keys <= cut[:, :1], 1.0 / size, out=out)
+    tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
+    if tied.size:
+        out[tied] = _subset_weights(np.argsort(keys[tied], axis=1)[:, :size], keys.shape[1])
+
+
 def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float) -> float:
     """Bound on the difference between the fast ratio and the gathered ratio
     of a subset with fast ratio at most ``ratio`` and variance at least
@@ -159,43 +185,106 @@ def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float
                       + ratio * b * length * length / var)
 
 
-def _candidates(output: np.ndarray, pts: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Rows of ``weights`` that the fast path cannot rule out as the first
-    holder of the largest exact ratio: the guarded rows and the window."""
-    n, d = pts.shape
-    stacked = np.empty((n, d + 1))              # [c | ||c||^2]
-    c = np.subtract(pts, output, out=stacked[:, :d])
-    sq_norms = np.add.reduce(c * c, axis=1, out=stacked[:, d])
-    moments = weights @ stacked                 # (num, d + 1): m and q
-    offsets = moments[:, :d]
+def _candidates(moments: np.ndarray, size: int, length: float) -> np.ndarray:
+    """Subsets that the fast path cannot rule out as the first holder of the
+    largest exact ratio: the guarded ones and the window.  ``moments`` is
+    one output's (num, d + 1) block [m | q] of the product, and ``length``
+    bounds max|x_i| + max|c_i|."""
+    d = moments.shape[1] - 1
     q = moments[:, d]
-    err = np.add.reduce(offsets * offsets, axis=1)
+    # column by column: a reduction over the strided (num, d) view is slower
+    err = moments[:, 0] * moments[:, 0]
+    for j in range(1, d):
+        err += moments[:, j] * moments[:, j]
     var = q - err
     fast = var > GUARD * q                      # false for NaN as well
     ratios = np.divide(err, var, out=np.full(q.shape, -np.inf), where=fast)
     candidates = ~fast
     top = float(ratios.max())
     if top > -np.inf:
-        # |x_i| <= |c_i| + |output|
-        length = 2.0 * math.sqrt(sq_norms.max()) + math.sqrt(output @ output)
         slack = _fast_error_bound(top, float(var.min(where=fast, initial=np.inf)), size, d, length)
         # negated so that a NaN bound (from overflowing inputs) keeps every row
         candidates |= ~(ratios < top - 2.0 * slack)
     return np.flatnonzero(candidates)
 
 
-def _worst(output: np.ndarray, pts: np.ndarray, weights: np.ndarray, size: int):
-    """The largest exact ratio over the subsets in the rows of ``weights``
-    and the first subset attaining it."""
-    num, d = weights.shape[0], pts.shape[1]
-    if num * size * (d + 1) <= GATHER_ALL_MAX:
-        rows = slice(None)
-    else:
-        rows = _candidates(output, pts, weights, size)
-    subsets = np.nonzero(weights[rows])[1].reshape(-1, size)
+def _moment_columns(pts: np.ndarray, outputs: list):
+    """The (n, k (d + 1)) matrix [c_1 | q_1 | ... | c_k | q_k] of the k
+    outputs, with c_j = pts - outputs[j] and q_j its squared row norms, and
+    for each output a bound on max|x_i| + max|c_i|."""
+    n, d = pts.shape
+    columns = np.empty((n, len(outputs) * (d + 1)))
+    lengths = []
+    for k, output in enumerate(outputs):
+        block = columns[:, k * (d + 1) : (k + 1) * (d + 1)]
+        c = np.subtract(pts, output, out=block[:, :d])
+        sq_norms = np.add.reduce(c * c, axis=1, out=block[:, d])
+        # |x_i| <= |c_i| + |output|
+        lengths.append(2.0 * math.sqrt(sq_norms.max()) + math.sqrt(output @ output))
+    return columns, lengths
+
+
+def _worst(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray):
+    """The largest exact ratio over the subsets in the rows of the index
+    array ``subsets`` and the first subset attaining it."""
     exact = _gathered_ratios(output, pts, subsets)
     k = int(np.argmax(exact))
     return float(exact[k]), tuple(subsets[k].tolist())
+
+
+def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> list:
+    """:func:`empirical_kappa` of every spec in the sequence ``specs`` at
+    every f in the sequence ``fs`` on one cloud: ``result[i][j]`` equals
+    ``empirical_kappa(specs[i], xs, fs[j], subset_budget, seed)``, bit for
+    bit.
+
+    The cloud is validated once and aggregated once per spec, and every f
+    is checked before any audit runs.  For each f one product of the subset
+    weights with ``[c_1 | q_1 | c_2 | q_2 | ...]`` scores the subsets for
+    every spec.  The sampled subsets of every f come from one key draw and
+    one sort of its rows.
+    """
+    pts = stack_points(xs)
+    n, d = pts.shape
+    for f in fs:
+        if not 0 <= f < n / 2:
+            raise ParameterError(f"require 0 <= f < n/2, got f={f} with n={n}")
+    if subset_budget < 1:
+        raise ParameterError(f"subset_budget must be >= 1, got {subset_budget}")
+    outputs = [_aggregate(spec, pts) for spec in specs]
+    sampled = [n - f for f in fs if math.comb(n, f) > subset_budget]
+    if sampled:
+        keys = np.random.default_rng(seed).random((subset_budget, n))
+        # the keys are sorted in the buffer that then holds each f's weights
+        buffer = np.empty((subset_budget + 2, n))
+        ordered = buffer[2:]
+        np.copyto(ordered, keys)
+        ordered.sort(axis=1)
+        cuts = {size: ordered[:, size - 1 : size + 1].copy() for size in sampled}
+    columns = None
+    results = [[] for _ in specs]
+    for f in fs:
+        size = n - f
+        exhaustive = size not in sampled
+        if exhaustive:
+            weights = _all_subsets(n, size)
+        else:
+            weights = buffer
+            weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
+            _threshold_weights(keys, cuts[size], size, weights[2:])
+        num = weights.shape[0]
+        if num * size * (d + 1) <= GATHER_ALL_MAX:
+            rows = [slice(None)] * len(specs)
+        else:
+            if columns is None:
+                columns, lengths = _moment_columns(pts, outputs)
+            moments = weights @ columns         # (num, k (d + 1))
+            rows = [_candidates(moments[:, k * (d + 1) : (k + 1) * (d + 1)], size, length)
+                    for k, length in enumerate(lengths)]
+        for audits, output, r in zip(results, outputs, rows):
+            ratio, subset = _worst(output, pts, np.nonzero(weights[r])[1].reshape(-1, size))
+            audits.append(AuditResult(ratio, subset, num, exhaustive))
+    return results
 
 
 def empirical_kappa(
@@ -210,30 +299,9 @@ def empirical_kappa(
     Enumerates every subset when C(n, f) fits in ``subset_budget``; otherwise
     checks ``subset_budget`` seeded uniform samples plus the two deterministic
     subsets {first n-f} and {last n-f} and reports ``exhaustive=False``.
+    This is :func:`audit_profile` of one spec at one f.
     """
-    pts = stack_points(xs)
-    n = pts.shape[0]
-    if not 0 <= f < n / 2:
-        raise ParameterError(f"require 0 <= f < n/2, got f={f} with n={n}")
-    if subset_budget < 1:
-        raise ParameterError(f"subset_budget must be >= 1, got {subset_budget}")
-    size = n - f
-    output = aggregate(spec, pts)
-    exhaustive = math.comb(n, f) <= subset_budget
-    if exhaustive:
-        weights = _all_subsets(n, size)
-    else:
-        rng = np.random.default_rng(seed)
-        sampled = np.argsort(rng.random((subset_budget, n)), axis=1)[:, :size]
-        anchors = np.array([range(size), range(f, n)], dtype=np.intp)
-        weights = _subset_weights(np.vstack([anchors, sampled]), n)
-    worst_ratio, worst_subset = _worst(output, pts, weights, size)
-    return AuditResult(
-        worst_ratio=worst_ratio,
-        worst_subset=worst_subset,
-        samples_checked=weights.shape[0],
-        exhaustive=exhaustive,
-    )
+    return audit_profile((spec,), xs, (f,), subset_budget, seed)[0][0]
 
 
 def lower_bound_witness(n: int, f: int, f_hat: int, d: int = 1) -> WitnessInstance:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import inspect
 import json
 import sys
@@ -474,25 +475,49 @@ def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     return failures
 
 
+def _audit_cloud(specs, cloud, fs, budget: int, seed: int) -> dict:
+    """{(f, f_hat): AuditResult, or the error that audit raised} for every
+    spec and f on one cloud.  One audit_profile call covers them all; if it
+    raises, each cell is audited alone, so each failing cell keeps its own
+    error and the others still succeed."""
+    try:
+        profile = audit_mod.audit_profile(specs, cloud, fs, budget, seed)
+    except (ParameterError, ValueError):
+        audits = {}
+        for spec, f in product(specs, fs):
+            try:
+                audits[f, spec.f_hat] = audit_mod.empirical_kappa(spec, cloud, f, budget, seed)
+            except (ParameterError, ValueError) as exc:
+                audits[f, spec.f_hat] = exc
+        return audits
+    return {(f, spec.f_hat): result for spec, row in zip(specs, profile) for f, result in zip(fs, row)}
+
+
 def run_audit(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
-    """Audit the configured aggregator on seeded fuzz clouds over the grid."""
+    """Audit the configured aggregator on seeded fuzz clouds over the grid.
+    The cloud depends only on the seed, so each seed's cells are audited by
+    one audit_profile call; rows and progress lines stay in cell order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     section = cfg.normalized["audit"]
     n, d, budget = section["n"], section["d"], section["subset_budget"]
     agg = cfg.normalized["aggregator"]
+    grid = cfg.normalized["grid"]
+    specs = {f_hat: AggregatorSpec(**{**agg, "f_hat": f_hat}) for f_hat in grid["f_hat"]}
+    audits = {
+        seed: _audit_cloud(list(specs.values()), audit_mod.random_cloud(n, d, [seed, n, d]), grid["f"], budget, seed)
+        for seed in grid["seeds"]
+    }
     failures = 0
     rows = []
     for f, f_hat, seed in _cells(cfg):
-        spec = AggregatorSpec(**{**agg, "f_hat": f_hat})
-        cloud = audit_mod.random_cloud(n, d, [seed, n, d])
-        try:
-            result = audit_mod.empirical_kappa(spec, cloud, f, subset_budget=budget, seed=seed)
-        except (ParameterError, ValueError) as exc:
+        result = audits[seed][f, f_hat]
+        if isinstance(result, Exception):
             failures += 1
             if not quiet:
-                print(f"audit f={f} f_hat={f_hat} seed={seed}: FAILED ({exc})", file=sys.stderr)
+                print(f"audit f={f} f_hat={f_hat} seed={seed}: FAILED ({result})", file=sys.stderr)
             continue
+        spec = specs[f_hat]
         row = audit_mod.to_jsonl_row(spec, n, f, result, seed)
         try:
             row["kappa_guarantee"] = bounds.kappa_guarantee(spec.name, n, f, f_hat)
@@ -589,7 +614,9 @@ def report(results_dir, out_dir, quiet: bool = False) -> dict:
 # --------------------------------------------------------------------------
 # entry point
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(prog="fedrobust", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in CONFIG_KINDS:
@@ -602,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     errors: list[str] = []
     try:
         cfg = load_config(args.config)

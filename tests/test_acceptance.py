@@ -20,8 +20,8 @@ from fedrobust import (
     RunConfig,
     Schedule,
     aggregate,
+    audit_profile,
     cwtm_break_witness,
-    empirical_kappa,
     error_ratio,
     grad_ceiling,
     heterogeneity_at,
@@ -90,19 +90,23 @@ def test_criterion_2_robustness_ceilings():
                     radius = rng.uniform(0.1, 10.0)
                     cloud = radius * rng.standard_normal((n, d))
                     f_hat = int(rng.integers(1, top + 1))
-                    cwtm_spec = AggregatorSpec("cwtm", f_hat=f_hat)
-                    krum_spec = AggregatorSpec("krum", f_hat=f_hat)
-                    composite = AggregatorSpec("krum", f_hat=f_hat, pre_nnm=True)
+                    specs = (
+                        AggregatorSpec("cwtm", f_hat=f_hat),
+                        AggregatorSpec("krum", f_hat=f_hat),
+                        AggregatorSpec("krum", f_hat=f_hat, pre_nnm=True),
+                    )
+                    # one call audits every spec at every f on this cloud
+                    cwtm, krum, composite = audit_profile(specs, cloud, range(f_hat + 1))
                     cwtm_ceiling = kappa_guarantee("cwtm", n, f_hat, f_hat)
                     krum_ceiling = kappa_guarantee("krum", n, f_hat, f_hat)
                     for f in range(f_hat + 1):
                         # exact estimation at f = f_hat, monotone tolerance below it
-                        got = empirical_kappa(cwtm_spec, cloud, f).worst_ratio
+                        got = cwtm[f].worst_ratio
                         assert got <= cwtm_ceiling + 1e-9, ("cwtm", n, d, i, f, f_hat, got)
-                        got = empirical_kappa(krum_spec, cloud, f).worst_ratio
+                        got = krum[f].worst_ratio
                         assert got <= krum_ceiling + 1e-9, ("krum", n, d, i, f, f_hat, got)
                         composite_ceiling = 84 * f_hat / (n - f - f_hat)
-                        got = empirical_kappa(composite, cloud, f).worst_ratio
+                        got = composite[f].worst_ratio
                         assert got <= composite_ceiling + 1e-9, ("krum_nnm", n, d, i, f, f_hat, got)
 
 

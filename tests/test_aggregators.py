@@ -179,6 +179,18 @@ def test_cwmed_examples():
     assert np.array_equal(aggregate(CWMED, [v] * 4), v)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 9, 10])
+@pytest.mark.parametrize("d", [1, 5])
+def test_cwmed_equals_np_median_bit_for_bit(n, d):
+    rng = np.random.default_rng([7, n, d])
+    for _ in range(50):
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-5, 6)
+        # duplicate values, within a column and across the middle pair
+        pts[rng.integers(n, size=n // 2), :] = pts[0]
+        pts[:, -1] = rng.integers(-2, 3, size=n) / 3
+        assert aggregate(CWMED, pts).tobytes() == np.median(pts, axis=0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # geometric median
 

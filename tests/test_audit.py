@@ -14,12 +14,13 @@ from fedrobust import (
     AggregatorSpec,
     ParameterError,
     aggregate,
+    audit_profile,
     cwtm_break_witness,
     empirical_kappa,
     error_ratio,
     lower_bound_witness,
 )
-from fedrobust.audit import ZERO_ERROR_EPS, random_cloud, to_jsonl_row
+from fedrobust.audit import ZERO_ERROR_EPS, _threshold_weights, random_cloud, to_jsonl_row
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,47 @@ def test_empirical_kappa_equals_gathered_oracle_exactly(n):
                         for seed in (0, 1, 2):
                             got = assert_matches_oracle(spec, pts, f, subset_budget=budget, seed=seed)
                             assert not got.exhaustive
+
+
+@pytest.mark.parametrize("n,d,budget", [(6, 5, 20000), (10, 1, 60), (16, 5, 300), (20, 5, 5000)])
+def test_audit_profile_equals_empirical_kappa_per_call(n, d, budget):
+    # budget 20000 enumerates every subset of every f; the smaller budgets
+    # sample the larger f and enumerate the smaller ones in the same call
+    top = -(-n // 2) - 1
+    specs = audit_specs(top)
+    fs = list(range(top + 1))
+    clouds = [random_cloud(n, d, [37, n, d]), lower_bound_witness(n, 1, top, d).points]
+    for pts in clouds:
+        for seed in (0, 1, 2):
+            profile = audit_profile(specs, pts, fs, subset_budget=budget, seed=seed)
+            assert len(profile) == len(specs)
+            for spec, results in zip(specs, profile):
+                assert results == [empirical_kappa(spec, pts, f, budget, seed) for f in fs], (spec, seed)
+            exhaustive = [result.exhaustive for result in profile[0]]
+            assert exhaustive == [math.comb(n, f) <= budget for f in fs]
+
+
+def test_audit_profile_checks_every_f():
+    pts = random_cloud(8, 2, [5])
+    for fs, bad in (([1, 4], 4), ([-1, 0], -1)):
+        with pytest.raises(ParameterError, match=f"got f={bad} with n=8"):
+            audit_profile([AggregatorSpec("mean")], pts, fs)
+
+
+@pytest.mark.parametrize("size", [1, 4, 7])
+def test_threshold_weights_equal_argsort_subsets_under_ties(size):
+    # keys on a grid of quarters tie often, also at the size-th rank
+    rng = np.random.default_rng([43, size])
+    keys = rng.integers(0, 4, size=(400, 8)) / 4
+    ordered = np.sort(keys, axis=1)
+    tied = ordered[:, size - 1] == ordered[:, size]
+    assert tied.any() and not tied.all()
+    weights = np.empty_like(keys)
+    _threshold_weights(keys, ordered[:, size - 1 : size + 1], size, weights)
+    want = np.zeros_like(keys, dtype=bool)
+    np.put_along_axis(want, np.argsort(keys, axis=1)[:, :size], True, axis=1)
+    assert np.array_equal(weights != 0, want)
+    assert np.all(weights[want] == 1.0 / size)
 
 
 def cancellation_clouds():

@@ -401,6 +401,35 @@ def test_audit_command_writes_jsonl(tmp_path):
         assert row["worst_ratio"] <= row["kappa_guarantee"] + 1e-9
 
 
+# audits.jsonl sha256 of an n = 20 grid, recorded before audits were grouped
+# by seed: f in {0, 2} enumerates every subset and f = 6 samples them.
+PINNED_AUDIT = {
+    "schema_version": 1,
+    "kind": "audit",
+    "audit": {"n": 20, "d": 3, "subset_budget": 5000},
+    "aggregator": {"kind": "krum", "pre_nnm": True},
+    "grid": {"f": [2, 6, 0], "f_hat": [3, 6], "seeds": [4, 5]},
+}
+PINNED_AUDIT_SHA256 = "1bc2961da3113d9b41757d8a2a3e3d9c6efe934f11201355b9e0d7364f0c9cf9"
+
+
+def test_audits_jsonl_sha256_is_pinned(tmp_path, capsys):
+    cfg = parse_config(json.dumps(PINNED_AUDIT))
+    # f = 10 = n/2 passes no config check, so it is put in after parsing;
+    # each of its cells fails alone and the others are still written
+    cfg.normalized["grid"]["f"] = [2, 10, 6, 0]
+    assert run_audit(cfg, tmp_path) == 4
+    assert hashlib.sha256((tmp_path / "audits.jsonl").read_bytes()).hexdigest() == PINNED_AUDIT_SHA256
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"audit f=10 f_hat={f_hat} seed={seed}: FAILED (require 0 <= f < n/2, got f=10 with n=20)"
+        for f_hat in (3, 6) for seed in (4, 5)
+    ]
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"audit f={f} f_hat={f_hat} seed={seed}" for f in (2, 6, 0) for f_hat in (3, 6) for seed in (4, 5)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
