@@ -31,7 +31,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from itertools import product
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from . import audit as audit_mod
 from . import bounds
 from .aggregators import AggregatorSpec
 from .attacks import AttackStrategy
-from .engine import RunConfig, Schedule, run
+from .engine import RunConfig, Schedule, _field_errors, run
 from .errors import ConfigError, ParameterError
 from .problems import (  # noqa: F401 - looked up by name, see PROBLEM_KINDS
     homogeneous_quadratic_problem,
@@ -139,30 +139,37 @@ def _typed(value, hint, name: str, errors: list):
 
 def _check_range(name: str, values, errors: list, lo: int = 0, n=None) -> bool:
     """Record an error for each value that is not an integer >= lo (and
-    < n/2 when n is given); returns whether all of them are."""
+    < n/2 when n is given), skipping values that failed their type check;
+    returns whether all of them are."""
     key = name.rpartition(".")[2]
     rule = f"{lo} <= {key}" + (f" < n/2 (n={n})" if n is not None else "")
-    bad = [v for v in values if not (_is_int(v) and v >= lo and (n is None or 2 * v < n))]
+    bad = [v for v in values if v is not _INVALID and not (_is_int(v) and v >= lo and (n is None or 2 * v < n))]
     errors.extend(f"{name} = {v!r} violates {rule}" for v in bad)
     return not bad
 
 
-def _read_fields(cls, section: dict, where: str, errors: list, skip=()) -> dict:
-    """The fields of the dataclass ``cls``, less ``skip``, read from their
-    config section: the fields are the allowed keys, each value is checked
-    against the field's type, and an absent key takes the field's default
-    (_INVALID after recording an error when it has none)."""
-    wanted = [f for f in fields(cls) if f.name not in skip]
-    _unknown_keys(section, {f.name for f in wanted}, where, errors)
-    hints = typing.get_type_hints(cls)
+def _read_fields(target, section, where: str, errors: list, skip=(), optional=()) -> dict | None:
+    """The parameters of the dataclass or factory ``target``, less ``skip``,
+    read from their config section (None after recording an error if it is
+    not an object): the parameters are the allowed keys, each value is
+    checked against the parameter's type, and an absent key takes the
+    parameter's default, an empty section where the type is a dataclass.
+    An absent key with no default is left out if ``optional`` names it,
+    else it is required (_INVALID after recording an error)."""
+    if _object(section, where, errors) is None:
+        return None
+    params = [p for p in inspect.signature(target).parameters.values() if p.name not in skip]
+    _unknown_keys(section, {p.name for p in params}, where, errors)
+    hints = typing.get_type_hints(target)
     out = {}
-    for f in wanted:
-        if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
-            errors.append(f"{where}.{f.name} is required")
-            out[f.name] = _INVALID
-        else:  # a field with a default factory is a dataclass, whose default is an empty section
-            default = None if f.default is MISSING else f.default
-            out[f.name] = _typed(section.get(f.name, default), hints[f.name], f"{where}.{f.name}", errors)
+    for p in params:
+        hint = hints[p.name]
+        if p.name in section or p.default is not p.empty:
+            default = None if is_dataclass(hint) else p.default
+            out[p.name] = _typed(section.get(p.name, default), hint, f"{where}.{p.name}", errors)
+        elif p.name not in optional:
+            errors.append(f"{where}.{p.name} is required")
+            out[p.name] = _INVALID
     return out
 
 
@@ -170,68 +177,42 @@ def _build_spec(cls, section, where: str, errors: list) -> dict:
     """Build the library dataclass ``cls`` from its config section and return
     ``dataclasses.asdict`` of it ({} when it cannot be built); type errors and
     the dataclass's own range checks are recorded in ``errors``."""
-    if _object(section, where, errors) is None:
-        return {}
     kwargs = _read_fields(cls, section, where, errors)
-    if _INVALID in kwargs.values():
+    if kwargs is None or _INVALID in kwargs.values():
         return {}
     try:
         return asdict(cls(**kwargs))
-    except (ParameterError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         errors.append(f"{where}: {exc}")
         return {}
 
 
-def _problem_params(kind: str) -> dict:
-    """{name: (type, default)} for each parameter of the kind's factory
-    except those a sweep cell sets; the default is inspect.Parameter.empty
-    where the signature has none."""
-    factory = globals()[f"{kind}_problem"]
-    hints = typing.get_type_hints(factory)
-    return {
-        name: (hints[name], param.default)
-        for name, param in inspect.signature(factory).parameters.items()
-        if name not in _CELL_PARAMS
-    }
-
-
 def _normalize_problem(section, errors) -> dict:
-    """Checks n, f and seed by their range rules and the other keys by the
-    factory's types.  An absent key takes the factory's default, except that
-    f defaults to 0; seed has no default and, when absent, the cell's seed
-    fills it in."""
+    """kind, then the parameters of the kind's factory by their types and
+    defaults, then the range checks on n, f and seed.  f defaults to 0; an
+    absent seed is left out, and the cell's seed fills it in."""
     if _object(section, "problem", errors) is None:
         return {}
     kind = section.get("kind")
     if kind not in PROBLEM_KINDS:
         errors.append(f"problem.kind must be one of {list(PROBLEM_KINDS)}, got {kind!r}")
         return {}
-    params = _problem_params(kind)
-    _unknown_keys(section, {"kind", "f", *params}, "problem", errors)
-    out = {"kind": kind, "n": section.get("n"), "f": section.get("f", 0)}
-    if not _check_range("problem.n", [out["n"]], errors, lo=1):
+    rest = {key: value for key, value in section.items() if key != "kind"}
+    out = {"kind": kind, **_read_fields(
+        globals()[f"{kind}_problem"], {"f": 0, **rest}, "problem", errors, skip=_CELL_PARAMS, optional=("seed",)
+    )}
+    if out["n"] is _INVALID or not _check_range("problem.n", [out["n"]], errors, lo=1):
         return {}
     _check_range("problem.f", [out["f"]], errors, n=out["n"])
-    for key, (hint, default) in params.items():
-        if key not in out and (key in section or default is not inspect.Parameter.empty):
-            out[key] = _typed(section.get(key, default), hint, f"problem.{key}", errors)
-    if out.get("seed", _INVALID) is not _INVALID:
-        _check_range("problem.seed", [out["seed"]], errors)
+    _check_range("problem.seed", [out.get("seed", _INVALID)], errors)
     return out
 
 
 def _normalize_engine(section, errors) -> dict:
-    """The RunConfig fields that no sweep cell sets."""
-    section = {} if section is None else section
-    if _object(section, "engine", errors) is None:
-        return {}
-    out = _read_fields(RunConfig, section, "engine", errors, skip=_CELL_FIELDS)
-    for key, lo in (("T", 0), ("H", 1), ("kappa", 0)):
-        if out[key] is not _INVALID and out[key] < lo:
-            errors.append(f"engine.{key} = {out[key]!r} violates {lo} <= {key}")
-    kappa = out["kappa"]
-    if kappa is not _INVALID and kappa >= 0 and not np.isfinite(bounds.stepsize_constant(kappa)):
-        errors.append(f"engine.kappa = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
+    """The RunConfig fields that no sweep cell sets, under RunConfig's own
+    rules for T, H and kappa."""
+    out = _read_fields(RunConfig, {} if section is None else section, "engine", errors, skip=_CELL_FIELDS) or {}
+    errors.extend(f"engine.{e}" for e in _field_errors({k: v for k, v in out.items() if v is not _INVALID}))
     return out
 
 
@@ -332,8 +313,8 @@ def _build_run_config(cfg: dict, f: int, f_hat: int, seed: int) -> RunConfig:
         problem=problem,
         aggregator=AggregatorSpec(**{**cfg["aggregator"], "f_hat": f_hat}),
         attack=AttackStrategy(**cfg["attack"]),
-        T=eng["T"], H=eng["H"], schedule=Schedule(**eng["schedule"]),
-        w0=w0, seed=seed, kappa=eng["kappa"],
+        seed=seed,
+        **{**eng, "schedule": Schedule(**eng["schedule"]), "w0": w0},
     )
 
 
@@ -347,6 +328,11 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _g(x) -> str:
+    """A number as progress and report lines show it: n/a for None."""
+    return "n/a" if x is None else f"{x:.6g}"
 
 
 def _csv_rows(run_id: str, record) -> list[str]:
@@ -365,6 +351,26 @@ def _csv_rows(run_id: str, record) -> list[str]:
 def _write_json(path: Path, doc: dict) -> None:
     # serialized before the file is opened, so a non-finite value leaves no partial file
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _progress(label: str, error, line, quiet: bool) -> None:
+    """Unless quiet: ``label: FAILED (error)`` on stderr for a failed cell,
+    else ``label: line()`` on stdout."""
+    if not quiet:
+        if error is None:
+            print(f"{label}: {line()}")
+        else:
+            print(f"{label}: FAILED ({error})", file=sys.stderr)
+
+
+def _write_summary(out: Path, cfg: ExperimentConfig, failures: int, **records) -> int:
+    """Write summary.json: the config, the records and the number of failed
+    cells, which is returned."""
+    _write_json(out / "summary.json", {
+        "schema_version": SCHEMA_VERSION, "kind": cfg.kind, "config": cfg.normalized,
+        **records, "failed_cells": failures,
+    })
+    return failures
 
 
 def _cell_bounds(problem, f_hat: int, eng: dict, record) -> dict:
@@ -392,25 +398,20 @@ def _cell_bounds(problem, f_hat: int, eng: dict, record) -> dict:
 def _run_cell(cfg: ExperimentConfig, index: int, cell: tuple[int, int, int]) -> dict:
     f, f_hat, seed = cell
     run_id = f"cell{index:04d}"
+    head = {"run_id": run_id, "f": f, "f_hat": f_hat, "seed": seed}
     started = time.perf_counter()
     try:
         run_config = _build_run_config(cfg.normalized, f, f_hat, seed)
-    except (ConfigError, ParameterError, ValueError) as exc:
-        return {
-            "run_id": run_id, "f": f, "f_hat": f_hat, "seed": seed,
-            "error": str(exc), "rows": [], "wall_time_ms": 0.0,
-        }
+    except ValueError as exc:
+        return {**head, "error": str(exc), "rows": [], "wall_time_ms": 0.0}
     record = run(run_config)
     eng = cfg.normalized["engine"]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     # Running average over aggregation rounds only (the final row includes
     # the terminal iterate, which the averaged bound does not cover).
     last_avg_round = min(record.rows, max(eng["T"], 1)) - 1
-    summary = {
-        "run_id": run_id,
-        "f": f,
-        "f_hat": f_hat,
-        "seed": seed,
+    return {
+        **head,
         "config_digest": record.config_digest,
         "problem": run_config.problem.descriptor,
         "aggregator": run_config.aggregator.name,
@@ -432,7 +433,6 @@ def _run_cell(cfg: ExperimentConfig, index: int, cell: tuple[int, int, int]) -> 
         "wall_time_ms": elapsed_ms,
         "rows": _csv_rows(run_id, record),
     }
-    return summary
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
@@ -443,36 +443,23 @@ def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    summaries = []
+    cells = []
     with open(out / "results.csv", "w", newline="") as sink:
         sink.write(",".join(CSV_COLUMNS) + "\n")
         sink.flush()
         for index, cell in enumerate(_cells(cfg)):
             result = _run_cell(cfg, index, cell)
-            if "error" in result:
-                failures += 1
-                if not quiet:
-                    print(f"{result['run_id']}: FAILED ({result['error']})", file=sys.stderr)
-            else:
-                for row in result["rows"]:
-                    sink.write(row + "\n")
-                sink.flush()
-                if not quiet:
-                    term = result["terminal"]
-                    grad = "n/a" if term["grad_metric"] is None else f"{term['grad_metric']:.6g}"
-                    print(
-                        f"{result['run_id']}: f={result['f']} f_hat={result['f_hat']} "
-                        f"seed={result['seed']} grad={grad} diverged={term['diverged']}"
-                    )
-            result["row_count"] = len(result.pop("rows"))
-            summaries.append(result)
-
-    _write_json(out / "summary.json", {
-        "schema_version": SCHEMA_VERSION, "kind": cfg.kind, "config": cfg.normalized,
-        "cells": summaries, "failed_cells": failures,
-    })
-    return failures
+            rows = result.pop("rows")
+            sink.writelines(row + "\n" for row in rows)
+            sink.flush()
+            result["row_count"] = len(rows)
+            cells.append(result)
+            term = result.get("terminal")
+            _progress(result["run_id"], result.get("error"), lambda: (
+                f"f={result['f']} f_hat={result['f_hat']} seed={result['seed']} "
+                f"grad={_g(term['grad_metric'])} diverged={term['diverged']}"
+            ), quiet)
+    return _write_summary(out, cfg, sum("error" in cell for cell in cells), cells=cells)
 
 
 def _audit_cloud(specs, cloud, fs, budget: int, seed: int) -> dict:
@@ -482,12 +469,12 @@ def _audit_cloud(specs, cloud, fs, budget: int, seed: int) -> dict:
     error and the others still succeed."""
     try:
         profile = audit_mod.audit_profile(specs, cloud, fs, budget, seed)
-    except (ParameterError, ValueError):
+    except ValueError:
         audits = {}
         for spec, f in product(specs, fs):
             try:
                 audits[f, spec.f_hat] = audit_mod.empirical_kappa(spec, cloud, f, budget, seed)
-            except (ParameterError, ValueError) as exc:
+            except ValueError as exc:
                 audits[f, spec.f_hat] = exc
         return audits
     return {(f, spec.f_hat): result for spec, row in zip(specs, profile) for f, result in zip(fs, row)}
@@ -508,100 +495,73 @@ def run_audit(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
         seed: _audit_cloud(list(specs.values()), audit_mod.random_cloud(n, d, [seed, n, d]), grid["f"], budget, seed)
         for seed in grid["seeds"]
     }
-    failures = 0
-    rows = []
-    for f, f_hat, seed in _cells(cfg):
+    cells, rows = _cells(cfg), []
+    for f, f_hat, seed in cells:
         result = audits[seed][f, f_hat]
-        if isinstance(result, Exception):
-            failures += 1
-            if not quiet:
-                print(f"audit f={f} f_hat={f_hat} seed={seed}: FAILED ({result})", file=sys.stderr)
-            continue
-        spec = specs[f_hat]
-        row = audit_mod.to_jsonl_row(spec, n, f, result, seed)
-        try:
-            row["kappa_guarantee"] = bounds.kappa_guarantee(spec.name, n, f, f_hat)
-        except ParameterError:
-            row["kappa_guarantee"] = None
-        rows.append(row)
-        if not quiet:
-            print(f"audit f={f} f_hat={f_hat} seed={seed}: worst_ratio={row['worst_ratio']}")
+        failed = isinstance(result, Exception)
+        if not failed:
+            row = audit_mod.to_jsonl_row(specs[f_hat], n, f, result, seed)
+            try:
+                row["kappa_guarantee"] = bounds.kappa_guarantee(specs[f_hat].name, n, f, f_hat)
+            except ParameterError:
+                row["kappa_guarantee"] = None
+            rows.append(row)
+        _progress(f"audit f={f} f_hat={f_hat} seed={seed}", result if failed else None,
+                  lambda: f"worst_ratio={row['worst_ratio']}", quiet)
     with open(out / "audits.jsonl", "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    _write_json(out / "summary.json", {
-        "schema_version": SCHEMA_VERSION, "kind": "audit", "config": cfg.normalized,
-        "rows": rows, "failed_cells": failures,
-    })
-    return failures
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    return _write_summary(out, cfg, len(cells) - len(rows), rows=rows)
 
 
 def _load_summary(results_dir: Path) -> dict:
     """The sweep's summary.json, after checking that its results.csv header
     has every column."""
-    csv_path = results_dir / "results.csv"
-    summary_path = results_dir / "summary.json"
-    if not csv_path.exists():
-        raise ConfigError([f"no results.csv under {results_dir}"])
-    if not summary_path.exists():
-        raise ConfigError([f"no summary.json under {results_dir}"])
-    with open(csv_path) as fh:
+    for name in ("results.csv", "summary.json"):
+        if not (results_dir / name).exists():
+            raise ConfigError([f"no {name} under {results_dir}"])
+    with open(results_dir / "results.csv") as fh:
         header = fh.readline().rstrip("\n").split(",")
     for column in CSV_COLUMNS:
         if column not in header:
             raise ConfigError([f"results.csv is missing column {column!r}"])
-    with open(summary_path) as fh:
+    with open(results_dir / "summary.json") as fh:
         return json.load(fh)
 
 
 def report(results_dir, out_dir, quiet: bool = False) -> dict:
     """Compare each cell's measured terminal metrics against its theoretical
     floor and ceiling; writes report.txt and report.json."""
-    results_dir = Path(results_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _load_summary(results_dir)
-    entries = []
-    for cell in summary.get("cells", []):
+    entries, lines = [], ["bound comparison report", "=" * 88]
+    for cell in _load_summary(Path(results_dir)).get("cells", []):
         if "error" in cell:
             entries.append({"run_id": cell["run_id"], "status": "error", "error": cell["error"]})
+            lines.append(f"{cell['run_id']:<10} ERROR {cell['error']}")
             continue
         term = cell["terminal"]
-        cell_bounds = cell["bounds"]
+        floor, ceiling = cell["bounds"]["grad_floor"], cell["bounds"]["grad_ceiling"]
         entry = {
-            "run_id": cell["run_id"],
-            "f": cell["f"],
-            "f_hat": cell["f_hat"],
-            "seed": cell["seed"],
+            **{key: cell[key] for key in ("run_id", "f", "f_hat", "seed")},
             "diverged": term["diverged"],
             "measured_grad": term["grad_metric"],
             "measured_running_avg": term["running_avg_grad"],
             "measured_gap": term["loss_gap"],
-            "grad_floor": cell_bounds["grad_floor"],
-            "grad_ceiling": cell_bounds["grad_ceiling"],
+            "grad_floor": floor,
+            "grad_ceiling": ceiling,
         }
-        floor, ceiling = cell_bounds["grad_floor"], cell_bounds["grad_ceiling"]
         if term["diverged"]:
             entry.update(floor_ok=None, ceiling_ok=None, status="diverged")
+            floor = ceiling = None  # report.txt shows no bound for a diverged cell
         else:
             entry["floor_ok"] = None if floor is None else bool(term["grad_metric"] >= floor * (1.0 - 1e-9))
             entry["ceiling_ok"] = None if ceiling is None else bool(term["running_avg_grad"] <= ceiling)
             entry["status"] = "fail" if False in (entry["floor_ok"], entry["ceiling_ok"]) else "pass"
         entries.append(entry)
-
-    def cell_line(e: dict) -> str:
-        if e["status"] == "error":
-            return f"{e['run_id']:<10} ERROR {e['error']}"
-        floor = "n/a" if e.get("grad_floor") is None or e["status"] == "diverged" else f"{e['grad_floor']:.6g}"
-        ceiling = "n/a" if e.get("grad_ceiling") is None or e["status"] == "diverged" else f"{e['grad_ceiling']:.6g}"
-        measured = "n/a" if e.get("measured_grad") is None else f"{e['measured_grad']:.6g}"
-        return (
-            f"{e['run_id']:<10} f={e['f']:<3} f_hat={e['f_hat']:<3} seed={e['seed']:<6} "
-            f"floor={floor:<12} measured={measured:<12} ceiling={ceiling:<12} {e['status']}"
+        lines.append(
+            f"{cell['run_id']:<10} f={cell['f']:<3} f_hat={cell['f_hat']:<3} seed={cell['seed']:<6} floor={_g(floor):<12} "
+            f"measured={_g(term['grad_metric']):<12} ceiling={_g(ceiling):<12} {entry['status']}"
         )
-
-    lines = ["bound comparison report", "=" * 88]
-    lines += [cell_line(e) for e in entries]
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text)
     doc = {"schema_version": SCHEMA_VERSION, "kind": "report", "cells": entries}

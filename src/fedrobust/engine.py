@@ -70,6 +70,19 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
     return 0.01 * schedule.gamma
 
 
+def _field_errors(values: dict) -> list[str]:
+    """One message per rule on RunConfig's T, H and kappa that ``values``
+    (field name -> value) breaks; absent fields are not checked."""
+    errors = [
+        f"{key} = {values[key]!r} violates {lo} <= {key}"
+        for key, lo in (("T", 0), ("H", 1), ("kappa", 0)) if key in values and not values[key] >= lo
+    ]
+    kappa = values.get("kappa", 0.0)
+    if kappa >= 0 and not np.isfinite(stepsize_constant(kappa)):
+        errors.append(f"kappa = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
+    return errors
+
+
 @dataclass(frozen=True)
 class RunConfig:
     problem: Problem
@@ -83,10 +96,9 @@ class RunConfig:
     kappa: float = 0.0  # robustness coefficient used by the c' stepsize rule
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ParameterError("T must be >= 0")
-        if self.H < 1:
-            raise ParameterError("H must be >= 1")
+        broken = _field_errors({"T": self.T, "H": self.H, "kappa": self.kappa})
+        if broken:
+            raise ParameterError(broken[0])
         w0 = np.zeros(self.problem.d) if self.w0 is None else np.atleast_1d(
             np.asarray(self.w0, dtype=np.float64)
         )
@@ -95,10 +107,6 @@ class RunConfig:
         object.__setattr__(self, "w0", w0)
         if not 0 <= self.aggregator.f_hat < self.problem.n / 2:
             raise ParameterError("aggregator f_hat must satisfy 0 <= f_hat < n/2")
-        if self.kappa < 0:
-            raise ParameterError("kappa must be >= 0")
-        if not np.isfinite(stepsize_constant(self.kappa)):
-            raise ParameterError("kappa overflows the stepsize constant sqrt(384*kappa)")
         if self.attack.kind == "fixed_vector" and np.atleast_1d(self.attack.vector).shape != (self.problem.d,):
             raise ParameterError(f"attack vector must have dimension {self.problem.d}")
 
@@ -138,8 +146,9 @@ class RunRecord:
         return float(self.loss_gap[-1])
 
 
-def _describe(value):
-    """JSON-compatible form of one RunConfig field value."""
+def run_config_descriptor(value):
+    """JSON-compatible description of a RunConfig (one entry per field) or
+    of a field's value; config_digest sorts its keys."""
     if isinstance(value, Problem):
         return dict(value.descriptor) if value.descriptor else {
             "kind": "custom",
@@ -150,19 +159,12 @@ def _describe(value):
             "centers": value.centers.tolist(),
         }
     if is_dataclass(value):
-        return {f.name: _describe(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: run_config_descriptor(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
-        return [_describe(v) for v in value]
+        return [run_config_descriptor(v) for v in value]
     return value
-
-
-def run_config_descriptor(config: RunConfig) -> dict:
-    """JSON-compatible description of a run, one entry per RunConfig field;
-    the digest is taken over its canonical serialization, so field order
-    never matters."""
-    return _describe(config)
 
 
 def config_digest(config: RunConfig) -> str:

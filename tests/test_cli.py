@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import fedrobust
-from fedrobust import ConfigError, RunConfig, aggregators, problems, random_quadratic_problem, run
+from fedrobust import (
+    AttackStrategy, ConfigError, ParameterError, RunConfig, aggregators, cli, problems, random_quadratic_problem, run,
+)
 from fedrobust.cli import (
     CONFIG_KINDS,
     PROBLEM_KINDS,
@@ -351,6 +353,16 @@ def test_kappa_overflowing_the_stepsize_constant_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res"), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("key, value", [("T", -1), ("H", 0), ("kappa", -1.0), ("kappa", 1e307)])
+def test_engine_rules_give_the_library_message(key, value):
+    with pytest.raises(ParameterError) as lib:
+        RunConfig(problem=problems.homogeneous_quadratic_problem(4), aggregator=aggregators.AggregatorSpec("mean"),
+                  attack=AttackStrategy("honest_mimic"), **{key: value})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(dict(MINIMAL_SIMULATE, engine={key: value})))
+    assert exc.value.errors == [f"engine.{lib.value}"]
+
+
 def test_grad_ceiling_that_overflows_is_written_as_null(tmp_path):
     # c' is finite here, but 90 * kappa * G^2 overflows
     config = {
@@ -366,6 +378,67 @@ def test_grad_ceiling_that_overflows_is_written_as_null(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res"), "--quiet"]) == 0
     summary = json.loads((tmp_path / "res" / "summary.json").read_text())
     assert summary["cells"][0]["bounds"]["grad_ceiling"] is None
+
+
+# sha256 of what a non-quiet sweep and its report show: the sweep's stdout
+# and stderr, then the report's, then report.txt, report.json and
+# summary.json with each wall_time_ms set to null.  One sweep has a cell
+# that fails (two-group, f > f_hat), the other a cell that diverges.
+# Recorded before sweep, audit and report shared one output path; a
+# refactor of that path must not move them.
+VISIBLE_BYTES = [
+    ({
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "two_group_quadratic", "n": 10, "G": 1.0},
+        "aggregator": {"kind": "cwtm"},
+        "attack": {"kind": "honest_mimic"},
+        "engine": {"T": 2, "w0": 1.0},
+        "grid": {"f_hat": [2], "f": [3, 2], "seeds": [0]},
+    }, 3, {
+        "sweep.stdout": "c0aaf94a4c5789400014652c5336acfabc6367ad8f4c9a5fa785f5cafad6498d",
+        "sweep.stderr": "da9fbfbb13bbf8587b3c5b81035c2067805495c775e508c7775f2792a3c2f304",
+        "report.stdout": "7013cfb1d595edfa8cd8e98e4ac6a39ec9b2beb94cf626f38da6c515503695b0",
+        "report.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "report.txt": "7013cfb1d595edfa8cd8e98e4ac6a39ec9b2beb94cf626f38da6c515503695b0",
+        "report.json": "3c627fd207c278bfd8b0c4ce0c4cc4485cae434989c88971553b7d66cf86a73c",
+        "summary.json": "92cfbeddc73e6a244482669b58e33ea94e1adef04eabab96c172ffae7728d6ae",
+    }),
+    ({
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "homogeneous_quadratic", "n": 5},
+        "aggregator": {"kind": "cwtm"},
+        "attack": {"kind": "escalating_outlier"},
+        "engine": {"T": 3000, "H": 1, "schedule": {"kind": "constant", "gamma": 0.1}, "w0": 1.0},
+        "grid": {"f_hat": [1], "f": [2], "seeds": [0]},
+    }, 0, {
+        "sweep.stdout": "ac252ba08a0b662611dee4e64701d353745fa75ec05e20322bd87d9626007cab",
+        "sweep.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "report.stdout": "8f4965c8740057a78b0bf5b6a4cd2ead2423be1bc735e93de12e92722126a9fc",
+        "report.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "report.txt": "8f4965c8740057a78b0bf5b6a4cd2ead2423be1bc735e93de12e92722126a9fc",
+        "report.json": "8090efe18b00d369af6668781ecd47127c011eb429c79528dc82731640af76fe",
+        "summary.json": "e12b0ef45aecbc333bd8f466c07584c198b17874af5f1ad5a14a44ad30083c2b",
+    }),
+]
+
+
+@pytest.mark.parametrize("config,exit_code,sha256", VISIBLE_BYTES, ids=["failed_cell", "diverged_cell"])
+def test_sweep_and_report_visible_bytes_are_pinned(tmp_path, capsys, config, exit_code, sha256):
+    sweep_cfg, report_cfg = tmp_path / "sweep.json", tmp_path / "report.json"
+    sweep_cfg.write_text(json.dumps(config))
+    report_cfg.write_text(json.dumps({"schema_version": 1, "kind": "report", "results": str(tmp_path / "res")}))
+    shown = {}
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(tmp_path / "res")]) == exit_code
+    shown["sweep.stdout"], shown["sweep.stderr"] = capsys.readouterr()
+    assert main(["report", "--config", str(report_cfg), "--out", str(tmp_path / "rep")]) == 0
+    shown["report.stdout"], shown["report.stderr"] = capsys.readouterr()
+    shown["report.txt"] = (tmp_path / "rep" / "report.txt").read_text()
+    shown["report.json"] = (tmp_path / "rep" / "report.json").read_text()
+    summary = (tmp_path / "res" / "summary.json").read_text()
+    shown["summary.json"] = re.sub(r'("wall_time_ms": )[^,\n]*', r"\1null", summary)
+    assert {key: hashlib.sha256(text.encode()).hexdigest() for key, text in shown.items()} == sha256
 
 
 def test_report_missing_column_is_schema_error(tmp_path):
@@ -462,6 +535,19 @@ def test_seed_override(tmp_path):
     digest0 = base.splitlines()[1].split(",")[1]
     digest9 = overridden.splitlines()[1].split(",")[1]
     assert digest0 != digest9  # seed participates in the digest
+
+
+@pytest.mark.parametrize("command", ["sweep", "audit", "report"])
+def test_main_calls_the_module_level_command(tmp_path, monkeypatch, command):
+    # a tracer wraps these names on the module, so main must look them up there
+    name = {"sweep": "run_sweep", "audit": "run_audit", "report": "report"}[command]
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args) or 0)
+    doc = {"sweep": SWEEP_TEMPLATE, "audit": AUDIT_TEMPLATE, "report": VALID["report"]}[command]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 def test_console_entry_point(tmp_path):

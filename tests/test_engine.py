@@ -448,6 +448,9 @@ def test_run_config_validation():
     with pytest.raises(ParameterError, match="kappa"):
         RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
                   attack=AttackStrategy("honest_mimic"), T=1, kappa=1e307)
+    with pytest.raises(ParameterError, match="kappa = nan violates"):
+        RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
+                  attack=AttackStrategy("honest_mimic"), T=1, kappa=float("nan"))
 
 
 def test_fixed_vector_dimension_checked():
