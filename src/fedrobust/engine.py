@@ -3,19 +3,24 @@
 Each round: every honest client runs H local gradient-descent steps from the
 current global iterate, one attack call gives the Byzantine clients their
 uploads, and the server applies the configured robust aggregator to the
-client deltas (upload - w_t) to advance the global iterate.  The full
-metric trajectory is recorded into arrays allocated once per run; sampling an
-output iterate is left to post-processing.
+client deltas (upload - w_t) to advance the global iterate.  The loop
+records each iterate and deviation into arrays allocated once per run; the
+metrics of all recorded iterates are evaluated after the loop, in one
+batched ``honest_objective`` call.  Sampling an output iterate is left to
+post-processing.
 
 A run stops at the first row t it cannot record (w_t or its metrics not
 finite, w_t run away, or round t-1's deviation not finite) and is then
-diverged, with ``diverged_round == rows``.
+diverged, with ``diverged_round == rows``.  Below a magnitude fixed per run
+(``_overflow_free_scale``) the metrics cannot overflow, so only a row above
+it has its metrics evaluated in the loop, and no round runs past the stop.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
@@ -72,11 +77,17 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
 
 def _field_errors(values: dict) -> list[str]:
     """One message per rule on RunConfig's T, H and kappa that ``values``
-    (field name -> value) breaks; absent fields are not checked."""
-    errors = [
-        f"{key} = {values[key]!r} violates {lo} <= {key}"
-        for key, lo in (("T", 0), ("H", 1), ("kappa", 0)) if key in values and not values[key] >= lo
-    ]
+    (field name -> value) breaks; absent fields are not checked.  T and H
+    must be integers, and a bool does not count as one."""
+    errors = []
+    for key, lo in (("T", 0), ("H", 1), ("kappa", 0)):
+        if key not in values:
+            continue
+        value = values[key]
+        if key != "kappa" and (isinstance(value, bool) or not isinstance(value, int)):
+            errors.append(f"{key} must be an integer, got {value!r}")
+        elif not value >= lo:
+            errors.append(f"{key} = {value!r} violates {lo} <= {key}")
     kappa = values.get("kappa", 0.0)
     if kappa >= 0 and not np.isfinite(stepsize_constant(kappa)):
         errors.append(f"kappa = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
@@ -172,34 +183,20 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _metrics(problem: Problem, w: np.ndarray, limit: float):
-    """``(grad_metric, loss_gap)`` at iterate ``w``, or None when ``w`` or a
-    value is not finite or some |w_i| exceeds ``limit``."""
-    if not np.all(np.isfinite(w)) or np.abs(w).max() > limit:
-        return None
-    value, grad = honest_objective(problem, w)
-    gap = value - problem.l_star
-    with np.errstate(over="ignore"):  # a runaway iterate overflows to inf, caught below
-        gm = float(grad @ grad)
-    if not (np.isfinite(gm) and np.isfinite(gap)):
-        return None
-    return gm, gap
-
-
 def run_round(config: RunConfig, w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
     """Round ``t`` from iterate ``w``: the next iterate and the squared
     distance between the aggregated delta and the mean honest delta."""
     problem = config.problem
     gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
-    honest_uploads = descend(problem, problem.honest_set, w, gamma, config.H)
+    honest_uploads = descend(problem, problem.honest_index, w, gamma, config.H)
     uploads = np.empty((problem.n, w.shape[0]))
-    uploads[list(problem.honest_set)] = honest_uploads
-    uploads[list(problem.byzantine_set)] = byzantine_upload(
+    uploads[problem.honest_index] = honest_uploads
+    uploads[problem.byzantine_index] = byzantine_upload(
         config.attack, problem, w, gamma, config.H, t, config.seed, honest_uploads
     )
 
     aggregated = aggregate(config.aggregator, uploads - w)
-    deviation = aggregated - honest_uploads.mean(axis=0) + w
+    deviation = aggregated - honest_uploads.sum(axis=0) / honest_uploads.shape[0] + w  # sum / m is numpy's mean
     with np.errstate(over="ignore"):  # overflow to inf marks divergence in run()
         deviation = float(deviation @ deviation)
     return w + aggregated, deviation
@@ -219,35 +216,63 @@ def _preflight(config: RunConfig) -> None:
         )
 
 
+def _overflow_free_scale(problem: Problem) -> float:
+    """A magnitude ``safe``: no iterate with max|w_i| <= safe overflows in
+    the honest objective's value, its gradient or the squared gradient norm.
+
+    With m honest clients, dimension d, A = max curvature, C = max|center|
+    and R = safe + C, every |w_i - b_kj| <= R, so each partial sum that
+    ``honest_objective`` forms is at most (m*d*A*R^2 for the value, 2*m*A*R
+    for a gradient entry, d*(2*A*R)^2 for ``grad @ grad``, R^2 for one
+    squared difference) times a rounding factor (1 + eps)^(m + d) < 2.
+    Taking R^2 = MAX / (16*m*d*max(A, 1)^2) keeps the quadratic bounds at or
+    under MAX/4, and the linear one, 2*m*A*R <= sqrt(m*MAX)/2, under MAX for
+    any m < MAX.  Subtracting l_star (>= 0, finite) from a value <= MAX/4
+    stays finite too.  When C >= R, safe is negative and every row is
+    checked."""
+    m, d = problem.honest_index.shape[0], problem.d
+    scale = max(float(problem.curvature.max()), 1.0)
+    reach = np.sqrt(np.finfo(np.float64).max / (16.0 * m * d)) / scale
+    return reach - float(np.abs(problem.centers).max())
+
+
+def _metrics(problem: Problem, w: np.ndarray):
+    """``(grad_metric, loss_gap)`` at each row of the (k, d) block ``w``."""
+    value, grad = honest_objective(problem, w)
+    with np.errstate(over="ignore"):  # a runaway row's metric overflows to inf, and run() stops there
+        return np.vecdot(grad, grad), value - problem.l_star
+
+
 def run(config: RunConfig) -> RunRecord:
     """Execute the configured number of rounds (halting early on divergence)
     and return the full metric record."""
     _preflight(config)
     T, problem, w = config.T, config.problem, config.w0
     limit = DIVERGENCE_SCALE * (1.0 + float(np.abs(w).max()))
-    iterates = np.empty((T + 1, w.shape[0]))
-    grad_metric, loss_gap, agg_deviation = np.empty(T + 1), np.empty(T + 1), np.empty(T)
+    safe = _overflow_free_scale(problem)
+    iterates, agg_deviation = np.empty((T + 1, w.shape[0])), np.empty(T)
     rows = aggregations = 0
     for t in range(T + 1):
-        metrics = _metrics(problem, w, limit)
-        if metrics is None:
+        top = float(np.abs(w).max())  # nan if some w_i is
+        if not (math.isfinite(top) and top <= limit):
+            break
+        if top > safe and not np.all(np.isfinite(_metrics(problem, w[None]))):
             break
         iterates[t] = w
-        grad_metric[t], loss_gap[t] = metrics
         rows = t + 1
         if t == T:
             break
         w, deviation = run_round(config, w, t)
-        if not np.isfinite(deviation):
+        if not math.isfinite(deviation):
             break
         agg_deviation[t] = deviation
         aggregations = t + 1
 
-    grad_metric = grad_metric[:rows]
+    grad_metric, loss_gap = _metrics(problem, iterates[:rows])
     return RunRecord(
         iterates=iterates[:rows],
         grad_metric=grad_metric,
-        loss_gap=loss_gap[:rows],
+        loss_gap=loss_gap,
         running_avg=np.cumsum(grad_metric) / np.arange(1, rows + 1),
         agg_deviation=agg_deviation[:aggregations],
         diverged=rows <= T,

@@ -23,7 +23,8 @@ class Problem:
     """n quadratic client losses sum_j a_j ([w]_j - [b_k]_j)^2 sharing one
     curvature a, with client k's center b_k in row k of ``centers``; the
     clients outside ``honest_set`` are Byzantine.  Also holds the
-    closed-form constants of the honest objective."""
+    closed-form constants of the honest objective, and both client sets as
+    read-only intp index arrays, built once."""
 
     f: int
     honest_set: tuple      # None means the first n - f clients
@@ -34,6 +35,10 @@ class Problem:
     G2: float
     l_star: float
     descriptor: dict = field(default_factory=dict)
+    # derived from honest_set at construction
+    byzantine_set: tuple = field(init=False, repr=False, compare=False)         # the other clients, sorted
+    honest_index: np.ndarray = field(init=False, repr=False, compare=False)     # honest_set as intp
+    byzantine_index: np.ndarray = field(init=False, repr=False, compare=False)  # byzantine_set as intp
 
     def __post_init__(self):
         curvature = np.array(self.curvature, dtype=np.float64, ndmin=1)
@@ -49,7 +54,14 @@ class Problem:
             object.__setattr__(self, name, value)
         if not 0 <= self.f < self.n / 2:
             raise ParameterError(f"require 0 <= f < n/2, got f={self.f}, n={self.n}")
-        object.__setattr__(self, "honest_set", _honest_set(self.n, self.f, self.honest_set))
+        honest_set = _honest_set(self.n, self.f, self.honest_set)
+        byzantine_set = tuple(sorted(set(range(self.n)) - set(honest_set)))
+        object.__setattr__(self, "honest_set", honest_set)
+        object.__setattr__(self, "byzantine_set", byzantine_set)
+        for name, clients in (("honest_index", honest_set), ("byzantine_index", byzantine_set)):
+            index = np.array(clients, dtype=np.intp)
+            index.setflags(write=False)
+            object.__setattr__(self, name, index)
         _verify_constants(self)
 
     @property
@@ -60,16 +72,12 @@ class Problem:
     def d(self) -> int:
         return self.centers.shape[1]
 
-    @property
-    def byzantine_set(self) -> tuple:
-        return tuple(sorted(set(range(self.n)) - set(self.honest_set)))
-
 
 def _verify_constants(p: Problem) -> None:
     """Recompute every constant from the arrays and compare; catches
     construction bugs at the source."""
     a = p.curvature
-    spread = p.centers[list(p.honest_set)]
+    spread = p.centers[p.honest_index]
     spread = spread - spread.mean(axis=0)
     l_star = float(np.sum(a * (spread ** 2).mean(axis=0)))
     g2 = float(np.sum(4.0 * a ** 2 * (spread ** 2).mean(axis=0)))
@@ -204,31 +212,48 @@ def random_quadratic_problem(
 
 def descend(p: Problem, clients, w, gamma: float, steps: int) -> np.ndarray:
     """Run ``steps`` plain gradient-descent updates from ``w`` on each listed
-    client's own loss; row i of the result belongs to ``clients[i]``."""
-    centers = p.centers[list(clients)]
-    w = np.array(np.broadcast_to(np.asarray(w, dtype=np.float64), centers.shape))
+    client's own loss; row i of the result belongs to ``clients[i]``, which
+    may be a sequence or an index array such as ``p.honest_index``."""
+    centers = np.take(p.centers, clients, axis=0)
+    out = np.empty(centers.shape)
+    out[...] = w  # one copy of w per client
     for _ in range(steps):
-        w = w - gamma * (2.0 * p.curvature * (w - centers))
-    return w
+        out = out - gamma * (2.0 * p.curvature * (out - centers))
+    return out
 
 
-def honest_objective(p: Problem, w) -> tuple[float, np.ndarray]:
-    """Value and gradient of the average honest loss at ``w``.
+def honest_objective(p: Problem, w):
+    """Value and gradient of the average honest loss: a float and a (d,)
+    array at one point ``w`` (a scalar or a (d,) array), or (k,) values and
+    (k, d) gradients at each row of a (k, d) block ``w``.
 
-    The clients' terms are added one after another in honest-set order (a
-    cumulative sum, not numpy's pairwise sum), so the result is the same to
-    the bit as a client-by-client sum; a value that overflows becomes inf,
-    which the engine reports as divergence."""
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    diff = w - p.centers[list(p.honest_set)]
+    Each honest client's (k,) value terms and (k, d) gradient terms are added
+    onto running sums one client after another, in honest-set order (not
+    numpy's pairwise sum), so every row is the same to the bit as a
+    client-by-client sum at that row's point, whatever k is, and the work
+    needs O(k*d) memory.  A value or gradient that overflows becomes inf
+    without a warning; the engine reports it as divergence."""
+    w = np.asarray(w, dtype=np.float64)
+    block = np.atleast_2d(w)
+    two_a = 2.0 * p.curvature
     with np.errstate(over="ignore"):
-        value = float(np.cumsum((p.curvature * diff ** 2).sum(axis=1))[-1])
-    m = len(p.honest_set)
-    return value / m, np.cumsum(2.0 * p.curvature * diff, axis=0)[-1] / m
+        for i, center in enumerate(p.centers[p.honest_index]):
+            diff = block - center
+            value, grad = (p.curvature * diff ** 2).sum(axis=1), two_a * diff
+            if i == 0:
+                values, grads = value, grad
+            else:
+                values += value
+                grads += grad
+    m = p.honest_index.shape[0]
+    values, grads = values / m, grads / m
+    if w.ndim < 2:
+        return float(values[0]), grads[0]
+    return values, grads
 
 
 def heterogeneity_at(p: Problem, w) -> float:
     """Mean squared deviation of honest gradients from their average at ``w``."""
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    grads = 2.0 * p.curvature * (w - p.centers[list(p.honest_set)])
+    grads = 2.0 * p.curvature * (w - p.centers[p.honest_index])
     return float(((grads - grads.mean(axis=0)) ** 2).sum(axis=1).mean())

@@ -352,6 +352,7 @@ def assert_matches_oracle(config):
     for name in ("iterates", "grad_metric", "loss_gap", "running_avg", "agg_deviation"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.diverged, got.diverged_round) == (want.diverged, want.diverged_round)
+    return got
 
 
 ORACLE_AGGREGATORS = [
@@ -387,6 +388,64 @@ def test_run_matches_list_building_oracle(agg, attack):
                          ids=["overshoot", "metric_overflow", "deviation_overflow"])
 def test_divergent_run_matches_list_building_oracle(config):
     assert_matches_oracle(config)
+
+
+def guard_cases():
+    """(id, config, stop, crosses) for runs past the in-loop metric check:
+    ``stop`` is "" for a completed run, "metric" when the row after the last
+    one has |w| within the runaway limit but a metric that is not finite,
+    and "deviation" when the last round's deviation is not finite;
+    ``crosses`` says that some recorded row lies above the overflow-free
+    scale, so its metrics were checked in the loop."""
+    p = random_quadratic_problem(9, 3, 2, 1.0, 2.0, seed=3)
+    step_wise = RunConfig(
+        problem=p, aggregator=AggregatorSpec("krum", f_hat=3, pre_nnm=True),
+        attack=AttackStrategy("sign_flip", scale=2.0), T=40, H=3,
+        schedule=Schedule("step_wise", gamma=0.05), w0=np.array([1.0, -2.0]), seed=4,
+    )
+    noise_cwtm = dataclasses.replace(
+        step_wise, aggregator=AggregatorSpec("cwtm", f_hat=3), attack=AttackStrategy("gaussian_noise", variance=1.0),
+        schedule=Schedule("constant", gamma=0.05), H=1,
+    )
+    shrinking = runaway_config("mean", AttackStrategy("honest_mimic"), 5e153)
+    return [
+        # starts above the overflow-free scale and shrinks below it, metrics finite
+        ("above_safe", dataclasses.replace(shrinking, T=20), "", True),
+        # w0 = 1 keeps the runaway limit finite, at 2e300
+        ("metric_overflow", runaway_config("cwtm", AttackStrategy("escalating_outlier"), 1.0), "metric", True),
+        ("deviation_overflow", runaway_config(*RUNAWAY[1][:3]), "deviation", False),
+        ("step_wise", step_wise, "", False),
+        ("noise_cwtm", noise_cwtm, "", False),
+    ]
+
+
+GUARD_CASES = guard_cases()
+
+
+@pytest.mark.parametrize("config,stop,crosses", [case[1:] for case in GUARD_CASES], ids=[case[0] for case in GUARD_CASES])
+def test_run_matches_oracle_past_the_overflow_guard(config, stop, crosses, monkeypatch):
+    calls = []
+    run_round = engine.run_round
+
+    def counting(config, w, t):
+        calls.append(t)
+        return run_round(config, w, t)
+
+    monkeypatch.setattr(engine, "run_round", counting)
+    record = assert_matches_oracle(config)
+    # no round runs past the stop: one call per recorded deviation, plus the
+    # call whose deviation was not finite
+    assert len(calls) == len(record.agg_deviation) + (stop == "deviation")
+    assert record.diverged == bool(stop)
+
+    top = np.abs(record.iterates).max(axis=1)
+    assert np.any(top > engine._overflow_free_scale(config.problem)) == crosses
+    if stop == "metric":
+        w, _ = run_round(config, record.iterates[-1], record.rows - 1)
+        assert np.abs(w).max() <= DIVERGENCE_SCALE * (1.0 + np.abs(config.w0).max())
+        value, grad = honest_objective(config.problem, w)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(value + grad @ grad)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +510,11 @@ def test_run_config_validation():
     with pytest.raises(ParameterError, match="kappa = nan violates"):
         RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
                   attack=AttackStrategy("honest_mimic"), T=1, kappa=float("nan"))
+    # T and H are integers, and a bool is not one
+    for bad in (dict(T=2.5), dict(H=1.5), dict(T=True)):
+        key, value = next(iter(bad.items()))
+        with pytest.raises(ParameterError, match=f"{key} must be an integer, got {value!r}"):
+            RunConfig(problem=p, aggregator=AggregatorSpec("mean"), attack=AttackStrategy("honest_mimic"), **bad)
 
 
 def test_fixed_vector_dimension_checked():

@@ -350,6 +350,55 @@ def test_array_functions_match_client_loop_exactly(n, f, d):
                         assert np.array_equal(row, client_descend(p, k, w, gamma, steps))
 
 
+@pytest.mark.parametrize("d", [1, 5, 8, 9, 200])
+def test_batched_objective_equals_per_row_calls(d):
+    rng = np.random.default_rng(d)
+    problems = [
+        custom_problem(rng, 10, 3, d),
+        random_quadratic_problem(10, 2, d, 1.5, 4.0, seed=d, honest_set=(9, 0, 7, 2, 5, 3, 1, 8)),
+    ]
+    for p in problems:
+        assert p.honest_set != tuple(range(p.n - p.f))
+        block = rng.normal(size=(12, d)) * 10.0 ** rng.uniform(-3, 3, size=(12, 1))
+        values, grads = honest_objective(p, block)
+        assert type(values) is np.ndarray and values.shape == (12,) and values.dtype == np.float64
+        assert type(grads) is np.ndarray and grads.shape == (12, d) and grads.dtype == np.float64
+        for w, value, grad in zip(block, values, grads):
+            one_value, one_grad = honest_objective(p, w)
+            assert type(one_value) is float and one_grad.shape == (d,)
+            assert one_value == value == loop_honest_objective(p, w)[0]
+            assert np.array_equal(one_grad, grad) and np.array_equal(grad, loop_honest_objective(p, w)[1])
+
+
+def test_objective_forms_on_a_scalar_problem():
+    p = two_group_quadratic_problem(10, 2, 3, 1.0, honest_set=(9, 8, 0, 1, 2, 3, 4, 5))
+    points = np.array([-1.5, -0.25, 0.0, 2.0])
+    values, grads = honest_objective(p, points[:, None])
+    assert values.shape == (4,) and grads.shape == (4, 1)
+    for x, value, grad in zip(points, values, grads):
+        for w in (x, float(x), np.array([x])):
+            got_value, got_grad = honest_objective(p, w)
+            assert type(got_value) is float and got_grad.shape == (1,)
+            assert got_value == value and np.array_equal(got_grad, grad)
+
+
+def test_index_arrays_match_the_client_tuples():
+    rng = np.random.default_rng(4)
+    problems = [
+        random_quadratic_problem(9, 4, 2, seed=1),
+        random_quadratic_problem(7, 3, 2, seed=2, honest_set=(6, 0, 4, 2)),
+        homogeneous_quadratic_problem(6, 0),
+        custom_problem(rng, 11, 5, 3),
+    ]
+    for p in problems:
+        assert p.byzantine_set == tuple(sorted(set(range(p.n)) - set(p.honest_set)))
+        for index, clients in ((p.honest_index, p.honest_set), (p.byzantine_index, p.byzantine_set)):
+            assert index.dtype == np.intp and index.tolist() == list(clients)
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[...] = 0
+
+
 def test_honest_objective_overflow_is_silent_inf():
     # each client's loss is finite, their sum is not: the value becomes inf
     # without a warning, as a client-by-client float sum would
