@@ -69,7 +69,7 @@ def stack_points(xs) -> np.ndarray:
         pts = pts[:, None]
     elif pts.ndim != 2:
         raise DimensionError(f"inputs must stack to an (n, d) matrix, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("input vectors must be finite (no NaN/Inf)")
     return pts
 
@@ -233,20 +233,21 @@ def _sq_distance_matrix(pts: np.ndarray) -> np.ndarray:
 def _neighbor_indices(d2: np.ndarray, f_hat: int) -> np.ndarray:
     """Indices of the n - f_hat nearest neighbours of each point, self
     included, given the squared distance matrix ``d2`` (stable sort)."""
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, : d2.shape[0] - f_hat]
+    return d2.argsort(axis=1, kind="stable")[:, : d2.shape[0] - f_hat]
 
 
 def _krum_index(pts: np.ndarray, f_hat: int, squared: bool) -> int:
     d2 = _sq_distance_matrix(pts)
-    neighbors = _neighbor_indices(d2, f_hat)
-    scores_matrix = d2 if squared else np.sqrt(d2)
-    scores = np.take_along_axis(scores_matrix, neighbors, axis=1).sum(axis=1)
-    return int(np.argmin(scores))
+    # a sorted row lists a point's distances nearest first, the terms a stable
+    # argsort gathers in its order (sqrt keeps the order), so no sum changes
+    scores = d2 if squared else np.sqrt(d2)
+    scores.sort(axis=1)
+    return int(np.add.reduce(scores[:, : pts.shape[0] - f_hat], axis=1).argmin())
 
 
 def _nnm(pts: np.ndarray, f_hat: int) -> np.ndarray:
-    return pts[_neighbor_indices(_sq_distance_matrix(pts), f_hat)].mean(axis=1)
+    neighbors = _neighbor_indices(_sq_distance_matrix(pts), f_hat)
+    return np.add.reduce(pts.take(neighbors, axis=0), axis=1) / neighbors.shape[1]  # what .mean(axis=1) computes
 
 
 def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
@@ -264,8 +265,8 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
       Otherwise a Newton iteration runs, with Weiszfeld's step as its
       fallback wherever the Newton step does not descend.
     - krum: the input point with the smallest summed distance to its
-      n - f_hat nearest neighbours; squared distances unless
-      ``krum_squared`` is false; ties go to the lowest index.
+      n - f_hat nearest neighbours, added nearest first; squared distances
+      unless ``krum_squared`` is false; ties go to the lowest index.
     - ``pre_nnm`` (nearest-neighbour mixing): first replace each point by
       the mean of its n - f_hat nearest neighbours, itself included, with a
       stable tie-break, then apply the rule to the mixed points.

@@ -43,8 +43,8 @@ def byzantine_upload(
     t: int, seed: int, honest_uploads: np.ndarray,
 ) -> np.ndarray:
     """Uploads of round ``t`` from iterate ``w``: row i belongs to client
-    ``problem.byzantine_set[i]``.  The kinds that send one vector return a
-    read-only broadcast of it.
+    ``problem.byzantine_set[i]``.  The kinds that send one vector return one
+    copy of it per client.
 
     honest_mimic:       H local GD steps on each Byzantine client's own loss.
     escalating_outlier: n*|(1-gamma)^H w| + t per coordinate; it grows with
@@ -58,7 +58,7 @@ def byzantine_upload(
     """
     clients, d = problem.byzantine_set, w.shape[0]
     if strategy.kind == "honest_mimic":
-        return descend(problem, clients, w, gamma, H)
+        return descend(problem, problem.byzantine_index, w, gamma, H)
     if strategy.kind == "gaussian_noise":
         std = np.sqrt(strategy.variance)
         rows = [std * np.random.default_rng([seed, k, t]).standard_normal(d) for k in clients]
@@ -66,7 +66,7 @@ def byzantine_upload(
     if strategy.kind == "escalating_outlier":
         row = problem.n * np.abs((1.0 - gamma) ** H * w) + t
     elif strategy.kind == "sign_flip":
-        row = w - strategy.scale * (honest_uploads.mean(axis=0) - w)
+        row = w - strategy.scale * (honest_uploads.sum(axis=0) / honest_uploads.shape[0] - w)  # sum / m is the mean
     else:  # fixed_vector; AttackStrategy admits no other kind
         row = np.asarray(strategy.vector, dtype=np.float64)
-    return np.broadcast_to(row, (len(clients), d))
+    return row[None].repeat(len(clients), axis=0)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
@@ -78,19 +79,18 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
 def _field_errors(values: dict) -> list[str]:
     """One message per rule on RunConfig's T, H and kappa that ``values``
     (field name -> value) breaks; absent fields are not checked.  T and H
-    must be integers, and a bool does not count as one."""
+    must be integers and kappa a real number, and a bool counts as neither."""
     errors = []
-    for key, lo in (("T", 0), ("H", 1), ("kappa", 0)):
+    for key, lo, kind in (("T", 0, int), ("H", 1, int), ("kappa", 0, numbers.Real)):
         if key not in values:
             continue
         value = values[key]
-        if key != "kappa" and (isinstance(value, bool) or not isinstance(value, int)):
-            errors.append(f"{key} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            errors.append(f"{key} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
         elif not value >= lo:
             errors.append(f"{key} = {value!r} violates {lo} <= {key}")
-    kappa = values.get("kappa", 0.0)
-    if kappa >= 0 and not np.isfinite(stepsize_constant(kappa)):
-        errors.append(f"kappa = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
+        elif key == "kappa" and not np.isfinite(stepsize_constant(value)):
+            errors.append(f"kappa = {value!r} overflows the stepsize constant sqrt(384*kappa)")
     return errors
 
 
@@ -189,13 +189,14 @@ def run_round(config: RunConfig, w: np.ndarray, t: int) -> tuple[np.ndarray, flo
     problem = config.problem
     gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
     honest_uploads = descend(problem, problem.honest_index, w, gamma, config.H)
-    uploads = np.empty((problem.n, w.shape[0]))
-    uploads[problem.honest_index] = honest_uploads
-    uploads[problem.byzantine_index] = byzantine_upload(
+    deltas = np.empty((problem.n, w.shape[0]))
+    deltas[problem.honest_index] = honest_uploads
+    deltas[problem.byzantine_index] = byzantine_upload(
         config.attack, problem, w, gamma, config.H, t, config.seed, honest_uploads
     )
+    deltas -= w
 
-    aggregated = aggregate(config.aggregator, uploads - w)
+    aggregated = aggregate(config.aggregator, deltas)
     deviation = aggregated - honest_uploads.sum(axis=0) / honest_uploads.shape[0] + w  # sum / m is numpy's mean
     with np.errstate(over="ignore"):  # overflow to inf marks divergence in run()
         deviation = float(deviation @ deviation)

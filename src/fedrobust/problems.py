@@ -213,12 +213,14 @@ def random_quadratic_problem(
 def descend(p: Problem, clients, w, gamma: float, steps: int) -> np.ndarray:
     """Run ``steps`` plain gradient-descent updates from ``w`` on each listed
     client's own loss; row i of the result belongs to ``clients[i]``, which
-    may be a sequence or an index array such as ``p.honest_index``."""
-    centers = np.take(p.centers, clients, axis=0)
+    may be a sequence or an index array such as ``p.honest_index``.  Each
+    step is x - gamma * (2a * (x - b_k)), rounded in that order."""
+    centers = p.centers.take(clients, axis=0)
     out = np.empty(centers.shape)
     out[...] = w  # one copy of w per client
+    slope = 2.0 * p.curvature
     for _ in range(steps):
-        out = out - gamma * (2.0 * p.curvature * (out - centers))
+        out -= gamma * (slope * (out - centers))
     return out
 
 

@@ -13,7 +13,9 @@ from hypothesis.extra.numpy import arrays
 
 from fedrobust import AggregatorSpec, DimensionError, ParameterError, aggregate, weiszfeld
 from fedrobust import aggregators
-from fedrobust.aggregators import WeiszfeldResult, _cwtm, _krum_index, _nnm, stack_points
+from fedrobust.aggregators import (
+    WeiszfeldResult, _cwtm, _krum_index, _neighbor_indices, _nnm, _sq_distance_matrix, stack_points,
+)
 
 MEAN = AggregatorSpec("mean")
 CWMED = AggregatorSpec("cwmed")
@@ -482,6 +484,61 @@ def test_nnm_brute_force_equivalence():
         f_hat = int(rng.integers(0, (n - 1) // 2 + 1))
         pts = rng.integers(-5, 6, size=(n, d)).astype(float)
         assert np.array_equal(_nnm(stack_points(pts), f_hat), oracle_nnm(pts, f_hat))
+
+
+# The vectorised kernels as they stood before their numpy calls were cut,
+# kept verbatim as bit-exact oracles.  The brute-force tests above use small
+# integer clouds, where every sum is exact, so they cannot see a change of
+# rounding; these run on float clouds.
+
+def vector_oracle_sq_distance_matrix(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def vector_oracle_neighbor_indices(d2, f_hat):
+    order = np.argsort(d2, axis=1, kind="stable")
+    return order[:, : d2.shape[0] - f_hat]
+
+
+def vector_oracle_krum_index(pts, f_hat, squared):
+    d2 = vector_oracle_sq_distance_matrix(pts)
+    neighbors = vector_oracle_neighbor_indices(d2, f_hat)
+    scores_matrix = d2 if squared else np.sqrt(d2)
+    scores = np.take_along_axis(scores_matrix, neighbors, axis=1).sum(axis=1)
+    return int(np.argmin(scores))
+
+
+def vector_oracle_nnm(pts, f_hat):
+    return pts[vector_oracle_neighbor_indices(vector_oracle_sq_distance_matrix(pts), f_hat)].mean(axis=1)
+
+
+def kernel_clouds(rng, n, d):
+    """A float cloud, and one drawn from at most n/3 distinct rows, so that
+    distances and Krum scores tie exactly."""
+    cloud = rng.uniform(0.1, 10.0) * rng.standard_normal((n, d))
+    distinct = rng.standard_normal((max(n // 3, 1), d))
+    return cloud, distinct[rng.integers(0, distinct.shape[0], size=n)]
+
+
+@pytest.mark.parametrize("d", [1, 5, 200])
+def test_krum_and_nnm_kernels_equal_vectorised_oracles_bitwise(d):
+    rng = np.random.default_rng([14, d])
+    for n in range(3, 17):
+        cloud, duplicated = kernel_clouds(rng, n, d)
+        # a repeated row is as near its copy as itself: the stable sort breaks a tie
+        assert np.any(np.diff(np.sort(_sq_distance_matrix(duplicated), axis=1), axis=1) == 0)
+        for pts in (cloud, duplicated):
+            d2 = _sq_distance_matrix(pts)
+            assert np.array_equal(d2, vector_oracle_sq_distance_matrix(pts))
+            for f_hat in range(-(-n // 2)):
+                assert np.array_equal(_neighbor_indices(d2, f_hat), vector_oracle_neighbor_indices(d2, f_hat))
+                mixed = _nnm(pts, f_hat)
+                assert np.array_equal(mixed, vector_oracle_nnm(pts, f_hat)), (n, f_hat)
+                for squared in (True, False):
+                    for points in (pts, mixed):
+                        got = _krum_index(points, f_hat, squared)
+                        assert got == vector_oracle_krum_index(points, f_hat, squared), (n, f_hat, squared)
 
 
 # ---------------------------------------------------------------------------
