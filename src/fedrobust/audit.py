@@ -10,15 +10,13 @@ arithmetic.
 
 :func:`audit_profile` audits one cloud for several aggregators and several
 f in one call; :func:`empirical_kappa` is its case of one aggregator at one
-f.  Every candidate subset is scored at once with a subset-weight matrix
-``W`` of shape (num, n), whose row k is 1/size on the members of subset k
-and 0 elsewhere.  With the cloud centred on each aggregator output, ``c_j =
-pts - output_j``, one product ``W @ [c_1 | q_1 | c_2 | q_2 | ...]`` per f,
-with ``q_j = ||c_j||^2`` per row, gives each subset's mean offset ``m`` and
-mean squared distance ``q`` for every aggregator, so ``err = ||m||^2`` and
-``var = q - err``.  Two rules, applied to each aggregator's columns, keep
-the result equal, bit for bit, to the gathered per-subset formula that
-:func:`error_ratio` uses:
+f.  Subsets are scored with a weight matrix ``W``, whose row k is 1/size on
+the members of subset k and 0 elsewhere.  With ``c_j = pts - output_j`` and
+``q_j = ||c_j||^2`` per row, the product ``W @ [c_1 | q_1 | c_2 | q_2 |
+...]`` gives each subset's mean offset ``m`` and mean squared distance
+``q`` for every aggregator, so ``err = ||m||^2`` and ``var = q - err``.
+Two rules keep the result equal, bit for bit, to the gathered per-subset
+formula that :func:`error_ratio` uses:
 
 - the guard: subsets with ``var <= GUARD * q``, where the subtraction may
   have cancelled (including every subset of identical points), are scored
@@ -32,13 +30,11 @@ the result equal, bit for bit, to the gathered per-subset formula that
 Audits of at most ``GATHER_ALL_MAX`` gathered values skip the product and
 score every subset with the gathered formula.
 
-A sampled subset holds the positions of the size smallest keys in a row of
-``default_rng(seed).random((budget, n))``, drawn once per cloud.  One sort
-of the rows gives every f its threshold, the size-th smallest key, and the
-weights of f are written straight from ``keys <= threshold``.  A row whose
-threshold ties the next key would take too many members; it is set from
-its own argsort, so every subset is the one ``np.argsort(keys,
-axis=1)[:, :size]`` names.
+A sampled subset is ``np.argsort(keys, axis=1)[:, :size]`` for a row of the
+keys ``default_rng(seed).random((budget, n))``.  The keys are drawn, sorted
+for each f's threshold, turned into weights and scored ``BLOCK`` rows at a
+time in one reused buffer; only each row's fast ratio and packed members
+outlive its block, so the window is taken over the whole draw.
 """
 
 from __future__ import annotations
@@ -63,11 +59,13 @@ ZERO_ERROR_EPS = 1e-18
 # Fast variances at or below this fraction of q are recomputed (the guard).
 GUARD = 1e-5
 
-# Up to this many gathered values (num subsets of size members, d
-# coordinates plus a squared distance each) scoring every subset the gathered
-# way costs less than the fast path's fixed overhead of about 30 numpy calls
-# (crossover measured at 1,700-2,500 on a 2-core x86-64 machine).
+# Up to this many gathered values (num subsets of size members, d + 1 values
+# each) scoring every subset the gathered way costs less than the fast path's
+# fixed overhead (crossover 1,700-2,500 on a 2-core x86-64 machine).
 GATHER_ALL_MAX = 2048
+
+# Rows of keys, or of candidates to rescore, handled at a time in reused memory
+BLOCK = 2048  # fastest of 256-4,096 at n = 20-24 on a 2-core x86-64 machine
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -95,13 +93,18 @@ def error_ratio(spec: AggregatorSpec, xs, honest_set) -> float:
     does.
     """
     pts = stack_points(xs)
-    subset = np.asarray(sorted(honest_set), dtype=np.intp)
-    if subset.size == 0 or subset.min() < 0 or subset.max() >= pts.shape[0]:
+    members = sorted(honest_set)
+    subset = np.asarray(members, dtype=np.intp)
+    if not all(map(_is_integer, members)) or not subset.size or subset.min() < 0 or subset.max() >= len(pts):
         raise ParameterError("honest_set must be a nonempty subset of client indices")
     if np.unique(subset).size != subset.size:
         raise ParameterError("honest_set contains repeated indices")
     output = aggregate(spec, pts)
     return float(_gathered_ratios(output, pts, subset[None, :])[0])
+
+
+def _is_integer(value) -> bool:  # Python and numpy integers, but not a bool
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def _gathered_ratios(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -110,11 +113,12 @@ def _gathered_ratios(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray) -
     not depend on which other rows are passed with it."""
     size = subsets.shape[1]
     chosen = pts[subsets]                       # (num, size, d)
-    centers = chosen.sum(axis=1) / size         # the arithmetic of .mean(axis=1)
-    err = ((output - centers) ** 2).sum(axis=1)
-    var = ((chosen - centers[:, None, :]) ** 2).sum(axis=2).sum(axis=1) / size
+    centers = np.add.reduce(chosen, axis=1) / size  # .mean(axis=1), as .sum without its wrapper
+    err = np.add.reduce((output - centers) ** 2, axis=1)
+    chosen -= centers[:, None, :]               # in place: one (num, size, d) temporary
+    var = np.add.reduce(np.add.reduce(np.square(chosen, out=chosen), axis=2), axis=1) / size
     zero = var == 0.0
-    if not zero.any():
+    if not np.logical_or.reduce(zero):
         return err / var
     ratios = np.empty(subsets.shape[0])
     np.divide(err, var, out=ratios, where=~zero)
@@ -141,14 +145,10 @@ def _all_subsets(n: int, size: int) -> np.ndarray:
 
 
 def _threshold_weights(keys: np.ndarray, cut: np.ndarray, size: int, out: np.ndarray) -> None:
-    """Write to ``out`` the weight matrix of the subsets
-    ``np.argsort(keys, axis=1)[:, :size]``, given the size-th and
-    (size + 1)-th smallest key of each row as the columns of ``cut``.
-
-    Row k's members are its keys at or below its size-th smallest.  Where
-    that key ties the next one, that rule takes too many members, so the row
-    is set from its own argsort and every row is the argsort's subset.
-    """
+    """Write to ``out`` the weights of the subsets ``np.argsort(keys,
+    axis=1)[:, :size]``, given each row's size-th and (size + 1)-th smallest
+    keys as ``cut``: a row's keys up to its size-th smallest, or, where that
+    key ties the next one and so takes too many, the row's own argsort."""
     np.multiply(keys <= cut[:, :1], 1.0 / size, out=out)
     tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
     if tied.size:
@@ -185,27 +185,29 @@ def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float
                       + ratio * b * length * length / var)
 
 
-def _candidates(moments: np.ndarray, size: int, length: float) -> np.ndarray:
-    """Subsets that the fast path cannot rule out as the first holder of the
-    largest exact ratio: the guarded ones and the window.  ``moments`` is
-    one output's (num, d + 1) block [m | q] of the product, and ``length``
-    bounds max|x_i| + max|c_i|."""
+def _fast_ratios(moments: np.ndarray, out: np.ndarray) -> float:
+    """Write to ``out`` each row's fast ratio from one output's block [m | q] of
+    the product, NaN where the guard holds; return the least fast variance."""
     d = moments.shape[1] - 1
     q = moments[:, d]
-    # column by column: a reduction over the strided (num, d) view is slower
+    # column by column: a reduction over the strided (rows, d) view is slower
     err = moments[:, 0] * moments[:, 0]
     for j in range(1, d):
         err += moments[:, j] * moments[:, j]
     var = q - err
     fast = var > GUARD * q                      # false for NaN as well
-    ratios = np.divide(err, var, out=np.full(q.shape, -np.inf), where=fast)
-    candidates = ~fast
-    top = float(ratios.max())
-    if top > -np.inf:
-        slack = _fast_error_bound(top, float(var.min(where=fast, initial=np.inf)), size, d, length)
-        # negated so that a NaN bound (from overflowing inputs) keeps every row
-        candidates |= ~(ratios < top - 2.0 * slack)
-    return np.flatnonzero(candidates)
+    np.divide(err, var, out=out, where=fast)
+    return float(np.minimum.reduce(var, where=fast, initial=np.inf))
+
+
+def _candidates(ratios: np.ndarray, min_var: float, size: int, d: int, length: float) -> np.ndarray:
+    """Rows, from one output's fast ratios of all rows, that may first hold the largest
+    exact ratio: the guarded ones and the window.  ``length`` >= max|x_i| + max|c_i|."""
+    top = float(np.fmax.reduce(ratios))         # NaN only if every row is guarded
+    slack = _fast_error_bound(top, min_var, size, d, length)
+    # negated so that the guarded rows, and every row under a NaN bound (from
+    # overflowing inputs, or with no fast row), are kept
+    return np.flatnonzero(~(ratios < top - 2.0 * slack))
 
 
 def _moment_columns(pts: np.ndarray, outputs: list):
@@ -220,71 +222,100 @@ def _moment_columns(pts: np.ndarray, outputs: list):
         c = np.subtract(pts, output, out=block[:, :d])
         sq_norms = np.add.reduce(c * c, axis=1, out=block[:, d])
         # |x_i| <= |c_i| + |output|
-        lengths.append(2.0 * math.sqrt(sq_norms.max()) + math.sqrt(output @ output))
+        lengths.append(2.0 * math.sqrt(np.maximum.reduce(sq_norms)) + math.sqrt(output @ output))
     return columns, lengths
 
 
-def _worst(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray):
-    """The largest exact ratio over the subsets in the rows of the index
-    array ``subsets`` and the first subset attaining it."""
-    exact = _gathered_ratios(output, pts, subsets)
-    k = int(np.argmax(exact))
-    return float(exact[k]), tuple(subsets[k].tolist())
+def _worst(output: np.ndarray, pts: np.ndarray, members: np.ndarray, size: int):
+    """The largest exact ratio (NaN first, as in ``np.argmax``) and the first
+    subset attaining it, over the subsets named by the nonzeros of rows of ``members``."""
+    best = -math.inf, ()
+    for lo in range(0, members.shape[0], BLOCK):
+        subsets = members[lo : lo + BLOCK].nonzero()[1].reshape(-1, size)
+        exact = _gathered_ratios(output, pts, subsets)
+        k = int(exact.argmax())
+        if exact[k] > best[0] or (math.isnan(exact[k]) and not math.isnan(best[0])):
+            best = float(exact[k]), tuple(subsets[k].tolist())
+    return best
+
+
+def _weight_blocks(n: int, fs, budget: int, seed: int):
+    """Yield ``(size, weights, lo, last)``: rows lo, lo + 1, ... of an f's weights, and
+    whether they end them.  An exhaustive f is one block; the sampled f share one
+    key draw and one buffer, ``BLOCK`` rows at a time, anchor subsets first."""
+    sampled = []
+    for f in fs:
+        if math.comb(n, f) <= budget:
+            yield n - f, _all_subsets(n, n - f), 0, True
+        elif n - f not in sampled:
+            sampled.append(n - f)
+    if not sampled:
+        return
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((2 * min(budget, BLOCK) + 2, n))  # anchors, sorted keys then weights, keys
+    for start in range(0, budget, BLOCK):
+        b = min(BLOCK, budget - start)
+        keys = rng.random(out=buffer[-b:])
+        ordered = buffer[2 : b + 2]
+        np.copyto(ordered, keys)
+        ordered.sort(axis=1)
+        cuts = {size: ordered[:, size - 1 : size + 1].copy() for size in sampled}
+        for size in sampled:
+            _threshold_weights(keys, cuts[size], size, ordered)
+            if not start:
+                buffer[:2] = _subset_weights(np.array([range(size), range(n - size, n)], dtype=np.intp), n)
+            yield size, buffer[2 if start else 0 : b + 2], start + 2 if start else 0, start + b == budget
 
 
 def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> list:
     """:func:`empirical_kappa` of every spec in the sequence ``specs`` at
-    every f in the sequence ``fs`` on one cloud: ``result[i][j]`` equals
-    ``empirical_kappa(specs[i], xs, fs[j], subset_budget, seed)``, bit for
-    bit.
+    every f in the sequence ``fs`` on one cloud, bit for bit: ``result[i][j]``
+    is ``empirical_kappa(specs[i], xs, fs[j], subset_budget, seed)``.
 
-    The cloud is validated once and aggregated once per spec, and every f
-    is checked before any audit runs.  For each f one product of the subset
-    weights with ``[c_1 | q_1 | c_2 | q_2 | ...]`` scores the subsets for
-    every spec.  The sampled subsets of every f come from one key draw and
-    one sort of its rows.
+    The cloud is validated once and aggregated once per spec, and every
+    argument is checked before any audit runs.  One product of each block of
+    weights with ``[c_1 | q_1 | c_2 | q_2 | ...]`` scores it for every spec.
     """
     pts = stack_points(xs)
     n, d = pts.shape
     for f in fs:
+        if not _is_integer(f):
+            raise ParameterError(f"f must be an integer, got {f!r}")
         if not 0 <= f < n / 2:
             raise ParameterError(f"require 0 <= f < n/2, got f={f} with n={n}")
-    if subset_budget < 1:
-        raise ParameterError(f"subset_budget must be >= 1, got {subset_budget}")
+    if not (_is_integer(subset_budget) and subset_budget >= 1):
+        raise ParameterError(f"subset_budget must be an integer >= 1, got {subset_budget!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    subset_budget = int(subset_budget)          # so that the results hold Python numbers
     outputs = [_aggregate(spec, pts) for spec in specs]
-    sampled = [n - f for f in fs if math.comb(n, f) > subset_budget]
-    if sampled:
-        keys = np.random.default_rng(seed).random((subset_budget, n))
-        # the keys are sorted in the buffer that then holds each f's weights
-        buffer = np.empty((subset_budget + 2, n))
-        ordered = buffer[2:]
-        np.copyto(ordered, keys)
-        ordered.sort(axis=1)
-        cuts = {size: ordered[:, size - 1 : size + 1].copy() for size in sampled}
-    columns = None
-    results = [[] for _ in specs]
-    for f in fs:
-        size = n - f
-        exhaustive = size not in sampled
-        if exhaustive:
-            weights = _all_subsets(n, size)
-        else:
-            weights = buffer
-            weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
-            _threshold_weights(keys, cuts[size], size, weights[2:])
-        num = weights.shape[0]
-        if num * size * (d + 1) <= GATHER_ALL_MAX:
-            rows = [slice(None)] * len(specs)
-        else:
+    columns, scores, results = None, {}, {}
+    for size, weights, lo, last in _weight_blocks(n, fs, subset_budget, seed):
+        num = len(weights) if last and not lo else subset_budget + 2  # so exhaustive iff num <= budget
+        fast = num * size * (d + 1) > GATHER_ALL_MAX
+        if fast:
             if columns is None:
                 columns, lengths = _moment_columns(pts, outputs)
-            moments = weights @ columns         # (num, k (d + 1))
-            rows = [_candidates(moments[:, k * (d + 1) : (k + 1) * (d + 1)], size, length)
-                    for k, length in enumerate(lengths)]
-        for audits, output, r in zip(results, outputs, rows):
-            ratio, subset = _worst(output, pts, np.nonzero(weights[r])[1].reshape(-1, size))
-            audits.append(AuditResult(ratio, subset, num, exhaustive))
-    return results
+            if lo == 0:  # per spec, each row's fast ratio and the least fast variance; packed members
+                scores[size] = (np.full((len(specs), num), np.nan), [math.inf] * len(specs),
+                                None if last else np.empty((num, -(-n // 8)), dtype=np.uint8))
+            ratios, min_vars, packed = scores[size]
+            rows = slice(lo, lo + len(weights))
+            moments = weights @ columns         # (rows, k (d + 1))
+            for k in range(len(specs)):
+                min_vars[k] = min(min_vars[k], _fast_ratios(moments[:, k * (d + 1) : (k + 1) * (d + 1)], ratios[k, rows]))
+            if packed is not None:
+                packed[rows] = np.packbits(weights != 0, axis=1)
+            if not last:
+                continue
+        results[size] = audits = []
+        for k, output in enumerate(outputs):
+            members = weights
+            if fast:
+                r = _candidates(ratios[k], min_vars[k], size, d, lengths[k])
+                members = weights[r] if packed is None else np.unpackbits(packed[r], axis=1, count=n)
+            audits.append(AuditResult(*_worst(output, pts, members, size), num, num <= subset_budget))
+    return [[results[n - f][k] for f in fs] for k in range(len(specs))]
 
 
 def empirical_kappa(

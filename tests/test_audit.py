@@ -3,6 +3,7 @@ adversarial witness families."""
 
 import json
 import math
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -12,6 +13,7 @@ import pytest
 from fedrobust import (
     INFINITE_RATIO,
     AggregatorSpec,
+    AuditResult,
     ParameterError,
     aggregate,
     audit_profile,
@@ -20,7 +22,21 @@ from fedrobust import (
     error_ratio,
     lower_bound_witness,
 )
-from fedrobust.audit import ZERO_ERROR_EPS, _threshold_weights, random_cloud, to_jsonl_row
+from fedrobust.aggregators import _aggregate, stack_points
+from fedrobust.audit import (
+    BLOCK,
+    GATHER_ALL_MAX,
+    GUARD,
+    ZERO_ERROR_EPS,
+    _all_subsets,
+    _fast_error_bound,
+    _gathered_ratios,
+    _moment_columns,
+    _subset_weights,
+    _threshold_weights,
+    random_cloud,
+    to_jsonl_row,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +102,65 @@ def oracle_kappa(spec, xs, f, subset_budget=20000, seed=0):
     return float(ratios[worst]), tuple(int(i) for i in subsets[worst])
 
 
+def oracle_candidates(moments, size, length):
+    """The guarded subsets and the window of one output's (num, d + 1) block
+    [m | q] of a whole-budget product."""
+    d = moments.shape[1] - 1
+    q = moments[:, d]
+    err = moments[:, 0] * moments[:, 0]
+    for j in range(1, d):
+        err += moments[:, j] * moments[:, j]
+    var = q - err
+    fast = var > GUARD * q
+    ratios = np.divide(err, var, out=np.full(q.shape, -np.inf), where=fast)
+    candidates = ~fast
+    top = float(ratios.max())
+    if top > -np.inf:
+        slack = _fast_error_bound(top, float(var.min(where=fast, initial=np.inf)), size, d, length)
+        candidates |= ~(ratios < top - 2.0 * slack)
+    return np.flatnonzero(candidates)
+
+
+def oracle_profile(specs, xs, fs, subset_budget=20000, seed=0):
+    """``audit_profile`` with each f's whole weight matrix in memory at once:
+    one key draw of (subset_budget, n), one product per f over every row,
+    and every candidate rescored in one gather."""
+    pts = stack_points(xs)
+    n, d = pts.shape
+    outputs = [_aggregate(spec, pts) for spec in specs]
+    sampled = [n - f for f in fs if math.comb(n, f) > subset_budget]
+    if sampled:
+        keys = np.random.default_rng(seed).random((subset_budget, n))
+        ordered = np.sort(keys, axis=1)
+        cuts = {size: ordered[:, size - 1 : size + 1].copy() for size in sampled}
+    columns = None
+    results = [[] for _ in specs]
+    for f in fs:
+        size = n - f
+        exhaustive = size not in sampled
+        if exhaustive:
+            weights = _all_subsets(n, size)
+        else:
+            weights = np.empty((subset_budget + 2, n))
+            weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
+            _threshold_weights(keys, cuts[size], size, weights[2:])
+        num = weights.shape[0]
+        if num * size * (d + 1) <= GATHER_ALL_MAX:
+            rows = [slice(None)] * len(specs)
+        else:
+            if columns is None:
+                columns, lengths = _moment_columns(pts, outputs)
+            moments = weights @ columns
+            rows = [oracle_candidates(moments[:, k * (d + 1) : (k + 1) * (d + 1)], size, length)
+                    for k, length in enumerate(lengths)]
+        for audits, output, r in zip(results, outputs, rows):
+            subsets = np.nonzero(weights[r])[1].reshape(-1, size)
+            exact = _gathered_ratios(output, pts, subsets)
+            k = int(np.argmax(exact))
+            audits.append(AuditResult(float(exact[k]), tuple(subsets[k].tolist()), num, exhaustive))
+    return results
+
+
 def assert_matches_oracle(spec, pts, f, **kwargs):
     """``empirical_kappa`` reports the oracle's worst ratio and subset
     exactly, and ``error_ratio`` of that subset is the worst ratio."""
@@ -125,6 +200,12 @@ def test_error_ratio_rejects_bad_subsets():
         error_ratio(AggregatorSpec("mean"), [0.0, 1.0], set())
     with pytest.raises(ParameterError):
         error_ratio(AggregatorSpec("mean"), [0.0, 1.0], {0, 5})
+    # a fractional index is not truncated, and a bool is not client 1
+    pts = [0.0, 1.0, 2.0, 3.0, 9.0]
+    for honest_set in ((0, 1, 2, 3.7), (0, True)):
+        with pytest.raises(ParameterError):
+            error_ratio(AggregatorSpec("mean"), pts, honest_set)
+    assert error_ratio(AggregatorSpec("mean"), pts, np.arange(4)) == error_ratio(AggregatorSpec("mean"), pts, range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +315,78 @@ def test_audit_profile_equals_empirical_kappa_per_call(n, d, budget):
             assert exhaustive == [math.comb(n, f) <= budget for f in fs]
 
 
+@pytest.mark.parametrize("n", [18, 20, 24])
+def test_blocked_audit_profile_equals_whole_budget_oracle(n):
+    # budgets on both sides of one block; several sampled f in one call, with
+    # the smallest f enumerated at the larger budgets
+    top = -(-n // 2) - 1
+    specs = audit_specs(top)
+    fs = [1, top - 1, top]
+    for d in (1, 5):
+        clouds = [random_cloud(n, d, [47, n, d]), lower_bound_witness(n, 1, top, d).points, np.ones((n, d))]
+        for pts in clouds:
+            for budget in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+                for seed in (0, 1, 2):
+                    got = audit_profile(specs, pts, fs, subset_budget=budget, seed=seed)
+                    assert got == oracle_profile(specs, pts, fs, budget, seed), (n, d, budget, seed)
+
+
+def test_blocked_key_draws_concatenate_to_one_draw():
+    want = np.random.default_rng(5).random((2 * BLOCK + 3, 20))
+    rng = np.random.default_rng(5)
+    blocks = [rng.random((min(BLOCK, len(want) - lo), 20)) for lo in range(0, len(want), BLOCK)]
+    assert np.array_equal(np.concatenate(blocks), want)
+    rng, out = np.random.default_rng(5), np.empty_like(want)
+    for lo in range(0, len(want), BLOCK):
+        rng.random(out=out[lo : lo + BLOCK])
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("cloud,bound_mb", [("fuzz", 2.0), ("ones", 4.0)])
+def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb):
+    # At n = 20, d = 5 the reused buffer holds 2 BLOCK rows of n floats
+    # (0.66 MB).  On the all-equal cloud every row is rescored: the unpacked
+    # members of all 20,002 rows take 0.4 MB, and each chunk of BLOCK rows
+    # gathers (BLOCK, 14, 5) points (1.15 MB) and their indices (0.46 MB).
+    # The whole budget in memory at once took 8.25 MB on the fuzz cloud and
+    # 37.9 MB on the all-equal cloud.
+    pts = random_cloud(20, 5, [53]) if cloud == "fuzz" else np.ones((20, 5))
+    spec = AggregatorSpec("krum", f_hat=6)
+    empirical_kappa(spec, pts, 6)
+    tracemalloc.start()
+    try:
+        result = empirical_kappa(spec, pts, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.exhaustive and result.samples_checked == 20002
+    assert peak < bound_mb * 1e6, peak
+
+
 def test_audit_profile_checks_every_f():
     pts = random_cloud(8, 2, [5])
     for fs, bad in (([1, 4], 4), ([-1, 0], -1)):
         with pytest.raises(ParameterError, match=f"got f={bad} with n=8"):
             audit_profile([AggregatorSpec("mean")], pts, fs)
+
+
+def test_audit_profile_checks_its_integers_at_entry():
+    pts = random_cloud(20, 2, [59])
+    specs = [AggregatorSpec("mean")]
+    bad = (({"fs": [2.5]}, "f"), ({"fs": [True]}, "f"), ({"fs": [1], "subset_budget": 10.5}, "subset_budget"),
+           ({"fs": [1], "subset_budget": True}, "subset_budget"), ({"fs": [1], "seed": 1.0}, "seed"))
+    for kwargs, name in bad:
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            audit_profile(specs, pts, **kwargs)
+    # a negative seed is refused whether f enumerates (f = 1) or samples (f = 6)
+    for f in (1, 6):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0, got -1"):
+            audit_profile(specs, pts, [f], seed=-1)
+    # numpy integers are accepted, and the results hold Python numbers
+    got = audit_profile(specs, pts, [np.int64(1), np.int32(6)], np.int64(500), np.uint8(3))
+    assert got == audit_profile(specs, pts, [1, 6], 500, 3)
+    assert [type(r.exhaustive) for r in got[0]] == [bool, bool]
+    assert [type(r.samples_checked) for r in got[0]] == [int, int]
 
 
 @pytest.mark.parametrize("size", [1, 4, 7])
