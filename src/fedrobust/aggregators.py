@@ -43,7 +43,7 @@ class AggregatorSpec:
             raise ParameterError(f"kind must be one of {list(KINDS)}, got {self.kind!r}")
         if self.f_hat < 0:
             raise ParameterError("f_hat must be >= 0")
-        if self.gm_tolerance <= 0 or self.gm_max_iters <= 0:
+        if not (self.gm_tolerance > 0 and self.gm_max_iters > 0):  # NaN fails too
             raise ParameterError("gm_tolerance and gm_max_iters must be positive")
 
     @property
@@ -84,7 +84,8 @@ def _cwtm(pts: np.ndarray, f_hat: int) -> np.ndarray:
 
 def _kuhn(diff: np.ndarray, merge: float = 0.0) -> np.ndarray:
     """Kuhn's test (see :func:`weiszfeld`) at a point x, given the offsets
-    x_i - x of every row along the last two axes of ``diff``.
+    x_i - x of every row i along the first axis of ``diff`` and their
+    coordinates along the last; a middle axis holds more points x.
 
     Rows no farther than ``merge`` from x count as m rows at x, and R is the
     length of the sum of the unit vectors to the others.  R must fall short
@@ -92,40 +93,23 @@ def _kuhn(diff: np.ndarray, merge: float = 0.0) -> np.ndarray:
     offset is divided by its largest component before its length, so
     nothing overflows or underflows to a false zero length.
     """
-    n, d = diff.shape[-2:]
+    n, d = diff.shape[0], diff.shape[-1]
     span = np.maximum.reduce(np.abs(diff), axis=-1)
-    v = diff / np.where(span == 0.0, 1.0, span)[..., None]
+    at = span == 0.0  # the rows at x when merge is 0
+    v = diff / np.where(at, 1.0, span)[..., None]
     length = np.sqrt(np.add.reduce(v * v, axis=-1))  # in [1, sqrt(d)], or 0 where span is
-    at = span <= merge / np.maximum(length, 1.0)
+    if merge:
+        at = span <= merge / np.maximum(length, 1.0)
     length[at] = np.inf  # the rows at x add nothing to R
-    pull = np.add.reduce(v / length[..., None], axis=-2)
+    pull = np.add.reduce(v / length[..., None], axis=0)
     r = np.sqrt(np.add.reduce(pull * pull, axis=-1))
-    return r < np.add.reduce(at, axis=-1) - n * (n + 2 * d + 6) * _EPS
-
-
-def _data_point_median(pts: np.ndarray) -> np.ndarray | None:
-    """The first input row that passes Kuhn's test, or None.  Offsets are
-    taken between halved rows, so they cannot overflow."""
-    half = 0.5 * pts
-    hits = np.flatnonzero(_kuhn(half[None, :, :] - half[:, None, :]))  # [j, i] = (x_i - x_j) / 2
-    return pts[hits[0]].copy() if hits.size else None
+    return r < np.add.reduce(at, axis=0) - n * (n + 2 * d + 6) * _EPS
 
 
 def _offsets(y: np.ndarray, z: np.ndarray):
     """The offsets y_i - z and their lengths."""
     diff = y - z
     return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
-
-
-def _lowers(diff: np.ndarray, dist: np.ndarray, s: np.ndarray, new_dist: np.ndarray) -> bool:
-    """Whether f(z + s) < f(z), for f(z) = sum_i ||y_i - z||, by more than
-    the rounding error of the computed change, given the offsets y_i - z,
-    their lengths d_i and the lengths d'_i at z + s.  Each term of the change
-    is (d'^2 - d^2)/(d' + d) with d'^2 - d^2 = s.s - 2 (y_i - z).s, so it
-    keeps its precision next to the minimum, where f is flat to rounding."""
-    terms = (s @ s - 2.0 * (diff @ s)) / (dist + new_dist)
-    n, d = diff.shape
-    return np.add.reduce(terms) < -2 * (n + d) * _EPS * np.add.reduce(np.abs(terms))
 
 
 def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
@@ -163,15 +147,17 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     after a stop at a row.
     """
     pts = stack_points(xs)
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError("tol must be positive")
-    anchor = _data_point_median(pts)
-    if anchor is not None:
-        return WeiszfeldResult(anchor, 0.0, 0)
+    half = 0.5 * pts  # offsets between halved rows cannot overflow
+    passed = _kuhn(half[:, None, :] - half[None, :, :])  # [i, j] = (x_i - x_j) / 2
+    first = int(passed.argmax())  # the first row that passes, if one does
+    if passed[first]:
+        return WeiszfeldResult(pts[first].copy(), 0.0, 0)
     n, d = pts.shape
     ordered = np.sort(pts, axis=0)
     center = 0.5 * ordered[(n - 1) // 2] + 0.5 * ordered[n // 2]  # the coordinate-wise median
-    half = 0.5 * pts - 0.5 * center  # (x_i - center) / 2, which cannot overflow
+    half = half - 0.5 * center  # (x_i - center) / 2
     exponent = math.frexp(float(np.maximum.reduce(np.abs(half), axis=None)))[1]
     scale = math.ldexp(1.0, min(exponent, 1023))
     # y_i = (x_i - center) / (2 * scale) has coordinates in (-1, 1); lengths
@@ -182,12 +168,15 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     # distance in y is rounded by a few d ulps of 1 and rows nearer the
     # iterate than this cannot be told from it.
     merge = n * d * _EPS
+    slack = -2 * (n + d) * _EPS  # the rounding allowance of a change in f
+    eye = np.eye(d)
     z = np.zeros(d)
-    diff, dist = _offsets(y, z)
+    diff, dist = y, np.sqrt(np.add.reduce(y * y, axis=1))  # the offsets y_i - z at z = 0
     step = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        if np.minimum.reduce(dist) <= merge:
+        newton, lengths = False, dist.tolist()  # min and max of a list are cheaper
+        if min(lengths) <= merge:
             at = dist <= merge
             m = int(np.add.reduce(at))
             weights = 1.0 / dist[~at]
@@ -197,29 +186,36 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
                 step = 0.0
                 break
             s = (1.0 - m / r) / np.add.reduce(weights) * pull
-            new = _offsets(y, z + s)
         else:
             weights = 1.0 / dist
-            u = diff * weights[:, None]
+            column = weights[:, None]
+            u = diff * column
             pull = np.add.reduce(u, axis=0)
-            hessian = np.add.reduce(weights) * np.eye(d) - (u.T * weights) @ u
+            total = np.add.reduce(weights)
+            hessian = total * eye - (u * column).T @ u  # u.T * weights, in the same memory order
             try:
                 s = np.linalg.solve(hessian, pull)
-                newton = math.hypot(*s) <= np.maximum.reduce(dist)  # False for inf or NaN
+                newton = math.hypot(*s.tolist()) <= max(lengths)  # False for inf or NaN
             except np.linalg.LinAlgError:  # a singular H
-                newton = False
+                pass
             if newton:
-                new = _offsets(y, z + s)
-                newton = _lowers(diff, dist, s, new[1])
+                moved, ss = z + s, float(s @ s)
+                new_diff, new_dist = _offsets(y, moved)
+                # f(z + s) - f(z) term by term as (d'^2 - d^2)/(d' + d), with
+                # d'^2 - d^2 = s.s - 2 (y_i - z).s, keeps its precision next
+                # to the minimum, where f is flat to rounding
+                terms = (ss - 2.0 * (diff @ s)) / (dist + new_dist)
+                newton = np.add.reduce(terms) < slack * np.add.reduce(np.abs(terms))
             if not newton:
                 k = np.argmin(dist)
                 if _kuhn(y - y[k], merge):
                     return WeiszfeldResult(pts[k].copy(), 0.0, iterations)
-                s = pull / np.add.reduce(weights)
-                new = _offsets(y, z + s)
-        step = math.sqrt(s @ s)
-        z = z + s
-        diff, dist = new
+                s = pull / total
+        if not newton:
+            moved, ss = z + s, float(s @ s)
+            new_diff, new_dist = _offsets(y, moved)
+        step = math.sqrt(ss)
+        z, diff, dist = moved, new_diff, new_dist
         if step < tol_y:
             break
     return WeiszfeldResult(center + scale * (2.0 * z), step * 2.0 * scale, iterations)

@@ -32,8 +32,10 @@ class AttackStrategy:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ParameterError(f"kind must be one of {list(ATTACK_KINDS)}, got {self.kind!r}")
-        if self.variance < 0:
+        if not self.variance >= 0:  # NaN fails too
             raise ParameterError("variance must be >= 0")
+        if not np.isfinite(self.scale):
+            raise ParameterError("scale must be finite")
         if self.kind == "fixed_vector" and self.vector is None:
             raise ParameterError("fixed_vector attack needs a vector")
 
@@ -50,8 +52,9 @@ def byzantine_upload(
     escalating_outlier: n*|(1-gamma)^H w| + t per coordinate; it grows with
                         the round, so a trimmed mean with too small a
                         robustness degree keeps averaging it in and blows up.
-    gaussian_noise:     i.i.d. N(0, variance) entries, client k's row drawn
-                        from ``default_rng([seed, k, t])``.
+    gaussian_noise:     client k's row is ``sqrt(variance) *
+                        default_rng([seed, k, t]).standard_normal(d)``, i.i.d.
+                        N(0, variance) entries.
     sign_flip:          w - scale * (mean honest delta), the negated honest
                         direction.
     fixed_vector:       the strategy's vector.
@@ -60,9 +63,14 @@ def byzantine_upload(
     if strategy.kind == "honest_mimic":
         return descend(problem, problem.byzantine_index, w, gamma, H)
     if strategy.kind == "gaussian_noise":
-        std = np.sqrt(strategy.variance)
-        rows = [std * np.random.default_rng([seed, k, t]).standard_normal(d) for k in clients]
-        return np.array(rows).reshape(len(clients), d)
+        # ints below 2**32 seed as the same words from a uint32 array, at less cost
+        words = all(isinstance(v, (int, np.integer)) and 0 <= v < 2**32 for v in (seed, t))
+        block = np.empty((len(clients), d))
+        for row, k in zip(block, clients):
+            key = np.array([seed, k, t], dtype=np.uint32) if words else [seed, k, t]
+            np.random.default_rng(key).standard_normal(d, out=row)
+        block *= np.sqrt(strategy.variance)
+        return block
     if strategy.kind == "escalating_outlier":
         row = problem.n * np.abs((1.0 - gamma) ** H * w) + t
     elif strategy.kind == "sign_flip":

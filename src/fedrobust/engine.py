@@ -49,7 +49,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ParameterError(f"kind must be one of {list(SCHEDULE_KINDS)}, got {self.kind!r}")
-        if self.kind in ("constant", "step_wise") and self.gamma <= 0:
+        if self.kind in ("constant", "step_wise") and not self.gamma > 0:  # NaN fails too
             raise ParameterError("gamma must be positive")
         if self.kind == "pl_power" and not 0 < self.beta < 1:
             raise ParameterError("beta must lie in (0, 1)")
@@ -197,7 +197,7 @@ def run_round(config: RunConfig, w: np.ndarray, t: int) -> tuple[np.ndarray, flo
     deltas -= w
 
     aggregated = aggregate(config.aggregator, deltas)
-    deviation = aggregated - honest_uploads.sum(axis=0) / honest_uploads.shape[0] + w  # sum / m is numpy's mean
+    deviation = aggregated - np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0] + w  # numpy's mean
     with np.errstate(over="ignore"):  # overflow to inf marks divergence in run()
         deviation = float(deviation @ deviation)
     return w + aggregated, deviation
@@ -254,7 +254,7 @@ def run(config: RunConfig) -> RunRecord:
     iterates, agg_deviation = np.empty((T + 1, w.shape[0])), np.empty(T)
     rows = aggregations = 0
     for t in range(T + 1):
-        top = float(np.abs(w).max())  # nan if some w_i is
+        top = float(np.maximum.reduce(np.abs(w)))  # what .max() computes; nan if some w_i is
         if not (math.isfinite(top) and top <= limit):
             break
         if top > safe and not np.all(np.isfinite(_metrics(problem, w[None]))):

@@ -229,6 +229,39 @@ def test_gaussian_noise_statistics_and_determinism():
             AttackStrategy("gaussian_noise", variance=variance)
 
 
+def test_gaussian_noise_rows_equal_their_list_seeded_streams():
+    # seeds at and past 2**32 take more than one SeedSequence word each
+    p = flat_problem(7, 3, 4, honest_set=(0, 2, 3, 5))
+    assert p.byzantine_set == (1, 4, 6)
+    w = np.zeros(4)
+    for seed in (0, 2**32 - 1, 2**32, 2**64 + 5):
+        for t in (0, 1, 10**6):
+            for variance in (0.0, 5.0):
+                got = upload(AttackStrategy("gaussian_noise", variance=variance), p, w, t=t, seed=seed)
+                want = np.array([np.sqrt(variance) * np.random.default_rng([seed, k, t]).standard_normal(4)
+                                 for k in p.byzantine_set])
+                assert got.tobytes() == want.tobytes()
+    # keys the list form rejects or reads as hex stay so
+    for seed in (-1, 2.5, "0x10"):
+        try:
+            want = np.random.default_rng([seed, 1, 0]).standard_normal(4)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                upload(AttackStrategy("gaussian_noise", variance=5.0), p, w, seed=seed)
+        else:
+            got = upload(AttackStrategy("gaussian_noise", variance=1.0), p, w, seed=seed)
+            assert got[0].tobytes() == want.tobytes()  # client 1's row
+
+
+def test_attack_parameters_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ParameterError, match="variance"):
+        AttackStrategy("gaussian_noise", variance=nan)
+    for scale in (nan, float("inf")):
+        with pytest.raises(ParameterError, match="scale"):
+            AttackStrategy("sign_flip", scale=scale)
+
+
 def test_sign_flip_formulas():
     w = np.array([1.0, 2.0])
     honest = np.tile(w + 0.5, (3, 1))  # every honest delta is 0.5

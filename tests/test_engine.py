@@ -74,6 +74,9 @@ def test_stepsize_schedules():
         Schedule("pl_power", beta=1.5)
     with pytest.raises(ParameterError):
         Schedule("constant", gamma=0.0)
+    for kind in ("constant", "step_wise"):
+        with pytest.raises(ParameterError, match="gamma"):
+            Schedule(kind, gamma=float("nan"))
 
 
 # ---------------------------------------------------------------------------
