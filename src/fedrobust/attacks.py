@@ -34,10 +34,14 @@ class AttackStrategy:
             raise ParameterError(f"kind must be one of {list(ATTACK_KINDS)}, got {self.kind!r}")
         if not self.variance >= 0:  # NaN fails too
             raise ParameterError("variance must be >= 0")
+        if not np.isfinite(self.variance):
+            raise ParameterError("variance must be finite")
         if not np.isfinite(self.scale):
             raise ParameterError("scale must be finite")
         if self.kind == "fixed_vector" and self.vector is None:
             raise ParameterError("fixed_vector attack needs a vector")
+        if self.kind == "fixed_vector" and not np.all(np.isfinite(self.vector)):
+            raise ParameterError("vector entries must be finite")
 
 
 def byzantine_upload(

@@ -462,28 +462,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     return _write_summary(out, cfg, sum("error" in cell for cell in cells), cells=cells)
 
 
-def _audit_cloud(specs, cloud, fs, budget: int, seed: int) -> dict:
-    """{(f, f_hat): AuditResult, or the error that audit raised} for every
-    spec and f on one cloud.  One audit_profile call covers them all; if it
-    raises, each cell is audited alone, so each failing cell keeps its own
-    error and the others still succeed."""
-    try:
-        profile = audit_mod.audit_profile(specs, cloud, fs, budget, seed)
-    except ValueError:
-        audits = {}
-        for spec, f in product(specs, fs):
-            try:
-                audits[f, spec.f_hat] = audit_mod.empirical_kappa(spec, cloud, f, budget, seed)
-            except ValueError as exc:
-                audits[f, spec.f_hat] = exc
-        return audits
-    return {(f, spec.f_hat): result for spec, row in zip(specs, profile) for f, result in zip(fs, row)}
-
-
 def run_audit(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     """Audit the configured aggregator on seeded fuzz clouds over the grid.
     The cloud depends only on the seed, so each seed's cells are audited by
-    one audit_profile call; rows and progress lines stay in cell order."""
+    one audit_profile call; rows and progress lines stay in cell order.
+    parse_config admits no cell that audit_profile rejects, so every cell
+    gives a row and summary.json records no failed cell."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     section = cfg.normalized["audit"]
@@ -491,26 +475,24 @@ def run_audit(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     agg = cfg.normalized["aggregator"]
     grid = cfg.normalized["grid"]
     specs = {f_hat: AggregatorSpec(**{**agg, "f_hat": f_hat}) for f_hat in grid["f_hat"]}
-    audits = {
-        seed: _audit_cloud(list(specs.values()), audit_mod.random_cloud(n, d, [seed, n, d]), grid["f"], budget, seed)
-        for seed in grid["seeds"]
-    }
-    cells, rows = _cells(cfg), []
-    for f, f_hat, seed in cells:
-        result = audits[seed][f, f_hat]
-        failed = isinstance(result, Exception)
-        if not failed:
-            row = audit_mod.to_jsonl_row(specs[f_hat], n, f, result, seed)
-            try:
-                row["kappa_guarantee"] = bounds.kappa_guarantee(specs[f_hat].name, n, f, f_hat)
-            except ParameterError:
-                row["kappa_guarantee"] = None
-            rows.append(row)
-        _progress(f"audit f={f} f_hat={f_hat} seed={seed}", result if failed else None,
-                  lambda: f"worst_ratio={row['worst_ratio']}", quiet)
+    audits = {}  # (f, f_hat, seed) -> AuditResult
+    for seed in grid["seeds"]:
+        cloud = audit_mod.random_cloud(n, d, [seed, n, d])
+        profile = audit_mod.audit_profile(list(specs.values()), cloud, grid["f"], budget, seed)
+        for spec, results in zip(specs.values(), profile):
+            audits.update(((f, spec.f_hat, seed), result) for f, result in zip(grid["f"], results))
+    rows = []
+    for f, f_hat, seed in _cells(cfg):
+        row = audit_mod.to_jsonl_row(specs[f_hat], n, f, audits[f, f_hat, seed], seed)
+        try:
+            row["kappa_guarantee"] = bounds.kappa_guarantee(specs[f_hat].name, n, f, f_hat)
+        except ParameterError:
+            row["kappa_guarantee"] = None
+        rows.append(row)
+        _progress(f"audit f={f} f_hat={f_hat} seed={seed}", None, lambda: f"worst_ratio={row['worst_ratio']}", quiet)
     with open(out / "audits.jsonl", "w") as fh:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    return _write_summary(out, cfg, len(cells) - len(rows), rows=rows)
+    return _write_summary(out, cfg, 0, rows=rows)
 
 
 def _load_summary(results_dir: Path) -> dict:

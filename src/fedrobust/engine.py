@@ -10,10 +10,11 @@ batched ``honest_objective`` call.  Sampling an output iterate is left to
 post-processing.
 
 A run stops at the first row t it cannot record (w_t or its metrics not
-finite, w_t run away, or round t-1's deviation not finite) and is then
-diverged, with ``diverged_round == rows``.  Below a magnitude fixed per run
-(``_overflow_free_scale``) the metrics cannot overflow, so only a row above
-it has its metrics evaluated in the loop, and no round runs past the stop.
+finite, or round t-1's deviation not finite) and is then diverged, with
+``diverged_round == rows``.  No bound on |w| is needed: a recorded w_0 lies
+within about 1.34e154 of every honest center, and a row far beyond overflows
+its metrics.  Below ``_overflow_free_scale`` the metrics cannot overflow, so
+only a row above it has them evaluated in the loop, and no round runs past it.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from .errors import ParameterError
 from .problems import Problem, descend, honest_objective
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
-
-# |w| beyond this multiple of the initial scale counts as divergence.
-DIVERGENCE_SCALE = 1e300
 
 
 @dataclass(frozen=True)
@@ -77,11 +75,11 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
 
 
 def _field_errors(values: dict) -> list[str]:
-    """One message per rule on RunConfig's T, H and kappa that ``values``
-    (field name -> value) breaks; absent fields are not checked.  T and H
-    must be integers and kappa a real number, and a bool counts as neither."""
+    """One message per rule on RunConfig's T, H, seed and kappa that ``values``
+    (field name -> value) breaks; absent fields are not checked.  T, H and seed
+    must be ints and kappa a real number, and a bool counts as neither."""
     errors = []
-    for key, lo, kind in (("T", 0, int), ("H", 1, int), ("kappa", 0, numbers.Real)):
+    for key, lo, kind in (("T", 0, int), ("H", 1, int), ("seed", 0, int), ("kappa", 0, numbers.Real)):
         if key not in values:
             continue
         value = values[key]
@@ -107,7 +105,7 @@ class RunConfig:
     kappa: float = 0.0  # robustness coefficient used by the c' stepsize rule
 
     def __post_init__(self):
-        broken = _field_errors({"T": self.T, "H": self.H, "kappa": self.kappa})
+        broken = _field_errors({key: getattr(self, key) for key in ("T", "H", "seed", "kappa")})
         if broken:
             raise ParameterError(broken[0])
         w0 = np.zeros(self.problem.d) if self.w0 is None else np.atleast_1d(
@@ -248,16 +246,14 @@ def run(config: RunConfig) -> RunRecord:
     """Execute the configured number of rounds (halting early on divergence)
     and return the full metric record."""
     _preflight(config)
+    digest = config_digest(config)  # before any round, so a config it cannot describe fails at once
     T, problem, w = config.T, config.problem, config.w0
-    limit = DIVERGENCE_SCALE * (1.0 + float(np.abs(w).max()))
     safe = _overflow_free_scale(problem)
     iterates, agg_deviation = np.empty((T + 1, w.shape[0])), np.empty(T)
     rows = aggregations = 0
     for t in range(T + 1):
         top = float(np.maximum.reduce(np.abs(w)))  # what .max() computes; nan if some w_i is
-        if not (math.isfinite(top) and top <= limit):
-            break
-        if top > safe and not np.all(np.isfinite(_metrics(problem, w[None]))):
+        if not top <= safe and not np.all(np.isfinite(_metrics(problem, w[None]))):
             break
         iterates[t] = w
         rows = t + 1
@@ -279,5 +275,5 @@ def run(config: RunConfig) -> RunRecord:
         diverged=rows <= T,
         diverged_round=rows if rows <= T else None,
         seed=config.seed,
-        config_digest=config_digest(config),
+        config_digest=digest,
     )

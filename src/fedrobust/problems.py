@@ -6,7 +6,8 @@ sum_j a_j ([w]_j - [b_k]_j)^2.  Every family also uses the same curvature on
 every coordinate, so the smoothness constant L, the gradient-dominance
 constant mu, the honest-gradient dispersion G^2 and the minimum value
 l_star all have exact closed forms, and the dispersion is independent of
-the evaluation point.
+the evaluation point.  L = 2 max(a) and mu = 2 min(a) are derived from the
+curvature; each factory passes G^2 and l_star, which are checked.
 """
 
 from __future__ import annotations
@@ -23,19 +24,20 @@ class Problem:
     """n quadratic client losses sum_j a_j ([w]_j - [b_k]_j)^2 sharing one
     curvature a, with client k's center b_k in row k of ``centers``; the
     clients outside ``honest_set`` are Byzantine.  Also holds the
-    closed-form constants of the honest objective, and both client sets as
+    closed-form constants of the honest objective (L and mu derived from the
+    curvature, G2 and l_star given and checked), and both client sets as
     read-only intp index arrays, built once."""
 
     f: int
     honest_set: tuple      # None means the first n - f clients
     curvature: np.ndarray  # (d,), positive
     centers: np.ndarray    # (n, d)
-    L: float
-    mu: float
     G2: float
     l_star: float
     descriptor: dict = field(default_factory=dict)
-    # derived from honest_set at construction
+    # derived from curvature and honest_set at construction
+    L: float = field(init=False, compare=False)   # 2 max(curvature)
+    mu: float = field(init=False, compare=False)  # 2 min(curvature)
     byzantine_set: tuple = field(init=False, repr=False, compare=False)         # the other clients, sorted
     honest_index: np.ndarray = field(init=False, repr=False, compare=False)     # honest_set as intp
     byzantine_index: np.ndarray = field(init=False, repr=False, compare=False)  # byzantine_set as intp
@@ -52,6 +54,8 @@ class Problem:
         for name, value in (("curvature", curvature), ("centers", centers)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "L", 2.0 * float(curvature.max()))
+        object.__setattr__(self, "mu", 2.0 * float(curvature.min()))
         if not 0 <= self.f < self.n / 2:
             raise ParameterError(f"require 0 <= f < n/2, got f={self.f}, n={self.n}")
         honest_set = _honest_set(self.n, self.f, self.honest_set)
@@ -74,20 +78,14 @@ class Problem:
 
 
 def _verify_constants(p: Problem) -> None:
-    """Recompute every constant from the arrays and compare; catches
-    construction bugs at the source."""
+    """Recompute the given constants G2 and l_star from the arrays and
+    compare; catches construction bugs at the source."""
     a = p.curvature
     spread = p.centers[p.honest_index]
     spread = spread - spread.mean(axis=0)
     l_star = float(np.sum(a * (spread ** 2).mean(axis=0)))
     g2 = float(np.sum(4.0 * a ** 2 * (spread ** 2).mean(axis=0)))
-    checks = {
-        "L": (p.L, 2.0 * float(a.max())),
-        "mu": (p.mu, 2.0 * float(a.min())),
-        "G2": (p.G2, g2),
-        "l_star": (p.l_star, l_star),
-    }
-    for name, (given, computed) in checks.items():
+    for name, (given, computed) in {"G2": (p.G2, g2), "l_star": (p.l_star, l_star)}.items():
         tol = 1e-9 * (1.0 + abs(computed))
         if abs(given - computed) > tol:
             raise ConstructionError(
@@ -126,8 +124,6 @@ def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, hone
         honest_set=honest_set,
         curvature=[a],
         centers=np.where(np.arange(n) < f_hat, -1.0, 0.0)[:, None],
-        L=2.0 * a,
-        mu=2.0 * a,
         G2=G * G,
         l_star=c * G * f_hat * (n - f - f_hat) / (n - f) ** 2,
         descriptor={"kind": "two_group_quadratic", "n": n, "f": f, "f_hat": f_hat, "G": G},
@@ -143,8 +139,6 @@ def homogeneous_quadratic_problem(n: int, f: int = 0, honest_set=None) -> Proble
         honest_set=honest_set,
         curvature=[0.5],
         centers=np.zeros((n, 1)),
-        L=1.0,
-        mu=1.0,
         G2=0.0,
         l_star=0.0,
         descriptor={"kind": "homogeneous_quadratic", "n": n, "f": f},
@@ -194,8 +188,6 @@ def random_quadratic_problem(
         honest_set=honest_set,
         curvature=np.full(d, a),
         centers=centers,
-        L=2.0 * a,
-        mu=2.0 * a,
         G2=float(np.sum(4.0 * a * a * (spread ** 2).mean(axis=0))),
         l_star=float(np.sum(a * (spread ** 2).mean(axis=0))),
         descriptor={

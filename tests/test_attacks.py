@@ -101,7 +101,7 @@ def oracle_block(strategy, problem, w, gamma, H, t, seed, honest_uploads, f_hat=
 def flat_problem(n, f, d, honest_set=None):
     """Every client holds sum_j [w]_j^2 / 2 in d dimensions."""
     return Problem(f=f, honest_set=honest_set, curvature=np.full(d, 0.5), centers=np.zeros((n, d)),
-                   L=1.0, mu=1.0, G2=0.0, l_star=0.0)
+                   G2=0.0, l_star=0.0)
 
 
 def upload(strategy, problem, w, gamma=0.1, H=1, t=0, seed=0, honest=None):
@@ -254,12 +254,17 @@ def test_gaussian_noise_rows_equal_their_list_seeded_streams():
 
 
 def test_attack_parameters_reject_nan():
-    nan = float("nan")
-    with pytest.raises(ParameterError, match="variance"):
-        AttackStrategy("gaussian_noise", variance=nan)
-    for scale in (nan, float("inf")):
+    nan, inf = float("nan"), float("inf")
+    for variance, message in ((nan, "variance must be >= 0"), (-inf, "variance must be >= 0"),
+                              (inf, "variance must be finite")):
+        with pytest.raises(ParameterError, match=message):
+            AttackStrategy("gaussian_noise", variance=variance)
+    for scale in (nan, inf):
         with pytest.raises(ParameterError, match="scale"):
             AttackStrategy("sign_flip", scale=scale)
+    for vector in ((inf,), (1.0, nan), (0.0, -inf)):
+        with pytest.raises(ParameterError, match="vector entries must be finite"):
+            AttackStrategy("fixed_vector", vector=vector)
 
 
 def test_sign_flip_formulas():

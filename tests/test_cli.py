@@ -488,19 +488,20 @@ PINNED_AUDIT_SHA256 = "1bc2961da3113d9b41757d8a2a3e3d9c6efe934f11201355b9e0d7364
 
 def test_audits_jsonl_sha256_is_pinned(tmp_path, capsys):
     cfg = parse_config(json.dumps(PINNED_AUDIT))
-    # f = 10 = n/2 passes no config check, so it is put in after parsing;
-    # each of its cells fails alone and the others are still written
-    cfg.normalized["grid"]["f"] = [2, 10, 6, 0]
-    assert run_audit(cfg, tmp_path) == 4
-    assert hashlib.sha256((tmp_path / "audits.jsonl").read_bytes()).hexdigest() == PINNED_AUDIT_SHA256
+    assert run_audit(cfg, tmp_path / "a") == 0
+    assert hashlib.sha256((tmp_path / "a" / "audits.jsonl").read_bytes()).hexdigest() == PINNED_AUDIT_SHA256
+    assert json.loads((tmp_path / "a" / "summary.json").read_text())["failed_cells"] == 0
     out, err = capsys.readouterr()
-    assert err.splitlines() == [
-        f"audit f=10 f_hat={f_hat} seed={seed}: FAILED (require 0 <= f < n/2, got f=10 with n=20)"
-        for f_hat in (3, 6) for seed in (4, 5)
-    ]
+    assert err == ""
     assert [line.split(":")[0] for line in out.splitlines()] == [
         f"audit f={f} f_hat={f_hat} seed={seed}" for f in (2, 6, 0) for f_hat in (3, 6) for seed in (4, 5)
     ]
+    # a cell that audit_profile would reject, f = 10 = n/2, is a config error
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**PINNED_AUDIT, "grid": {**PINNED_AUDIT["grid"], "f": [2, 10, 6, 0]}}))
+    assert main(["audit", "--config", str(path), "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == "config error: grid.f = 10 violates 0 <= f < n/2 (n=20)\n"
+    assert not (tmp_path / "b").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,11 @@ from fedrobust import (
     two_group_quadratic_problem,
 )
 from fedrobust import engine
-from fedrobust.engine import DIVERGENCE_SCALE, _preflight, config_digest, run_config_descriptor
+from fedrobust.engine import _preflight, config_digest, run_config_descriptor
+
+# The oracle also stops at |w| beyond this multiple of the initial scale, a
+# bound the engine once had; the metric check always stops that same row.
+DIVERGENCE_SCALE = 1e300
 
 
 def quiet_run(config):
@@ -388,10 +392,40 @@ def test_run_matches_list_building_oracle(agg, attack):
             ))
 
 
-@pytest.mark.parametrize("config", [overshoot_config(), *(runaway_config(*case[:3]) for case in RUNAWAY)],
-                         ids=["overshoot", "metric_overflow", "deviation_overflow"])
-def test_divergent_run_matches_list_building_oracle(config):
-    assert_matches_oracle(config)
+def far_centers_config():
+    """Every client centered at (1e200, -1e200) and the run started there:
+    the overflow-free scale is negative, so every row's metrics are checked
+    in the loop, and the run completes."""
+    centers = np.tile([1e200, -1e200], (3, 1))
+    p = Problem(f=1, honest_set=None, curvature=[1.0, 1.0], centers=centers, G2=0.0, l_star=0.0)
+    return RunConfig(
+        problem=p, aggregator=AggregatorSpec("cwtm", f_hat=1), attack=AttackStrategy("sign_flip", scale=2.0),
+        T=20, schedule=Schedule("constant", gamma=0.1), w0=centers[0], seed=0,
+    )
+
+
+# (id, config, diverged)
+DIVERGENT_CASES = [
+    ("overshoot", overshoot_config(), True),
+    ("metric_overflow", runaway_config(*RUNAWAY[0][:3]), True),
+    ("deviation_overflow", runaway_config(*RUNAWAY[1][:3]), True),
+    # row 0 itself overflows its metrics, so no row is recorded
+    ("w0_unrecorded", runaway_config("mean", AttackStrategy("honest_mimic"), 1e200), True),
+    # CWTM with f_hat = 1 < f = 3 lets the flip through; round 0 is recorded
+    # and round 1's deviation overflows
+    ("sign_flip_overflow", RunConfig(
+        problem=random_quadratic_problem(9, 3, 2, 0.0, 1e-250, seed=3), aggregator=AggregatorSpec("cwtm", f_hat=1),
+        attack=AttackStrategy("sign_flip", scale=1e250), T=60, schedule=Schedule("constant", gamma=0.05),
+        w0=np.array([1e-250, -2e-250]), seed=4,
+    ), True),
+    ("far_centers", far_centers_config(), False),
+]
+
+
+@pytest.mark.parametrize("config,diverged", [case[1:] for case in DIVERGENT_CASES],
+                         ids=[case[0] for case in DIVERGENT_CASES])
+def test_divergent_run_matches_list_building_oracle(config, diverged):
+    assert assert_matches_oracle(config).diverged == diverged
 
 
 def guard_cases():
@@ -564,11 +598,15 @@ def test_run_config_validation():
     with pytest.raises(ParameterError, match="kappa = nan violates"):
         RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
                   attack=AttackStrategy("honest_mimic"), T=1, kappa=float("nan"))
-    # T and H are integers, and a bool is not one
-    for bad in (dict(T=2.5), dict(H=1.5), dict(T=True)):
+    # T, H and seed are Python ints, and neither a bool nor a numpy integer is one
+    for bad in (dict(T=2.5), dict(H=1.5), dict(T=True), dict(seed=2.5), dict(seed=True), dict(seed=np.int64(3))):
         key, value = next(iter(bad.items()))
-        with pytest.raises(ParameterError, match=f"{key} must be an integer, got {value!r}"):
+        with pytest.raises(ParameterError) as excinfo:
             RunConfig(problem=p, aggregator=AggregatorSpec("mean"), attack=AttackStrategy("honest_mimic"), **bad)
+        assert str(excinfo.value) == f"{key} must be an integer, got {value!r}"
+    with pytest.raises(ParameterError) as excinfo:
+        RunConfig(problem=p, aggregator=AggregatorSpec("mean"), attack=AttackStrategy("honest_mimic"), seed=-1)
+    assert str(excinfo.value) == "seed = -1 violates 0 <= seed"  # as the CLI words it
     # kappa is a real number, and neither a string nor a bool is one
     for value in ("0.5", True):
         with pytest.raises(ParameterError) as excinfo:
@@ -577,6 +615,16 @@ def test_run_config_validation():
     for value in (2, np.float64(0.5)):
         assert RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
                          attack=AttackStrategy("honest_mimic"), kappa=value).kappa == value
+
+
+def test_undescribable_config_fails_before_the_first_round(monkeypatch):
+    # the digest is taken before any round runs, so a spec it cannot
+    # serialize wastes no rounds
+    monkeypatch.setattr(engine, "run_round", lambda *args: pytest.fail("a round ran"))
+    config = RunConfig(problem=homogeneous_quadratic_problem(4), aggregator=AggregatorSpec("cwtm", f_hat=np.int64(1)),
+                       attack=AttackStrategy("honest_mimic"), T=3)
+    with pytest.raises(TypeError, match="JSON serializable"):
+        run(config)
 
 
 def test_fixed_vector_dimension_checked():
@@ -623,7 +671,7 @@ def test_config_digests_are_pinned():
     assert config_digest(config) == "12c09f52485713f1"
 
     centers = [[float(k), -float(k)] for k in range(3)]
-    custom = Problem(f=1, honest_set=(0, 1), curvature=[1.0, 1.0], centers=centers, L=2.0, mu=2.0, G2=2.0, l_star=0.5)
+    custom = Problem(f=1, honest_set=(0, 1), curvature=[1.0, 1.0], centers=centers, G2=2.0, l_star=0.5)
     config = RunConfig(
         problem=custom, aggregator=AggregatorSpec("krum", f_hat=1, krum_squared=False),
         attack=AttackStrategy("sign_flip", scale=3.0), T=4,

@@ -261,12 +261,17 @@ def test_constants_verified_at_construction():
     with pytest.raises(ConstructionError):
         Problem(
             f=0, honest_set=(0, 1, 2, 3), curvature=good.curvature, centers=good.centers,
-            L=1.0, mu=1.0, G2=0.5, l_star=0.0,  # wrong G2
+            G2=0.5, l_star=0.0,  # wrong G2
         )
     with pytest.raises(ConstructionError):
-        Problem(f=0, honest_set=(0,), curvature=-1.0, centers=[[0.0]], L=-2.0, mu=-2.0, G2=0.0, l_star=0.0)
+        Problem(f=0, honest_set=(0,), curvature=-1.0, centers=[[0.0]], G2=0.0, l_star=0.0)
     with pytest.raises(ConstructionError):
-        Problem(f=0, honest_set=(0,), curvature=1.0, centers=[[np.inf]], L=2.0, mu=2.0, G2=0.0, l_star=0.0)
+        Problem(f=0, honest_set=(0,), curvature=1.0, centers=[[np.inf]], G2=0.0, l_star=0.0)
+    # L and mu are derived from the curvature, not passed
+    p = Problem(f=0, honest_set=None, curvature=[0.5, 2.0], centers=np.zeros((3, 2)), G2=0.0, l_star=0.0)
+    assert (p.L, p.mu) == (4.0, 1.0)
+    with pytest.raises(TypeError):
+        Problem(f=0, honest_set=None, curvature=[0.5], centers=np.zeros((3, 1)), L=1.0, mu=1.0, G2=0.0, l_star=0.0)
 
 
 def test_byzantine_labels_default_to_last_indices_but_configurable():
@@ -314,7 +319,6 @@ def custom_problem(rng, n, f, d):
     spread = centers[list(honest_set)] - centers[list(honest_set)].mean(axis=0)
     return Problem(
         f=f, honest_set=honest_set, curvature=a, centers=centers,
-        L=2.0 * a.max(), mu=2.0 * a.min(),
         G2=float(np.sum(4.0 * a ** 2 * (spread ** 2).mean(axis=0))),
         l_star=float(np.sum(a * (spread ** 2).mean(axis=0))),
     )
