@@ -20,7 +20,7 @@ from .bounds import (
     kappa_guarantee,
     kappa_lower_bound,
 )
-from .engine import RunConfig, RunRecord, Schedule, run, stepsize_at
+from .engine import RunConfig, RunRecord, Schedule, run, run_batch, stepsize_at
 from .errors import ConfigError, ConstructionError, DimensionError, ParameterError
 from .problems import (
     Problem,
@@ -67,6 +67,7 @@ __all__ = [
     "lower_bound_witness",
     "random_quadratic_problem",
     "run",
+    "run_batch",
     "stepsize_at",
     "two_group_quadratic_problem",
     "weiszfeld",

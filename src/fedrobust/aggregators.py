@@ -7,6 +7,10 @@ configured to tolerate), and :func:`aggregate` is the one entry point that
 runs it.  The geometric-median solver :func:`weiszfeld` stays public as well,
 because its ``WeiszfeldResult`` carries the solver diagnostics.
 
+Both also take an (R, n, d) stack of R clouds of the same shape and return
+R results along the leading axis; each cloud's result has the bits it has
+alone, so a batch of runs can aggregate all of its clouds in one call.
+
 Scalar inputs are accepted as a length-n sequence of numbers and treated as
 n points in R^1.
 """
@@ -74,18 +78,41 @@ def stack_points(xs) -> np.ndarray:
     return pts
 
 
+def _clouds(xs) -> np.ndarray:
+    """:func:`stack_points` of one cloud, or an (R, n, d) stack of R clouds
+    validated the same way."""
+    pts = np.asarray(xs, dtype=np.float64)
+    if pts.ndim != 3:
+        return stack_points(pts)
+    if pts.size == 0:
+        raise DimensionError("need at least one input vector")
+    if not np.isfinite(pts).all():
+        raise ValueError("input vectors must be finite (no NaN/Inf)")
+    return pts
+
+
+def _rows(pts: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """A copy of row ``index`` of an (n, d) cloud, or of row ``index[r]`` of
+    cloud r of an (R, n, d) stack, where ``index`` may hold more axes."""
+    if pts.ndim == 2:
+        return pts.take(index, axis=0)
+    count, n, d = pts.shape
+    first = np.arange(0, count * n, n).reshape((-1,) + (1,) * (index.ndim - 1))  # each cloud's first row
+    return pts.reshape(-1, d).take(index + first, axis=0)
+
+
 def _cwtm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     if f_hat == 0:
-        return pts.mean(axis=0)
-    n = pts.shape[0]
-    ordered = np.sort(pts, axis=0)
-    return ordered[f_hat : n - f_hat].mean(axis=0)
+        return pts.mean(axis=-2)
+    n = pts.shape[-2]
+    ordered = np.sort(pts, axis=-2)
+    return ordered[..., f_hat : n - f_hat, :].mean(axis=-2)
 
 
 def _kuhn(diff: np.ndarray, merge: float = 0.0) -> np.ndarray:
     """Kuhn's test (see :func:`weiszfeld`) at a point x, given the offsets
     x_i - x of every row i along the first axis of ``diff`` and their
-    coordinates along the last; a middle axis holds more points x.
+    coordinates along the last; middle axes hold more points x.
 
     Rows no farther than ``merge`` from x count as m rows at x, and R is the
     length of the sum of the unit vectors to the others.  R must fall short
@@ -110,6 +137,95 @@ def _offsets(y: np.ndarray, z: np.ndarray):
     """The offsets y_i - z and their lengths."""
     diff = y - z
     return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
+def _newton_solve(hessian: np.ndarray, pull: np.ndarray) -> np.ndarray:
+    """H^-1 p as a (k, d, 1) array, for each (H, p) along the leading axis,
+    from one stacked solve.  A singular H makes that solve raise for the
+    whole stack; then each is solved alone, and a singular one gives NaN."""
+    try:
+        return np.linalg.solve(hessian, pull[:, :, None])
+    except np.linalg.LinAlgError:
+        steps = np.full(pull.shape + (1,), np.nan)
+        for k, (h, p) in enumerate(zip(hessian, pull)):
+            try:
+                steps[k, :, 0] = np.linalg.solve(h, p)
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _iterate_one(y, z, diff, dist, tol_y: float, iteration: int, max_iters: int, merge: float):
+    """Go on with one cloud of :func:`weiszfeld` from ``iteration`` steps
+    taken, given its rows y (n, d), the iterate z (d,), the offsets y_i - z
+    and their lengths.  The stacked loop leaves a cloud here when it is
+    alone, or when rows lie at its iterate (the Vardi-Zhang step).  Returns
+    (the iterate, or the index of the row it stops at, the last step's
+    length, the iterations taken)."""
+    n, d = y.shape
+    slack = -2 * (n + d) * _EPS  # the rounding allowance of a change in f
+    eye = np.eye(d)
+    step = 0.0
+    for iteration in range(iteration + 1, max_iters + 1):
+        newton, lengths = False, dist.tolist()  # min and max of a list are cheaper
+        if min(lengths) <= merge:
+            at = dist <= merge
+            m = int(np.add.reduce(at))
+            weights = 1.0 / dist[~at]
+            pull = np.add.reduce(diff[~at] * weights[:, None], axis=0)
+            r = math.sqrt(pull @ pull)
+            if r <= m:
+                return z, 0.0, iteration
+            s = (1.0 - m / r) / np.add.reduce(weights) * pull
+        else:
+            weights = 1.0 / dist
+            column = weights[:, None]
+            u = diff * column
+            pull = np.add.reduce(u, axis=0)
+            total = np.add.reduce(weights)
+            hessian = total * eye - (u * column).T @ u  # u.T * weights, in the same memory order
+            try:
+                s = np.linalg.solve(hessian, pull)
+                newton = math.hypot(*s.tolist()) <= max(lengths)  # False for inf or NaN
+            except np.linalg.LinAlgError:  # a singular H
+                pass
+            if newton:
+                moved, ss = z + s, float(s @ s)
+                new_diff, new_dist = _offsets(y, moved)
+                # f(z + s) - f(z) term by term as (d'^2 - d^2)/(d' + d), with
+                # d'^2 - d^2 = s.s - 2 (y_i - z).s, keeps its precision next
+                # to the minimum, where f is flat to rounding
+                terms = (ss - 2.0 * (diff @ s)) / (dist + new_dist)
+                newton = np.add.reduce(terms) < slack * np.add.reduce(np.abs(terms))
+            if not newton:
+                k = int(np.argmin(dist))
+                if _kuhn(y - y[k], merge):
+                    return k, 0.0, iteration
+                s = pull / total
+        if not newton:
+            moved, ss = z + s, float(s @ s)
+            new_diff, new_dist = _offsets(y, moved)
+        step = math.sqrt(ss)
+        z, diff, dist = moved, new_diff, new_dist
+        if step < tol_y:
+            break
+    return z, step, iteration
+
+
+def _solve_one(pts: np.ndarray, tol: float, max_iters: int):
+    """(point, displacement, iterations) of :func:`weiszfeld` for one (n, d)
+    cloud that fails Kuhn's test, as the stacked solve sets it up."""
+    n, d = pts.shape
+    ordered = np.sort(pts, axis=0)
+    center = 0.5 * ordered[(n - 1) // 2] + 0.5 * ordered[n // 2]  # the coordinate-wise median
+    half = 0.5 * pts - 0.5 * center
+    scale = math.ldexp(1.0, min(math.frexp(float(np.maximum.reduce(np.abs(half), axis=None)))[1], 1023))
+    y = half / scale
+    end, step, iterations = _iterate_one(y, np.zeros(d), y, np.sqrt(np.add.reduce(y * y, axis=1)), tol / scale / 2.0, 0,
+                                         max_iters, n * d * _EPS)
+    if isinstance(end, int):
+        return pts[end], 0.0, iterations
+    return center + scale * (2.0 * end), step * 2.0 * scale, iterations
 
 
 def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
@@ -145,109 +261,166 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     Otherwise it stops when a step is shorter than ``tol`` or after
     ``max_iters`` steps.  ``displacement`` is the last step's length, 0.0
     after a stop at a row.
+
+    An (R, n, d) stack of clouds is solved in lockstep: one Kuhn test over
+    the stack, then iterations over the clouds still iterating, with one
+    stacked solve for all of them (a singular H is then solved again alone,
+    so only its cloud falls back).  Each cloud keeps its own exit, steps and
+    stop, and leaves the stack when it stops.  A cloud with rows at its
+    iterate (the Vardi-Zhang step), the last cloud left and a lone cloud go
+    on in :func:`_iterate_one`, which takes the same steps with fewer numpy
+    calls.  So each point has the bits of its cloud's solve alone.
+    ``point`` is then (R, d), ``iterations`` the number of lockstep
+    iterations (the most any cloud took) and ``displacement`` the largest
+    last step.
     """
-    pts = stack_points(xs)
+    pts = _clouds(xs)
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    half = 0.5 * pts  # offsets between halved rows cannot overflow
-    passed = _kuhn(half[:, None, :] - half[None, :, :])  # [i, j] = (x_i - x_j) / 2
-    first = int(passed.argmax())  # the first row that passes, if one does
-    if passed[first]:
-        return WeiszfeldResult(pts[first].copy(), 0.0, 0)
-    n, d = pts.shape
-    ordered = np.sort(pts, axis=0)
-    center = 0.5 * ordered[(n - 1) // 2] + 0.5 * ordered[n // 2]  # the coordinate-wise median
+    stack = pts if pts.ndim == 3 else pts[None]
+    count, n, d = stack.shape
+    half = 0.5 * stack  # offsets between halved rows cannot overflow
+    passed = _kuhn(half.transpose(1, 0, 2)[:, :, None, :] - half)  # [i, r, j] = (x_ri - x_rj) / 2
+    point = np.empty((count, d))
+    iterations, displacement, ids = [0] * count, [0.0] * count, []
+    for cloud, row in enumerate(passed.tolist()):
+        if True in row:  # the first row that passes
+            point[cloud] = stack[cloud, row.index(True)]
+        else:
+            ids.append(cloud)
+    if len(ids) < 2:
+        if ids:
+            point[ids[0]], displacement[ids[0]], iterations[ids[0]] = _solve_one(stack[ids[0]], tol, max_iters)
+        return _result(pts, point, displacement, iterations)
+    if len(ids) < count:
+        stack, half = stack[ids], half[ids]
+    # each cloud's arrays along the leading axis: (., n, d) for rows,
+    # (., n, 1) for their distances and (., 1, d) for points
+    ordered = np.sort(stack, axis=1)
+    center = 0.5 * ordered[:, (n - 1) // 2, None] + 0.5 * ordered[:, n // 2, None]  # the coordinate-wise median
     half = half - 0.5 * center  # (x_i - center) / 2
-    exponent = math.frexp(float(np.maximum.reduce(np.abs(half), axis=None)))[1]
-    scale = math.ldexp(1.0, min(exponent, 1023))
+    scale = [math.ldexp(1.0, min(math.frexp(top)[1], 1023))
+             for top in np.maximum.reduce(np.abs(half), axis=(1, 2)).tolist()]
     # y_i = (x_i - center) / (2 * scale) has coordinates in (-1, 1); lengths
     # in y are lengths in x divided by 2 * scale
-    y = half / scale
-    tol_y = tol / scale / 2.0
+    y = half / np.array(scale)[:, None, None]
+    tol_y = [tol / s / 2.0 for s in scale]
     # The rows of y and every iterate have coordinates in (-1, 1), so a
     # distance in y is rounded by a few d ulps of 1 and rows nearer the
     # iterate than this cannot be told from it.
     merge = n * d * _EPS
     slack = -2 * (n + d) * _EPS  # the rounding allowance of a change in f
     eye = np.eye(d)
-    z = np.zeros(d)
-    diff, dist = y, np.sqrt(np.add.reduce(y * y, axis=1))  # the offsets y_i - z at z = 0
-    step = 0.0
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        newton, lengths = False, dist.tolist()  # min and max of a list are cheaper
-        if min(lengths) <= merge:
-            at = dist <= merge
-            m = int(np.add.reduce(at))
-            weights = 1.0 / dist[~at]
-            pull = np.add.reduce(diff[~at] * weights[:, None], axis=0)
-            r = math.sqrt(pull @ pull)
-            if r <= m:
-                step = 0.0
-                break
-            s = (1.0 - m / r) / np.add.reduce(weights) * pull
+    z = np.zeros((len(ids), 1, d))
+    diff, dist = y, np.sqrt(np.add.reduce(y * y, axis=2, keepdims=True))  # the offsets y_i - z at z = 0
+    steps, iteration = [0.0] * len(ids), 0
+    while True:
+        live, moved, rows = len(ids), None, {}  # rows: the clouds that stop at a row, and the row
+        if iteration >= max_iters:  # every cloud stops at its last step
+            ended, alone = range(live), []
+        elif live == 1:
+            ended, alone = [], [0]
         else:
-            weights = 1.0 / dist
-            column = weights[:, None]
-            u = diff * column
-            pull = np.add.reduce(u, axis=0)
-            total = np.add.reduce(weights)
-            hessian = total * eye - (u * column).T @ u  # u.T * weights, in the same memory order
-            try:
-                s = np.linalg.solve(hessian, pull)
-                newton = math.hypot(*s.tolist()) <= max(lengths)  # False for inf or NaN
-            except np.linalg.LinAlgError:  # a singular H
-                pass
-            if newton:
-                moved, ss = z + s, float(s @ s)
-                new_diff, new_dist = _offsets(y, moved)
-                # f(z + s) - f(z) term by term as (d'^2 - d^2)/(d' + d), with
-                # d'^2 - d^2 = s.s - 2 (y_i - z).s, keeps its precision next
-                # to the minimum, where f is flat to rounding
-                terms = (ss - 2.0 * (diff @ s)) / (dist + new_dist)
-                newton = np.add.reduce(terms) < slack * np.add.reduce(np.abs(terms))
-            if not newton:
-                k = np.argmin(dist)
-                if _kuhn(y - y[k], merge):
-                    return WeiszfeldResult(pts[k].copy(), 0.0, iterations)
-                s = pull / total
-        if not newton:
-            moved, ss = z + s, float(s @ s)
-            new_diff, new_dist = _offsets(y, moved)
-        step = math.sqrt(ss)
-        z, diff, dist = moved, new_diff, new_dist
-        if step < tol_y:
-            break
-    return WeiszfeldResult(center + scale * (2.0 * z), step * 2.0 * scale, iterations)
+            flat = dist.ravel().tolist()  # min and max of a list are cheaper
+            ended, alone = [], []
+            if min(flat) <= merge:  # rows at some iterate: the Vardi-Zhang step
+                alone = [a for a in range(live) if min(flat[a * n : a * n + n]) <= merge]
+            else:
+                iteration += 1
+                weights = 1.0 / dist
+                u = diff * weights
+                total = np.add.reduce(weights, axis=1, keepdims=True)
+                hessian = total * eye - (u * weights).transpose(0, 2, 1) @ u  # u.T * weights, in the same memory order
+                pull = np.add.reduce(u, axis=1)
+                column = _newton_solve(hessian, pull)
+                s = column.transpose(0, 2, 1)
+                fits = [math.hypot(*row) <= max(flat[a * n : a * n + n])  # False for inf or NaN
+                        for a, (row,) in enumerate(s.tolist())]
+                if not all(fits):
+                    s[np.logical_not(fits)] = 0.0
+                moved, ss = z + s, s @ column
+                new_diff = y - moved
+                new_dist = np.sqrt(np.add.reduce(new_diff * new_diff, axis=2, keepdims=True))
+                # each term of f(z + s) - f(z), as in _iterate_one
+                terms = (ss - 2.0 * (diff @ column)) / (dist + new_dist)
+                lowers = (np.add.reduce(terms, axis=1) < slack * np.add.reduce(np.abs(terms), axis=1)).ravel().tolist()
+                new_steps = np.sqrt(ss).ravel().tolist()
+                for a in range(live):
+                    if not (fits[a] and lowers[a]):  # as in _iterate_one: a stop at a row, or Weiszfeld's step
+                        k = int(np.argmin(dist[a]))
+                        if _kuhn(y[a] - y[a][k], merge):
+                            rows[a] = k
+                            continue
+                        t = pull[a] / total[a, 0, 0]
+                        moved[a], ss[a] = z[a] + t, t @ t
+                        new_diff[a] = y[a] - moved[a]
+                        new_dist[a] = np.sqrt(np.add.reduce(new_diff[a] * new_diff[a], axis=1, keepdims=True))
+                        new_steps[a] = math.sqrt(ss[a, 0, 0])
+                    if new_steps[a] < tol_y[a]:
+                        ended.append(a)
+        for a in alone:  # each goes on alone to its stop
+            end, step, taken = _iterate_one(y[a], z[a, 0], diff[a], dist[a, :, 0], tol_y[a], iteration, max_iters, merge)
+            cloud = ids[a]
+            iterations[cloud] = taken
+            if isinstance(end, int):
+                point[cloud] = stack[a, end]
+            else:
+                point[cloud] = center[a, 0] + scale[a] * (2.0 * end)
+                displacement[cloud] = step * 2.0 * scale[a]
+        if moved is not None:
+            z, diff, dist, steps = moved, new_diff, new_dist, new_steps
+        for a in ended:
+            cloud = ids[a]
+            iterations[cloud] = iteration
+            point[cloud] = center[a, 0] + scale[a] * (2.0 * z[a, 0])
+            displacement[cloud] = steps[a] * 2.0 * scale[a]
+        for a, k in rows.items():
+            iterations[ids[a]] = iteration
+            point[ids[a]] = stack[a, k]
+        if alone or ended or rows:
+            keep = [a for a in range(live) if a not in alone and a not in ended and a not in rows]
+            if not keep:
+                return _result(pts, point, displacement, iterations)
+            ids, scale, tol_y, steps = ([values[a] for a in keep] for values in (ids, scale, tol_y, steps))
+            if len(keep) == 1:  # views, for the lone cloud's loop
+                keep = slice(keep[0], keep[0] + 1)
+            stack, center, y, z, diff, dist = (array[keep] for array in (stack, center, y, z, diff, dist))
+
+
+def _result(pts, point, displacement, iterations) -> WeiszfeldResult:
+    if pts.ndim == 2:
+        return WeiszfeldResult(point[0], displacement[0], iterations[0])
+    return WeiszfeldResult(point, max(displacement), max(iterations))
 
 
 def _sq_distance_matrix(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def _neighbor_indices(d2: np.ndarray, f_hat: int) -> np.ndarray:
     """Indices of the n - f_hat nearest neighbours of each point, self
     included, given the squared distance matrix ``d2`` (stable sort)."""
-    return d2.argsort(axis=1, kind="stable")[:, : d2.shape[0] - f_hat]
+    return d2.argsort(axis=-1, kind="stable")[..., : d2.shape[-1] - f_hat]
 
 
-def _krum_index(pts: np.ndarray, f_hat: int, squared: bool) -> int:
+def _krum_index(pts: np.ndarray, f_hat: int, squared: bool):
     d2 = _sq_distance_matrix(pts)
     # a sorted row lists a point's distances nearest first, the terms a stable
     # argsort gathers in its order (sqrt keeps the order), so no sum changes
     scores = d2 if squared else np.sqrt(d2)
-    scores.sort(axis=1)
-    return int(np.add.reduce(scores[:, : pts.shape[0] - f_hat], axis=1).argmin())
+    scores.sort(axis=-1)
+    return np.add.reduce(scores[..., : pts.shape[-2] - f_hat], axis=-1).argmin(axis=-1)
 
 
 def _nnm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     neighbors = _neighbor_indices(_sq_distance_matrix(pts), f_hat)
-    return np.add.reduce(pts.take(neighbors, axis=0), axis=1) / neighbors.shape[1]  # what .mean(axis=1) computes
+    return np.add.reduce(_rows(pts, neighbors), axis=-2) / neighbors.shape[-1]  # what .mean(axis=-2) computes
 
 
 def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
-    """Apply the rule named by ``spec`` to the n points ``xs``.
+    """Apply the rule named by ``spec`` to the n points ``xs``, or to each
+    cloud of an (R, n, d) stack, giving an (R, d) array.
 
     - mean: the coordinate-wise arithmetic mean.
     - cwtm: per coordinate, drop the f_hat smallest and f_hat largest values
@@ -259,7 +432,8 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
       multiplicity strictly exceeds the pull of the other points (Kuhn's
       test; a tie does not count) is returned exactly, with no iteration.
       Otherwise a Newton iteration runs, with Weiszfeld's step as its
-      fallback wherever the Newton step does not descend.
+      fallback wherever the Newton step does not descend.  A stack is
+      solved in lockstep, by one call.
     - krum: the input point with the smallest summed distance to its
       n - f_hat nearest neighbours, added nearest first; squared distances
       unless ``krum_squared`` is false; ties go to the lowest index.
@@ -267,34 +441,38 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
       the mean of its n - f_hat nearest neighbours, itself included, with a
       stable tie-break, then apply the rule to the mixed points.
 
+    Every kernel works along the trailing (n, d) axes, so each cloud of a
+    stack meets the float operations it meets alone, in the same order.
     cwtm, krum and ``pre_nnm`` need 0 <= f_hat < n/2.  The input is
     validated once, here.  GM goes through the module-level
     :func:`weiszfeld`, so its iteration count stays observable there, at
     the cost of a second validation next to the solve.
     """
-    return _aggregate(spec, stack_points(xs))
+    return _aggregate(spec, _clouds(xs))
 
 
 def _aggregate(spec: AggregatorSpec, pts: np.ndarray) -> np.ndarray:
-    """:func:`aggregate` of an (n, d) matrix that :func:`stack_points` has
-    already validated."""
-    n = pts.shape[0]
+    """:func:`aggregate` of an (n, d) matrix or (R, n, d) stack that has
+    already been validated."""
+    if pts.ndim == 3 and len(pts) == 1:  # a stack of one costs what its cloud costs
+        return _aggregate(spec, pts[0])[None]
+    n = pts.shape[-2]
     if (spec.kind in ("cwtm", "krum") or spec.pre_nnm) and not 0 <= spec.f_hat < n / 2:
         raise ParameterError(f"require 0 <= f_hat < n/2, got f_hat={spec.f_hat} with n={n}")
     if spec.pre_nnm:
         pts = _nnm(pts, spec.f_hat)
     if spec.kind == "mean":
-        return pts.mean(axis=0)
+        return pts.mean(axis=-2)
     if spec.kind == "cwtm":
         return _cwtm(pts, spec.f_hat)
     if spec.kind == "cwmed":
         # np.median's values: the middle order statistic, or the mean of the
         # two middle ones, from one sort
-        ordered = np.sort(pts, axis=0)
+        ordered = np.sort(pts, axis=-2)
         if n % 2:
-            return ordered[n // 2]
-        return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
+            return ordered[..., n // 2, :]
+        return (ordered[..., n // 2 - 1, :] + ordered[..., n // 2, :]) / 2
     if spec.kind == "gm":
         return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
     # krum, the one kind left: AggregatorSpec admits no other
-    return pts[_krum_index(pts, spec.f_hat, spec.krum_squared)].copy()
+    return _rows(pts, _krum_index(pts, spec.f_hat, spec.krum_squared))

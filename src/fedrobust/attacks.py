@@ -11,6 +11,7 @@ deterministic given the seed and the round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,23 +63,35 @@ def byzantine_upload(
     sign_flip:          w - scale * (mean honest delta), the negated honest
                         direction.
     fixed_vector:       the strategy's vector.
+
+    escalating_outlier and sign_flip compute under ``np.errstate``: a row
+    past the float range is inf or NaN without a warning, and the engine
+    ends that run as diverged.
     """
     clients, d = problem.byzantine_set, w.shape[0]
     if strategy.kind == "honest_mimic":
         return descend(problem, problem.byzantine_index, w, gamma, H)
     if strategy.kind == "gaussian_noise":
         # ints below 2**32 seed as the same words from a uint32 array, at less cost
-        words = all(isinstance(v, (int, np.integer)) and 0 <= v < 2**32 for v in (seed, t))
+        ints = (int, np.integer)
+        words = isinstance(seed, ints) and isinstance(t, ints) and 0 <= seed < 2**32 and 0 <= t < 2**32
         block = np.empty((len(clients), d))
         for row, k in zip(block, clients):
             key = np.array([seed, k, t], dtype=np.uint32) if words else [seed, k, t]
             np.random.default_rng(key).standard_normal(d, out=row)
-        block *= np.sqrt(strategy.variance)
+        block *= math.sqrt(strategy.variance)
         return block
-    if strategy.kind == "escalating_outlier":
-        row = problem.n * np.abs((1.0 - gamma) ** H * w) + t
-    elif strategy.kind == "sign_flip":
-        row = w - strategy.scale * (honest_uploads.sum(axis=0) / honest_uploads.shape[0] - w)  # sum / m is the mean
-    else:  # fixed_vector; AttackStrategy admits no other kind
+    if strategy.kind == "fixed_vector":
         row = np.asarray(strategy.vector, dtype=np.float64)
+    else:  # escalating_outlier or sign_flip; AttackStrategy admits no other kind
+        row = _computed_row(strategy, problem.n, w, gamma, H, t, honest_uploads)
     return row[None].repeat(len(clients), axis=0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # past the float range a row is inf or NaN, and the engine ends the run
+def _computed_row(strategy: AttackStrategy, n: int, w: np.ndarray, gamma: float, H: int, t: int,
+                  honest_uploads: np.ndarray) -> np.ndarray:
+    """The one upload of escalating_outlier or sign_flip."""
+    if strategy.kind == "escalating_outlier":
+        return n * np.abs(np.float64(1.0 - gamma) ** H * w) + t  # inf, not OverflowError, past the range
+    return w - strategy.scale * (np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0] - w)  # numpy's mean

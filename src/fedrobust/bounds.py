@@ -7,6 +7,7 @@ rearrangement.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ def _check_range(n: int, f: int, f_hat: int) -> None:
 def stepsize_constant(kappa: float) -> float:
     """c' = max(4*sqrt(2), sqrt(384*kappa)), the constant shared by the
     stepsize rules and the convergence ceilings."""
-    return max(4.0 * np.sqrt(2.0), np.sqrt(384.0 * kappa))
+    return max(4.0 * math.sqrt(2.0), math.sqrt(384.0 * kappa))  # math.sqrt: np.sqrt's value at a tenth of the cost
 
 
 def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:

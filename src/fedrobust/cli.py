@@ -32,7 +32,7 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from . import audit as audit_mod
 from . import bounds
 from .aggregators import AggregatorSpec
 from .attacks import AttackStrategy
-from .engine import RunConfig, Schedule, _field_errors, run
+from .engine import RunConfig, Schedule, _field_errors, run_batch
 from .errors import ConfigError, ParameterError
 from .problems import (  # noqa: F401 - looked up by name, see PROBLEM_KINDS
     homogeneous_quadratic_problem,
@@ -395,18 +395,7 @@ def _cell_bounds(problem, f_hat: int, eng: dict, record) -> dict:
     return out
 
 
-def _run_cell(cfg: ExperimentConfig, index: int, cell: tuple[int, int, int]) -> dict:
-    f, f_hat, seed = cell
-    run_id = f"cell{index:04d}"
-    head = {"run_id": run_id, "f": f, "f_hat": f_hat, "seed": seed}
-    started = time.perf_counter()
-    try:
-        run_config = _build_run_config(cfg.normalized, f, f_hat, seed)
-    except ValueError as exc:
-        return {**head, "error": str(exc), "rows": [], "wall_time_ms": 0.0}
-    record = run(run_config)
-    eng = cfg.normalized["engine"]
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+def _cell_result(head: dict, run_config: RunConfig, record, eng: dict, wall_time_ms: float) -> dict:
     # Running average over aggregation rounds only (the final row includes
     # the terminal iterate, which the averaged bound does not cover).
     last_avg_round = min(record.rows, max(eng["T"], 1)) - 1
@@ -429,15 +418,38 @@ def _run_cell(cfg: ExperimentConfig, index: int, cell: tuple[int, int, int]) -> 
             "diverged": record.diverged,
             "diverged_round": record.diverged_round,
         },
-        "bounds": _cell_bounds(run_config.problem, f_hat, eng, record),
-        "wall_time_ms": elapsed_ms,
-        "rows": _csv_rows(run_id, record),
+        "bounds": _cell_bounds(run_config.problem, head["f_hat"], eng, record),
+        "wall_time_ms": wall_time_ms,
+        "rows": _csv_rows(head["run_id"], record),
     }
 
 
+def _run_cells(cfg: ExperimentConfig, cells) -> list[dict]:
+    """Run (index, cell) pairs that share the aggregator spec as one
+    ``run_batch``; results in cell order.  A cell whose run config cannot be
+    built fails alone, with ``wall_time_ms`` 0; each other cell's is the
+    batch's wall time over its cells, so the cells add up to the batch."""
+    started = time.perf_counter()
+    results, batch = [], []
+    for index, (f, f_hat, seed) in cells:
+        head = {"run_id": f"cell{index:04d}", "f": f, "f_hat": f_hat, "seed": seed}
+        try:
+            batch.append((len(results), _build_run_config(cfg.normalized, f, f_hat, seed)))
+        except ValueError as exc:
+            head.update(error=str(exc), rows=[], wall_time_ms=0.0)
+        results.append(head)
+    records = run_batch([run_config for _, run_config in batch])
+    wall_time_ms = (time.perf_counter() - started) * 1000.0 / max(len(batch), 1)
+    for (k, run_config), record in zip(batch, records):
+        results[k] = _cell_result(results[k], run_config, record, cfg.normalized["engine"], wall_time_ms)
+    return results
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
-    """Execute every grid cell, streaming rows to results.csv as cells
-    complete (in cell order) and writing summary.json at the end.
+    """Execute every grid cell, streaming rows to results.csv (in cell order)
+    and writing summary.json at the end.  Each maximal stretch of
+    consecutive cells with the same f_hat, and so the same aggregator spec,
+    runs as one batch of ``engine.run_batch``.
 
     Returns the number of failed cells.
     """
@@ -447,18 +459,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     with open(out / "results.csv", "w", newline="") as sink:
         sink.write(",".join(CSV_COLUMNS) + "\n")
         sink.flush()
-        for index, cell in enumerate(_cells(cfg)):
-            result = _run_cell(cfg, index, cell)
-            rows = result.pop("rows")
-            sink.writelines(row + "\n" for row in rows)
-            sink.flush()
-            result["row_count"] = len(rows)
-            cells.append(result)
-            term = result.get("terminal")
-            _progress(result["run_id"], result.get("error"), lambda: (
-                f"f={result['f']} f_hat={result['f_hat']} seed={result['seed']} "
-                f"grad={_g(term['grad_metric'])} diverged={term['diverged']}"
-            ), quiet)
+        for _, stretch in groupby(enumerate(_cells(cfg)), key=lambda item: item[1][1]):
+            for result in _run_cells(cfg, stretch):
+                rows = result.pop("rows")
+                sink.writelines(row + "\n" for row in rows)
+                sink.flush()
+                result["row_count"] = len(rows)
+                cells.append(result)
+                term = result.get("terminal")
+                _progress(result["run_id"], result.get("error"), lambda: (
+                    f"f={result['f']} f_hat={result['f_hat']} seed={result['seed']} "
+                    f"grad={_g(term['grad_metric'])} diverged={term['diverged']}"
+                ), quiet)
     return _write_summary(out, cfg, sum("error" in cell for cell in cells), cells=cells)
 
 

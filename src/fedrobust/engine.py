@@ -6,15 +6,25 @@ uploads, and the server applies the configured robust aggregator to the
 client deltas (upload - w_t) to advance the global iterate.  The loop
 records each iterate and deviation into arrays allocated once per run; the
 metrics of all recorded iterates are evaluated after the loop, in one
-batched ``honest_objective`` call.  Sampling an output iterate is left to
-post-processing.
+batched ``honest_objective`` call per run.  Sampling an output iterate is
+left to post-processing.
+
+``run_batch`` advances R runs that share n, d, H and the aggregator spec in
+lockstep: round t of every run still active is one ``run_round`` call on the
+(R, d) stack of their iterates, which aggregates the (R, n, d) stack of
+their deltas in one ``aggregate`` call.  Each run keeps its own problem,
+schedule, T, w0, seed and attack, and leaves the stack once it completes or
+diverges; every run meets the float operations it meets alone, in the same
+order, so a batch gives each run's record bit for bit.  ``run`` is a batch
+of one.
 
 A run stops at the first row t it cannot record (w_t or its metrics not
-finite, or round t-1's deviation not finite) and is then diverged, with
-``diverged_round == rows``.  No bound on |w| is needed: a recorded w_0 lies
-within about 1.34e154 of every honest center, and a row far beyond overflows
-its metrics.  Below ``_overflow_free_scale`` the metrics cannot overflow, so
-only a row above it has them evaluated in the loop, and no round runs past it.
+finite, or round t-1's deltas or deviation not finite) and is then diverged,
+with ``diverged_round == rows``.  No bound on |w| is needed: a recorded w_0
+lies within about 1.34e154 of every honest center, and a row far beyond
+overflows its metrics.  Below ``_overflow_free_scale`` the metrics cannot
+overflow, so only a row above it has them evaluated in the loop, and no
+round runs past it.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate
+from .aggregators import AggregatorSpec
+from .aggregators import _aggregate as aggregate  # run_round checks its deltas itself
 from .attacks import AttackStrategy, byzantine_upload
 from .bounds import stepsize_constant
 from .errors import ParameterError
@@ -181,24 +192,39 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def run_round(config: RunConfig, w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
-    """Round ``t`` from iterate ``w``: the next iterate and the squared
-    distance between the aggregated delta and the mean honest delta."""
-    problem = config.problem
-    gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
-    honest_uploads = descend(problem, problem.honest_index, w, gamma, config.H)
-    deltas = np.empty((problem.n, w.shape[0]))
-    deltas[problem.honest_index] = honest_uploads
-    deltas[problem.byzantine_index] = byzantine_upload(
-        config.attack, problem, w, gamma, config.H, t, config.seed, honest_uploads
-    )
-    deltas -= w
+@np.errstate(over="ignore")  # overflow to inf marks divergence in run_batch()
+def _deviations(aggregated: np.ndarray, means: np.ndarray, w: np.ndarray) -> list:
+    deviation = aggregated - means + w
+    return np.vecdot(deviation, deviation).tolist()
 
-    aggregated = aggregate(config.aggregator, deltas)
-    deviation = aggregated - np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0] + w  # numpy's mean
-    with np.errstate(over="ignore"):  # overflow to inf marks divergence in run()
-        deviation = float(deviation @ deviation)
-    return w + aggregated, deviation
+
+def run_round(configs, w: np.ndarray, t: int) -> tuple[np.ndarray, list]:
+    """Round ``t`` of each run in ``configs`` from its row of the (R, d)
+    iterates ``w``: the (R, d) next iterates and, per run, the squared
+    distance between the aggregated delta and the mean honest delta.  A run
+    whose deltas are not finite (an upload overflowed) is left out of the
+    aggregation, and its deviation is NaN."""
+    count, d = w.shape
+    deltas = np.empty((count, configs[0].problem.n, d))
+    means = np.empty((count, d))
+    for r, config in enumerate(configs):
+        problem, row, cloud = config.problem, w[r], deltas[r]
+        gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
+        honest_uploads = descend(problem, problem.honest_index, row, gamma, config.H)
+        cloud[problem.honest_index] = honest_uploads
+        cloud[problem.byzantine_index] = byzantine_upload(
+            config.attack, problem, row, gamma, config.H, t, config.seed, honest_uploads
+        )
+        means[r] = np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0]  # numpy's mean
+    deltas -= w[:, None, :]
+    if np.logical_and.reduce(np.isfinite(deltas), axis=None):
+        aggregated = aggregate(configs[0].aggregator, deltas)
+    else:
+        finite = np.isfinite(deltas).all(axis=(1, 2))
+        aggregated = np.full(w.shape, np.nan)
+        if finite.any():
+            aggregated[finite] = aggregate(configs[0].aggregator, deltas[finite])
+    return w + aggregated, _deviations(aggregated, means, w)
 
 
 def _preflight(config: RunConfig) -> None:
@@ -242,38 +268,87 @@ def _metrics(problem: Problem, w: np.ndarray):
         return np.vecdot(grad, grad), value - problem.l_star
 
 
+def _without(leaving: list, active: list, configs: list, w: np.ndarray):
+    """The active runs, their configs and iterates, less positions ``leaving``."""
+    keep = [k for k in range(len(active)) if k not in leaving]
+    active = [active[k] for k in keep]
+    return active, [configs[r] for r in active], w[keep]
+
+
 def run(config: RunConfig) -> RunRecord:
     """Execute the configured number of rounds (halting early on divergence)
-    and return the full metric record."""
-    _preflight(config)
-    digest = config_digest(config)  # before any round, so a config it cannot describe fails at once
-    T, problem, w = config.T, config.problem, config.w0
-    safe = _overflow_free_scale(problem)
-    iterates, agg_deviation = np.empty((T + 1, w.shape[0])), np.empty(T)
-    rows = aggregations = 0
-    for t in range(T + 1):
-        top = float(np.maximum.reduce(np.abs(w)))  # what .max() computes; nan if some w_i is
-        if not top <= safe and not np.all(np.isfinite(_metrics(problem, w[None]))):
-            break
-        iterates[t] = w
-        rows = t + 1
-        if t == T:
-            break
-        w, deviation = run_round(config, w, t)
-        if not math.isfinite(deviation):
-            break
-        agg_deviation[t] = deviation
-        aggregations = t + 1
+    and return the full metric record: ``run_batch([config])[0]``."""
+    return run_batch([config])[0]
 
-    grad_metric, loss_gap = _metrics(problem, iterates[:rows])
-    return RunRecord(
-        iterates=iterates[:rows],
-        grad_metric=grad_metric,
-        loss_gap=loss_gap,
-        running_avg=np.cumsum(grad_metric) / np.arange(1, rows + 1),
-        agg_deviation=agg_deviation[:aggregations],
-        diverged=rows <= T,
-        diverged_round=rows if rows <= T else None,
-        seed=config.seed,
-        config_digest=digest,
-    )
+
+def run_batch(configs) -> list[RunRecord]:
+    """Run every config in lockstep and return their records in order, each
+    equal to the record of its run alone.
+
+    The runs must share n, d, H and the aggregator spec (f_hat included);
+    their problems (f and the honest set may differ), schedules, T, w0,
+    seeds and attacks are their own.  A run leaves the stack once it
+    completes or diverges, and the rest go on.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    shared = (configs[0].problem.n, configs[0].problem.d, configs[0].H, configs[0].aggregator)
+    for config in configs:
+        if (config.problem.n, config.problem.d, config.H, config.aggregator) != shared:
+            raise ParameterError("runs of one batch must share n, d, H and the aggregator spec")
+    digests = []
+    for config in configs:
+        _preflight(config)
+        digests.append(config_digest(config))  # before any round, so a config it cannot describe fails at once
+    d = shared[1]
+    safe = [_overflow_free_scale(config.problem) for config in configs]
+    iterates = [np.empty((config.T + 1, d)) for config in configs]
+    agg_deviation = [np.empty(config.T) for config in configs]
+    rows, aggregations = [0] * len(configs), [0] * len(configs)  # set as each run leaves
+    active, batch = list(range(len(configs))), configs
+    w = np.array([config.w0 for config in configs])
+    t = 0
+    while True:
+        tops = np.maximum.reduce(np.abs(w), axis=1).tolist()  # nan where some w_i is
+        leaving = []
+        for k, r in enumerate(active):
+            if tops[k] <= safe[r] or np.all(np.isfinite(_metrics(configs[r].problem, w[k : k + 1]))):
+                iterates[r][t] = w[k]
+                if t < configs[r].T:
+                    continue
+                rows[r], aggregations[r] = t + 1, t  # completed
+            else:
+                rows[r] = aggregations[r] = t  # row t is not recorded
+            leaving.append(k)
+        if leaving:
+            active, batch, w = _without(leaving, active, configs, w)
+            if not active:
+                break
+        w, deviations = run_round(batch, w, t)
+        for k, r in enumerate(active):
+            agg_deviation[r][t] = deviations[k]
+        if not all(map(math.isfinite, deviations)):
+            leaving = [k for k, deviation in enumerate(deviations) if not math.isfinite(deviation)]
+            for k in leaving:
+                rows[active[k]], aggregations[active[k]] = t + 1, t
+            active, batch, w = _without(leaving, active, configs, w)
+            if not active:
+                break
+        t += 1
+
+    records = []
+    for config, digest, r in zip(configs, digests, range(len(configs))):
+        grad_metric, loss_gap = _metrics(config.problem, iterates[r][: rows[r]])
+        records.append(RunRecord(
+            iterates=iterates[r][: rows[r]],
+            grad_metric=grad_metric,
+            loss_gap=loss_gap,
+            running_avg=np.cumsum(grad_metric) / np.arange(1, rows[r] + 1),
+            agg_deviation=agg_deviation[r][: aggregations[r]],
+            diverged=rows[r] <= config.T,
+            diverged_round=rows[r] if rows[r] <= config.T else None,
+            seed=config.seed,
+            config_digest=digest,
+        ))
+    return records

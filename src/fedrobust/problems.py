@@ -38,6 +38,7 @@ class Problem:
     # derived from curvature and honest_set at construction
     L: float = field(init=False, compare=False)   # 2 max(curvature)
     mu: float = field(init=False, compare=False)  # 2 min(curvature)
+    slope: np.ndarray = field(init=False, repr=False, compare=False)  # 2 curvature, read-only: grad = slope (w - b_k)
     byzantine_set: tuple = field(init=False, repr=False, compare=False)         # the other clients, sorted
     honest_index: np.ndarray = field(init=False, repr=False, compare=False)     # honest_set as intp
     byzantine_index: np.ndarray = field(init=False, repr=False, compare=False)  # byzantine_set as intp
@@ -56,6 +57,9 @@ class Problem:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "L", 2.0 * float(curvature.max()))
         object.__setattr__(self, "mu", 2.0 * float(curvature.min()))
+        slope = 2.0 * curvature
+        slope.setflags(write=False)
+        object.__setattr__(self, "slope", slope)
         if not 0 <= self.f < self.n / 2:
             raise ParameterError(f"require 0 <= f < n/2, got f={self.f}, n={self.n}")
         honest_set = _honest_set(self.n, self.f, self.honest_set)
@@ -210,9 +214,8 @@ def descend(p: Problem, clients, w, gamma: float, steps: int) -> np.ndarray:
     centers = p.centers.take(clients, axis=0)
     out = np.empty(centers.shape)
     out[...] = w  # one copy of w per client
-    slope = 2.0 * p.curvature
     for _ in range(steps):
-        out -= gamma * (slope * (out - centers))
+        out -= gamma * (p.slope * (out - centers))
     return out
 
 
@@ -229,7 +232,7 @@ def honest_objective(p: Problem, w):
     without a warning; the engine reports it as divergence."""
     w = np.asarray(w, dtype=np.float64)
     block = np.atleast_2d(w)
-    two_a = 2.0 * p.curvature
+    two_a = p.slope
     with np.errstate(over="ignore"):
         for i, center in enumerate(p.centers[p.honest_index]):
             diff = block - center

@@ -31,6 +31,7 @@ from fedrobust import (
     lower_bound_witness,
     random_quadratic_problem,
     run,
+    run_batch,
     two_group_quadratic_problem,
 )
 from fedrobust.cli import parse_config, run_sweep
@@ -208,24 +209,27 @@ def test_criterion_6_convergence_ceiling_respected():
             AttackStrategy("gaussian_noise", variance=5.0),
             AttackStrategy("sign_flip", scale=1.0),
         )
-        for i in range(20):
-            problem = random_quadratic_problem(10, 2, 5, G_target=1.0, radius=5.0, seed=1000 + i)
-            for attack in attacks:
-                for T in (8, 64, 512):
-                    config = RunConfig(
-                        problem=problem,
-                        aggregator=AggregatorSpec("krum", f_hat=3, pre_nnm=True),
-                        attack=attack, T=T, H=1,
-                        schedule=Schedule("grad_cube"),
-                        w0=np.zeros(5), seed=i, kappa=kappa,
-                    )
-                    record = run(config)
-                    assert not record.diverged
-                    ceiling = grad_ceiling(
-                        kappa, problem.L, 1, T, float(record.loss_gap[0]), 1.0
-                    )
-                    avg = float(record.running_avg[T - 1])
-                    assert avg <= ceiling, (i, attack.kind, T, avg, ceiling)
+        problems = [random_quadratic_problem(10, 2, 5, G_target=1.0, radius=5.0, seed=1000 + i) for i in range(20)]
+        for attack in attacks:
+            # one lockstep batch per attack: its 60 (problem, T) runs
+            configs = [
+                RunConfig(
+                    problem=problem,
+                    aggregator=AggregatorSpec("krum", f_hat=3, pre_nnm=True),
+                    attack=attack, T=T, H=1,
+                    schedule=Schedule("grad_cube"),
+                    w0=np.zeros(5), seed=i, kappa=kappa,
+                )
+                for i, problem in enumerate(problems) for T in (8, 64, 512)
+            ]
+            for config, record in zip(configs, run_batch(configs)):
+                i, T = config.seed, config.T
+                assert not record.diverged
+                ceiling = grad_ceiling(
+                    kappa, config.problem.L, 1, T, float(record.loss_gap[0]), 1.0
+                )
+                avg = float(record.running_avg[T - 1])
+                assert avg <= ceiling, (i, attack.kind, T, avg, ceiling)
 
 
 def test_criterion_7_problem_family_correctness():

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from fedrobust import AggregatorSpec, DimensionError, ParameterError, aggregate, weiszfeld
 from fedrobust import aggregators
 from fedrobust.aggregators import (
-    WeiszfeldResult, _cwtm, _krum_index, _kuhn, _neighbor_indices, _nnm, _sq_distance_matrix, stack_points,
+    KINDS, WeiszfeldResult, _cwtm, _krum_index, _kuhn, _neighbor_indices, _nnm, _sq_distance_matrix, stack_points,
 )
 
 MEAN = AggregatorSpec("mean")
@@ -606,6 +606,66 @@ def test_weiszfeld_equals_the_newton_oracle_bitwise():
     assert max(result.iterations for result in results) == 500  # a 1e200 cloud spends every step
 
 
+def assert_stack_solves_alone(stack, **kwargs):
+    got = weiszfeld(stack, **kwargs)
+    alone = [oracle_newton_weiszfeld(pts, **kwargs) for pts in stack]
+    assert got.point.shape == (stack.shape[0], stack.shape[2])
+    for row, want in zip(got.point, alone):
+        assert row.tobytes() == want.point.tobytes()
+    assert got.iterations == max(want.iterations for want in alone)  # the lockstep count
+    assert got.displacement == max(want.displacement for want in alone)
+    return alone
+
+
+def test_stacked_weiszfeld_equals_each_cloud_alone():
+    # the clouds of the bitwise oracle test, stacked by shape
+    rng = np.random.default_rng(20)
+    groups = {}
+    for pts in list(solver_clouds(rng)) + list(central_row_clouds(rng, 80)):
+        groups.setdefault(pts.shape, []).append(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for group in groups.values():
+            for kwargs in ({}, {"tol": 1e-13, "max_iters": 3}):
+                assert_stack_solves_alone(np.stack(group), **kwargs)
+
+
+def test_one_stack_holds_every_exit_and_a_singular_hessian(monkeypatch):
+    rng = np.random.default_rng(22)
+    majority = np.array([[0.0, 0.0]] * 4 + [[1.0, 2.0], [-3.0, 1.0]])  # Kuhn's test passes at (0, 0)
+    collinear = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [7.0, 0.0], [8.0, 0.0], [12.0, 0.0]])  # H is singular
+    central = next(pts for pts in central_row_clouds(rng, 200)
+                   if pts.shape == (6, 2) and oracle_newton_weiszfeld(pts).iterations > 0)  # a Vardi-Zhang step
+    far = rng.normal(size=(6, 2)) * 1e200  # spends every step
+    stack = np.stack([majority, collinear, central, far])
+    solves, solve = [], np.linalg.solve
+
+    def spy_solve(a, b):
+        try:
+            x = solve(a, b)
+        except np.linalg.LinAlgError:
+            solves.append((a.shape[:-2], True))
+            raise
+        solves.append((a.shape[:-2], False))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = assert_stack_solves_alone(stack)
+    # a Kuhn exit, a Vardi-Zhang step from the central rows, a solve that
+    # spends every step
+    assert alone[0].iterations == 0 and alone[2].iterations > 0 and alone[3].iterations == 500
+    # a stacked solve that raises is followed by one solve per cloud, and
+    # only the singular cloud's raises
+    raised = [k for k, (stacked, failed) in enumerate(solves) if stacked and failed]
+    assert raised
+    for k in raised:
+        alone_solves = solves[k + 1 : k + 1 + solves[k][0][0]]
+        assert [stacked for stacked, _ in alone_solves] == [()] * solves[k][0][0]
+        assert sum(failed for _, failed in alone_solves) == 1
+
+
 def test_kuhn_equals_its_oracle():
     # the oracle takes the points x along the first axis and the rows along
     # the second; _kuhn takes the rows first
@@ -861,9 +921,22 @@ def test_aggregate_matches_public_rule_composition_bitwise():
                         assert got.tobytes() == want.tobytes(), (spec, pts.shape)
 
 
+def test_aggregate_of_a_stack_equals_each_cloud_alone():
+    rng = np.random.default_rng(23)
+    for n, d in ((5, 1), (9, 2), (10, 5), (16, 1), (12, 9)):
+        stack = rng.normal(size=(6, n, d)) * rng.uniform(0.1, 10, size=(6, 1, 1))
+        stack[3] = stack[3][rng.integers(0, 2, n)]  # repeated rows: ties in every sort
+        for spec in [AggregatorSpec(kind, f_hat=2, pre_nnm=nnm) for kind in KINDS for nnm in (False, True)]:
+            got = aggregate(spec, stack)
+            assert got.shape == (6, d)
+            for row, pts in zip(got, stack):
+                assert row.tobytes() == aggregate(spec, pts).tobytes(), (spec, n, d)
+            assert aggregate(spec, stack[:1]).tobytes() == got[:1].tobytes()
+
+
 def test_every_public_rule_validates_its_input():
     nan_points = np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]])
-    cube = np.zeros((5, 2, 2))
+    cube = np.zeros((5, 2, 2, 2))  # (R, n, d) is a stack of clouds; one more axis is not
     specs = [AggregatorSpec(kind, f_hat=1) for kind in ("mean", "cwtm", "cwmed", "gm", "krum")]
     specs.append(AggregatorSpec("krum", f_hat=1, pre_nnm=True))
     rules = [weiszfeld] + [lambda xs, spec=spec: aggregate(spec, xs) for spec in specs]

@@ -260,6 +260,31 @@ def test_failed_cell_recorded_and_sweep_continues(tmp_path, capsys):
     assert len(lines) == 1 + 3  # header + T+1 rows
 
 
+def test_an_overflowing_attack_diverges_its_cell_and_the_sweep_goes_on(tmp_path):
+    # the f_hat = 1 cell's sign flip overflows to inf in round 1; the cell
+    # is diverged there, and the f_hat = 3 cell is what it is alone
+    config = {
+        "schema_version": 1,
+        "kind": "sweep",
+        "problem": {"kind": "random_quadratic", "n": 9, "d": 2, "G_target": 0.0, "radius": 1e-180},
+        "aggregator": {"kind": "cwtm"},
+        "attack": {"kind": "sign_flip", "scale": 1e250},
+        "engine": {"T": 60, "schedule": {"kind": "constant", "gamma": 0.05}, "w0": [1e-180, -2e-180]},
+        "grid": {"f": [3], "f_hat": [3, 1], "seeds": [0]},
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "both"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "both" / "summary.json").read_text())
+    assert summary["failed_cells"] == 0
+    flipped = summary["cells"][1]["terminal"]
+    assert (flipped["diverged"], flipped["diverged_round"], flipped["rounds_recorded"]) == (True, 2, 2)
+    path.write_text(json.dumps({**config, "grid": {"f": [3], "f_hat": [3], "seeds": [0]}}))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "alone"), "--quiet"]) == 0
+    rows = (tmp_path / "both" / "results.csv").read_text().splitlines()
+    assert [row for row in rows if not row.startswith("cell0001")] == (tmp_path / "alone" / "results.csv").read_text().splitlines()
+
+
 def test_fixed_vector_of_wrong_dimension_is_failed_cell(tmp_path):
     config = {
         "schema_version": 1,

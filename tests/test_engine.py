@@ -24,6 +24,7 @@ from fedrobust import (
     honest_objective,
     random_quadratic_problem,
     run,
+    run_batch,
     stepsize_at,
     two_group_quadratic_problem,
 )
@@ -465,9 +466,9 @@ def test_run_matches_oracle_past_the_overflow_guard(config, stop, crosses, monke
     calls = []
     run_round = engine.run_round
 
-    def counting(config, w, t):
+    def counting(configs, w, t):
         calls.append(t)
-        return run_round(config, w, t)
+        return run_round(configs, w, t)
 
     monkeypatch.setattr(engine, "run_round", counting)
     record = assert_matches_oracle(config)
@@ -479,7 +480,7 @@ def test_run_matches_oracle_past_the_overflow_guard(config, stop, crosses, monke
     top = np.abs(record.iterates).max(axis=1)
     assert np.any(top > engine._overflow_free_scale(config.problem)) == crosses
     if stop == "metric":
-        w, _ = run_round(config, record.iterates[-1], record.rows - 1)
+        (w,), _ = run_round([config], record.iterates[-1:], record.rows - 1)
         assert np.abs(w).max() <= DIVERGENCE_SCALE * (1.0 + np.abs(config.w0).max())
         value, grad = honest_objective(config.problem, w)
         with np.errstate(over="ignore"):
@@ -554,6 +555,116 @@ def test_engine_keeps_the_tracer_contract(monkeypatch):
     run(krum_nnm_config(0, AttackStrategy("sign_flip", scale=1.0), 8))
     assert {name: len(log) for name, log in calls.items()} == {name: 8 for name in calls}
     assert [args[2] for args in calls["run_round"]] == list(range(8))
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches
+
+RECORD_FIELDS = [f.name for f in dataclasses.fields(RunRecord)]
+
+
+def assert_same_record(got, want):
+    for name in RECORD_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
+def batch_configs(spec, attack):
+    """Runs that share n = 9, d = 2, H = 2 and ``spec``: problems with
+    f in {1, 2, 3}, T in {0, 1, 7, 64}, several w0, seeds and schedules, and
+    an overshooting stepsize that diverges in mid-batch."""
+    problems = [random_quadratic_problem(9, f, 2, 1.0, 2.0, seed=3 + f) for f in (1, 2, 3)]
+    schedules = [Schedule("constant", gamma=0.05), Schedule("step_wise", gamma=0.1), Schedule("constant", gamma=0.02)]
+    configs = [
+        RunConfig(problem=problems[k % 3], aggregator=spec, attack=attack, T=T, H=2, schedule=schedules[k % 3],
+                  w0=np.array([1.0 + k, -2.0 * k]), seed=4 + k)
+        for k, T in enumerate((64, 0, 7, 1, 64, 7))
+    ]
+    overshoot = Schedule("constant", gamma=400.0 / problems[0].L)
+    configs.insert(3, dataclasses.replace(configs[0], schedule=overshoot, w0=np.array([3.0, 1.0]), seed=9))
+    return configs
+
+
+@pytest.mark.parametrize("attack", ORACLE_ATTACKS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("spec", [
+    AggregatorSpec(kind, f_hat=2, pre_nnm=nnm) for kind in ("mean", "cwtm", "cwmed", "gm", "krum") for nnm in (False, True)
+], ids=lambda s: s.name)
+def test_run_batch_equals_solo_runs_and_the_oracle(spec, attack):
+    configs = batch_configs(spec, attack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        records = run_batch(configs)
+        assert len(records) == len(configs)
+        for config, record in zip(configs, records):
+            assert_same_record(record, run(config))
+            assert_same_record(record, oracle_run(config))
+    assert records[3].diverged and records[3].rows < records[0].rows  # diverged in mid-batch
+    assert not any(record.diverged for k, record in enumerate(records) if k != 3)
+
+
+def overflowing_upload_config(**changes):
+    """A sign flip that overflows to inf in round 1: the deltas of that round
+    are not finite, so the run stops as on a deviation that is not finite."""
+    config = RunConfig(
+        problem=random_quadratic_problem(9, 3, 2, 0.0, 1e-180, seed=0), aggregator=AggregatorSpec("cwtm", f_hat=1),
+        attack=AttackStrategy("sign_flip", scale=1e250), T=60, schedule=Schedule("constant", gamma=0.05),
+        w0=np.array([1e-180, -2e-180]), seed=0,
+    )
+    return dataclasses.replace(config, **changes)
+
+
+def test_an_overflowing_upload_diverges_its_run_alone():
+    flipped = overflowing_upload_config()
+    others = [
+        overflowing_upload_config(problem=random_quadratic_problem(9, f, 2, 1.0, 2.0, seed=f), w0=np.ones(2), seed=f,
+                                  attack=attack)
+        for f, attack in ((1, AttackStrategy("gaussian_noise", variance=1.0)), (3, AttackStrategy("sign_flip", scale=2.0)))
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alone = run(flipped)
+        records = run_batch([others[0], flipped, others[1]])
+    # round 1's deltas are not finite: rows 0 and 1, one deviation
+    assert (alone.rows, len(alone.agg_deviation), alone.diverged, alone.diverged_round) == (2, 1, True, 2)
+    assert_same_record(records[1], alone)
+    for config, record in zip(others, (records[0], records[2])):
+        assert not record.diverged
+        assert_same_record(record, run(config))
+    # an escalating outlier whose factor (1 - gamma)^H overflows in round 0
+    # (the honest steps overflow as well, and warn)
+    escalating = dataclasses.replace(others[0], attack=AttackStrategy("escalating_outlier"), H=2,
+                                     schedule=Schedule("constant", gamma=1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        record = run(escalating)
+    assert (record.rows, len(record.agg_deviation), record.diverged_round) == (1, 0, 1)
+
+
+def test_run_batch_rejects_runs_that_cannot_share_a_stack():
+    config = krum_nnm_config(0, AttackStrategy("honest_mimic"), 4)
+    assert run_batch([]) == []
+    for other in (dataclasses.replace(config, H=2), dataclasses.replace(config, aggregator=AggregatorSpec("krum", f_hat=2)),
+                  dataclasses.replace(config, problem=random_quadratic_problem(10, 2, 4, seed=0), w0=None)):
+        with pytest.raises(ParameterError, match="share n, d, H and the aggregator spec"):
+            run_batch([config, other])
+
+
+def test_run_batch_keeps_the_tracer_contract(monkeypatch):
+    # one run_round and one aggregate call per lockstep round, with t as
+    # run_round's third argument; one byzantine_upload call per active run
+    calls = {name: [] for name in ("run_round", "aggregate", "byzantine_upload")}
+    for name, log in calls.items():
+        def spy(*args, _real=getattr(engine, name), _log=log):
+            _log.append(args)
+            return _real(*args)
+        monkeypatch.setattr(engine, name, spy)
+    run_batch([krum_nnm_config(i, AttackStrategy("sign_flip", scale=1.0), T) for i, T in enumerate((8, 3, 5))])
+    assert [args[2] for args in calls["run_round"]] == list(range(8))
+    assert [args[1].shape[0] for args in calls["aggregate"]] == [3, 3, 3, 2, 2, 1, 1, 1]
+    assert len(calls["byzantine_upload"]) == 8 + 3 + 5
 
 
 def test_config_digest_distinguishes_and_is_stable():
