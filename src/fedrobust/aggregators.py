@@ -9,7 +9,9 @@ because its ``WeiszfeldResult`` carries the solver diagnostics.
 
 Both also take an (R, n, d) stack of R clouds of the same shape and return
 R results along the leading axis; each cloud's result has the bits it has
-alone, so a batch of runs can aggregate all of its clouds in one call.
+alone, so a batch of runs can aggregate all of its clouds in one call.  The
+geometric median of a stack takes one Kuhn test over the stack, then each
+cloud that fails it is solved on its own.
 
 Scalar inputs are accepted as a length-n sequence of numbers and treated as
 n points in R^1.
@@ -29,6 +31,10 @@ KINDS = ("mean", "cwtm", "cwmed", "gm", "krum")
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _is_integer(value) -> bool:  # Python and numpy integers, but not a bool
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class AggregatorSpec:
     """Which rule to apply and with what parameters; :func:`aggregate`
@@ -45,10 +51,12 @@ class AggregatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {list(KINDS)}, got {self.kind!r}")
-        if self.f_hat < 0:
-            raise ParameterError("f_hat must be >= 0")
-        if not (self.gm_tolerance > 0 and self.gm_max_iters > 0):  # NaN fails too
-            raise ParameterError("gm_tolerance and gm_max_iters must be positive")
+        if not (_is_integer(self.f_hat) and self.f_hat >= 0):
+            raise ParameterError(f"f_hat must be an integer >= 0, got {self.f_hat!r}")
+        if not self.gm_tolerance > 0:  # NaN fails too
+            raise ParameterError("gm_tolerance must be positive")
+        if not (_is_integer(self.gm_max_iters) and self.gm_max_iters >= 1):
+            raise ParameterError(f"gm_max_iters must be an integer >= 1, got {self.gm_max_iters!r}")
 
     @property
     def name(self) -> str:
@@ -61,34 +69,33 @@ class WeiszfeldResult(NamedTuple):
     iterations: int
 
 
+def _finite(pts: np.ndarray) -> np.ndarray:
+    """``pts``, unless it is empty or holds a NaN or an infinity."""
+    if pts.size == 0:
+        raise DimensionError("need at least one input vector")
+    if not np.isfinite(pts).all():
+        raise ValueError("input vectors must be finite (no NaN/Inf)")
+    return pts
+
+
 def stack_points(xs) -> np.ndarray:
     """Validate and stack inputs into an (n, d) float64 matrix.
 
     A 1-d sequence of length n is read as n scalar points (d = 1).
     """
     pts = np.asarray(xs, dtype=np.float64)
-    if pts.size == 0:
-        raise DimensionError("need at least one input vector")
     if pts.ndim == 1:
         pts = pts[:, None]
-    elif pts.ndim != 2:
+    elif pts.ndim != 2 and pts.size:  # an empty array is reported as empty, whatever its shape
         raise DimensionError(f"inputs must stack to an (n, d) matrix, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("input vectors must be finite (no NaN/Inf)")
-    return pts
+    return _finite(pts)
 
 
 def _clouds(xs) -> np.ndarray:
     """:func:`stack_points` of one cloud, or an (R, n, d) stack of R clouds
     validated the same way."""
     pts = np.asarray(xs, dtype=np.float64)
-    if pts.ndim != 3:
-        return stack_points(pts)
-    if pts.size == 0:
-        raise DimensionError("need at least one input vector")
-    if not np.isfinite(pts).all():
-        raise ValueError("input vectors must be finite (no NaN/Inf)")
-    return pts
+    return _finite(pts) if pts.ndim == 3 else stack_points(pts)
 
 
 def _rows(pts: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -139,43 +146,36 @@ def _offsets(y: np.ndarray, z: np.ndarray):
     return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
-def _newton_solve(hessian: np.ndarray, pull: np.ndarray) -> np.ndarray:
-    """H^-1 p as a (k, d, 1) array, for each (H, p) along the leading axis,
-    from one stacked solve.  A singular H makes that solve raise for the
-    whole stack; then each is solved alone, and a singular one gives NaN."""
-    try:
-        return np.linalg.solve(hessian, pull[:, :, None])
-    except np.linalg.LinAlgError:
-        steps = np.full(pull.shape + (1,), np.nan)
-        for k, (h, p) in enumerate(zip(hessian, pull)):
-            try:
-                steps[k, :, 0] = np.linalg.solve(h, p)
-            except np.linalg.LinAlgError:
-                pass
-        return steps
-
-
-def _iterate_one(y, z, diff, dist, tol_y: float, iteration: int, max_iters: int, merge: float):
-    """Go on with one cloud of :func:`weiszfeld` from ``iteration`` steps
-    taken, given its rows y (n, d), the iterate z (d,), the offsets y_i - z
-    and their lengths.  The stacked loop leaves a cloud here when it is
-    alone, or when rows lie at its iterate (the Vardi-Zhang step).  Returns
-    (the iterate, or the index of the row it stops at, the last step's
-    length, the iterations taken)."""
-    n, d = y.shape
+def _solve(pts: np.ndarray, tol: float, max_iters: int):
+    """(point, displacement, iterations) of :func:`weiszfeld` for one (n, d)
+    cloud that fails Kuhn's test."""
+    n, d = pts.shape
+    ordered = np.sort(pts, axis=0)
+    center = 0.5 * ordered[(n - 1) // 2] + 0.5 * ordered[n // 2]  # the coordinate-wise median
+    half = 0.5 * pts - 0.5 * center  # (x_i - center) / 2 cannot overflow
+    scale = math.ldexp(1.0, min(math.frexp(float(np.maximum.reduce(np.abs(half), axis=None)))[1], 1023))
+    # y_i = (x_i - center) / (2 * scale) has coordinates in (-1, 1); lengths
+    # in y are lengths in x divided by 2 * scale
+    y = half / scale
+    tol_y = tol / scale / 2.0
+    # The rows of y and every iterate have coordinates in (-1, 1), so a
+    # distance in y is rounded by a few d ulps of 1 and rows nearer the
+    # iterate than this cannot be told from it.
+    merge = n * d * _EPS
     slack = -2 * (n + d) * _EPS  # the rounding allowance of a change in f
     eye = np.eye(d)
+    z, diff, dist = np.zeros(d), y, np.sqrt(np.add.reduce(y * y, axis=1))  # the offsets y_i - z at z = 0
     step = 0.0
-    for iteration in range(iteration + 1, max_iters + 1):
+    for iteration in range(1, max_iters + 1):
         newton, lengths = False, dist.tolist()  # min and max of a list are cheaper
-        if min(lengths) <= merge:
+        if min(lengths) <= merge:  # rows at the iterate: the Vardi-Zhang step
             at = dist <= merge
             m = int(np.add.reduce(at))
             weights = 1.0 / dist[~at]
             pull = np.add.reduce(diff[~at] * weights[:, None], axis=0)
             r = math.sqrt(pull @ pull)
             if r <= m:
-                return z, 0.0, iteration
+                return center + scale * (2.0 * z), 0.0, iteration
             s = (1.0 - m / r) / np.add.reduce(weights) * pull
         else:
             weights = 1.0 / dist
@@ -200,7 +200,7 @@ def _iterate_one(y, z, diff, dist, tol_y: float, iteration: int, max_iters: int,
             if not newton:
                 k = int(np.argmin(dist))
                 if _kuhn(y - y[k], merge):
-                    return k, 0.0, iteration
+                    return pts[k], 0.0, iteration
                 s = pull / total
         if not newton:
             moved, ss = z + s, float(s @ s)
@@ -209,23 +209,7 @@ def _iterate_one(y, z, diff, dist, tol_y: float, iteration: int, max_iters: int,
         z, diff, dist = moved, new_diff, new_dist
         if step < tol_y:
             break
-    return z, step, iteration
-
-
-def _solve_one(pts: np.ndarray, tol: float, max_iters: int):
-    """(point, displacement, iterations) of :func:`weiszfeld` for one (n, d)
-    cloud that fails Kuhn's test, as the stacked solve sets it up."""
-    n, d = pts.shape
-    ordered = np.sort(pts, axis=0)
-    center = 0.5 * ordered[(n - 1) // 2] + 0.5 * ordered[n // 2]  # the coordinate-wise median
-    half = 0.5 * pts - 0.5 * center
-    scale = math.ldexp(1.0, min(math.frexp(float(np.maximum.reduce(np.abs(half), axis=None)))[1], 1023))
-    y = half / scale
-    end, step, iterations = _iterate_one(y, np.zeros(d), y, np.sqrt(np.add.reduce(y * y, axis=1)), tol / scale / 2.0, 0,
-                                         max_iters, n * d * _EPS)
-    if isinstance(end, int):
-        return pts[end], 0.0, iterations
-    return center + scale * (2.0 * end), step * 2.0 * scale, iterations
+    return center + scale * (2.0 * z), step * 2.0 * scale, iteration
 
 
 def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
@@ -259,135 +243,30 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     shortened by the factor 1 - m/||p||; if ||p|| <= m those rows are a
     median and the solver stops.
     Otherwise it stops when a step is shorter than ``tol`` or after
-    ``max_iters`` steps.  ``displacement`` is the last step's length, 0.0
-    after a stop at a row.
+    ``max_iters`` steps, an integer >= 1.  ``displacement`` is the last
+    step's length, 0.0 after a stop at a row.
 
-    An (R, n, d) stack of clouds is solved in lockstep: one Kuhn test over
-    the stack, then iterations over the clouds still iterating, with one
-    stacked solve for all of them (a singular H is then solved again alone,
-    so only its cloud falls back).  Each cloud keeps its own exit, steps and
-    stop, and leaves the stack when it stops.  A cloud with rows at its
-    iterate (the Vardi-Zhang step), the last cloud left and a lone cloud go
-    on in :func:`_iterate_one`, which takes the same steps with fewer numpy
-    calls.  So each point has the bits of its cloud's solve alone.
-    ``point`` is then (R, d), ``iterations`` the number of lockstep
-    iterations (the most any cloud took) and ``displacement`` the largest
-    last step.
+    An (R, n, d) stack of clouds takes one Kuhn test over the whole stack;
+    then each cloud that fails it is solved on its own, so each point has
+    the bits of its cloud's solve alone.  ``point`` is then (R, d),
+    ``iterations`` the most iterations any cloud took and ``displacement``
+    the largest last step.
     """
     pts = _clouds(xs)
     if not tol > 0:
         raise ParameterError("tol must be positive")
+    if not (_is_integer(max_iters) and max_iters >= 1):
+        raise ParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     stack = pts if pts.ndim == 3 else pts[None]
-    count, n, d = stack.shape
     half = 0.5 * stack  # offsets between halved rows cannot overflow
     passed = _kuhn(half.transpose(1, 0, 2)[:, :, None, :] - half)  # [i, r, j] = (x_ri - x_rj) / 2
-    point = np.empty((count, d))
-    iterations, displacement, ids = [0] * count, [0.0] * count, []
+    point = np.empty((stack.shape[0], stack.shape[2]))
+    displacement, iterations = [0.0] * len(stack), [0] * len(stack)
     for cloud, row in enumerate(passed.tolist()):
         if True in row:  # the first row that passes
             point[cloud] = stack[cloud, row.index(True)]
         else:
-            ids.append(cloud)
-    if len(ids) < 2:
-        if ids:
-            point[ids[0]], displacement[ids[0]], iterations[ids[0]] = _solve_one(stack[ids[0]], tol, max_iters)
-        return _result(pts, point, displacement, iterations)
-    if len(ids) < count:
-        stack, half = stack[ids], half[ids]
-    # each cloud's arrays along the leading axis: (., n, d) for rows,
-    # (., n, 1) for their distances and (., 1, d) for points
-    ordered = np.sort(stack, axis=1)
-    center = 0.5 * ordered[:, (n - 1) // 2, None] + 0.5 * ordered[:, n // 2, None]  # the coordinate-wise median
-    half = half - 0.5 * center  # (x_i - center) / 2
-    scale = [math.ldexp(1.0, min(math.frexp(top)[1], 1023))
-             for top in np.maximum.reduce(np.abs(half), axis=(1, 2)).tolist()]
-    # y_i = (x_i - center) / (2 * scale) has coordinates in (-1, 1); lengths
-    # in y are lengths in x divided by 2 * scale
-    y = half / np.array(scale)[:, None, None]
-    tol_y = [tol / s / 2.0 for s in scale]
-    # The rows of y and every iterate have coordinates in (-1, 1), so a
-    # distance in y is rounded by a few d ulps of 1 and rows nearer the
-    # iterate than this cannot be told from it.
-    merge = n * d * _EPS
-    slack = -2 * (n + d) * _EPS  # the rounding allowance of a change in f
-    eye = np.eye(d)
-    z = np.zeros((len(ids), 1, d))
-    diff, dist = y, np.sqrt(np.add.reduce(y * y, axis=2, keepdims=True))  # the offsets y_i - z at z = 0
-    steps, iteration = [0.0] * len(ids), 0
-    while True:
-        live, moved, rows = len(ids), None, {}  # rows: the clouds that stop at a row, and the row
-        if iteration >= max_iters:  # every cloud stops at its last step
-            ended, alone = range(live), []
-        elif live == 1:
-            ended, alone = [], [0]
-        else:
-            flat = dist.ravel().tolist()  # min and max of a list are cheaper
-            ended, alone = [], []
-            if min(flat) <= merge:  # rows at some iterate: the Vardi-Zhang step
-                alone = [a for a in range(live) if min(flat[a * n : a * n + n]) <= merge]
-            else:
-                iteration += 1
-                weights = 1.0 / dist
-                u = diff * weights
-                total = np.add.reduce(weights, axis=1, keepdims=True)
-                hessian = total * eye - (u * weights).transpose(0, 2, 1) @ u  # u.T * weights, in the same memory order
-                pull = np.add.reduce(u, axis=1)
-                column = _newton_solve(hessian, pull)
-                s = column.transpose(0, 2, 1)
-                fits = [math.hypot(*row) <= max(flat[a * n : a * n + n])  # False for inf or NaN
-                        for a, (row,) in enumerate(s.tolist())]
-                if not all(fits):
-                    s[np.logical_not(fits)] = 0.0
-                moved, ss = z + s, s @ column
-                new_diff = y - moved
-                new_dist = np.sqrt(np.add.reduce(new_diff * new_diff, axis=2, keepdims=True))
-                # each term of f(z + s) - f(z), as in _iterate_one
-                terms = (ss - 2.0 * (diff @ column)) / (dist + new_dist)
-                lowers = (np.add.reduce(terms, axis=1) < slack * np.add.reduce(np.abs(terms), axis=1)).ravel().tolist()
-                new_steps = np.sqrt(ss).ravel().tolist()
-                for a in range(live):
-                    if not (fits[a] and lowers[a]):  # as in _iterate_one: a stop at a row, or Weiszfeld's step
-                        k = int(np.argmin(dist[a]))
-                        if _kuhn(y[a] - y[a][k], merge):
-                            rows[a] = k
-                            continue
-                        t = pull[a] / total[a, 0, 0]
-                        moved[a], ss[a] = z[a] + t, t @ t
-                        new_diff[a] = y[a] - moved[a]
-                        new_dist[a] = np.sqrt(np.add.reduce(new_diff[a] * new_diff[a], axis=1, keepdims=True))
-                        new_steps[a] = math.sqrt(ss[a, 0, 0])
-                    if new_steps[a] < tol_y[a]:
-                        ended.append(a)
-        for a in alone:  # each goes on alone to its stop
-            end, step, taken = _iterate_one(y[a], z[a, 0], diff[a], dist[a, :, 0], tol_y[a], iteration, max_iters, merge)
-            cloud = ids[a]
-            iterations[cloud] = taken
-            if isinstance(end, int):
-                point[cloud] = stack[a, end]
-            else:
-                point[cloud] = center[a, 0] + scale[a] * (2.0 * end)
-                displacement[cloud] = step * 2.0 * scale[a]
-        if moved is not None:
-            z, diff, dist, steps = moved, new_diff, new_dist, new_steps
-        for a in ended:
-            cloud = ids[a]
-            iterations[cloud] = iteration
-            point[cloud] = center[a, 0] + scale[a] * (2.0 * z[a, 0])
-            displacement[cloud] = steps[a] * 2.0 * scale[a]
-        for a, k in rows.items():
-            iterations[ids[a]] = iteration
-            point[ids[a]] = stack[a, k]
-        if alone or ended or rows:
-            keep = [a for a in range(live) if a not in alone and a not in ended and a not in rows]
-            if not keep:
-                return _result(pts, point, displacement, iterations)
-            ids, scale, tol_y, steps = ([values[a] for a in keep] for values in (ids, scale, tol_y, steps))
-            if len(keep) == 1:  # views, for the lone cloud's loop
-                keep = slice(keep[0], keep[0] + 1)
-            stack, center, y, z, diff, dist = (array[keep] for array in (stack, center, y, z, diff, dist))
-
-
-def _result(pts, point, displacement, iterations) -> WeiszfeldResult:
+            point[cloud], displacement[cloud], iterations[cloud] = _solve(stack[cloud], tol, max_iters)
     if pts.ndim == 2:
         return WeiszfeldResult(point[0], displacement[0], iterations[0])
     return WeiszfeldResult(point, max(displacement), max(iterations))
@@ -432,8 +311,8 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
       multiplicity strictly exceeds the pull of the other points (Kuhn's
       test; a tie does not count) is returned exactly, with no iteration.
       Otherwise a Newton iteration runs, with Weiszfeld's step as its
-      fallback wherever the Newton step does not descend.  A stack is
-      solved in lockstep, by one call.
+      fallback wherever the Newton step does not descend.  A stack takes
+      one Kuhn test, then each cloud's own solve, in one call.
     - krum: the input point with the smallest summed distance to its
       n - f_hat nearest neighbours, added nearest first; squared distances
       unless ``krum_squared`` is false; ties go to the lowest index.

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, _aggregate, aggregate, stack_points
+from .aggregators import AggregatorSpec, _aggregate, _is_integer, aggregate, stack_points
 from .bounds import kappa_lower_bound
 from .errors import ParameterError
 
@@ -101,10 +101,6 @@ def error_ratio(spec: AggregatorSpec, xs, honest_set) -> float:
         raise ParameterError("honest_set contains repeated indices")
     output = aggregate(spec, pts)
     return float(_gathered_ratios(output, pts, subset[None, :])[0])
-
-
-def _is_integer(value) -> bool:  # Python and numpy integers, but not a bool
-    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def _gathered_ratios(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray) -> np.ndarray:

@@ -192,7 +192,6 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@np.errstate(over="ignore")  # overflow to inf marks divergence in run_batch()
 def _deviations(aggregated: np.ndarray, means: np.ndarray, w: np.ndarray) -> list:
     deviation = aggregated - means + w
     return np.vecdot(deviation, deviation).tolist()
@@ -309,33 +308,36 @@ def run_batch(configs) -> list[RunRecord]:
     active, batch = list(range(len(configs))), configs
     w = np.array([config.w0 for config in configs])
     t = 0
-    while True:
-        tops = np.maximum.reduce(np.abs(w), axis=1).tolist()  # nan where some w_i is
-        leaving = []
-        for k, r in enumerate(active):
-            if tops[k] <= safe[r] or np.all(np.isfinite(_metrics(configs[r].problem, w[k : k + 1]))):
-                iterates[r][t] = w[k]
-                if t < configs[r].T:
-                    continue
-                rows[r], aggregations[r] = t + 1, t  # completed
-            else:
-                rows[r] = aggregations[r] = t  # row t is not recorded
-            leaving.append(k)
-        if leaving:
-            active, batch, w = _without(leaving, active, configs, w)
-            if not active:
-                break
-        w, deviations = run_round(batch, w, t)
-        for k, r in enumerate(active):
-            agg_deviation[r][t] = deviations[k]
-        if not all(map(math.isfinite, deviations)):
-            leaving = [k for k, deviation in enumerate(deviations) if not math.isfinite(deviation)]
-            for k in leaving:
-                rows[active[k]], aggregations[active[k]] = t + 1, t
-            active, batch, w = _without(leaving, active, configs, w)
-            if not active:
-                break
-        t += 1
+    # a step, upload or deviation past the float range is inf or NaN without
+    # a warning, and its run ends as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            tops = np.maximum.reduce(np.abs(w), axis=1).tolist()  # nan where some w_i is
+            leaving = []
+            for k, r in enumerate(active):
+                if tops[k] <= safe[r] or np.all(np.isfinite(_metrics(configs[r].problem, w[k : k + 1]))):
+                    iterates[r][t] = w[k]
+                    if t < configs[r].T:
+                        continue
+                    rows[r], aggregations[r] = t + 1, t  # completed
+                else:
+                    rows[r] = aggregations[r] = t  # row t is not recorded
+                leaving.append(k)
+            if leaving:
+                active, batch, w = _without(leaving, active, configs, w)
+                if not active:
+                    break
+            w, deviations = run_round(batch, w, t)
+            for k, r in enumerate(active):
+                agg_deviation[r][t] = deviations[k]
+            if not all(map(math.isfinite, deviations)):
+                leaving = [k for k, deviation in enumerate(deviations) if not math.isfinite(deviation)]
+                for k in leaving:
+                    rows[active[k]], aggregations[active[k]] = t + 1, t
+                active, batch, w = _without(leaving, active, configs, w)
+                if not active:
+                    break
+            t += 1
 
     records = []
     for config, digest, r in zip(configs, digests, range(len(configs))):

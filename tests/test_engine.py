@@ -633,12 +633,13 @@ def test_an_overflowing_upload_diverges_its_run_alone():
     for config, record in zip(others, (records[0], records[2])):
         assert not record.diverged
         assert_same_record(record, run(config))
-    # an escalating outlier whose factor (1 - gamma)^H overflows in round 0
-    # (the honest steps overflow as well, and warn)
+    # an escalating outlier whose factor (1 - gamma)^H overflows in round 0;
+    # the honest steps overflow as well, without a warning
     escalating = dataclasses.replace(others[0], attack=AttackStrategy("escalating_outlier"), H=2,
                                      schedule=Schedule("constant", gamma=1e200))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)  # the stepsize precondition, broken on purpose
+        warnings.simplefilter("error", RuntimeWarning)
         record = run(escalating)
     assert (record.rows, len(record.agg_deviation), record.diverged_round) == (1, 0, 1)
 
