@@ -7,11 +7,20 @@ deltas before aggregation.  Omniscient kinds may read the honest uploads of
 the same round.  The only random kind, ``gaussian_noise``, draws client k's
 row of round t from its own stream keyed by (seed, k, t), so every kind is
 deterministic given the seed and the round.
+
+``noise_rows`` draws those rows for a block of rounds at once.  Keys that
+fit uint32 words are hashed in one numpy pass that repeats what
+``SeedSequence`` and ``PCG64`` do when ``default_rng([seed, k, t])`` seeds a
+stream; each key's state is then set on one reused ``PCG64`` and its row
+drawn by numpy's own ``Generator.standard_normal``, so every row keeps the
+bits of its ``default_rng`` stream.  Other keys, and blocks too small to
+pay for the hashing, seed each row with ``default_rng`` itself.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +30,79 @@ from .errors import ParameterError
 from .problems import Problem, descend
 
 ATTACK_KINDS = ("honest_mimic", "escalating_outlier", "gaussian_noise", "sign_flip", "fixed_vector")
+
+_VECTOR_KEYS = 12  # measured: below about this many keys, seeding each row with default_rng is faster
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(value: int, mult: int, count: int) -> np.ndarray:
+    """(count, 2, 1) uint32: the (xor, multiplier) pair of each of ``count``
+    successive SeedSequence hashes whose constant starts at ``value`` and is
+    multiplied by ``mult`` mod 2**32 before each use."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((value, value * mult & 0xFFFFFFFF))
+        value = pairs[-1][1]
+    return np.array(pairs, dtype=np.uint32)[..., None]
+
+
+_ENTROPY_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # mix_entropy: 4 + 4 * 3 hashmix calls
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)     # generate_state: 8 uint32 words
+
+
+def _hash(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """One SeedSequence hash of each row of ``values`` by its (xor, multiplier) pair."""
+    values = (values ^ pairs[:, 0]) * pairs[:, 1]
+    return values ^ (values >> 16)
+
+
+def _pcg64_seeds(keys: np.ndarray) -> list:
+    """(state, inc) of the PCG64 that ``default_rng([seed, k, t])`` builds,
+    for each column (seed, k, t) of the (3, K) uint32 ``keys``: numpy's
+    SeedSequence mixes the three words into a pool of four, draws eight
+    words from it, and PCG64 seeds from them as two 128-bit numbers."""
+    pool = _hash(np.concatenate((keys, np.zeros_like(keys[:1]))), _ENTROPY_HASHES[:4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], _ENTROPY_HASHES[4 + 3 * src : 7 + 3 * src])
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hash(np.concatenate((pool, pool)), _STATE_HASHES).astype(np.uint64)
+    seeds = []
+    for high, low, seq_high, seq_low in (words[0::2] | words[1::2] << 32).T.tolist():
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        seeds.append(((((high << 64 | low) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
+def noise_rows(seed, clients, t0: int, t1: int, d: int) -> np.ndarray:
+    """The (t1 - t0, len(clients), d) standard normal rows of ``clients`` in
+    rounds t0 <= t < t1: row [t - t0, i] is ``np.random.default_rng([seed,
+    clients[i], t]).standard_normal(d)``, bit for bit.  A key that
+    ``default_rng`` rejects raises its error."""
+    block = np.empty((t1 - t0, len(clients), d))
+    rows = block.reshape(block.shape[0] * block.shape[1], d)
+    ints = (int, np.integer)
+    words = (isinstance(seed, ints) and isinstance(t0, ints) and 0 <= seed < 2**32 and 0 <= t0 and t1 <= 2**32
+             and all(0 <= k < 2**32 for k in clients))
+    if words and rows.shape[0] >= _VECTOR_KEYS:
+        keys = np.empty((3, t1 - t0, len(clients)), dtype=np.uint32)
+        keys[0], keys[1], keys[2] = seed, clients, np.arange(t0, t1, dtype=np.uint32)[:, None]
+        bitgen = np.random.PCG64(0)
+        draw = np.random.Generator(bitgen).standard_normal
+        pcg = {}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for row, (pcg_state, inc) in zip(rows, _pcg64_seeds(keys.reshape(3, -1))):
+            pcg["state"], pcg["inc"] = pcg_state, inc
+            bitgen.state = state
+            draw(out=row)
+        return block
+    for round_rows, t in zip(block, range(t0, t1)):
+        for row, k in zip(round_rows, clients):
+            # ints below 2**32 seed as the same words from a uint32 array, at less cost
+            key = np.array([seed, k, t], dtype=np.uint32) if words else [seed, k, t]
+            np.random.default_rng(key).standard_normal(d, out=row)
+    return block
 
 
 @dataclass(frozen=True)
@@ -33,6 +115,10 @@ class AttackStrategy:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ParameterError(f"kind must be one of {list(ATTACK_KINDS)}, got {self.kind!r}")
+        for name in ("variance", "scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not self.variance >= 0:  # NaN fails too
             raise ParameterError("variance must be >= 0")
         if not np.isfinite(self.variance):
@@ -47,7 +133,7 @@ class AttackStrategy:
 
 def byzantine_upload(
     strategy: AttackStrategy, problem: Problem, w: np.ndarray, gamma: float, H: int,
-    t: int, seed: int, honest_uploads: np.ndarray,
+    t: int, seed: int, honest_uploads: np.ndarray, noise: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Uploads of round ``t`` from iterate ``w``: row i belongs to client
     ``problem.byzantine_set[i]``.  The kinds that send one vector return one
@@ -59,7 +145,9 @@ def byzantine_upload(
                         robustness degree keeps averaging it in and blows up.
     gaussian_noise:     client k's row is ``sqrt(variance) *
                         default_rng([seed, k, t]).standard_normal(d)``, i.i.d.
-                        N(0, variance) entries.
+                        N(0, variance) entries.  ``noise``, when given, holds
+                        those standard normal rows of round t, as
+                        ``noise_rows`` draws them; else they are drawn here.
     sign_flip:          w - scale * (mean honest delta), the negated honest
                         direction.
     fixed_vector:       the strategy's vector.
@@ -72,15 +160,9 @@ def byzantine_upload(
     if strategy.kind == "honest_mimic":
         return descend(problem, problem.byzantine_index, w, gamma, H)
     if strategy.kind == "gaussian_noise":
-        # ints below 2**32 seed as the same words from a uint32 array, at less cost
-        ints = (int, np.integer)
-        words = isinstance(seed, ints) and isinstance(t, ints) and 0 <= seed < 2**32 and 0 <= t < 2**32
-        block = np.empty((len(clients), d))
-        for row, k in zip(block, clients):
-            key = np.array([seed, k, t], dtype=np.uint32) if words else [seed, k, t]
-            np.random.default_rng(key).standard_normal(d, out=row)
-        block *= math.sqrt(strategy.variance)
-        return block
+        if noise is None:
+            noise = noise_rows(seed, clients, t, t + 1, d)[0]
+        return noise * math.sqrt(strategy.variance)
     if strategy.kind == "fixed_vector":
         row = np.asarray(strategy.vector, dtype=np.float64)
     else:  # escalating_outlier or sign_flip; AttackStrategy admits no other kind

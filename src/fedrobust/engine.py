@@ -16,7 +16,8 @@ their deltas in one ``aggregate`` call.  Each run keeps its own problem,
 schedule, T, w0, seed and attack, and leaves the stack once it completes or
 diverges; every run meets the float operations it meets alone, in the same
 order, so a batch gives each run's record bit for bit.  ``run`` is a batch
-of one.
+of one.  A gaussian_noise run's rows are seeded a chunk of rounds at a time
+(``attacks.noise_rows``) and handed to ``byzantine_upload`` round by round.
 
 A run stops at the first row t it cannot record (w_t or its metrics not
 finite, or round t-1's deltas or deviation not finite) and is then diverged,
@@ -41,12 +42,15 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .aggregators import _aggregate as aggregate  # run_round checks its deltas itself
-from .attacks import AttackStrategy, byzantine_upload
+from .attacks import AttackStrategy, byzantine_upload, noise_rows
 from .bounds import stepsize_constant
 from .errors import ParameterError
 from .problems import Problem, descend, honest_objective
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
+# A gaussian_noise run holds its noise one chunk of rounds at a time: at most
+# _NOISE_KEYS rows and, unless one round has more, _NOISE_FLOATS floats.
+_NOISE_KEYS, _NOISE_FLOATS = 256, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,14 @@ def _deviations(aggregated: np.ndarray, means: np.ndarray, w: np.ndarray) -> lis
     return np.vecdot(deviation, deviation).tolist()
 
 
-def run_round(configs, w: np.ndarray, t: int) -> tuple[np.ndarray, list]:
+def run_round(configs, w: np.ndarray, t: int, noise=None) -> tuple[np.ndarray, list]:
     """Round ``t`` of each run in ``configs`` from its row of the (R, d)
     iterates ``w``: the (R, d) next iterates and, per run, the squared
     distance between the aggregated delta and the mean honest delta.  A run
     whose deltas are not finite (an upload overflowed) is left out of the
-    aggregation, and its deviation is NaN."""
+    aggregation, and its deviation is NaN.  ``noise``, if given, holds per
+    run the round's standard normal rows of a gaussian_noise attack (or
+    None), which ``byzantine_upload`` then uses instead of drawing them."""
     count, d = w.shape
     deltas = np.empty((count, configs[0].problem.n, d))
     means = np.empty((count, d))
@@ -212,7 +218,8 @@ def run_round(configs, w: np.ndarray, t: int) -> tuple[np.ndarray, list]:
         honest_uploads = descend(problem, problem.honest_index, row, gamma, config.H)
         cloud[problem.honest_index] = honest_uploads
         cloud[problem.byzantine_index] = byzantine_upload(
-            config.attack, problem, row, gamma, config.H, t, config.seed, honest_uploads
+            config.attack, problem, row, gamma, config.H, t, config.seed, honest_uploads,
+            None if noise is None else noise[r],
         )
         means[r] = np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0]  # numpy's mean
     deltas -= w[:, None, :]
@@ -236,7 +243,7 @@ def _preflight(config: RunConfig) -> None:
         warnings.warn(
             "stepsize violates the convergence-guarantee precondition; "
             "the run may diverge",
-            stacklevel=3,
+            stacklevel=4,  # _preflight, _run_batch, run or run_batch, then their caller
         )
 
 
@@ -267,8 +274,31 @@ def _metrics(problem: Problem, w: np.ndarray):
         return np.vecdot(grad, grad), value - problem.l_star
 
 
-def _without(leaving: list, active: list, configs: list, w: np.ndarray):
-    """The active runs, their configs and iterates, less positions ``leaving``."""
+def _round_noise(chunks: dict, active: list, configs: list, t: int) -> list:
+    """Round ``t``'s standard normal rows of each active gaussian_noise run
+    (None for the other runs), from the chunk of rounds ``chunks`` holds for
+    the run as (first round, rows); past its chunk, a run seeds the next."""
+    rows = []
+    for r in active:
+        config = configs[r]
+        if config.attack.kind != "gaussian_noise":
+            rows.append(None)
+            continue
+        t0, block = chunks.get(r, (t, None))
+        if block is None or t - t0 == block.shape[0]:
+            clients, d = config.problem.byzantine_set, config.problem.d
+            per_round = max(len(clients), 1)
+            rounds = max(1, min(_NOISE_KEYS // per_round, _NOISE_FLOATS // (per_round * d)))
+            t0, block = chunks[r] = (t, noise_rows(config.seed, clients, t, min(t + rounds, config.T), d))
+        rows.append(block[t - t0])
+    return rows
+
+
+def _without(leaving: list, active: list, configs: list, w: np.ndarray, chunks: dict):
+    """The active runs, their configs and iterates, less positions
+    ``leaving``, whose noise chunks are dropped."""
+    for k in leaving:
+        chunks.pop(active[k], None)
     keep = [k for k in range(len(active)) if k not in leaving]
     active = [active[k] for k in keep]
     return active, [configs[r] for r in active], w[keep]
@@ -277,7 +307,7 @@ def _without(leaving: list, active: list, configs: list, w: np.ndarray):
 def run(config: RunConfig) -> RunRecord:
     """Execute the configured number of rounds (halting early on divergence)
     and return the full metric record: ``run_batch([config])[0]``."""
-    return run_batch([config])[0]
+    return _run_batch([config])[0]
 
 
 def run_batch(configs) -> list[RunRecord]:
@@ -287,8 +317,16 @@ def run_batch(configs) -> list[RunRecord]:
     The runs must share n, d, H and the aggregator spec (f_hat included);
     their problems (f and the honest set may differ), schedules, T, w0,
     seeds and attacks are their own.  A run leaves the stack once it
-    completes or diverges, and the rest go on.
+    completes or diverges, and the rest go on.  A gaussian_noise run holds
+    the noise of one chunk of rounds at a time, seeded in one
+    ``noise_rows`` call.
     """
+    return _run_batch(configs)
+
+
+def _run_batch(configs) -> list[RunRecord]:
+    """``run_batch``, one call below ``run`` and ``run_batch`` alike, so that
+    the stepsize warning names their caller's line."""
     configs = list(configs)
     if not configs:
         return []
@@ -306,6 +344,7 @@ def run_batch(configs) -> list[RunRecord]:
     agg_deviation = [np.empty(config.T) for config in configs]
     rows, aggregations = [0] * len(configs), [0] * len(configs)  # set as each run leaves
     active, batch = list(range(len(configs))), configs
+    chunks = {}  # run -> (first round, rows) of its gaussian_noise chunk
     w = np.array([config.w0 for config in configs])
     t = 0
     # a step, upload or deviation past the float range is inf or NaN without
@@ -324,17 +363,17 @@ def run_batch(configs) -> list[RunRecord]:
                     rows[r] = aggregations[r] = t  # row t is not recorded
                 leaving.append(k)
             if leaving:
-                active, batch, w = _without(leaving, active, configs, w)
+                active, batch, w = _without(leaving, active, configs, w, chunks)
                 if not active:
                     break
-            w, deviations = run_round(batch, w, t)
+            w, deviations = run_round(batch, w, t, _round_noise(chunks, active, configs, t))
             for k, r in enumerate(active):
                 agg_deviation[r][t] = deviations[k]
             if not all(map(math.isfinite, deviations)):
                 leaving = [k for k, deviation in enumerate(deviations) if not math.isfinite(deviation)]
                 for k in leaving:
                     rows[active[k]], aggregations[active[k]] = t + 1, t
-                active, batch, w = _without(leaving, active, configs, w)
+                active, batch, w = _without(leaving, active, configs, w, chunks)
                 if not active:
                     break
             t += 1

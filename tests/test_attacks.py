@@ -2,11 +2,14 @@
 identity with the client pipeline, and exact agreement of the one-block
 ``byzantine_upload`` with the per-client oracle it replaced."""
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from fedrobust import attacks
+from fedrobust.attacks import noise_rows
 from fedrobust import (
     AttackStrategy,
     ParameterError,
@@ -251,6 +254,43 @@ def test_gaussian_noise_rows_equal_their_list_seeded_streams():
         else:
             got = upload(AttackStrategy("gaussian_noise", variance=1.0), p, w, seed=seed)
             assert got[0].tobytes() == want.tobytes()  # client 1's row
+
+
+def oracle_noise(seed, clients, t0, t1, d):
+    """The rows of ``noise_rows(seed, clients, t0, t1, d)``, one list-seeded stream each."""
+    rows = [np.random.default_rng([seed, k, t]).standard_normal(d) for t in range(t0, t1) for k in clients]
+    return np.array(rows).reshape(t1 - t0, len(clients), d)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_noise_rows_equal_their_default_rng_streams(seed, monkeypatch):
+    hashed = []
+    pcg64_seeds = attacks._pcg64_seeds
+    monkeypatch.setattr(attacks, "_pcg64_seeds", lambda keys: hashed.append(keys.shape[1]) or pcg64_seeds(keys))
+    crossover = attacks._VECTOR_KEYS
+    for clients in ((3,), (0, 6), (1, 2, 4, 7, 8)):
+        f = len(clients)
+        # 1 round, the most rounds below the crossover, the fewest at or above
+        # it, and a chunk; from t0 = 2**32 - 3 the block crosses 2**32
+        for rounds in sorted({1, max(1, (crossover - 1) // f), -(-crossover // f), 85}):
+            for t0 in (0, 10**6, 2**32 - 3, 2**32 + 7):
+                for d in (1, 5):
+                    before = len(hashed)
+                    got = noise_rows(seed, clients, t0, t0 + rounds, d)
+                    assert got.shape == (rounds, f, d)
+                    assert got.tobytes() == oracle_noise(seed, clients, t0, t0 + rounds, d).tobytes()
+                    # hashed in one pass iff its keys fit uint32 words and reach the crossover
+                    words = seed < 2**32 and t0 + rounds <= 2**32
+                    assert hashed[before:] == ([rounds * f] if words and rounds * f >= crossover else [])
+
+
+def test_attack_parameters_reject_non_real_values():
+    for name, kind in (("variance", "gaussian_noise"), ("scale", "sign_flip")):
+        for value in ("5", None, True, [1.0]):
+            with pytest.raises(ParameterError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+                AttackStrategy(kind, **{name: value})
+    assert AttackStrategy("gaussian_noise", variance=np.float32(2.0)).variance == 2.0
+    assert AttackStrategy("sign_flip", scale=3).scale == 3
 
 
 def test_attack_parameters_reject_nan():

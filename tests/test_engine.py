@@ -29,6 +29,7 @@ from fedrobust import (
     two_group_quadratic_problem,
 )
 from fedrobust import engine
+from fedrobust.attacks import noise_rows
 from fedrobust.engine import _preflight, config_digest, run_config_descriptor
 
 # The oracle also stops at |w| beyond this multiple of the initial scale, a
@@ -232,9 +233,9 @@ def test_gm_ignores_an_overflowing_minority():
 def test_attack_layer_called_once_per_round(monkeypatch):
     rounds = []
 
-    def counting(strategy, problem, w, gamma, H, t, seed, honest_uploads):
+    def counting(strategy, problem, w, gamma, H, t, seed, honest_uploads, *rest):
         rounds.append(t)
-        return byzantine_upload(strategy, problem, w, gamma, H, t, seed, honest_uploads)
+        return byzantine_upload(strategy, problem, w, gamma, H, t, seed, honest_uploads, *rest)
 
     monkeypatch.setattr(engine, "byzantine_upload", counting)
     config = RunConfig(
@@ -466,9 +467,9 @@ def test_run_matches_oracle_past_the_overflow_guard(config, stop, crosses, monke
     calls = []
     run_round = engine.run_round
 
-    def counting(configs, w, t):
+    def counting(configs, w, t, *rest):
         calls.append(t)
-        return run_round(configs, w, t)
+        return run_round(configs, w, t, *rest)
 
     monkeypatch.setattr(engine, "run_round", counting)
     record = assert_matches_oracle(config)
@@ -666,6 +667,60 @@ def test_run_batch_keeps_the_tracer_contract(monkeypatch):
     assert [args[2] for args in calls["run_round"]] == list(range(8))
     assert [args[1].shape[0] for args in calls["aggregate"]] == [3, 3, 3, 2, 2, 1, 1, 1]
     assert len(calls["byzantine_upload"]) == 8 + 3 + 5
+
+
+def test_run_batch_holds_gaussian_noise_one_chunk_at_a_time(monkeypatch):
+    # f = 3 gives chunks of 85 rounds, so T = 300 spans four; the overshooting
+    # run diverges inside the second, and the seed past 2**32 seeds per row
+    p = random_quadratic_problem(9, 3, 2, 1.0, 2.0, seed=3)
+    noise = AttackStrategy("gaussian_noise", variance=1.0)
+    base = RunConfig(
+        problem=p, aggregator=AggregatorSpec("cwtm", f_hat=3), attack=noise, T=300, H=2,
+        schedule=Schedule("constant", gamma=0.05), w0=np.array([1.0, -2.0]), seed=4,
+    )
+    configs = [
+        base,
+        dataclasses.replace(base, attack=AttackStrategy("sign_flip", scale=2.0), seed=5),
+        dataclasses.replace(base, schedule=Schedule("constant", gamma=5.0 / p.L), seed=6),
+        dataclasses.replace(base, problem=random_quadratic_problem(9, 1, 2, 1.0, 2.0, seed=4), T=270, seed=2**32 + 1),
+        dataclasses.replace(base, attack=AttackStrategy("honest_mimic"), T=7),
+        dataclasses.replace(base, T=1, seed=7),
+    ]
+    blocks = []
+
+    def recording(seed, clients, t0, t1, d):
+        blocks.append((seed, t0, t1))
+        assert (t1 - t0) * len(clients) <= 256  # one chunk, whatever T
+        return noise_rows(seed, clients, t0, t1, d)
+
+    monkeypatch.setattr(engine, "noise_rows", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        records = run_batch(configs)
+        for config, record in zip(configs, records):
+            assert_same_record(record, oracle_run(config))
+    assert records[2].diverged and 85 < records[2].rows < 170
+    assert not any(record.diverged for k, record in enumerate(records) if k != 2)
+    # each gaussian run's chunks tile the rounds it ran, in order
+    for config, record in zip(configs, records):
+        if config.attack.kind == "gaussian_noise":
+            spans = [(t0, t1) for seed, t0, t1 in blocks if seed == config.seed]
+            assert spans[0][0] == 0 and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            assert spans[-1][0] < len(record.agg_deviation) <= spans[-1][1]
+
+
+def test_stepsize_warning_names_the_callers_line():
+    config = RunConfig(
+        problem=homogeneous_quadratic_problem(4), aggregator=AggregatorSpec("mean"),
+        attack=AttackStrategy("honest_mimic"), T=2, H=5, schedule=Schedule("constant", gamma=1.9),
+        w0=np.array([1.0]), seed=0,
+    )
+    for call in (lambda: run(config), lambda: run_batch([config])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+        assert caught[0].lineno == call.__code__.co_firstlineno
 
 
 def test_config_digest_distinguishes_and_is_stable():
