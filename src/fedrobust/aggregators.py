@@ -25,14 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, check_real, is_integer
 
 KINDS = ("mean", "cwtm", "cwmed", "gm", "krum")
 _EPS = float(np.finfo(np.float64).eps)
-
-
-def _is_integer(value) -> bool:  # Python and numpy integers, but not a bool
-    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -51,11 +47,10 @@ class AggregatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {list(KINDS)}, got {self.kind!r}")
-        if not (_is_integer(self.f_hat) and self.f_hat >= 0):
+        if not (is_integer(self.f_hat) and self.f_hat >= 0):
             raise ParameterError(f"f_hat must be an integer >= 0, got {self.f_hat!r}")
-        if not self.gm_tolerance > 0:  # NaN fails too
-            raise ParameterError("gm_tolerance must be positive")
-        if not (_is_integer(self.gm_max_iters) and self.gm_max_iters >= 1):
+        check_real("gm_tolerance", self.gm_tolerance, positive=True)
+        if not (is_integer(self.gm_max_iters) and self.gm_max_iters >= 1):
             raise ParameterError(f"gm_max_iters must be an integer >= 1, got {self.gm_max_iters!r}")
 
     @property
@@ -253,9 +248,8 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     the largest last step.
     """
     pts = _clouds(xs)
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
-    if not (_is_integer(max_iters) and max_iters >= 1):
+    check_real("tol", tol, positive=True)
+    if not (is_integer(max_iters) and max_iters >= 1):
         raise ParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     stack = pts if pts.ndim == 3 else pts[None]
     half = 0.5 * stack  # offsets between halved rows cannot overflow

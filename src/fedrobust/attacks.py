@@ -15,6 +15,10 @@ stream; each key's state is then set on one reused ``PCG64`` and its row
 drawn by numpy's own ``Generator.standard_normal``, so every row keeps the
 bits of its ``default_rng`` stream.  Other keys, and blocks too small to
 pay for the hashing, seed each row with ``default_rng`` itself.
+
+``noise_stream`` is a run's noise source: it seeds a gaussian_noise run's
+rows a chunk of rounds at a time, in one ``noise_rows`` call per chunk, and
+hands them to ``byzantine_upload`` round by round.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .problems import Problem, descend
 
 ATTACK_KINDS = ("honest_mimic", "escalating_outlier", "gaussian_noise", "sign_flip", "fixed_vector")
 
+# A gaussian_noise run holds its noise one chunk of rounds at a time: at most
+# _NOISE_KEYS rows and, unless one round has more, _NOISE_FLOATS floats.
+_NOISE_KEYS, _NOISE_FLOATS = 256, 1 << 16
 _VECTOR_KEYS = 12  # measured: below about this many keys, seeding each row with default_rng is faster
 _PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
 _MASK128 = (1 << 128) - 1
@@ -105,6 +112,18 @@ def noise_rows(seed, clients, t0: int, t1: int, d: int) -> np.ndarray:
     return block
 
 
+def noise_stream(strategy: AttackStrategy, problem: Problem, seed: int, T: int):
+    """An iterator over the (f, d) standard normal rows of each round
+    0 <= t < T of a gaussian_noise run, as ``byzantine_upload`` takes them
+    for ``noise``; None for every other kind."""
+    if strategy.kind != "gaussian_noise":
+        return None
+    clients, d = problem.byzantine_set, problem.d
+    per_round = max(len(clients), 1)
+    rounds = max(1, min(_NOISE_KEYS // per_round, _NOISE_FLOATS // (per_round * d)))
+    return (row for t0 in range(0, T, rounds) for row in noise_rows(seed, clients, t0, min(t0 + rounds, T), d))
+
+
 @dataclass(frozen=True)
 class AttackStrategy:
     kind: str
@@ -129,6 +148,12 @@ class AttackStrategy:
             raise ParameterError("fixed_vector attack needs a vector")
         if self.kind == "fixed_vector" and not np.all(np.isfinite(self.vector)):
             raise ParameterError("vector entries must be finite")
+
+
+def check_dimension(strategy: AttackStrategy, d: int) -> None:
+    """Raise ParameterError unless a fixed_vector has ``d`` entries (a scalar is a 1-vector)."""
+    if strategy.kind == "fixed_vector" and np.atleast_1d(strategy.vector).shape != (d,):
+        raise ParameterError(f"attack vector must have dimension {d}")
 
 
 def byzantine_upload(

@@ -47,9 +47,9 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, _aggregate, _is_integer, aggregate, stack_points
+from .aggregators import AggregatorSpec, _aggregate, aggregate, stack_points
 from .bounds import kappa_lower_bound
-from .errors import ParameterError
+from .errors import ParameterError, check_integers, is_integer
 
 INFINITE_RATIO = math.inf
 
@@ -95,7 +95,7 @@ def error_ratio(spec: AggregatorSpec, xs, honest_set) -> float:
     pts = stack_points(xs)
     members = sorted(honest_set)
     subset = np.asarray(members, dtype=np.intp)
-    if not all(map(_is_integer, members)) or not subset.size or subset.min() < 0 or subset.max() >= len(pts):
+    if not all(map(is_integer, members)) or not subset.size or subset.min() < 0 or subset.max() >= len(pts):
         raise ParameterError("honest_set must be a nonempty subset of client indices")
     if np.unique(subset).size != subset.size:
         raise ParameterError("honest_set contains repeated indices")
@@ -275,13 +275,12 @@ def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> l
     pts = stack_points(xs)
     n, d = pts.shape
     for f in fs:
-        if not _is_integer(f):
-            raise ParameterError(f"f must be an integer, got {f!r}")
+        check_integers(f=f)
         if not 0 <= f < n / 2:
             raise ParameterError(f"require 0 <= f < n/2, got f={f} with n={n}")
-    if not (_is_integer(subset_budget) and subset_budget >= 1):
+    if not (is_integer(subset_budget) and subset_budget >= 1):
         raise ParameterError(f"subset_budget must be an integer >= 1, got {subset_budget!r}")
-    if not (_is_integer(seed) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     subset_budget = int(subset_budget)          # so that the results hold Python numbers
     outputs = [_aggregate(spec, pts) for spec in specs]

@@ -12,10 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integers
 
 
 def _check_range(n: int, f: int, f_hat: int) -> None:
+    check_integers(n=n, f=f, f_hat=f_hat)
     if not 0 <= f <= f_hat < n / 2:
         raise ParameterError(f"require 0 <= f <= f_hat < n/2, got n={n}, f={f}, f_hat={f_hat}")
 
@@ -33,6 +34,7 @@ def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
     the no-Byzantine case (f == 0) for gm/cwtm/cwmed, and any f <= f_hat for
     the nearest-neighbour-mixed Krum composite ("krum_nnm").
     """
+    check_integers(n=n, f=f, f_hat=f_hat)
     if not 0 <= f < n / 2 or not 0 <= f_hat < n / 2:
         raise ParameterError(f"require 0 <= f, f_hat < n/2, got n={n}, f={f}, f_hat={f_hat}")
     if aggregator == "krum_nnm":

@@ -16,11 +16,11 @@ their deltas in one ``aggregate`` call.  Each run keeps its own problem,
 schedule, T, w0, seed and attack, and leaves the stack once it completes or
 diverges; every run meets the float operations it meets alone, in the same
 order, so a batch gives each run's record bit for bit.  ``run`` is a batch
-of one.  A gaussian_noise run's rows are seeded a chunk of rounds at a time
-(``attacks.noise_rows``) and handed to ``byzantine_upload`` round by round.
+of one.  Each run draws its attack's noise, if any, from its own
+``attacks.noise_stream``.
 
-A run stops at the first row t it cannot record (w_t or its metrics not
-finite, or round t-1's deltas or deviation not finite) and is then diverged,
+A run stops at the first row t it cannot record (round t-1's deltas or
+deviation not finite, or w_t or its metrics not finite) and is then diverged,
 with ``diverged_round == rows``.  No bound on |w| is needed: a recorded w_0
 lies within about 1.34e154 of every honest center, and a row far beyond
 overflows its metrics.  Below ``_overflow_free_scale`` the metrics cannot
@@ -31,6 +31,7 @@ round runs past it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -42,15 +43,12 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .aggregators import _aggregate as aggregate  # run_round checks its deltas itself
-from .attacks import AttackStrategy, byzantine_upload, noise_rows
+from .attacks import AttackStrategy, byzantine_upload, check_dimension, noise_stream
 from .bounds import stepsize_constant
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 from .problems import Problem, descend, honest_objective
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
-# A gaussian_noise run holds its noise one chunk of rounds at a time: at most
-# _NOISE_KEYS rows and, unless one round has more, _NOISE_FLOATS floats.
-_NOISE_KEYS, _NOISE_FLOATS = 256, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ParameterError(f"kind must be one of {list(SCHEDULE_KINDS)}, got {self.kind!r}")
-        if self.kind in ("constant", "step_wise") and not self.gamma > 0:  # NaN fails too
-            raise ParameterError("gamma must be positive")
+        check_real("gamma", self.gamma, positive=self.kind in ("constant", "step_wise"))
+        check_real("beta", self.beta)
         if self.kind == "pl_power" and not 0 < self.beta < 1:
             raise ParameterError("beta must lie in (0, 1)")
 
@@ -131,8 +129,7 @@ class RunConfig:
         object.__setattr__(self, "w0", w0)
         if not 0 <= self.aggregator.f_hat < self.problem.n / 2:
             raise ParameterError("aggregator f_hat must satisfy 0 <= f_hat < n/2")
-        if self.attack.kind == "fixed_vector" and np.atleast_1d(self.attack.vector).shape != (self.problem.d,):
-            raise ParameterError(f"attack vector must have dimension {self.problem.d}")
+        check_dimension(self.attack, self.problem.d)
 
 
 @dataclass
@@ -173,8 +170,13 @@ class RunRecord:
 def run_config_descriptor(value):
     """JSON-compatible description of a RunConfig (one entry per field) or
     of a field's value; config_digest sorts its keys."""
+    if isinstance(value, Problem) and value.descriptor:
+        descriptor = dict(value.descriptor)
+        if value.honest_set != tuple(range(value.n - value.f)):  # a factory's descriptor omits the honest set
+            descriptor["honest_set"] = [int(k) for k in value.honest_set]
+        return descriptor
     if isinstance(value, Problem):
-        return dict(value.descriptor) if value.descriptor else {
+        return {
             "kind": "custom",
             "n": value.n,
             "f": value.f,
@@ -274,36 +276,6 @@ def _metrics(problem: Problem, w: np.ndarray):
         return np.vecdot(grad, grad), value - problem.l_star
 
 
-def _round_noise(chunks: dict, active: list, configs: list, t: int) -> list:
-    """Round ``t``'s standard normal rows of each active gaussian_noise run
-    (None for the other runs), from the chunk of rounds ``chunks`` holds for
-    the run as (first round, rows); past its chunk, a run seeds the next."""
-    rows = []
-    for r in active:
-        config = configs[r]
-        if config.attack.kind != "gaussian_noise":
-            rows.append(None)
-            continue
-        t0, block = chunks.get(r, (t, None))
-        if block is None or t - t0 == block.shape[0]:
-            clients, d = config.problem.byzantine_set, config.problem.d
-            per_round = max(len(clients), 1)
-            rounds = max(1, min(_NOISE_KEYS // per_round, _NOISE_FLOATS // (per_round * d)))
-            t0, block = chunks[r] = (t, noise_rows(config.seed, clients, t, min(t + rounds, config.T), d))
-        rows.append(block[t - t0])
-    return rows
-
-
-def _without(leaving: list, active: list, configs: list, w: np.ndarray, chunks: dict):
-    """The active runs, their configs and iterates, less positions
-    ``leaving``, whose noise chunks are dropped."""
-    for k in leaving:
-        chunks.pop(active[k], None)
-    keep = [k for k in range(len(active)) if k not in leaving]
-    active = [active[k] for k in keep]
-    return active, [configs[r] for r in active], w[keep]
-
-
 def run(config: RunConfig) -> RunRecord:
     """Execute the configured number of rounds (halting early on divergence)
     and return the full metric record: ``run_batch([config])[0]``."""
@@ -317,9 +289,7 @@ def run_batch(configs) -> list[RunRecord]:
     The runs must share n, d, H and the aggregator spec (f_hat included);
     their problems (f and the honest set may differ), schedules, T, w0,
     seeds and attacks are their own.  A run leaves the stack once it
-    completes or diverges, and the rest go on.  A gaussian_noise run holds
-    the noise of one chunk of rounds at a time, seeded in one
-    ``noise_rows`` call.
+    completes or diverges, and the rest go on.
     """
     return _run_batch(configs)
 
@@ -344,39 +314,34 @@ def _run_batch(configs) -> list[RunRecord]:
     agg_deviation = [np.empty(config.T) for config in configs]
     rows, aggregations = [0] * len(configs), [0] * len(configs)  # set as each run leaves
     active, batch = list(range(len(configs))), configs
-    chunks = {}  # run -> (first round, rows) of its gaussian_noise chunk
+    streams = [noise_stream(config.attack, config.problem, config.seed, config.T) for config in configs]
     w = np.array([config.w0 for config in configs])
-    t = 0
+    deviations = [0.0] * len(configs)  # of the last round, per active run
     # a step, upload or deviation past the float range is inf or NaN without
     # a warning, and its run ends as diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+        for t in itertools.count():
             tops = np.maximum.reduce(np.abs(w), axis=1).tolist()  # nan where some w_i is
-            leaving = []
+            stay = []
             for k, r in enumerate(active):
-                if tops[k] <= safe[r] or np.all(np.isfinite(_metrics(configs[r].problem, w[k : k + 1]))):
+                if not math.isfinite(deviations[k]):
+                    rows[r], aggregations[r] = t, t - 1  # round t-1's deltas or deviation
+                elif tops[k] <= safe[r] or np.all(np.isfinite(_metrics(configs[r].problem, w[k : k + 1]))):
                     iterates[r][t] = w[k]
                     if t < configs[r].T:
-                        continue
-                    rows[r], aggregations[r] = t + 1, t  # completed
+                        stay.append(k)
+                    else:
+                        rows[r], aggregations[r] = t + 1, t  # completed
                 else:
                     rows[r] = aggregations[r] = t  # row t is not recorded
-                leaving.append(k)
-            if leaving:
-                active, batch, w = _without(leaving, active, configs, w, chunks)
+            if len(stay) < len(active):
+                active, streams, w = [active[k] for k in stay], [streams[k] for k in stay], w[stay]
                 if not active:
                     break
-            w, deviations = run_round(batch, w, t, _round_noise(chunks, active, configs, t))
+                batch = [configs[r] for r in active]
+            w, deviations = run_round(batch, w, t, [None if s is None else next(s) for s in streams])
             for k, r in enumerate(active):
                 agg_deviation[r][t] = deviations[k]
-            if not all(map(math.isfinite, deviations)):
-                leaving = [k for k, deviation in enumerate(deviations) if not math.isfinite(deviation)]
-                for k in leaving:
-                    rows[active[k]], aggregations[active[k]] = t + 1, t
-                active, batch, w = _without(leaving, active, configs, w, chunks)
-                if not active:
-                    break
-            t += 1
 
     records = []
     for config, digest, r in zip(configs, digests, range(len(configs))):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, check_integers
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class Problem:
         slope = 2.0 * curvature
         slope.setflags(write=False)
         object.__setattr__(self, "slope", slope)
+        check_integers(f=self.f)
         if not 0 <= self.f < self.n / 2:
             raise ParameterError(f"require 0 <= f < n/2, got f={self.f}, n={self.n}")
         honest_set = _honest_set(self.n, self.f, self.honest_set)
@@ -115,6 +116,7 @@ def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, hone
     runs on this family converge to a point whose gradient metric equals the
     heterogeneity floor f_hat*G^2/(n - f - f_hat).
     """
+    check_integers(n=n, f=f, f_hat=f_hat)
     if f_hat < 1:
         raise ParameterError("construction needs f_hat >= 1")
     if not 0 <= f <= f_hat < n / 2:
@@ -136,6 +138,7 @@ def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, hone
 
 def homogeneous_quadratic_problem(n: int, f: int = 0, honest_set=None) -> Problem:
     """Every client holds w^2/2; zero heterogeneity, L = mu = 1, l_star = 0."""
+    check_integers(n=n, f=f)
     if n < 1:
         raise ParameterError("need n >= 1")
     return Problem(
@@ -160,6 +163,7 @@ def random_quadratic_problem(
     gradient-dominance identity hot path stays an exact equality.  ``seed``
     is keyword-only and has no default, so no instance is unseeded.
     """
+    check_integers(n=n, f=f, d=d)
     if not 0 <= f < n / 2:
         raise ParameterError(f"require 0 <= f < n/2, got f={f}, n={n}")
     if d < 1:

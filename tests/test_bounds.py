@@ -131,3 +131,22 @@ def test_gap_ceiling_examples():
     with pytest.raises(ParameterError):
         gap_ceiling(1.0, 1.0, 1.0, 1, 0, 0.5, 1.0, 1.0)  # no rounds
 
+
+@pytest.mark.parametrize("bound,args,name,value", [
+    (kappa_lower_bound, (10, 1.5, 2), "f", 1.5),
+    (kappa_lower_bound, (10, 1, True), "f_hat", True),
+    (convergence_floor, (10, True, 2, 1.0, 1.0), "f", True),
+    (kappa_composite_chain, (10.0, 1, 2), "n", 10.0),
+    (kappa_guarantee, ("gm", 10, 2, 2.0), "f_hat", 2.0),
+])
+def test_bounds_reject_bools_and_fractions_as_integers(bound, args, name, value):
+    with pytest.raises(ParameterError) as excinfo:
+        bound(*args)
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_bounds_take_numpy_integers():
+    n, f, f_hat = np.int64(10), np.int32(1), np.int8(2)
+    assert kappa_lower_bound(n, f, f_hat) == kappa_lower_bound(10, 1, 2)
+    assert convergence_floor(n, f, f_hat, 1.0, 1.0) == convergence_floor(10, 1, 2, 1.0, 1.0)
+    assert kappa_guarantee("gm", n, f_hat, f_hat) == kappa_guarantee("gm", 10, 2, 2)

@@ -1,8 +1,10 @@
 """Simulation engine: local updates, stepsize schedules, round mechanics,
 divergence handling, and determinism."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import warnings
 from typing import Optional
 
@@ -27,9 +29,10 @@ from fedrobust import (
     run_batch,
     stepsize_at,
     two_group_quadratic_problem,
+    weiszfeld,
 )
-from fedrobust import engine
-from fedrobust.attacks import noise_rows
+from fedrobust import attacks, engine
+from fedrobust.attacks import ATTACK_KINDS, noise_rows
 from fedrobust.engine import _preflight, config_digest, run_config_descriptor
 
 # The oracle also stops at |w| beyond this multiple of the initial scale, a
@@ -83,6 +86,25 @@ def test_stepsize_schedules():
     for kind in ("constant", "step_wise"):
         with pytest.raises(ParameterError, match="gamma"):
             Schedule(kind, gamma=float("nan"))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda v: Schedule("constant", gamma=v), "gamma"),
+    (lambda v: Schedule("grad_cube", gamma=v), "gamma"),
+    (lambda v: Schedule("pl_power", beta=v), "beta"),
+    (lambda v: AggregatorSpec("gm", gm_tolerance=v), "gm_tolerance"),
+    (lambda v: weiszfeld([[0.0], [1.0], [3.0]], tol=v), "tol"),
+], ids=["gamma", "unused_gamma", "beta", "gm_tolerance", "tol"])
+def test_real_parameters_reject_bools_non_reals_and_infinities(build, message):
+    for value in (True, "x", None, [0.5]):
+        with pytest.raises(ParameterError) as excinfo:
+            build(value)
+        assert str(excinfo.value) == f"{message} must be a real number, got {value!r}"
+    with pytest.raises(ParameterError) as excinfo:
+        build(float("inf"))
+    assert str(excinfo.value) == f"{message} must be finite"
+    for value in (np.float32(0.25), 0.5):  # numpy floats are real numbers
+        build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +667,33 @@ def test_an_overflowing_upload_diverges_its_run_alone():
     assert (record.rows, len(record.agg_deviation), record.diverged_round) == (1, 0, 1)
 
 
+def test_three_exits_in_one_round_keep_the_rest_in_step(monkeypatch):
+    # at the top of round 2 one run completes, one cannot record row 2 (its
+    # stepsize sends w_2 near 1e200, where the metrics overflow) and one saw
+    # round 1's upload overflow; the fourth run goes on with its own noise
+    noise = AttackStrategy("gaussian_noise", variance=1.0)
+    p = random_quadratic_problem(9, 2, 2, 1.0, 2.0, seed=5)
+    configs = [
+        overflowing_upload_config(problem=p, attack=noise, T=2, w0=np.ones(2), seed=3),
+        overflowing_upload_config(problem=p, attack=AttackStrategy("honest_mimic"), w0=np.ones(2),
+                                  schedule=Schedule("constant", gamma=1e100 / p.L)),
+        overflowing_upload_config(),
+        overflowing_upload_config(problem=p, attack=noise, T=5, w0=np.ones(2), seed=8),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the stepsize precondition, broken on purpose
+        records = run_batch(configs)
+        # the public aggregate refuses the overflowed deltas that the engine
+        # leaves out; through the engine's own, the oracle's deviation of
+        # that round is not finite, and the oracle stops there as well
+        monkeypatch.setitem(globals(), "aggregate", engine.aggregate)
+        with np.errstate(all="ignore"):
+            for config, record in zip(configs, records):
+                assert_same_record(record, oracle_run(config))
+    exits = [(r.rows, len(r.agg_deviation), r.diverged_round) for r in records]
+    assert exits == [(3, 2, None), (2, 2, 2), (2, 1, 2), (6, 5, None)]
+
+
 def test_run_batch_rejects_runs_that_cannot_share_a_stack():
     config = krum_nnm_config(0, AttackStrategy("honest_mimic"), 4)
     assert run_batch([]) == []
@@ -693,10 +742,11 @@ def test_run_batch_holds_gaussian_noise_one_chunk_at_a_time(monkeypatch):
         assert (t1 - t0) * len(clients) <= 256  # one chunk, whatever T
         return noise_rows(seed, clients, t0, t1, d)
 
-    monkeypatch.setattr(engine, "noise_rows", recording)
+    monkeypatch.setattr(attacks, "noise_rows", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         records = run_batch(configs)
+        monkeypatch.undo()  # the oracle draws each round through the same name
         for config, record in zip(configs, records):
             assert_same_record(record, oracle_run(config))
     assert records[2].diverged and 85 < records[2].rows < 170
@@ -736,6 +786,17 @@ def test_config_digest_distinguishes_and_is_stable():
     assert config_digest(c1) != config_digest(c3)
     desc = run_config_descriptor(c1)
     assert desc["problem"]["kind"] == "homogeneous_quadratic"
+    # a factory's descriptor omits the honest set: the digest adds one that is not the first n - f
+    default = random_quadratic_problem(10, 2, 5, seed=0)
+    assert random_quadratic_problem(10, 2, 5, seed=0, honest_set=range(8)).honest_set == default.honest_set
+    digests = {
+        config_digest(RunConfig(problem=problem, aggregator=AggregatorSpec("cwtm", f_hat=3),
+                                attack=AttackStrategy("sign_flip"), T=20))
+        for problem in (default, random_quadratic_problem(10, 2, 5, seed=0, honest_set=range(8)),
+                        random_quadratic_problem(10, 2, 5, seed=0, honest_set=range(2, 10)),
+                        random_quadratic_problem(10, 2, 5, seed=0, honest_set=np.arange(2, 10)))
+    }
+    assert len(digests) == 2 and "75242af80417c4a5" in digests
 
 
 def test_preflight_warns_on_aggressive_stepsize():
@@ -807,6 +868,13 @@ def test_fixed_vector_dimension_checked():
     assert config((1.0, 2.0, 3.0)).attack.vector == (1.0, 2.0, 3.0)
     # a scalar is a 1-vector, as for w0
     assert run(config(2.0, homogeneous_quadratic_problem(3, f=1))).rows == 2
+
+
+def test_engine_names_no_attack_kind():
+    # every rule of an attack kind lives in attacks; the engine only calls it
+    tree = ast.parse(inspect.getsource(engine))
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not literals & set(ATTACK_KINDS)
 
 
 def test_descriptor_has_one_entry_per_field():

@@ -413,3 +413,31 @@ def test_honest_objective_overflow_is_silent_inf():
     want_value, want_grad = loop_honest_objective(p, [1.3e154])
     assert value == np.inf == want_value
     assert np.array_equal(grad, want_grad) and np.isfinite(grad[0])
+
+
+def flat_problem(f):
+    return Problem(f=f, honest_set=None, curvature=[1.0], centers=np.zeros((10, 1)), G2=0.0, l_star=0.0)
+
+
+@pytest.mark.parametrize("build,name,value", [
+    (lambda: flat_problem(True), "f", True),
+    (lambda: flat_problem(1.5), "f", 1.5),
+    (lambda: random_quadratic_problem(10, 1.0, 5, seed=0), "f", 1.0),
+    (lambda: random_quadratic_problem(10, 1, 1.5, seed=0), "d", 1.5),
+    (lambda: random_quadratic_problem(True, 0, seed=0), "n", True),
+    (lambda: homogeneous_quadratic_problem(2.0), "n", 2.0),
+    (lambda: homogeneous_quadratic_problem(4, False), "f", False),
+    (lambda: two_group_quadratic_problem(10, 1, 1.5), "f_hat", 1.5),
+    (lambda: two_group_quadratic_problem(10.0, 1, 2), "n", 10.0),
+])
+def test_integer_arguments_reject_bools_and_fractions(build, name, value):
+    with pytest.raises(ParameterError) as excinfo:
+        build()
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_integer_arguments_take_numpy_integers():
+    assert flat_problem(np.int64(2)).byzantine_set == (8, 9)
+    assert random_quadratic_problem(np.int32(10), np.int64(1), np.int16(3), seed=0).d == 3
+    assert homogeneous_quadratic_problem(np.int64(4), np.int8(1)).n == 4
+    assert two_group_quadratic_problem(np.int64(10), np.int64(1), np.int64(2)).byzantine_set == (9,)
