@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # numpy.linalg.solve's gesv gufunc: same bits, 1.9 not 5.9 us a 5x5 step
 
 from .errors import DimensionError, ParameterError, check_real, is_integer
 
@@ -141,24 +142,20 @@ def _offsets(y: np.ndarray, z: np.ndarray):
     return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
-def _solve(pts: np.ndarray, tol: float, max_iters: int):
+def _solve(pts: np.ndarray, half: np.ndarray, tol: float, max_iters: int, eye: np.ndarray, merge: float, slack: float):
     """(point, displacement, iterations) of :func:`weiszfeld` for one (n, d)
-    cloud that fails Kuhn's test."""
+    cloud that fails Kuhn's test, given ``half = 0.5 * pts``, the identity,
+    ``merge`` and ``slack``; call it with invalid, overflow and divide
+    ignored, as a singular H is then read from its all-NaN solution."""
     n, d = pts.shape
     ordered = np.sort(pts, axis=0)
     center = 0.5 * ordered[(n - 1) // 2] + 0.5 * ordered[n // 2]  # the coordinate-wise median
-    half = 0.5 * pts - 0.5 * center  # (x_i - center) / 2 cannot overflow
+    half = half - 0.5 * center  # (x_i - center) / 2 cannot overflow
     scale = math.ldexp(1.0, min(math.frexp(float(np.maximum.reduce(np.abs(half), axis=None)))[1], 1023))
     # y_i = (x_i - center) / (2 * scale) has coordinates in (-1, 1); lengths
     # in y are lengths in x divided by 2 * scale
     y = half / scale
     tol_y = tol / scale / 2.0
-    # The rows of y and every iterate have coordinates in (-1, 1), so a
-    # distance in y is rounded by a few d ulps of 1 and rows nearer the
-    # iterate than this cannot be told from it.
-    merge = n * d * _EPS
-    slack = -2 * (n + d) * _EPS  # the rounding allowance of a change in f
-    eye = np.eye(d)
     z, diff, dist = np.zeros(d), y, np.sqrt(np.add.reduce(y * y, axis=1))  # the offsets y_i - z at z = 0
     step = 0.0
     for iteration in range(1, max_iters + 1):
@@ -179,11 +176,8 @@ def _solve(pts: np.ndarray, tol: float, max_iters: int):
             pull = np.add.reduce(u, axis=0)
             total = np.add.reduce(weights)
             hessian = total * eye - (u * column).T @ u  # u.T * weights, in the same memory order
-            try:
-                s = np.linalg.solve(hessian, pull)
-                newton = math.hypot(*s.tolist()) <= max(lengths)  # False for inf or NaN
-            except np.linalg.LinAlgError:  # a singular H
-                pass
+            s = _umath_linalg.solve1(hessian, pull, signature="dd->d")  # all NaN for a singular H
+            newton = math.hypot(*s.tolist()) <= max(lengths)  # False for inf or NaN
             if newton:
                 moved, ss = z + s, float(s @ s)
                 new_diff, new_dist = _offsets(y, moved)
@@ -224,13 +218,15 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     distance overflows, and starts from that median.  Each iteration forms
     the weights w_i = 1/d_i, the unit vectors u_i = (x_i - z)/d_i, the pull
     p = sum_i u_i and the Hessian H = sum_i w_i (I - u_i u_i^T).  It takes
-    the Newton step H^-1 p, from one d x d solve, if that is finite, no
-    longer than the largest d_i (the median lies in the convex hull) and
-    lowers f by more than the rounding error of the change.  Otherwise it
-    returns the nearest row if Kuhn's test passes there, and else takes
-    Weiszfeld's step p / sum_i w_i, which always descends; this covers
-    d = 1, collinear clouds and a singular H.  The solve costs O(d^3), so
-    for d well above n an iteration costs more than Weiszfeld's O(n d).
+    the Newton step H^-1 p, from one d x d solve by LAPACK's gesv through
+    numpy's gufunc (the one ``numpy.linalg.solve`` calls: the same bits), if
+    that is finite, no longer than the largest d_i (the median lies in the
+    convex hull) and lowers f by more than the rounding error of the change.
+    Otherwise it returns the nearest row if Kuhn's test passes there, and
+    else takes Weiszfeld's step p / sum_i w_i, which always descends; this
+    covers d = 1, collinear clouds and a singular H, whose solve gives NaN.
+    The solve costs O(d^3), so for d well above n an iteration costs more
+    than Weiszfeld's O(n d).
 
     Rows nearer the iterate than the rounding error of distances in the
     scaled cloud count as m rows at the iterate.  There the step is that of
@@ -252,15 +248,22 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     if not (is_integer(max_iters) and max_iters >= 1):
         raise ParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     stack = pts if pts.ndim == 3 else pts[None]
+    _, n, d = stack.shape
     half = 0.5 * stack  # offsets between halved rows cannot overflow
     passed = _kuhn(half.transpose(1, 0, 2)[:, :, None, :] - half)  # [i, r, j] = (x_ri - x_rj) / 2
-    point = np.empty((stack.shape[0], stack.shape[2]))
+    point = np.empty((len(stack), d))
     displacement, iterations = [0.0] * len(stack), [0] * len(stack)
-    for cloud, row in enumerate(passed.tolist()):
-        if True in row:  # the first row that passes
-            point[cloud] = stack[cloud, row.index(True)]
-        else:
-            point[cloud], displacement[cloud], iterations[cloud] = _solve(stack[cloud], tol, max_iters)
+    # The solver's rows and iterates have coordinates in (-1, 1), so a
+    # distance there is rounded by a few d ulps of 1 and rows nearer the
+    # iterate than merge cannot be told from it.
+    merge, slack, eye = n * d * _EPS, -2 * (n + d) * _EPS, np.eye(d)  # slack: the rounding allowance of a change in f
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):  # as numpy.linalg.solve sets it
+        for cloud, row in enumerate(passed.tolist()):
+            if True in row:  # the first row that passes
+                point[cloud] = stack[cloud, row.index(True)]
+            else:
+                point[cloud], displacement[cloud], iterations[cloud] = _solve(
+                    stack[cloud], half[cloud], tol, max_iters, eye, merge, slack)
     if pts.ndim == 2:
         return WeiszfeldResult(point[0], displacement[0], iterations[0])
     return WeiszfeldResult(point, max(displacement), max(iterations))

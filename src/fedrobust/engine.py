@@ -173,7 +173,7 @@ def run_config_descriptor(value):
     if isinstance(value, Problem) and value.descriptor:
         descriptor = dict(value.descriptor)
         if value.honest_set != tuple(range(value.n - value.f)):  # a factory's descriptor omits the honest set
-            descriptor["honest_set"] = [int(k) for k in value.honest_set]
+            descriptor["honest_set"] = list(value.honest_set)
         return descriptor
     if isinstance(value, Problem):
         return {

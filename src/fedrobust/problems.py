@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError, check_integers
+from .errors import ConstructionError, ParameterError, check_integers, is_integer
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,13 @@ def _verify_constants(p: Problem) -> None:
 
 
 def _honest_set(n: int, f: int, honest_set) -> tuple:
-    """The given honest set, checked to hold n - f distinct indices in
-    [0, n); by default the first n - f, so Byzantine clients are the last f."""
+    """The given honest set as plain ints, checked to hold n - f distinct
+    integer indices in [0, n) (a bool or a float is not one); by default the
+    first n - f, so Byzantine clients are the last f."""
     honest_set = tuple(range(n - f)) if honest_set is None else tuple(honest_set)
+    if not all(map(is_integer, honest_set)):
+        raise ParameterError(f"honest set indices must be integers, got {honest_set!r}")
+    honest_set = tuple(map(int, honest_set))
     if len(honest_set) != n - f or len(set(honest_set)) != n - f or not set(honest_set) <= set(range(n)):
         raise ParameterError(f"honest set must hold n - f = {n - f} distinct indices in [0, {n})")
     return honest_set

@@ -4,6 +4,7 @@ documented invariants."""
 import inspect
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -651,6 +652,76 @@ def test_one_stack_holds_every_exit_and_a_singular_hessian():
     # a Kuhn exit, a Vardi-Zhang step from the central rows, a solve that
     # spends every step
     assert alone[0].iterations == 0 and alone[2].iterations > 0 and alone[3].iterations == 500
+
+
+COLLINEAR = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [7.0, 0.0], [8.0, 0.0], [12.0, 0.0]])  # H is singular
+
+
+def test_weiszfeld_leaves_the_errstate_as_it_found_it(monkeypatch):
+    # the singular Hessian's all-NaN solve is silenced inside weiszfeld
+    # alone: called outside any errstate, with warnings as errors, both as a
+    # cloud and inside a stack, the result keeps the oracle's bytes and
+    # np.geterr() is what it was
+    solves, gufuncs = [], aggregators._umath_linalg
+
+    def spy(*args, **kwargs):
+        solves.append(gufuncs.solve1(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(aggregators, "_umath_linalg", SimpleNamespace(solve1=spy))
+    want = oracle_newton_weiszfeld(COLLINEAR)
+    rng = np.random.default_rng(23)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = weiszfeld(COLLINEAR)
+        assert np.geterr() == before
+        stacked = weiszfeld(np.stack([rng.normal(size=(6, 2)), COLLINEAR]))
+        assert np.geterr() == before
+    assert any(np.isnan(s).all() for s in solves)  # the singular solve ran
+    assert alone.point.tobytes() == stacked.point[1].tobytes() == want.point.tobytes()
+    assert (alone.iterations, alone.displacement) == (want.iterations, want.displacement)
+
+
+def newton_systems(rng):
+    """Random SPD, indefinite and singular d x d systems for d in 1..8; the
+    singular ones are small integer matrices, whose LU meets an exact zero
+    pivot."""
+    for d in range(1, 9):
+        for _ in range(30):
+            a = rng.normal(size=(d, d))
+            b = rng.normal(size=d)
+            yield a @ a.T + 1e-3 * np.eye(d), b  # SPD
+            yield a + a.T, b  # indefinite
+            yield rng.integers(-1, 2, size=(d, d)).astype(float), b  # often singular
+        yield np.zeros((d, d)), b
+    yield np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2)
+    yield np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.0])  # a collinear cloud's H, flat along its line
+
+
+def test_newton_gufunc_is_what_np_linalg_solve_computes():
+    # weiszfeld calls numpy's gesv gufunc without np.linalg.solve's wrapper;
+    # a numpy release that moves or changes it fails here
+    rng = np.random.default_rng(24)
+    singular = 0
+    for hessian, pull in newton_systems(rng):
+        try:
+            want = np.linalg.solve(hessian, pull)
+        except np.linalg.LinAlgError:
+            want = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+                got = aggregators._umath_linalg.solve1(hessian, pull, signature="dd->d")
+        if want is None:
+            singular += 1
+            assert got.shape == pull.shape and np.isnan(got).all()
+            # outside that errstate the failure is a warning, not a silent NaN
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                aggregators._umath_linalg.solve1(hessian, pull, signature="dd->d")
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert singular >= 20
 
 
 def test_kuhn_equals_its_oracle():

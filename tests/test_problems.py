@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from fedrobust import (
+    AggregatorSpec,
+    AttackStrategy,
     ConstructionError,
     ParameterError,
     Problem,
+    RunConfig,
     descend,
     heterogeneity_at,
     homogeneous_quadratic_problem,
@@ -19,6 +22,7 @@ from fedrobust import (
     random_quadratic_problem,
     two_group_quadratic_problem,
 )
+from fedrobust.engine import config_digest
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +445,38 @@ def test_integer_arguments_take_numpy_integers():
     assert random_quadratic_problem(np.int32(10), np.int64(1), np.int16(3), seed=0).d == 3
     assert homogeneous_quadratic_problem(np.int64(4), np.int8(1)).n == 4
     assert two_group_quadratic_problem(np.int64(10), np.int64(1), np.int64(2)).byzantine_set == (9,)
+
+
+def three_client_problem(honest_set):
+    return Problem(f=1, honest_set=honest_set, curvature=[1.0], centers=np.zeros((3, 1)), G2=0.0, l_star=0.0)
+
+
+@pytest.mark.parametrize("honest_set", [(0, 1.0), (0, True), (0.0, 1)])
+def test_honest_set_indices_reject_bools_and_floats(honest_set):
+    # 1.0 and True equal 1, so a set-membership check alone kept them
+    with pytest.raises(ParameterError, match="indices must be integers"):
+        three_client_problem(honest_set)
+
+
+@pytest.mark.parametrize("honest_set", [(0, 1.0, 2, 3, 4, 5, 6, 7), (0, True, 2, 3, 4, 5, 6, 7), (0, 1.5, 2, 3, 4, 5, 6, 7)])
+def test_factories_reject_non_integer_honest_indices(honest_set):
+    # a non-integral float used to reach centers[list(honest_set)] as an IndexError
+    with pytest.raises(ParameterError, match="indices must be integers"):
+        random_quadratic_problem(10, 2, 5, seed=0, honest_set=honest_set)
+    with pytest.raises(ParameterError, match="indices must be integers"):
+        two_group_quadratic_problem(10, 2, 2, honest_set=honest_set)
+    with pytest.raises(ParameterError, match="indices must be integers"):
+        homogeneous_quadratic_problem(10, 2, honest_set=honest_set)
+
+
+def test_numpy_honest_indices_are_stored_as_ints_with_the_same_digest():
+    config = functools.partial(RunConfig, aggregator=AggregatorSpec("mean"), attack=AttackStrategy("honest_mimic"), T=2)
+    plain = three_client_problem((0, 2))
+    for spelled in ((np.int64(0), np.int32(2)), np.array([0, 2])):
+        p = three_client_problem(spelled)
+        assert p.honest_set == (0, 2) and all(type(k) is int for k in p.honest_set)
+        assert config_digest(config(problem=p)) == config_digest(config(problem=plain))
+    q = random_quadratic_problem(10, 2, 5, seed=0, honest_set=np.arange(9, 1, -1))
+    same = random_quadratic_problem(10, 2, 5, seed=0, honest_set=tuple(range(9, 1, -1)))
+    assert q.honest_set == same.honest_set and all(type(k) is int for k in q.honest_set)
+    assert q.centers.tobytes() == same.centers.tobytes()
