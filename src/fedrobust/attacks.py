@@ -2,11 +2,12 @@
 
 An attack is one rule that gives the whole Byzantine group of a round its
 uploads: ``byzantine_upload`` returns one (f, d) block, a full model vector
-per client of ``problem.byzantine_set``, and the engine converts uploads to
-deltas before aggregation.  Omniscient kinds may read the honest uploads of
-the same round.  The only random kind, ``gaussian_noise``, draws client k's
-row of round t from its own stream keyed by (seed, k, t), so every kind is
-deterministic given the seed and the round.
+per client of ``problem.byzantine_set``, or one (R, f, d) block for a group
+of R runs with one attack kind and one honest set, and the engine converts
+uploads to deltas before aggregation.  Omniscient kinds may read the honest
+uploads of the same round.  The only random kind, ``gaussian_noise``, draws
+client k's row of round t from its own stream keyed by (seed, k, t), so
+every kind is deterministic given the seed and the round.
 
 ``noise_rows`` draws those rows for a block of rounds at once.  Keys that
 fit uint32 words are hashed in one numpy pass that repeats what
@@ -18,7 +19,8 @@ pay for the hashing, seed each row with ``default_rng`` itself.
 
 ``noise_stream`` is a run's noise source: it seeds a gaussian_noise run's
 rows a chunk of rounds at a time, in one ``noise_rows`` call per chunk, and
-hands them to ``byzantine_upload`` round by round.
+yields them round by round; the engine stacks a group's rows for
+``byzantine_upload``.
 """
 
 from __future__ import annotations
@@ -157,12 +159,26 @@ def check_dimension(strategy: AttackStrategy, d: int) -> None:
 
 
 def byzantine_upload(
-    strategy: AttackStrategy, problem: Problem, w: np.ndarray, gamma: float, H: int,
-    t: int, seed: int, honest_uploads: np.ndarray, noise: Optional[np.ndarray] = None,
+    strategy, problem: Problem, w: np.ndarray, gamma, H: int, t: int, seed, honest_uploads: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Uploads of round ``t`` from iterate ``w``: row i belongs to client
     ``problem.byzantine_set[i]``.  The kinds that send one vector return one
     copy of it per client.
+
+    One call serves a group of R runs that share one attack kind and the
+    honest set of ``problem``, any one of their problems: ``strategy``,
+    ``gamma`` and ``seed`` hold one entry per run, ``w`` is their (R, d)
+    iterates, ``honest_uploads`` their (R, d) mean honest uploads and
+    ``rows`` their (R, f, d) rows, and the result is their (R, f, d) block.
+    One run's call, with its own AttackStrategy, (d,) iterate and (m, d)
+    honest uploads, is a group of one and returns (f, d).
+
+    ``rows`` are the round's rows of each Byzantine client that the caller
+    already holds: the standard normal draws of a gaussian_noise attack, as
+    ``noise_rows`` draws them, else the client's own H local GD steps from
+    w, which honest_mimic sends.  One run may leave them None, and they are
+    computed here.
 
     honest_mimic:       H local GD steps on each Byzantine client's own loss.
     escalating_outlier: n*|(1-gamma)^H w| + t per coordinate; it grows with
@@ -170,35 +186,41 @@ def byzantine_upload(
                         robustness degree keeps averaging it in and blows up.
     gaussian_noise:     client k's row is ``sqrt(variance) *
                         default_rng([seed, k, t]).standard_normal(d)``, i.i.d.
-                        N(0, variance) entries.  ``noise``, when given, holds
-                        those standard normal rows of round t, as
-                        ``noise_rows`` draws them; else they are drawn here.
+                        N(0, variance) entries.
     sign_flip:          w - scale * (mean honest delta), the negated honest
                         direction.
     fixed_vector:       the strategy's vector.
 
-    escalating_outlier and sign_flip compute under ``np.errstate``: a row
-    past the float range is inf or NaN without a warning, and the engine
-    ends that run as diverged.
+    A row of escalating_outlier or sign_flip past the float range is inf or
+    NaN without a warning: one run's call computes under ``np.errstate``,
+    and the engine makes a group's call under its own.  The engine then ends
+    that run as diverged.
     """
-    clients, d = problem.byzantine_set, w.shape[0]
-    if strategy.kind == "honest_mimic":
-        return descend(problem, problem.byzantine_index, w, gamma, H)
-    if strategy.kind == "gaussian_noise":
-        if noise is None:
-            noise = noise_rows(seed, clients, t, t + 1, d)[0]
-        return noise * math.sqrt(strategy.variance)
-    if strategy.kind == "fixed_vector":
-        row = np.asarray(strategy.vector, dtype=np.float64)
+    if isinstance(strategy, AttackStrategy):  # one run is a group of one
+        mean = np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0]  # numpy's mean
+        if rows is None and strategy.kind == "honest_mimic":
+            rows = descend(problem, problem.byzantine_index, w, gamma, H)
+        elif rows is None and strategy.kind == "gaussian_noise":
+            rows = noise_rows(seed, problem.byzantine_set, t, t + 1, w.shape[0])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return byzantine_upload([strategy], problem, w[None], [gamma], H, t, [seed], mean[None],
+                                    None if rows is None else rows[None])[0]
+    kind = strategy[0].kind
+    if kind == "honest_mimic":
+        return rows
+    if kind == "gaussian_noise":
+        return rows * np.array([math.sqrt(s.variance) for s in strategy])[:, None, None]
+    if kind == "fixed_vector":
+        row = np.array([s.vector for s in strategy], dtype=np.float64).reshape(w.shape)
     else:  # escalating_outlier or sign_flip; AttackStrategy admits no other kind
-        row = _computed_row(strategy, problem.n, w, gamma, H, t, honest_uploads)
-    return row[None].repeat(len(clients), axis=0)
+        row = _computed_rows(strategy, problem.n, w, gamma, H, t, honest_uploads)
+    return row[:, None].repeat(len(problem.byzantine_set), axis=1)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # past the float range a row is inf or NaN, and the engine ends the run
-def _computed_row(strategy: AttackStrategy, n: int, w: np.ndarray, gamma: float, H: int, t: int,
-                  honest_uploads: np.ndarray) -> np.ndarray:
-    """The one upload of escalating_outlier or sign_flip."""
-    if strategy.kind == "escalating_outlier":
-        return n * np.abs(np.float64(1.0 - gamma) ** H * w) + t  # inf, not OverflowError, past the range
-    return w - strategy.scale * (np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0] - w)  # numpy's mean
+def _computed_rows(strategies, n: int, w: np.ndarray, gamma, H: int, t: int, means: np.ndarray) -> np.ndarray:
+    """The (R, d) uploads of a group of escalating_outlier or sign_flip runs."""
+    if strategies[0].kind == "escalating_outlier":
+        # (1 - gamma)^H stays one scalar per run: inf, not OverflowError, past the range
+        factors = np.array([np.float64(1.0 - g) ** H for g in gamma])[:, None]
+        return n * np.abs(factors * w) + t
+    return w - np.array([s.scale for s in strategies], dtype=np.float64)[:, None] * (means - w)

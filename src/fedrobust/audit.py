@@ -224,7 +224,14 @@ def _moment_columns(pts: np.ndarray, outputs: list):
 
 def _worst(output: np.ndarray, pts: np.ndarray, members: np.ndarray, size: int):
     """The largest exact ratio (NaN first, as in ``np.argmax``) and the first
-    subset attaining it, over the subsets named by the nonzeros of rows of ``members``."""
+    subset attaining it, over the subsets named by the nonzeros of rows of ``members``.
+
+    When every point of the cloud has the same bits, every subset gathers
+    the same rows and has the same ratio, so the first one stands for all.
+    Only a candidate set of more than one block is checked for it: every
+    fast variance of such a cloud is guarded, so all its rows are candidates."""
+    if members.shape[0] > BLOCK and pts.tobytes() == pts[:1].tobytes() * pts.shape[0]:
+        members = members[:1]
     best = -math.inf, ()
     for lo in range(0, members.shape[0], BLOCK):
         subsets = members[lo : lo + BLOCK].nonzero()[1].reshape(-1, size)

@@ -32,7 +32,7 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
-from itertools import groupby, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -447,20 +447,26 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[dict]:
 
 def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     """Execute every grid cell, streaming rows to results.csv (in cell order)
-    and writing summary.json at the end.  Each maximal stretch of
-    consecutive cells with the same f_hat, and so the same aggregator spec,
-    runs as one batch of ``engine.run_batch``.
+    and writing summary.json at the end.  The cells of one f_hat, and so of
+    one aggregator spec, run as one batch of ``engine.run_batch``, the
+    batches in the order of their first cells; after each batch every cell
+    up to the first one not yet run is written out.
 
     Returns the number of failed cells.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = []
+    batches = {}  # f_hat -> its (index, cell) pairs
+    for index, cell in enumerate(_cells(cfg)):
+        batches.setdefault(cell[1], []).append((index, cell))
+    cells, done = [], {}
     with open(out / "results.csv", "w", newline="") as sink:
         sink.write(",".join(CSV_COLUMNS) + "\n")
         sink.flush()
-        for _, stretch in groupby(enumerate(_cells(cfg)), key=lambda item: item[1][1]):
-            for result in _run_cells(cfg, stretch):
+        for batch in batches.values():
+            done.update(zip((index for index, _ in batch), _run_cells(cfg, batch)))
+            while len(cells) in done:
+                result = done.pop(len(cells))
                 rows = result.pop("rows")
                 sink.writelines(row + "\n" for row in rows)
                 sink.flush()

@@ -10,14 +10,13 @@ batched ``honest_objective`` call per run.  Sampling an output iterate is
 left to post-processing.
 
 ``run_batch`` advances R runs that share n, d, H and the aggregator spec in
-lockstep: round t of every run still active is one ``run_round`` call on the
-(R, d) stack of their iterates, which aggregates the (R, n, d) stack of
-their deltas in one ``aggregate`` call.  Each run keeps its own problem,
-schedule, T, w0, seed and attack, and leaves the stack once it completes or
-diverges; every run meets the float operations it meets alone, in the same
-order, so a batch gives each run's record bit for bit.  ``run`` is a batch
-of one.  Each run draws its attack's noise, if any, from its own
-``attacks.noise_stream``.
+lockstep; each keeps its own problem, schedule, T, w0, seed, attack and
+noise stream, and leaves once it completes or diverges.  Round t is one
+``run_round`` call: one local update of every client of every run, per
+group of runs with one honest set and one attack kind one honest-mean
+reduction and one ``byzantine_upload`` call, and one ``aggregate`` call.
+Every run meets the float operations it meets alone, in the same order, so
+a batch gives each run's record bit for bit; ``run`` is a batch of one.
 
 A run stops at the first row t it cannot record (round t-1's deltas or
 deviation not finite, or w_t or its metrics not finite) and is then diverged,
@@ -46,7 +45,7 @@ from .aggregators import _aggregate as aggregate  # run_round checks its deltas 
 from .attacks import AttackStrategy, byzantine_upload, check_dimension, noise_stream
 from .bounds import stepsize_constant
 from .errors import ParameterError, check_real
-from .problems import Problem, descend, honest_objective
+from .problems import Problem, honest_objective, local_update
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
 
@@ -203,35 +202,81 @@ def _deviations(aggregated: np.ndarray, means: np.ndarray, w: np.ndarray) -> lis
     return np.vecdot(deviation, deviation).tolist()
 
 
-def run_round(configs, w: np.ndarray, t: int, noise=None) -> tuple[np.ndarray, list]:
-    """Round ``t`` of each run in ``configs`` from its row of the (R, d)
-    iterates ``w``: the (R, d) next iterates and, per run, the squared
-    distance between the aggregated delta and the mean honest delta.  A run
-    whose deltas are not finite (an upload overflowed) is left out of the
-    aggregation, and its deviation is NaN.  ``noise``, if given, holds per
-    run the round's standard normal rows of a gaussian_noise attack (or
-    None), which ``byzantine_upload`` then uses instead of drawing them."""
-    count, d = w.shape
-    deltas = np.empty((count, configs[0].problem.n, d))
-    means = np.empty((count, d))
-    for r, config in enumerate(configs):
-        problem, row, cloud = config.problem, w[r], deltas[r]
-        gamma = stepsize_at(config.schedule, t, config.T, problem.L, config.H, config.kappa)
-        honest_uploads = descend(problem, problem.honest_index, row, gamma, config.H)
-        cloud[problem.honest_index] = honest_uploads
-        cloud[problem.byzantine_index] = byzantine_upload(
-            config.attack, problem, row, gamma, config.H, t, config.seed, honest_uploads,
-            None if noise is None else noise[r],
-        )
-        means[r] = np.add.reduce(honest_uploads, axis=0) / honest_uploads.shape[0]  # numpy's mean
-    deltas -= w[:, None, :]
+def _group_key(config: RunConfig) -> tuple:
+    return config.problem.honest_set, config.attack.kind
+
+
+def _clients(clouds: np.ndarray, index) -> np.ndarray:
+    """Rows ``index`` of each cloud: a view for a slice, else a C-order gather, summed as one run's rows are."""
+    return clouds[:, index] if isinstance(index, slice) else clouds.take(index, axis=1)
+
+
+class _Batch:
+    """The active runs of a batch in group order, with their configs, noise
+    streams, centers (R, n, d), slopes (R, 1, d) and stepsizes (R, 1, 1):
+    stacked once by ``of``, cut by ``keep`` as runs leave.  A group is a
+    stretch of runs with one honest set and one attack kind; ``groups``
+    holds its slice of runs, first problem, honest and Byzantine clients
+    (slices if the honest set is the first n - f) and noise iterator."""
+
+    def __init__(self, configs: list, streams: list, centers, slopes, steps):
+        self.configs, self.streams, self.centers, self.slopes, self.steps = configs, streams, centers, slopes, steps
+        self.attacks, self.seeds = [c.attack for c in configs], [c.seed for c in configs]
+        self.varying = [(k, c) for k, c in enumerate(configs) if c.schedule.kind == "step_wise"]
+        self.groups, start = [], 0
+        for _, members in itertools.groupby(configs, _group_key):
+            runs = slice(start, start + len(list(members)))
+            problem = configs[start].problem
+            m, start = len(problem.honest_set), runs.stop
+            honest, byzantine = problem.honest_index, problem.byzantine_index
+            if problem.honest_set == tuple(range(m)):
+                honest, byzantine = slice(0, m), slice(m, problem.n)
+            noise = None if streams[runs.start] is None else zip(*streams[runs])
+            self.groups.append((runs, problem, honest, byzantine, noise))
+
+    @classmethod
+    def of(cls, configs: list) -> "_Batch":
+        """The batch of ``configs``, in group order, at round 0 (which a run with T = 0 never runs)."""
+        steps = [stepsize_at(c.schedule, 0, max(c.T, 1), c.problem.L, c.H, c.kappa) for c in configs]
+        return cls(configs, [noise_stream(c.attack, c.problem, c.seed, c.T) for c in configs],
+                   np.array([c.problem.centers for c in configs]),
+                   np.array([c.problem.slope for c in configs])[:, None, :], np.array(steps)[:, None, None])
+
+    def keep(self, stay: list) -> "_Batch":
+        return _Batch([self.configs[k] for k in stay], [self.streams[k] for k in stay],
+                      self.centers[stay], self.slopes[stay], self.steps[stay])
+
+    def at(self, t: int) -> "_Batch":
+        """The batch with round t's stepsizes; only step_wise ones change."""
+        for k, c in self.varying:
+            self.steps[k] = stepsize_at(c.schedule, t, c.T, c.problem.L, c.H, c.kappa)
+        return self
+
+
+def run_round(batch: _Batch, w: np.ndarray, t: int) -> tuple[np.ndarray, list]:
+    """Round ``t`` of each run of ``batch`` from its row of the (R, d)
+    iterates ``w``, in the calls the module docstring lists: the (R, d) next
+    iterates and, per run, the squared distance between the aggregated delta
+    and the mean honest delta.  Every client takes its H >= 1 local steps, as
+    honest_mimic sends them.  A run whose deltas are not finite (an upload
+    overflowed) is left out of the aggregation, and its deviation is NaN."""
+    uploads = local_update(w[:, None, :], batch.centers, batch.slopes, batch.steps, batch.configs[0].H)
+    means = np.empty(w.shape)
+    for runs, problem, honest, byzantine, noise in batch.groups:
+        clouds = uploads[runs]
+        honest_uploads = _clients(clouds, honest)
+        np.divide(np.add.reduce(honest_uploads, axis=1), honest_uploads.shape[1], out=means[runs])  # numpy's mean
+        rows = _clients(clouds, byzantine) if noise is None else np.array(next(noise))
+        clouds[:, byzantine] = byzantine_upload(batch.attacks[runs], problem, w[runs], batch.steps[runs, 0, 0],
+                                                batch.configs[0].H, t, batch.seeds[runs], means[runs], rows)
+    deltas = np.subtract(uploads, w[:, None, :], out=uploads)
     if np.logical_and.reduce(np.isfinite(deltas), axis=None):
-        aggregated = aggregate(configs[0].aggregator, deltas)
+        aggregated = aggregate(batch.configs[0].aggregator, deltas)
     else:
         finite = np.isfinite(deltas).all(axis=(1, 2))
         aggregated = np.full(w.shape, np.nan)
         if finite.any():
-            aggregated[finite] = aggregate(configs[0].aggregator, deltas[finite])
+            aggregated[finite] = aggregate(batch.configs[0].aggregator, deltas[finite])
     return w + aggregated, _deviations(aggregated, means, w)
 
 
@@ -242,11 +287,8 @@ def _preflight(config: RunConfig) -> None:
     if config.kappa > 0:
         bound = min(bound, 1.0 / (384.0 * config.kappa))
     if L * L * gamma0 * gamma0 * H * (H - 1) > bound or gamma0 > 1.0 / (2.0 * L * H):
-        warnings.warn(
-            "stepsize violates the convergence-guarantee precondition; "
-            "the run may diverge",
-            stacklevel=4,  # _preflight, _run_batch, run or run_batch, then their caller
-        )
+        warnings.warn("stepsize violates the convergence-guarantee precondition; the run may diverge",
+                      stacklevel=4)  # _preflight, _run_batch, run or run_batch, then their caller
 
 
 def _overflow_free_scale(problem: Problem) -> float:
@@ -308,14 +350,13 @@ def _run_batch(configs) -> list[RunRecord]:
     for config in configs:
         _preflight(config)
         digests.append(config_digest(config))  # before any round, so a config it cannot describe fails at once
-    d = shared[1]
     safe = [_overflow_free_scale(config.problem) for config in configs]
-    iterates = [np.empty((config.T + 1, d)) for config in configs]
+    iterates = [np.empty((config.T + 1, shared[1])) for config in configs]
     agg_deviation = [np.empty(config.T) for config in configs]
     rows, aggregations = [0] * len(configs), [0] * len(configs)  # set as each run leaves
-    active, batch = list(range(len(configs))), configs
-    streams = [noise_stream(config.attack, config.problem, config.seed, config.T) for config in configs]
-    w = np.array([config.w0 for config in configs])
+    active = sorted(range(len(configs)), key=lambda r: _group_key(configs[r]))  # so each group is one slice
+    batch = _Batch.of([configs[r] for r in active])
+    w = np.array([configs[r].w0 for r in active])
     deviations = [0.0] * len(configs)  # of the last round, per active run
     # a step, upload or deviation past the float range is inf or NaN without
     # a warning, and its run ends as diverged
@@ -335,11 +376,11 @@ def _run_batch(configs) -> list[RunRecord]:
                 else:
                     rows[r] = aggregations[r] = t  # row t is not recorded
             if len(stay) < len(active):
-                active, streams, w = [active[k] for k in stay], [streams[k] for k in stay], w[stay]
+                active, w = [active[k] for k in stay], w[stay]
                 if not active:
                     break
-                batch = [configs[r] for r in active]
-            w, deviations = run_round(batch, w, t, [None if s is None else next(s) for s in streams])
+                batch = batch.keep(stay)
+            w, deviations = run_round(batch.at(t), w, t)
             for k, r in enumerate(active):
                 agg_deviation[r][t] = deviations[k]
 

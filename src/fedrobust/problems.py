@@ -217,14 +217,23 @@ def random_quadratic_problem(
 def descend(p: Problem, clients, w, gamma: float, steps: int) -> np.ndarray:
     """Run ``steps`` plain gradient-descent updates from ``w`` on each listed
     client's own loss; row i of the result belongs to ``clients[i]``, which
-    may be a sequence or an index array such as ``p.honest_index``.  Each
-    step is x - gamma * (2a * (x - b_k)), rounded in that order."""
+    may be a sequence or an index array such as ``p.honest_index``."""
     centers = p.centers.take(clients, axis=0)
     out = np.empty(centers.shape)
     out[...] = w  # one copy of w per client
+    return local_update(out, centers, p.slope, gamma, steps)
+
+
+def local_update(x, centers, slope, gamma, steps: int):
+    """``steps`` plain gradient-descent updates of the points ``x`` on the
+    losses with the given ``centers`` and slope 2a, all broadcast against
+    each other: each step is x - gamma * (2a * (x - b_k)), rounded in that
+    order.  The engine takes every client of every run of a batch in one
+    call, with (R, 1, d) iterates, (R, n, d) centers, (R, 1, d) slopes and
+    (R, 1, 1) stepsizes.  Returns ``x`` itself when ``steps`` is 0."""
     for _ in range(steps):
-        out -= gamma * (p.slope * (out - centers))
-    return out
+        x = x - gamma * (slope * (x - centers))
+    return x
 
 
 def honest_objective(p: Problem, w):

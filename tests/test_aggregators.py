@@ -724,6 +724,20 @@ def test_newton_gufunc_is_what_np_linalg_solve_computes():
     assert singular >= 20
 
 
+def test_distance_matrix_einsum_is_what_np_einsum_computes():
+    # the squared distance matrix calls numpy's C einsum without np.einsum's
+    # wrapper; a numpy release that moves or changes it fails here
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        n, d = int(rng.integers(3, 20)), int(rng.integers(1, 12))
+        shape = (n, d) if rng.random() < 0.5 else (int(rng.integers(1, 5)), n, d)
+        pts = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        diff = pts[..., :, None, :] - pts[..., None, :, :]
+        want = np.einsum("...ijk,...ijk->...ij", diff, diff)
+        got = aggregators._sq_distance_matrix(pts)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_kuhn_equals_its_oracle():
     # the oracle takes the points x along the first axis and the rows along
     # the second; _kuhn takes the rows first

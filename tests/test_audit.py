@@ -550,3 +550,38 @@ def test_random_cloud_is_seeded_and_scaled():
     assert np.array_equal(a, b)
     assert a.shape == (10, 3)
     assert not np.array_equal(a, random_cloud(10, 3, seed=[1, 3]))
+
+
+# (kind, n, d, f, value, worst_ratio, samples_checked, exhaustive) of the
+# cloud np.full((n, d), value), recorded before _worst learned to score one
+# subset of a cloud of one repeated point; every such audit reports the
+# first subset, range(n - f)
+CONSTANT_CLOUDS = [
+    ("krum", 20, 5, 6, 1.0, 0.0, 20002, False),
+    ("krum", 20, 5, 6, 3.7, 1.0, 20002, False),
+    ("krum", 16, 2, 5, 1e-3, 1.0, 4368, True),
+    ("cwtm", 20, 5, 6, 3.7, 4.0, 20002, False),
+    ("cwtm", 21, 2, 4, -2.5, 0.0, 5985, True),
+    ("gm", 24, 3, 5, 0.0, 0.0, 20002, False),
+    ("gm", 20, 5, 6, 3.7, 1.0, 20002, False),
+    ("gm", 16, 2, 5, 1e-3, 1.0, 4368, True),
+]
+
+
+@pytest.mark.parametrize("kind,n,d,f,value,ratio,checked,exhaustive", CONSTANT_CLOUDS)
+def test_constant_cloud_audit_rescores_one_subset(kind, n, d, f, value, ratio, checked, exhaustive, monkeypatch):
+    from fedrobust import audit
+
+    rescored, gathered = [], audit._gathered_ratios
+    monkeypatch.setattr(audit, "_gathered_ratios", lambda output, pts, subsets: rescored.append(len(subsets))
+                        or gathered(output, pts, subsets))
+    spec, pts = AggregatorSpec(kind, f_hat=f), np.full((n, d), value)
+    result = empirical_kappa(spec, pts, f)
+    assert result == AuditResult(ratio, tuple(range(n - f)), checked, exhaustive)
+    assert rescored == [1]
+    assert result.worst_ratio == error_ratio(spec, pts, range(n - f))
+    # one coordinate one ulp away: the points differ, and every candidate is rescored
+    pts[n // 2, d - 1] = np.nextafter(value, np.inf)
+    rescored.clear()
+    empirical_kappa(spec, pts, f)
+    assert sum(rescored) > BLOCK

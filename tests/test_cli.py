@@ -218,6 +218,20 @@ def test_results_csv_sha256_is_pinned(tmp_path, config, sha256):
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256
 
 
+def test_sweep_runs_one_batch_per_f_hat(tmp_path, monkeypatch, capsys):
+    # criterion 9's grid (f_hat in {2, 3}, f in {1, 2}, 2 seeds) runs as one
+    # batch of four cells per f_hat, not as one per stretch of consecutive
+    # cells; results.csv and the progress lines keep cell order
+    config, sha256 = PINNED_SWEEPS[0]
+    batches, run_batch = [], cli.run_batch
+    monkeypatch.setattr(cli, "run_batch", lambda configs: batches.append(configs) or run_batch(configs))
+    assert run_sweep(parse_config(json.dumps(config)), tmp_path) == 0
+    assert [[(c.problem.f, c.aggregator.f_hat) for c in batch] for batch in batches] == [
+        [(1, 2), (1, 2), (2, 2), (2, 2)], [(1, 3), (1, 3), (2, 3), (2, 3)]]
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [f"cell{k:04d}" for k in range(8)]
+
+
 def test_gm_nnm_sweep_stays_next_to_the_oracle_solver(monkeypatch):
     cfg = parse_config(json.dumps(PINNED_SWEEPS[-1][0]))
     configs = [_build_run_config(cfg.normalized, *cell) for cell in _cells(cfg)]

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import warnings
 from typing import Optional
 
@@ -253,11 +254,15 @@ def test_gm_ignores_an_overflowing_minority():
 
 
 def test_attack_layer_called_once_per_round(monkeypatch):
-    rounds = []
+    # a run alone is a group of one: one byzantine_upload call per round, in
+    # the group form, which gives the (1, f, d) block
+    calls = []
 
     def counting(strategy, problem, w, gamma, H, t, seed, honest_uploads, *rest):
-        rounds.append(t)
-        return byzantine_upload(strategy, problem, w, gamma, H, t, seed, honest_uploads, *rest)
+        calls.append((t, len(strategy), w.shape))
+        block = byzantine_upload(strategy, problem, w, gamma, H, t, seed, honest_uploads, *rest)
+        assert block.shape == (1, problem.f, problem.d)
+        return block
 
     monkeypatch.setattr(engine, "byzantine_upload", counting)
     config = RunConfig(
@@ -266,7 +271,7 @@ def test_attack_layer_called_once_per_round(monkeypatch):
         schedule=Schedule("constant", gamma=0.01), w0=np.ones(2), seed=4,
     )
     run(config)
-    assert rounds == list(range(6))
+    assert calls == [(t, 1, (1, 2)) for t in range(6)]
 
 
 def test_aggregation_deviation_tracks_honest_mean_gap():
@@ -503,7 +508,7 @@ def test_run_matches_oracle_past_the_overflow_guard(config, stop, crosses, monke
     top = np.abs(record.iterates).max(axis=1)
     assert np.any(top > engine._overflow_free_scale(config.problem)) == crosses
     if stop == "metric":
-        (w,), _ = run_round([config], record.iterates[-1:], record.rows - 1)
+        (w,), _ = run_round(engine._Batch.of([config]), record.iterates[-1:], record.rows - 1)
         assert np.abs(w).max() <= DIVERGENCE_SCALE * (1.0 + np.abs(config.w0).max())
         value, grad = honest_objective(config.problem, w)
         with np.errstate(over="ignore"):
@@ -566,18 +571,26 @@ def test_krum_nnm_runs_are_pinned(attack):
     assert digest.hexdigest() == KRUM_NNM_DIGESTS[attack.kind]
 
 
-def test_engine_keeps_the_tracer_contract(monkeypatch):
-    # bench/spans.py wraps the module-level names the engine looks up at call
-    # time; a fast path that skipped one of them would blank that layer.
+def spy_on_the_engine(monkeypatch):
+    """Log the arguments of every call the engine makes through the names
+    bench/spans.py wraps: run_round, aggregate and byzantine_upload."""
     calls = {name: [] for name in ("run_round", "aggregate", "byzantine_upload")}
     for name, log in calls.items():
         def spy(*args, _real=getattr(engine, name), _log=log):
             _log.append(args)
             return _real(*args)
         monkeypatch.setattr(engine, name, spy)
+    return calls
+
+
+def test_engine_keeps_the_tracer_contract(monkeypatch):
+    # bench/spans.py wraps the module-level names the engine looks up at call
+    # time; a fast path that skipped one of them would blank that layer
+    calls = spy_on_the_engine(monkeypatch)
     run(krum_nnm_config(0, AttackStrategy("sign_flip", scale=1.0), 8))
     assert {name: len(log) for name, log in calls.items()} == {name: 8 for name in calls}
     assert [args[2] for args in calls["run_round"]] == list(range(8))
+    assert [args[5] for args in calls["byzantine_upload"]] == list(range(8))
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +639,53 @@ def test_run_batch_equals_solo_runs_and_the_oracle(spec, attack):
             assert_same_record(record, oracle_run(config))
     assert records[3].diverged and records[3].rows < records[0].rows  # diverged in mid-batch
     assert not any(record.diverged for k, record in enumerate(records) if k != 3)
+
+
+def test_one_batch_holds_every_attack_kind_on_two_honest_sets(monkeypatch):
+    # the five attack kinds on f = 1 and f = 3 make ten groups of two runs
+    # each, given in mixed order, whose attack parameters, stepsizes, T, w0
+    # and seeds differ; one run takes the step_wise schedule, one overshoots
+    # and diverges in mid-batch, and the others leave as their T ends
+    problems = [random_quadratic_problem(9, f, 2, 1.0, 2.0, seed=3 + f) for f in (1, 3)]
+    cells = list(itertools.product(ATTACK_KINDS, problems)) * 2
+    configs = [
+        RunConfig(problem=problem, aggregator=AggregatorSpec("cwtm", f_hat=3),
+                  attack=AttackStrategy(kind, variance=0.5 + k / 4, scale=1.0 + k / 8,
+                                        vector=(3.0 - k / 4, -1.0) if kind == "fixed_vector" else None),
+                  T=20 + 3 * k, H=2, schedule=Schedule("constant", gamma=0.02 + 0.01 * (k % 3)),
+                  w0=np.array([1.0 + k, -0.5 * k]), seed=k)
+        for k, (kind, problem) in enumerate(cells[i] for i in np.random.default_rng(5).permutation(20))
+    ]
+    configs[4] = dataclasses.replace(configs[4], schedule=Schedule("step_wise", gamma=0.1))
+    overshoot = Schedule("constant", gamma=400.0 / configs[1].problem.L)
+    configs.append(dataclasses.replace(configs[1], schedule=overshoot, T=64, w0=np.array([3.0, 1.0]), seed=21))
+    calls = spy_on_the_engine(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        records = run_batch(configs)
+        monkeypatch.undo()
+        for config, record in zip(configs, records):
+            assert_same_record(record, run(config))
+            assert_same_record(record, oracle_run(config))
+    # round 0 makes one byzantine_upload call per group
+    assert sorted(args[2].shape[0] for args in calls["byzantine_upload"] if args[5] == 0) == [2] * 9 + [3]
+    assert records[-1].diverged and records[-1].rows < max(config.T for config in configs[:-1])
+    assert not any(record.diverged for record in records[:-1])
+
+
+def test_a_gathered_honest_set_keeps_its_bits():
+    # honest clients that are not the first n - f are gathered, not sliced; at
+    # d = 1 and m = 9 a gather laid out in another memory order would sum the
+    # honest mean in another order
+    p = random_quadratic_problem(11, 2, 1, 1.0, 2.0, seed=7, honest_set=(0, 1, 2, 4, 5, 6, 8, 9, 10))
+    configs = [
+        RunConfig(problem=p, aggregator=AggregatorSpec("mean"), attack=AttackStrategy("sign_flip", scale=2.0), T=30,
+                  H=2, schedule=Schedule("constant", gamma=0.02), w0=np.array([1.0 + k]), seed=k)
+        for k in range(4)
+    ]
+    for config, record in zip(configs, run_batch(configs)):
+        assert_same_record(record, run(config))
+        assert_same_record(record, oracle_run(config))
 
 
 def overflowing_upload_config(**changes):
@@ -705,17 +765,18 @@ def test_run_batch_rejects_runs_that_cannot_share_a_stack():
 
 def test_run_batch_keeps_the_tracer_contract(monkeypatch):
     # one run_round and one aggregate call per lockstep round, with t as
-    # run_round's third argument; one byzantine_upload call per active run
-    calls = {name: [] for name in ("run_round", "aggregate", "byzantine_upload")}
-    for name, log in calls.items():
-        def spy(*args, _real=getattr(engine, name), _log=log):
-            _log.append(args)
-            return _real(*args)
-        monkeypatch.setattr(engine, name, spy)
-    run_batch([krum_nnm_config(i, AttackStrategy("sign_flip", scale=1.0), T) for i, T in enumerate((8, 3, 5))])
+    # run_round's third argument; one byzantine_upload call per group of
+    # runs (same honest set, same attack kind) per round, on the group's rows
+    calls = spy_on_the_engine(monkeypatch)
+    flips = [krum_nnm_config(i, AttackStrategy("sign_flip", scale=1.0), T) for i, T in enumerate((8, 3, 5))]
+    mimic = krum_nnm_config(3, AttackStrategy("honest_mimic"), 4)
+    run_batch(flips[:2] + [mimic, flips[2]])
     assert [args[2] for args in calls["run_round"]] == list(range(8))
-    assert [args[1].shape[0] for args in calls["aggregate"]] == [3, 3, 3, 2, 2, 1, 1, 1]
-    assert len(calls["byzantine_upload"]) == 8 + 3 + 5
+    assert [args[1].shape[0] for args in calls["aggregate"]] == [4, 4, 4, 3, 2, 1, 1, 1]
+    uploads = [(args[5], args[0][0].kind, args[2].shape[0]) for args in calls["byzantine_upload"]]
+    mimics = [(t, "honest_mimic", 1) for t in range(4)]
+    flipped = [(t, "sign_flip", count) for t, count in enumerate((3, 3, 3, 2, 2, 1, 1, 1))]
+    assert sorted(uploads) == sorted(mimics + flipped)
 
 
 def test_run_batch_holds_gaussian_noise_one_chunk_at_a_time(monkeypatch):
