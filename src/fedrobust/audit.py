@@ -12,9 +12,12 @@ arithmetic.
 f in one call; :func:`empirical_kappa` is its case of one aggregator at one
 f.  Subsets are scored with a weight matrix ``W``, whose row k is 1/size on
 the members of subset k and 0 elsewhere.  With ``c_j = pts - output_j`` and
-``q_j = ||c_j||^2`` per row, the product ``W @ [c_1 | q_1 | c_2 | q_2 |
-...]`` gives each subset's mean offset ``m`` and mean squared distance
-``q`` for every aggregator, so ``err = ||m||^2`` and ``var = q - err``.
+``q_j = ||c_j||^2`` per row, the product ``[c_1 | q_1 | c_2 | q_2 |
+...]^T @ W^T`` gives, in d + 1 rows per aggregator, each subset's mean
+offset ``m`` and mean squared distance ``q``, so ``err = ||m||^2`` and
+``var = q - err``.  Each moment is one contiguous row, and the exhaustive
+``W`` is cached as the transpose of a C-contiguous matrix, so the product
+reads ``W^T`` row by row.
 Two rules keep the result equal, bit for bit, to the gathered per-subset
 formula that :func:`error_ratio` uses:
 
@@ -61,11 +64,12 @@ GUARD = 1e-5
 
 # Up to this many gathered values (num subsets of size members, d + 1 values
 # each) scoring every subset the gathered way costs less than the fast path's
-# fixed overhead (crossover 1,700-2,500 on a 2-core x86-64 machine).
+# fixed overhead (crossover 1,500-2,500 on a 2-core x86-64 machine: d = 2-3
+# scores faster from 1,500, d = 5-15 still gathers faster up to 2,400).
 GATHER_ALL_MAX = 2048
 
 # Rows of keys, or of candidates to rescore, handled at a time in reused memory
-BLOCK = 2048  # fastest of 256-4,096 at n = 20-24 on a 2-core x86-64 machine
+BLOCK = 2048  # fastest of 256-4,096 at n = 20-24 on a 2-core x86-64 machine (1,024: +1-3%, 4,096: +4%)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -133,11 +137,13 @@ def _subset_weights(subsets: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _all_subsets(n: int, size: int) -> np.ndarray:
     """Read-only weight matrix of every size-subset of range(n), in
-    lexicographic order."""
+    lexicographic order: the transpose of a C-contiguous (n, num) matrix, so
+    that ``weights.T`` is read row by row."""
     subsets = np.array(list(combinations(range(n), size)), dtype=np.intp)
-    weights = _subset_weights(subsets, n)
+    weights = np.zeros((n, len(subsets)))     # built transposed: no second copy
+    np.put_along_axis(weights, subsets.T, 1.0 / size, axis=0)
     weights.flags.writeable = False
-    return weights
+    return weights.T
 
 
 def _threshold_weights(keys: np.ndarray, cut: np.ndarray, size: int, out: np.ndarray) -> None:
@@ -182,18 +188,15 @@ def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float
 
 
 def _fast_ratios(moments: np.ndarray, out: np.ndarray) -> float:
-    """Write to ``out`` each row's fast ratio from one output's block [m | q] of
+    """Write to ``out`` each subset's fast ratio from one output's rows [m; q] of
     the product, NaN where the guard holds; return the least fast variance."""
-    d = moments.shape[1] - 1
-    q = moments[:, d]
-    # column by column: a reduction over the strided (rows, d) view is slower
-    err = moments[:, 0] * moments[:, 0]
-    for j in range(1, d):
-        err += moments[:, j] * moments[:, j]
+    d = moments.shape[0] - 1
+    q = moments[d]
+    err = np.add.reduce(moments[:d] * moments[:d], axis=0)  # row by row, in order of j
     var = q - err
-    fast = var > GUARD * q                      # false for NaN as well
-    np.divide(err, var, out=out, where=fast)
-    return float(np.minimum.reduce(var, where=fast, initial=np.inf))
+    np.copyto(var, np.nan, where=var <= GUARD * q)  # the guard: NaN var, as for overflowed rows
+    np.divide(err, var, out=out)
+    return float(np.fmin.reduce(var, initial=np.inf))
 
 
 def _candidates(ratios: np.ndarray, min_var: float, size: int, d: int, length: float) -> np.ndarray:
@@ -276,8 +279,8 @@ def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> l
     is ``empirical_kappa(specs[i], xs, fs[j], subset_budget, seed)``.
 
     The cloud is validated once and aggregated once per spec, and every
-    argument is checked before any audit runs.  One product of each block of
-    weights with ``[c_1 | q_1 | c_2 | q_2 | ...]`` scores it for every spec.
+    argument is checked before any audit runs.  One product ``[c_1 | q_1 |
+    c_2 | q_2 | ...]^T @ W^T`` of each block W of weights scores it for every spec.
     """
     pts = stack_points(xs)
     n, d = pts.shape
@@ -299,13 +302,13 @@ def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> l
             if columns is None:
                 columns, lengths = _moment_columns(pts, outputs)
             if lo == 0:  # per spec, each row's fast ratio and the least fast variance; packed members
-                scores[size] = (np.full((len(specs), num), np.nan), [math.inf] * len(specs),
+                scores[size] = (np.empty((len(specs), num)), [math.inf] * len(specs),
                                 None if last else np.empty((num, -(-n // 8)), dtype=np.uint8))
             ratios, min_vars, packed = scores[size]
             rows = slice(lo, lo + len(weights))
-            moments = weights @ columns         # (rows, k (d + 1))
+            moments = columns.T @ weights.T     # (k (d + 1), rows)
             for k in range(len(specs)):
-                min_vars[k] = min(min_vars[k], _fast_ratios(moments[:, k * (d + 1) : (k + 1) * (d + 1)], ratios[k, rows]))
+                min_vars[k] = min(min_vars[k], _fast_ratios(moments[k * (d + 1) : (k + 1) * (d + 1)], ratios[k, rows]))
             if packed is not None:
                 packed[rows] = np.packbits(weights != 0, axis=1)
             if not last:

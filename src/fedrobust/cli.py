@@ -148,6 +148,13 @@ def _check_range(name: str, values, errors: list, lo: int = 0, n=None) -> bool:
     return not bad
 
 
+@functools.lru_cache(maxsize=32)
+def _signature(target) -> tuple:
+    """The parameters of the dataclass or factory ``target`` and their type
+    hints, looked up once per target object."""
+    return tuple(inspect.signature(target).parameters.values()), typing.get_type_hints(target)
+
+
 def _read_fields(target, section, where: str, errors: list, skip=(), optional=()) -> dict | None:
     """The parameters of the dataclass or factory ``target``, less ``skip``,
     read from their config section (None after recording an error if it is
@@ -158,9 +165,9 @@ def _read_fields(target, section, where: str, errors: list, skip=(), optional=()
     else it is required (_INVALID after recording an error)."""
     if _object(section, where, errors) is None:
         return None
-    params = [p for p in inspect.signature(target).parameters.values() if p.name not in skip]
+    params, hints = _signature(target)
+    params = [p for p in params if p.name not in skip]
     _unknown_keys(section, {p.name for p in params}, where, errors)
-    hints = typing.get_type_hints(target)
     out = {}
     for p in params:
         hint = hints[p.name]

@@ -29,7 +29,9 @@ from fedrobust.audit import (
     GUARD,
     ZERO_ERROR_EPS,
     _all_subsets,
+    _candidates,
     _fast_error_bound,
+    _fast_ratios,
     _gathered_ratios,
     _moment_columns,
     _subset_weights,
@@ -102,17 +104,24 @@ def oracle_kappa(spec, xs, f, subset_budget=20000, seed=0):
     return float(ratios[worst]), tuple(int(i) for i in subsets[worst])
 
 
-def oracle_candidates(moments, size, length):
-    """The guarded subsets and the window of one output's (num, d + 1) block
-    [m | q] of a whole-budget product."""
+def oracle_fast_ratios(moments):
+    """Each row's fast ratio, -inf where the guard holds, and fast variance,
+    from one output's (num, d + 1) block [m | q] of a row-major product."""
     d = moments.shape[1] - 1
     q = moments[:, d]
     err = moments[:, 0] * moments[:, 0]
     for j in range(1, d):
         err += moments[:, j] * moments[:, j]
     var = q - err
-    fast = var > GUARD * q
-    ratios = np.divide(err, var, out=np.full(q.shape, -np.inf), where=fast)
+    return np.divide(err, var, out=np.full(q.shape, -np.inf), where=var > GUARD * q), var
+
+
+def oracle_candidates(moments, size, length):
+    """The guarded subsets and the window of one output's (num, d + 1) block
+    [m | q] of a whole-budget product."""
+    d = moments.shape[1] - 1
+    ratios, var = oracle_fast_ratios(moments)
+    fast = ratios > -np.inf
     candidates = ~fast
     top = float(ratios.max())
     if top > -np.inf:
@@ -403,6 +412,85 @@ def test_threshold_weights_equal_argsort_subsets_under_ties(size):
     np.put_along_axis(want, np.argsort(keys, axis=1)[:, :size], True, axis=1)
     assert np.array_equal(weights != 0, want)
     assert np.all(weights[want] == 1.0 / size)
+
+
+def assert_screen_keeps_every_maximum(specs, pts, weights):
+    """The screen of the transposed product [c | q]ᵀ Wᵀ keeps every subset of
+    the rows of ``weights`` that attains the exact maximum, and its fast
+    ratio of each row unguarded by either screen is within twice the rounding
+    bound of the oracle screen's, on the row-major product W [c | q]."""
+    d = pts.shape[1]
+    size = int(np.count_nonzero(weights[0]))
+    subsets = np.nonzero(weights)[1].reshape(-1, size)
+    outputs = [_aggregate(spec, pts) for spec in specs]
+    columns, lengths = _moment_columns(pts, outputs)
+    moments, oracle_moments = columns.T @ weights.T, weights @ columns
+    for k, (spec, output, length) in enumerate(zip(specs, outputs, lengths)):
+        block, oracle_block = moments[k * (d + 1) : (k + 1) * (d + 1)], oracle_moments[:, k * (d + 1) : (k + 1) * (d + 1)]
+        ratios = np.empty(len(weights))
+        rows = _candidates(ratios, _fast_ratios(block, ratios), size, d, length)
+        exact = _gathered_ratios(output, pts, subsets)
+        best = np.flatnonzero(exact == exact.max())
+        assert np.isin(best, oracle_candidates(oracle_block, size, length)).all()
+        assert np.isin(best, rows).all(), (spec, pts.shape, size)
+        oracle_ratios, oracle_var = oracle_fast_ratios(oracle_block)
+        var = block[d] - np.add.reduce(block[:d] ** 2, axis=0)
+        both = np.flatnonzero(~np.isnan(ratios) & (oracle_ratios > -np.inf))
+        for r, a, b, v in zip(both, ratios[both], oracle_ratios[both], np.minimum(var, oracle_var)[both]):
+            bound = _fast_error_bound(max(a, b), v, size, d, length)
+            assert abs(a - b) <= 2.0 * bound, (spec, pts.shape, size, r, a, b, bound)
+
+
+def mirrored(pts):
+    """The first half of ``pts`` and its reflection, far from the origin:
+    mirror subsets tie in exact arithmetic and round apart."""
+    half = len(pts) // 2
+    return np.vstack([pts[:half], -pts[half - 1 :: -1]]) + 1e6
+
+
+@pytest.mark.parametrize("n", [6, 10, 16])
+def test_transposed_screen_keeps_what_the_row_major_screen_keeps(n):
+    # criterion 2's aggregators at every f whose exhaustive audit takes the
+    # fast path, on a fuzz cloud and on its mirrored cloud
+    top = -(-n // 2) - 1
+    specs = [AggregatorSpec("cwtm", f_hat=top), AggregatorSpec("krum", f_hat=top),
+             AggregatorSpec("krum", f_hat=top, pre_nnm=True)]
+    fast = 0
+    for d in (1, 5):
+        pts = random_cloud(n, d, [61, n, d])
+        for f in range(top + 1):
+            weights = _all_subsets(n, n - f)
+            if weights.shape[0] * (n - f) * (d + 1) > GATHER_ALL_MAX:
+                fast += 1
+                for cloud in (pts, mirrored(pts)):
+                    assert_screen_keeps_every_maximum(specs, cloud, weights)
+    assert fast == {6: 0, 10: 4, 16: 12}[n]
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_transposed_screen_keeps_what_the_row_major_screen_keeps_sampled(n):
+    # the whole default budget of one key draw, anchors first
+    f, budget = 6, 20000
+    size = n - f
+    specs = [AggregatorSpec("cwtm", f_hat=f), AggregatorSpec("krum", f_hat=f),
+             AggregatorSpec("krum", f_hat=f, pre_nnm=True)]
+    pts = random_cloud(n, 5, [67, n])
+    for seed in (0, 1, 2):
+        keys = np.random.default_rng(seed).random((budget, n))
+        weights = np.empty((budget + 2, n))
+        weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
+        _threshold_weights(keys, np.sort(keys, axis=1)[:, size - 1 : size + 1], size, weights[2:])
+        assert_screen_keeps_every_maximum(specs, pts, weights)
+
+
+@pytest.mark.parametrize("n,size", [(6, 4), (10, 7), (16, 9), (16, 16)])
+def test_all_subsets_is_one_cached_read_only_transpose(n, size):
+    # the product reads W^T row by row: a row-major W would be read strided
+    weights = _all_subsets(n, size)
+    assert _all_subsets(n, size) is weights
+    assert not weights.flags.writeable
+    assert weights.T.flags.c_contiguous
+    assert np.array_equal(weights, _subset_weights(oracle_all_subsets(n, size), n))
 
 
 def cancellation_clouds():

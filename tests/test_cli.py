@@ -811,6 +811,23 @@ def test_problem_section_is_read_off_the_factory(kind):
         assert [e.split(";")[0] for e in exc.value.errors] == [f"unknown key {extra!r} in problem"]
 
 
+def test_a_replaced_factory_is_read_off_its_own_signature(monkeypatch):
+    # signatures are looked up once per factory object: a replacement, such as
+    # a tracing wrapper, is read off its own, and the original once it is back
+    doc = json.dumps(_with(SWEEP_TEMPLATE, "problem", {"kind": "homogeneous_quadratic", "n": 6, "scale": 2.0}))
+    with pytest.raises(ConfigError, match="unknown key 'scale' in problem"):
+        parse_config(doc)
+
+    def scaled(n: int, f: int = 0, scale: float = 1.0, honest_set=None):
+        return problems.homogeneous_quadratic_problem(n, f, honest_set)
+
+    monkeypatch.setattr(cli, "homogeneous_quadratic_problem", scaled)
+    assert parse_config(doc).normalized["problem"] == {"kind": "homogeneous_quadratic", "n": 6, "f": 0, "scale": 2.0}
+    monkeypatch.undo()
+    with pytest.raises(ConfigError, match="unknown key 'scale' in problem"):
+        parse_config(doc)
+
+
 def test_random_problem_seed_is_required_in_the_library_and_the_cell_seed_in_configs():
     with pytest.raises(TypeError):
         random_quadratic_problem(6, 1)
