@@ -36,8 +36,10 @@ score every subset with the gathered formula.
 A sampled subset is ``np.argsort(keys, axis=1)[:, :size]`` for a row of the
 keys ``default_rng(seed).random((budget, n))``.  The keys are drawn, sorted
 for each f's threshold, turned into weights and scored ``BLOCK`` rows at a
-time in one reused buffer; only each row's fast ratio and packed members
-outlive its block, so the window is taken over the whole draw.
+time in one reused buffer; only each row's fast ratio outlives its block,
+so the window is taken over the whole draw.  The window's rows are then
+re-drawn from the seed's generator, advanced to each block's first window
+row, and turned into subsets by the same sort and threshold.
 """
 
 from __future__ import annotations
@@ -68,8 +70,10 @@ GUARD = 1e-5
 # scores faster from 1,500, d = 5-15 still gathers faster up to 2,400).
 GATHER_ALL_MAX = 2048
 
-# Rows of keys, or of candidates to rescore, handled at a time in reused memory
-BLOCK = 2048  # fastest of 256-4,096 at n = 20-24 on a 2-core x86-64 machine (1,024: +1-3%, 4,096: +4%)
+# Rows of keys drawn, scored or re-drawn, and of candidates rescored, at a time.
+# Time of a sampled audit at n = 20-24, d = 5 relative to 2,048, medians of 30 on
+# a 2-core x86-64 machine: 1,024 0.99-1.08x, 4,096 0.98-1.06x (256: 1.30x, 512: 1.1x)
+BLOCK = 2048
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -225,19 +229,51 @@ def _moment_columns(pts: np.ndarray, outputs: list):
     return columns, lengths
 
 
-def _worst(output: np.ndarray, pts: np.ndarray, members: np.ndarray, size: int):
-    """The largest exact ratio (NaN first, as in ``np.argmax``) and the first
-    subset attaining it, over the subsets named by the nonzeros of rows of ``members``.
+def _cached_subsets(weights: np.ndarray, size: int, rows: np.ndarray):
+    """Yield the index rows of ``rows`` of the cached ``weights``, ``BLOCK``
+    at a time, each read as contiguous columns of ``weights.T``."""
+    for lo in range(0, len(rows), BLOCK):
+        yield weights.T.take(rows[lo : lo + BLOCK], axis=1).T.nonzero()[1].reshape(-1, size)
 
-    When every point of the cloud has the same bits, every subset gathers
-    the same rows and has the same ratio, so the first one stands for all.
-    Only a candidate set of more than one block is checked for it: every
-    fast variance of such a cloud is guarded, so all its rows are candidates."""
-    if members.shape[0] > BLOCK and pts.tobytes() == pts[:1].tobytes() * pts.shape[0]:
-        members = members[:1]
+
+def _key_subsets(keys: np.ndarray, size: int) -> np.ndarray:
+    """Ascending index rows of the subsets ``np.argsort(keys, axis=1)[:, :size]``,
+    through the sort and threshold of the forward pass."""
+    ordered = np.sort(keys, axis=1)
+    _threshold_weights(keys, ordered[:, size - 1 : size + 1].copy(), size, ordered)
+    return ordered.nonzero()[1].reshape(-1, size)
+
+
+def _replayed_subsets(seed: int, n: int, size: int, rows: np.ndarray):
+    """Yield the index rows of the sampled ``rows`` (ascending; rows 0 and 1
+    are the anchors, row j + 2 is key row j), the rows of one block of the
+    forward draw at a time, with their keys re-drawn from the stream of
+    ``default_rng(seed)``.
+
+    Each key takes one 64-bit output of the generator, so key row j starts
+    at output j·n: a block's rows are drawn as one span, from the first of
+    them to the last."""
+    anchors = int(np.searchsorted(rows, 2))
+    if anchors:
+        yield np.array([range(size), range(n - size, n)], dtype=np.intp)[rows[:anchors]]
+    rows = rows[anchors:] - 2
+    bit_generator = np.random.PCG64(seed)
+    rng, at, lo = np.random.Generator(bit_generator), 0, 0
+    while lo < len(rows):  # one span per block of the forward draw, found in plain Python
+        first = int(rows[lo])
+        hi = int(np.searchsorted(rows, first - first % BLOCK + BLOCK))
+        bit_generator.advance((first - at) * n)
+        at = int(rows[hi - 1]) + 1
+        yield _key_subsets(rng.random((at - first, n))[rows[lo:hi] - first], size)
+        lo = hi
+
+
+def _worst(output: np.ndarray, pts: np.ndarray, blocks):
+    """The largest exact ratio (NaN first, as in ``np.argmax``) and the first
+    subset attaining it, over the (k, size) index rows of each of ``blocks``
+    in turn."""
     best = -math.inf, ()
-    for lo in range(0, members.shape[0], BLOCK):
-        subsets = members[lo : lo + BLOCK].nonzero()[1].reshape(-1, size)
+    for subsets in blocks:
         exact = _gathered_ratios(output, pts, subsets)
         k = int(exact.argmax())
         if exact[k] > best[0] or (math.isnan(exact[k]) and not math.isnan(best[0])):
@@ -273,6 +309,32 @@ def _weight_blocks(n: int, fs, budget: int, seed: int):
             yield size, buffer[2 if start else 0 : b + 2], start + 2 if start else 0, start + b == budget
 
 
+def _screen(pts: np.ndarray, outputs: list, fs, budget: int, seed: int):
+    """The forward pass over every block of weights.  Return, per size n - f,
+    ``(num, weights, ratios, min_vars)``: the number of rows, the enumerated
+    weights (None when sampled), each output's fast ratio of every row (None
+    when every row is to be gathered) and each output's least fast variance;
+    and the outputs' length bounds.  Only the fast ratios outlive a block,
+    and the key buffer is freed on return, before any row is rescored."""
+    d = pts.shape[1]
+    lengths, scores = None, {}
+    for size, weights, lo, last in _weight_blocks(len(pts), fs, budget, seed):
+        if lo == 0:
+            num = len(weights) if last else budget + 2  # so exhaustive iff num <= budget
+            fast = num * size * (d + 1) > GATHER_ALL_MAX
+            if fast and lengths is None:
+                columns, lengths = _moment_columns(pts, outputs)
+            scores[size] = (num, weights if num <= budget else None,
+                            np.empty((len(outputs), num)) if fast else None, [math.inf] * len(outputs))
+        _, _, ratios, min_vars = scores[size]
+        if ratios is not None:
+            rows = slice(lo, lo + len(weights))
+            moments = columns.T @ weights.T     # (k (d + 1), rows)
+            for k in range(len(outputs)):
+                min_vars[k] = min(min_vars[k], _fast_ratios(moments[k * (d + 1) : (k + 1) * (d + 1)], ratios[k, rows]))
+    return scores, lengths
+
+
 def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> list:
     """:func:`empirical_kappa` of every spec in the sequence ``specs`` at
     every f in the sequence ``fs`` on one cloud, bit for bit: ``result[i][j]``
@@ -294,32 +356,24 @@ def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> l
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     subset_budget = int(subset_budget)          # so that the results hold Python numbers
     outputs = [_aggregate(spec, pts) for spec in specs]
-    columns, scores, results = None, {}, {}
-    for size, weights, lo, last in _weight_blocks(n, fs, subset_budget, seed):
-        num = len(weights) if last and not lo else subset_budget + 2  # so exhaustive iff num <= budget
-        fast = num * size * (d + 1) > GATHER_ALL_MAX
-        if fast:
-            if columns is None:
-                columns, lengths = _moment_columns(pts, outputs)
-            if lo == 0:  # per spec, each row's fast ratio and the least fast variance; packed members
-                scores[size] = (np.empty((len(specs), num)), [math.inf] * len(specs),
-                                None if last else np.empty((num, -(-n // 8)), dtype=np.uint8))
-            ratios, min_vars, packed = scores[size]
-            rows = slice(lo, lo + len(weights))
-            moments = columns.T @ weights.T     # (k (d + 1), rows)
-            for k in range(len(specs)):
-                min_vars[k] = min(min_vars[k], _fast_ratios(moments[k * (d + 1) : (k + 1) * (d + 1)], ratios[k, rows]))
-            if packed is not None:
-                packed[rows] = np.packbits(weights != 0, axis=1)
-            if not last:
-                continue
+    scores, lengths = _screen(pts, outputs, fs, subset_budget, seed)
+    results = {}
+    for size, (num, cached, ratios, min_vars) in scores.items():
         results[size] = audits = []
         for k, output in enumerate(outputs):
-            members = weights
-            if fast:
-                r = _candidates(ratios[k], min_vars[k], size, d, lengths[k])
-                members = weights[r] if packed is None else np.unpackbits(packed[r], axis=1, count=n)
-            audits.append(AuditResult(*_worst(output, pts, members, size), num, num <= subset_budget))
+            if ratios is None:  # few enough rows to gather every one, in one block
+                subsets = ((cached.nonzero()[1].reshape(-1, size),) if cached is not None
+                           else _replayed_subsets(seed, n, size, np.arange(num)))
+            else:
+                rows = _candidates(ratios[k], min_vars[k], size, d, lengths[k])
+                # When every point of the cloud has the same bits, every subset gathers the
+                # same rows and has the same ratio, so the first one stands for all.  Only a
+                # candidate set of more than one block is checked for it: every fast variance
+                # of such a cloud is guarded, so all its rows are candidates.
+                if len(rows) > BLOCK and pts.tobytes() == pts[:1].tobytes() * n:
+                    rows = rows[:1]
+                subsets = _replayed_subsets(seed, n, size, rows) if cached is None else _cached_subsets(cached, size, rows)
+            audits.append(AuditResult(*_worst(output, pts, subsets), num, num <= subset_budget))
     return [[results[n - f][k] for f in fs] for k in range(len(specs))]
 
 

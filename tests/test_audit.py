@@ -33,7 +33,9 @@ from fedrobust.audit import (
     _fast_error_bound,
     _fast_ratios,
     _gathered_ratios,
+    _key_subsets,
     _moment_columns,
+    _replayed_subsets,
     _subset_weights,
     _threshold_weights,
     random_cloud,
@@ -351,15 +353,24 @@ def test_blocked_key_draws_concatenate_to_one_draw():
     assert np.array_equal(out, want)
 
 
-@pytest.mark.parametrize("cloud,bound_mb", [("fuzz", 2.0), ("ones", 4.0)])
+def one_ulp_cloud(n, d, value):
+    """The cloud ``np.full((n, d), value)`` with one coordinate one ulp
+    away: every fast variance is guarded, so every subset is rescored."""
+    pts = np.full((n, d), value)
+    pts[n // 2, d - 1] = np.nextafter(value, np.inf)
+    return pts
+
+
+@pytest.mark.parametrize("cloud,bound_mb", [("fuzz", 2.0), ("ones", 4.0), ("one_ulp", 4.0)])
 def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb):
     # At n = 20, d = 5 the reused buffer holds 2 BLOCK rows of n floats
-    # (0.66 MB).  On the all-equal cloud every row is rescored: the unpacked
-    # members of all 20,002 rows take 0.4 MB, and each chunk of BLOCK rows
-    # gathers (BLOCK, 14, 5) points (1.15 MB) and their indices (0.46 MB).
+    # (0.66 MB), and each row's fast ratio takes 8 bytes (0.16 MB).  On the
+    # one-ulp cloud every row is rescored: each block of BLOCK rows is
+    # re-drawn and sorted (three (BLOCK, n) arrays, 0.98 MB at most) and
+    # gathers (BLOCK, 14, 5) points (1.15 MB) and their indices (0.23 MB).
     # The whole budget in memory at once took 8.25 MB on the fuzz cloud and
     # 37.9 MB on the all-equal cloud.
-    pts = random_cloud(20, 5, [53]) if cloud == "fuzz" else np.ones((20, 5))
+    pts = {"fuzz": random_cloud(20, 5, [53]), "ones": np.ones((20, 5)), "one_ulp": one_ulp_cloud(20, 5, 1.0)}[cloud]
     spec = AggregatorSpec("krum", f_hat=6)
     empirical_kappa(spec, pts, 6)
     tracemalloc.start()
@@ -370,6 +381,28 @@ def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb):
         tracemalloc.stop()
     assert not result.exhaustive and result.samples_checked == 20002
     assert peak < bound_mb * 1e6, peak
+
+
+def traced_peak(audit):
+    """Peak traced bytes of the second of two calls of ``audit``, and its result."""
+    audit()
+    tracemalloc.start()
+    try:
+        result = audit()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_audit_memory_grows_only_by_the_fast_ratios():
+    # n = 24, f = 7 samples at both budgets (C(24, 7) = 346,104); 180,000
+    # more rows may add only their fast ratio, 8 bytes per spec
+    pts = random_cloud(24, 5, [73])
+    for specs in ([AggregatorSpec("krum", f_hat=7)],
+                  [AggregatorSpec("cwtm", f_hat=7), AggregatorSpec("krum", f_hat=7, pre_nnm=True)]):
+        small, big = (traced_peak(lambda: audit_profile(specs, pts, [7], budget)) for budget in (20000, 200000))
+        assert [r.samples_checked for r in small[1][0] + big[1][0]] == [20002, 200002]
+        assert big[0] - small[0] <= 8 * 180000 * len(specs) + 0.1e6, (len(specs), big[0] - small[0])
 
 
 def test_audit_profile_checks_every_f():
@@ -412,6 +445,38 @@ def test_threshold_weights_equal_argsort_subsets_under_ties(size):
     np.put_along_axis(want, np.argsort(keys, axis=1)[:, :size], True, axis=1)
     assert np.array_equal(weights != 0, want)
     assert np.all(weights[want] == 1.0 / size)
+    # the replay's index rows, through the same sort and threshold
+    subsets = _key_subsets(keys, size)
+    assert subsets.dtype == np.intp
+    assert np.array_equal(subsets, np.sort(np.argsort(keys, axis=1)[:, :size], axis=1))
+
+
+@pytest.mark.parametrize("n", [18, 20, 24])
+def test_advancing_the_generator_replays_one_row_of_the_key_draw(n):
+    # each key is one 64-bit output, so row k starts at output k·n
+    budget = 2 * BLOCK + 3
+    want = np.random.default_rng(11).random((budget, n))
+    for row in (0, BLOCK - 1, BLOCK, budget - 1):
+        bit_generator = np.random.PCG64(11)
+        bit_generator.advance(row * n)
+        assert np.array_equal(np.random.Generator(bit_generator).random(n), want[row]), row
+
+
+@pytest.mark.parametrize("n", [18, 20, 24])
+def test_replayed_subsets_equal_the_subsets_of_one_draw(n):
+    # anchors first, then key rows spread over blocks: one row, a run, a
+    # whole block and the last row; the blocks come back in order
+    f, budget, seed = 5, 3 * BLOCK + 7, 3
+    size = n - f
+    keys = np.random.default_rng(seed).random((budget, n))
+    anchors = np.array([range(size), range(f, n)], dtype=np.intp)
+    want = np.vstack([anchors, np.sort(np.argsort(keys, axis=1)[:, :size], axis=1)])
+    picks = [np.array([0, 1, 7, BLOCK + 1, budget + 1]), np.arange(BLOCK - 3, BLOCK + 9),
+             np.arange(2 * BLOCK + 2, 3 * BLOCK + 2), np.array([1, budget + 1])]
+    for rows in picks:
+        blocks = list(_replayed_subsets(seed, n, size, rows))
+        assert all(len(block) <= BLOCK for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), want[rows]), rows
 
 
 def assert_screen_keeps_every_maximum(specs, pts, weights):
@@ -673,3 +738,20 @@ def test_constant_cloud_audit_rescores_one_subset(kind, n, d, f, value, ratio, c
     rescored.clear()
     empirical_kappa(spec, pts, f)
     assert sum(rescored) > BLOCK
+
+
+@pytest.mark.parametrize("n,d,fs", [(16, 2, [5, 7]), (16, 5, [6]), (21, 3, [4])])
+def test_guard_heavy_exhaustive_audit_equals_oracle(n, d, fs, monkeypatch):
+    # every row of the one-ulp cloud is guarded and rescored, BLOCK rows at a
+    # time from the cached weights; the mirrored cloud rescores its ties
+    from fedrobust import audit
+
+    rescored, gathered = [], audit._gathered_ratios
+    monkeypatch.setattr(audit, "_gathered_ratios", lambda output, pts, subsets: rescored.append(len(subsets))
+                        or gathered(output, pts, subsets))
+    specs = audit_specs(max(fs))
+    for pts in (one_ulp_cloud(n, d, 3.7), mirrored(random_cloud(n, d, [79, n, d]))):
+        got = audit_profile(specs, pts, fs)
+        assert all(r.exhaustive for r in got[0])
+        assert got == oracle_profile(specs, pts, fs), (n, d, fs)
+    assert max(rescored) == BLOCK
