@@ -27,7 +27,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum  # what np.einsum runs unoptimized: same bits, 1.7 not 2.5 us
 from numpy.linalg import _umath_linalg  # numpy.linalg.solve's gesv gufunc: same bits, 1.9 not 5.9 us a 5x5 step
 
-from .errors import DimensionError, ParameterError, check_real, is_integer
+from .errors import DimensionError, check, count_error, kind_error, real_error
 
 KINDS = ("mean", "cwtm", "cwmed", "gm", "krum")
 _EPS = float(np.finfo(np.float64).eps)
@@ -47,13 +47,9 @@ class AggregatorSpec:
     krum_squared: bool = True
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"kind must be one of {list(KINDS)}, got {self.kind!r}")
-        if not (is_integer(self.f_hat) and self.f_hat >= 0):
-            raise ParameterError(f"f_hat must be an integer >= 0, got {self.f_hat!r}")
-        check_real("gm_tolerance", self.gm_tolerance, positive=True)
-        if not (is_integer(self.gm_max_iters) and self.gm_max_iters >= 1):
-            raise ParameterError(f"gm_max_iters must be an integer >= 1, got {self.gm_max_iters!r}")
+        check(kind_error("kind", self.kind, KINDS) or count_error("f_hat", self.f_hat)
+              or real_error("gm_tolerance", self.gm_tolerance, positive=True)
+              or count_error("gm_max_iters", self.gm_max_iters, lo=1))
 
     @property
     def name(self) -> str:
@@ -245,9 +241,7 @@ def weiszfeld(xs, tol: float = 1e-9, max_iters: int = 500) -> WeiszfeldResult:
     the largest last step.
     """
     pts = _clouds(xs)
-    check_real("tol", tol, positive=True)
-    if not (is_integer(max_iters) and max_iters >= 1):
-        raise ParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    check(real_error("tol", tol, positive=True) or count_error("max_iters", max_iters, lo=1))
     stack = pts if pts.ndim == 3 else pts[None]
     _, n, d = stack.shape
     half = 0.5 * stack  # offsets between halved rows cannot overflow
@@ -325,17 +319,24 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
     :func:`weiszfeld`, so its iteration count stays observable there, at
     the cost of a second validation next to the solve.
     """
-    return _aggregate(spec, _clouds(xs))
+    pts = _clouds(xs)
+    check_f_hat(spec, pts.shape[-2])
+    return _aggregate(spec, pts)
+
+
+def check_f_hat(spec: AggregatorSpec, n: int) -> None:
+    """Raise ParameterError unless ``spec`` may aggregate n points: the
+    narrow scope of the minority rule (see ``errors.count_error``)."""
+    if spec.kind in ("cwtm", "krum") or spec.pre_nnm:
+        check(count_error("f_hat", spec.f_hat, n=n))
 
 
 def _aggregate(spec: AggregatorSpec, pts: np.ndarray) -> np.ndarray:
     """:func:`aggregate` of an (n, d) matrix or (R, n, d) stack that has
-    already been validated."""
+    already been validated, with ``spec`` checked against its n."""
     if pts.ndim == 3 and len(pts) == 1:  # a stack of one costs what its cloud costs
         return _aggregate(spec, pts[0])[None]
     n = pts.shape[-2]
-    if (spec.kind in ("cwtm", "krum") or spec.pre_nnm) and not 0 <= spec.f_hat < n / 2:
-        raise ParameterError(f"require 0 <= f_hat < n/2, got f_hat={spec.f_hat} with n={n}")
     if spec.pre_nnm:
         pts = _nnm(pts, spec.f_hat)
     if spec.kind == "mean":

@@ -26,13 +26,12 @@ yields them round by round; the engine stacks a group's rows for
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check, kind_error, real_error
 from .problems import Problem, descend
 
 ATTACK_KINDS = ("honest_mimic", "escalating_outlier", "gaussian_noise", "sign_flip", "fixed_vector")
@@ -134,18 +133,8 @@ class AttackStrategy:
     vector: Optional[tuple] = None  # fixed_vector
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ParameterError(f"kind must be one of {list(ATTACK_KINDS)}, got {self.kind!r}")
-        for name in ("variance", "scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
-        if not self.variance >= 0:  # NaN fails too
-            raise ParameterError("variance must be >= 0")
-        if not np.isfinite(self.variance):
-            raise ParameterError("variance must be finite")
-        if not np.isfinite(self.scale):
-            raise ParameterError("scale must be finite")
+        check(kind_error("kind", self.kind, ATTACK_KINDS) or real_error("variance", self.variance, lo=0)
+              or real_error("scale", self.scale))
         if self.kind == "fixed_vector" and self.vector is None:
             raise ParameterError("fixed_vector attack needs a vector")
         if self.kind == "fixed_vector" and not np.all(np.isfinite(self.vector)):

@@ -52,9 +52,10 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, _aggregate, aggregate, stack_points
+from .aggregators import AggregatorSpec, _aggregate, check_f_hat, stack_points
+from .aggregators import aggregate  # noqa: F401 - not called here, but bench/spans.py wraps audit.aggregate
 from .bounds import kappa_lower_bound
-from .errors import ParameterError, check_integers, is_integer
+from .errors import check, clients_error, count_error
 
 INFINITE_RATIO = math.inf
 
@@ -102,13 +103,9 @@ def error_ratio(spec: AggregatorSpec, xs, honest_set) -> float:
     """
     pts = stack_points(xs)
     members = sorted(honest_set)
-    subset = np.asarray(members, dtype=np.intp)
-    if not all(map(is_integer, members)) or not subset.size or subset.min() < 0 or subset.max() >= len(pts):
-        raise ParameterError("honest_set must be a nonempty subset of client indices")
-    if np.unique(subset).size != subset.size:
-        raise ParameterError("honest_set contains repeated indices")
-    output = aggregate(spec, pts)
-    return float(_gathered_ratios(output, pts, subset[None, :])[0])
+    check(clients_error("honest_set", members, len(pts)))
+    check_f_hat(spec, len(pts))
+    return float(_gathered_ratios(_aggregate(spec, pts), pts, np.array([members], dtype=np.intp))[0])
 
 
 def _gathered_ratios(output: np.ndarray, pts: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -347,13 +344,10 @@ def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> l
     pts = stack_points(xs)
     n, d = pts.shape
     for f in fs:
-        check_integers(f=f)
-        if not 0 <= f < n / 2:
-            raise ParameterError(f"require 0 <= f < n/2, got f={f} with n={n}")
-    if not (is_integer(subset_budget) and subset_budget >= 1):
-        raise ParameterError(f"subset_budget must be an integer >= 1, got {subset_budget!r}")
-    if not (is_integer(seed) and seed >= 0):
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+        check(count_error("f", f, n=n))
+    check(count_error("subset_budget", subset_budget, lo=1) or count_error("seed", seed))
+    for spec in specs:
+        check_f_hat(spec, n)
     subset_budget = int(subset_budget)          # so that the results hold Python numbers
     outputs = [_aggregate(spec, pts) for spec in specs]
     scores, lengths = _screen(pts, outputs, fs, subset_budget, seed)
@@ -422,10 +416,7 @@ def cwtm_break_witness(n: int, f: int, f_hat: int, d: int = 1) -> WitnessInstanc
     f_hat per side leaves f - f_hat of the Byzantine ones in the average, so
     the output (f - f_hat)/(n - 2 f_hat) is pulled off the honest mean.
     """
-    if not 0 <= f_hat < f < n / 2:
-        raise ParameterError(
-            f"witness needs underestimation 0 <= f_hat < f < n/2, got f={f}, f_hat={f_hat}, n={n}"
-        )
+    check(count_error("n", n) or count_error("f_hat", f_hat) or count_error("f", f, lo=f_hat + 1, n=n))
     points = np.zeros((n, d))
     points[n - f :, 0] = 1.0
     expected_output = np.zeros(d)

@@ -12,19 +12,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, check_integers
-
-
-def _check_range(n: int, f: int, f_hat: int) -> None:
-    check_integers(n=n, f=f, f_hat=f_hat)
-    if not 0 <= f <= f_hat < n / 2:
-        raise ParameterError(f"require 0 <= f <= f_hat < n/2, got n={n}, f={f}, f_hat={f_hat}")
+from .errors import ParameterError, check, count_error, kind_error, regime_error
 
 
 def stepsize_constant(kappa: float) -> float:
     """c' = max(4*sqrt(2), sqrt(384*kappa)), the constant shared by the
     stepsize rules and the convergence ceilings."""
     return max(4.0 * math.sqrt(2.0), math.sqrt(384.0 * kappa))  # math.sqrt: np.sqrt's value at a tenth of the cost
+
+
+GUARANTEED_KINDS = ("gm", "cwtm", "cwmed", "krum", "krum_nnm")  # the aggregator names kappa_guarantee knows
 
 
 def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
@@ -34,9 +31,8 @@ def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
     the no-Byzantine case (f == 0) for gm/cwtm/cwmed, and any f <= f_hat for
     the nearest-neighbour-mixed Krum composite ("krum_nnm").
     """
-    check_integers(n=n, f=f, f_hat=f_hat)
-    if not 0 <= f < n / 2 or not 0 <= f_hat < n / 2:
-        raise ParameterError(f"require 0 <= f, f_hat < n/2, got n={n}, f={f}, f_hat={f_hat}")
+    check(kind_error("aggregator", aggregator, GUARANTEED_KINDS) or count_error("n", n)
+          or count_error("f", f, n=n) or count_error("f_hat", f_hat, n=n))
     if aggregator == "krum_nnm":
         return kappa_composite_chain(n, f, f_hat).ceiling
     if f == 0:
@@ -61,7 +57,7 @@ def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
 
 def kappa_lower_bound(n: int, f: int, f_hat: int) -> float:
     """No aggregator of robustness degree f_hat beats f_hat/(n - f - f_hat)."""
-    _check_range(n, f, f_hat)
+    check(regime_error(n, f, f_hat))
     return f_hat / (n - f - f_hat)
 
 
@@ -75,7 +71,7 @@ def kappa_composite_chain(n: int, f: int, f_hat: int) -> CompositeChain:
     """Three-stage coefficient chain for Krum boosted by nearest-neighbour
     mixing: the Krum coefficient, the mixed improvement, and the closed-form
     ceiling the improvement always stays under."""
-    _check_range(n, f, f_hat)
+    check(regime_error(n, f, f_hat))
     krum_kappa = 6.0 * (n - f) / (n - f - f_hat)
     boosted = 12.0 * f_hat * (krum_kappa + 1.0) / (n - f)
     ceiling = 84.0 * f_hat / (n - f - f_hat)
@@ -86,7 +82,7 @@ def kappa_composite_chain(n: int, f: int, f_hat: int) -> CompositeChain:
 def convergence_floor(n: int, f: int, f_hat: int, G: float, mu: float) -> tuple[float, float]:
     """Asymptotic floors (gradient metric, loss gap) that no run with an
     f_hat-degree aggregator can beat on worst-case problems."""
-    _check_range(n, f, f_hat)
+    check(regime_error(n, f, f_hat))
     if mu <= 0:
         raise ParameterError("mu must be positive")
     if G < 0:

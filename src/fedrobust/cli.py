@@ -42,7 +42,7 @@ from . import bounds
 from .aggregators import AggregatorSpec
 from .attacks import AttackStrategy
 from .engine import RunConfig, Schedule, _field_errors, run_batch
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, count_error, is_integer, kind_error, real_error
 from .problems import (  # noqa: F401 - looked up by name, see PROBLEM_KINDS
     homogeneous_quadratic_problem,
     random_quadratic_problem,
@@ -104,13 +104,8 @@ def _object(section, where: str, errors: list) -> dict | None:
     return None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
-    # the comparison also rejects NaN, infinities and integers too large for a float
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    return real_error("value", value) is None  # a JSON int or float, finite as a float
 
 
 def _typed(value, hint, name: str, errors: list):
@@ -131,20 +126,16 @@ def _typed(value, hint, name: str, errors: list):
         return (float(value),)
     if kind in (tuple, np.ndarray) and isinstance(value, list) and all(map(_is_number, value)):
         return tuple(value)
-    if (kind in (bool, str) and isinstance(value, kind)) or (kind is int and _is_int(value)):
+    if (kind in (bool, str) and isinstance(value, kind)) or (kind is int and is_integer(value)):
         return value
     errors.append(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return _INVALID
 
 
-def _check_range(name: str, values, errors: list, lo: int = 0, n=None) -> bool:
-    """Record an error for each value that is not an integer >= lo (and
-    < n/2 when n is given), skipping values that failed their type check;
-    returns whether all of them are."""
-    key = name.rpartition(".")[2]
-    rule = f"{lo} <= {key}" + (f" < n/2 (n={n})" if n is not None else "")
-    bad = [v for v in values if v is not _INVALID and not (_is_int(v) and v >= lo and (n is None or 2 * v < n))]
-    errors.extend(f"{name} = {v!r} violates {rule}" for v in bad)
+def _record(errors: list, *messages) -> bool:
+    """Record each of the rule messages that is not None; return whether none was."""
+    bad = [message for message in messages if message is not None]
+    errors.extend(bad)
     return not bad
 
 
@@ -201,17 +192,17 @@ def _normalize_problem(section, errors) -> dict:
     if _object(section, "problem", errors) is None:
         return {}
     kind = section.get("kind")
-    if kind not in PROBLEM_KINDS:
-        errors.append(f"problem.kind must be one of {list(PROBLEM_KINDS)}, got {kind!r}")
+    if not _record(errors, kind_error("problem.kind", kind, PROBLEM_KINDS)):
         return {}
     rest = {key: value for key, value in section.items() if key != "kind"}
     out = {"kind": kind, **_read_fields(
         globals()[f"{kind}_problem"], {"f": 0, **rest}, "problem", errors, skip=_CELL_PARAMS, optional=("seed",)
     )}
-    if out["n"] is _INVALID or not _check_range("problem.n", [out["n"]], errors, lo=1):
+    if out["n"] is _INVALID or not _record(errors, count_error("problem.n", out["n"], lo=1)):
         return {}
-    _check_range("problem.f", [out["f"]], errors, n=out["n"])
-    _check_range("problem.seed", [out.get("seed", _INVALID)], errors)
+    for key, n in (("f", out["n"]), ("seed", None)):  # skipped when absent or not an integer
+        if out.get(key, _INVALID) is not _INVALID:
+            _record(errors, count_error(f"problem.{key}", out[key], n=n))
     return out
 
 
@@ -236,7 +227,7 @@ def _normalize_grid(section, defaults: dict, n, errors) -> dict:
         if not isinstance(values, list) or not values:
             errors.append(f"grid.{axis} must be a non-empty list")
         elif axis in section:
-            _check_range(f"grid.{axis}", values, errors, n=None if axis == "seeds" else n)
+            _record(errors, *(count_error(f"grid.{axis}", v, n=None if axis == "seeds" else n) for v in values))
     return out
 
 
@@ -255,13 +246,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         errors.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     kind = raw.get("kind")
-    if kind not in CONFIG_KINDS:
-        errors.append(f"kind must be one of {list(CONFIG_KINDS)}, got {kind!r}")
+    if not _record(errors, kind_error("kind", kind, CONFIG_KINDS)):
         raise ConfigError(errors)
     sections = _SECTIONS[kind]
     _unknown_keys(raw, {"schema_version", "kind", "seed", *sections}, f"{kind} config", errors)
     seed = raw.get("seed", 0)
-    _check_range("seed", [seed], errors)
+    _record(errors, count_error("seed", seed))
     normalized: dict = {"schema_version": SCHEMA_VERSION, "kind": kind, "seed": seed}
 
     n = None
@@ -273,7 +263,7 @@ def parse_config(text: str) -> ExperimentConfig:
         section = _object(raw.get("audit"), "audit", errors) or {}
         _unknown_keys(section, set(_AUDIT_DEFAULTS), "audit", errors)
         audit = normalized["audit"] = {key: section.get(key, v) for key, v in _AUDIT_DEFAULTS.items()}
-        valid = {key: _check_range(f"audit.{key}", [v], errors, lo=1) for key, v in audit.items()}
+        valid = {key: _record(errors, count_error(f"audit.{key}", v, lo=1)) for key, v in audit.items()}
         n = audit["n"] if valid["n"] else None
     if "problem" in sections:
         normalized["problem"] = _normalize_problem(raw.get("problem"), errors)
@@ -286,7 +276,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "aggregator" in sections:
         agg = normalized["aggregator"] = _build_spec(AggregatorSpec, raw.get("aggregator"), "aggregator", errors)
         if agg and n is not None:
-            _check_range("aggregator.f_hat", [agg["f_hat"]], errors, n=n)
+            _record(errors, count_error("aggregator.f_hat", agg["f_hat"], n=n))
     if "grid" in sections:
         problem_f = normalized.get("problem", {}).get("f", 0)
         defaults = {"f_hat": normalized["aggregator"].get("f_hat", 0), "f": problem_f, "seeds": seed}
@@ -305,7 +295,7 @@ def load_config(path) -> ExperimentConfig:
 
 def _build_problem(pspec: dict, f: int, f_hat: int, seed: int):
     factory = globals()[f"{pspec['kind']}_problem"]
-    accepted = inspect.signature(factory).parameters
+    accepted = {p.name for p in _signature(factory)[0]}
     values = {"seed": seed, **pspec, "f": f, "f_hat": f_hat}
     return factory(**{key: value for key, value in values.items() if key in accepted})
 
@@ -607,7 +597,7 @@ def main(argv=None) -> int:
     else:
         if cfg.kind != args.command:
             errors.append(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
-        if args.seed is not None and _check_range("seed", [args.seed], errors):
+        if args.seed is not None and _record(errors, count_error("seed", args.seed)):
             cfg.normalized["seed"] = args.seed
             if "grid" in cfg.normalized:
                 cfg.normalized["grid"]["seeds"] = [args.seed]

@@ -33,7 +33,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
@@ -41,10 +40,10 @@ from typing import Optional
 import numpy as np
 
 from .aggregators import AggregatorSpec
-from .aggregators import _aggregate as aggregate  # run_round checks its deltas itself
+from .aggregators import _aggregate as aggregate  # run_round checks its deltas, RunConfig its f_hat
 from .attacks import AttackStrategy, byzantine_upload, check_dimension, noise_stream
 from .bounds import stepsize_constant
-from .errors import ParameterError, check_real
+from .errors import ParameterError, check, count_error, kind_error, real_error
 from .problems import Problem, honest_objective, local_update
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
@@ -57,10 +56,9 @@ class Schedule:
     beta: float = 0.5     # pl_power exponent
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ParameterError(f"kind must be one of {list(SCHEDULE_KINDS)}, got {self.kind!r}")
-        check_real("gamma", self.gamma, positive=self.kind in ("constant", "step_wise"))
-        check_real("beta", self.beta)
+        check(kind_error("kind", self.kind, SCHEDULE_KINDS)
+              or real_error("gamma", self.gamma, positive=self.kind in ("constant", "step_wise"))
+              or real_error("beta", self.beta))
         if self.kind == "pl_power" and not 0 < self.beta < 1:
             raise ParameterError("beta must lie in (0, 1)")
 
@@ -89,19 +87,15 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
 def _field_errors(values: dict) -> list[str]:
     """One message per rule on RunConfig's T, H, seed and kappa that ``values``
     (field name -> value) breaks; absent fields are not checked.  T, H and seed
-    must be ints and kappa a real number, and a bool counts as neither."""
-    errors = []
-    for key, lo, kind in (("T", 0, int), ("H", 1, int), ("seed", 0, int), ("kappa", 0, numbers.Real)):
-        if key not in values:
-            continue
-        value = values[key]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            errors.append(f"{key} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
-        elif not value >= lo:
-            errors.append(f"{key} = {value!r} violates {lo} <= {key}")
-        elif key == "kappa" and not np.isfinite(stepsize_constant(value)):
-            errors.append(f"kappa = {value!r} overflows the stepsize constant sqrt(384*kappa)")
-    return errors
+    are Python ints, and kappa a finite real number >= 0 whose stepsize
+    constant is finite."""
+    errors = [count_error(key, values[key], lo, numpy=False) for key, lo in (("T", 0), ("H", 1), ("seed", 0))
+              if key in values]
+    kappa = values.get("kappa", 0.0)  # an absent kappa breaks no rule
+    errors.append(real_error("kappa", kappa, lo=0))
+    if errors[-1] is None and not math.isfinite(stepsize_constant(kappa)):
+        errors.append(f"kappa = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
+    return [error for error in errors if error is not None]
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,7 @@ class RunConfig:
         if w0.shape != (self.problem.d,):
             raise ParameterError(f"w0 must have dimension {self.problem.d}")
         object.__setattr__(self, "w0", w0)
-        if not 0 <= self.aggregator.f_hat < self.problem.n / 2:
-            raise ParameterError("aggregator f_hat must satisfy 0 <= f_hat < n/2")
+        check(count_error("aggregator.f_hat", self.aggregator.f_hat, n=self.problem.n))
         check_dimension(self.attack, self.problem.d)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError, check_integers, is_integer
+from .errors import ConstructionError, ParameterError, check, clients_error, count_error, regime_error
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class Problem:
         slope = 2.0 * curvature
         slope.setflags(write=False)
         object.__setattr__(self, "slope", slope)
-        check_integers(f=self.f)
-        if not 0 <= self.f < self.n / 2:
-            raise ParameterError(f"require 0 <= f < n/2, got f={self.f}, n={self.n}")
         honest_set = _honest_set(self.n, self.f, self.honest_set)
         byzantine_set = tuple(sorted(set(range(self.n)) - set(honest_set)))
         object.__setattr__(self, "honest_set", honest_set)
@@ -99,16 +96,14 @@ def _verify_constants(p: Problem) -> None:
 
 
 def _honest_set(n: int, f: int, honest_set) -> tuple:
-    """The given honest set as plain ints, checked to hold n - f distinct
-    integer indices in [0, n) (a bool or a float is not one); by default the
-    first n - f, so Byzantine clients are the last f."""
+    """The given honest set as plain ints, after checking that the integer
+    f keeps 0 <= f < n/2 and that the set holds n - f distinct integer
+    indices in [0, n) (a bool or a float is not one); by default the first
+    n - f, so Byzantine clients are the last f."""
+    check(count_error("f", f, n=n))
     honest_set = tuple(range(n - f)) if honest_set is None else tuple(honest_set)
-    if not all(map(is_integer, honest_set)):
-        raise ParameterError(f"honest set indices must be integers, got {honest_set!r}")
-    honest_set = tuple(map(int, honest_set))
-    if len(honest_set) != n - f or len(set(honest_set)) != n - f or not set(honest_set) <= set(range(n)):
-        raise ParameterError(f"honest set must hold n - f = {n - f} distinct indices in [0, {n})")
-    return honest_set
+    check(clients_error("honest_set", honest_set, n, size=n - f))
+    return tuple(map(int, honest_set))
 
 
 def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, honest_set=None) -> Problem:
@@ -120,11 +115,7 @@ def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, hone
     runs on this family converge to a point whose gradient metric equals the
     heterogeneity floor f_hat*G^2/(n - f - f_hat).
     """
-    check_integers(n=n, f=f, f_hat=f_hat)
-    if f_hat < 1:
-        raise ParameterError("construction needs f_hat >= 1")
-    if not 0 <= f <= f_hat < n / 2:
-        raise ParameterError(f"require 0 <= f <= f_hat < n/2, got f={f}, f_hat={f_hat}, n={n}")
+    check(regime_error(n, f, f_hat) or count_error("f_hat", f_hat, lo=1))  # the construction needs f_hat >= 1
     if G <= 0:
         raise ParameterError("G must be positive")
     c = (n - f) / (2.0 * np.sqrt(f_hat * (n - f - f_hat)))
@@ -142,9 +133,7 @@ def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, hone
 
 def homogeneous_quadratic_problem(n: int, f: int = 0, honest_set=None) -> Problem:
     """Every client holds w^2/2; zero heterogeneity, L = mu = 1, l_star = 0."""
-    check_integers(n=n, f=f)
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    check(count_error("n", n, lo=1) or count_error("f", f, n=n))  # before n shapes the centers
     return Problem(
         f=f,
         honest_set=honest_set,
@@ -167,11 +156,8 @@ def random_quadratic_problem(
     gradient-dominance identity hot path stays an exact equality.  ``seed``
     is keyword-only and has no default, so no instance is unseeded.
     """
-    check_integers(n=n, f=f, d=d)
-    if not 0 <= f < n / 2:
-        raise ParameterError(f"require 0 <= f < n/2, got f={f}, n={n}")
-    if d < 1:
-        raise ParameterError("need d >= 1")
+    check(count_error("n", n) or count_error("d", d, lo=1))
+    honest_set = _honest_set(n, f, honest_set)  # f's rule too, before n and f shape the draw
     if G_target < 0:
         raise ParameterError("G_target must be >= 0")
     rng = np.random.default_rng(seed)
@@ -181,7 +167,6 @@ def random_quadratic_problem(
     radii = radius * rng.random(n) ** (1.0 / d)
     centers = radii[:, None] * directions
 
-    honest_set = _honest_set(n, f, honest_set)
     honest_centers = centers[list(honest_set)]
     center_mean = honest_centers.mean(axis=0)
     dispersion = float(np.sum(4.0 * a * a * ((honest_centers - center_mean) ** 2).mean(axis=0)))

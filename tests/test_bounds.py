@@ -138,6 +138,7 @@ def test_gap_ceiling_examples():
     (convergence_floor, (10, True, 2, 1.0, 1.0), "f", True),
     (kappa_composite_chain, (10.0, 1, 2), "n", 10.0),
     (kappa_guarantee, ("gm", 10, 2, 2.0), "f_hat", 2.0),
+    (kappa_guarantee, ("gm", 10, True, 1), "f", True),
 ])
 def test_bounds_reject_bools_and_fractions_as_integers(bound, args, name, value):
     with pytest.raises(ParameterError) as excinfo:

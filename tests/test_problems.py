@@ -433,6 +433,7 @@ def flat_problem(f):
     (lambda: homogeneous_quadratic_problem(4, False), "f", False),
     (lambda: two_group_quadratic_problem(10, 1, 1.5), "f_hat", 1.5),
     (lambda: two_group_quadratic_problem(10.0, 1, 2), "n", 10.0),
+    (lambda: two_group_quadratic_problem(10, 1, True), "f_hat", True),
 ])
 def test_integer_arguments_reject_bools_and_fractions(build, name, value):
     with pytest.raises(ParameterError) as excinfo:
