@@ -27,7 +27,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum  # what np.einsum runs unoptimized: same bits, 1.7 not 2.5 us
 from numpy.linalg import _umath_linalg  # numpy.linalg.solve's gesv gufunc: same bits, 1.9 not 5.9 us a 5x5 step
 
-from .errors import DimensionError, check, count_error, kind_error, real_error
+from .errors import DimensionError, check, count_error, kind_error, normalize, real_error
 
 KINDS = ("mean", "cwtm", "cwmed", "gm", "krum")
 _EPS = float(np.finfo(np.float64).eps)
@@ -50,6 +50,7 @@ class AggregatorSpec:
         check(kind_error("kind", self.kind, KINDS) or count_error("f_hat", self.f_hat)
               or real_error("gm_tolerance", self.gm_tolerance, positive=True)
               or count_error("gm_max_iters", self.gm_max_iters, lo=1))
+        normalize(self, f_hat=int, gm_tolerance=float, gm_max_iters=int)
 
     @property
     def name(self) -> str:
@@ -314,21 +315,14 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
 
     Every kernel works along the trailing (n, d) axes, so each cloud of a
     stack meets the float operations it meets alone, in the same order.
-    cwtm, krum and ``pre_nnm`` need 0 <= f_hat < n/2.  The input is
+    Every rule needs 0 <= f_hat < n/2.  The input is
     validated once, here.  GM goes through the module-level
     :func:`weiszfeld`, so its iteration count stays observable there, at
     the cost of a second validation next to the solve.
     """
     pts = _clouds(xs)
-    check_f_hat(spec, pts.shape[-2])
+    check(count_error("f_hat", spec.f_hat, n=pts.shape[-2]))
     return _aggregate(spec, pts)
-
-
-def check_f_hat(spec: AggregatorSpec, n: int) -> None:
-    """Raise ParameterError unless ``spec`` may aggregate n points: the
-    narrow scope of the minority rule (see ``errors.count_error``)."""
-    if spec.kind in ("cwtm", "krum") or spec.pre_nnm:
-        check(count_error("f_hat", spec.f_hat, n=n))
 
 
 def _aggregate(spec: AggregatorSpec, pts: np.ndarray) -> np.ndarray:

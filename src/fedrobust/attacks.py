@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, check, kind_error, real_error
+from .errors import ParameterError, check, kind_error, normalize, real_error
 from .problems import Problem, descend
 
 ATTACK_KINDS = ("honest_mimic", "escalating_outlier", "gaussian_noise", "sign_flip", "fixed_vector")
@@ -137,8 +137,12 @@ class AttackStrategy:
               or real_error("scale", self.scale))
         if self.kind == "fixed_vector" and self.vector is None:
             raise ParameterError("fixed_vector attack needs a vector")
-        if self.kind == "fixed_vector" and not np.all(np.isfinite(self.vector)):
-            raise ParameterError("vector entries must be finite")
+        normalize(self, variance=float, scale=float)
+        if self.vector is not None:  # a scalar is a 1-vector, and stays a scalar
+            scalar = np.ndim(self.vector) == 0
+            entries = (self.vector,) if scalar else tuple(self.vector)
+            check(*(real_error(f"vector[{i}]", v) for i, v in enumerate(entries)))
+            object.__setattr__(self, "vector", float(self.vector) if scalar else tuple(map(float, entries)))
 
 
 def check_dimension(strategy: AttackStrategy, d: int) -> None:

@@ -52,12 +52,15 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, _aggregate, check_f_hat, stack_points
+from .aggregators import AggregatorSpec, _aggregate, stack_points
 from .aggregators import aggregate  # noqa: F401 - not called here, but bench/spans.py wraps audit.aggregate
 from .bounds import kappa_lower_bound
 from .errors import check, clients_error, count_error
 
 INFINITE_RATIO = math.inf
+
+# Subsets an audit checks by default: every one if C(n, f) fits, else this many samples.
+SUBSET_BUDGET = 20000
 
 # Numerator at or below this is treated as zero when the denominator vanishes.
 ZERO_ERROR_EPS = 1e-18
@@ -103,8 +106,7 @@ def error_ratio(spec: AggregatorSpec, xs, honest_set) -> float:
     """
     pts = stack_points(xs)
     members = sorted(honest_set)
-    check(clients_error("honest_set", members, len(pts)))
-    check_f_hat(spec, len(pts))
+    check(clients_error("honest_set", members, len(pts)) or count_error("f_hat", spec.f_hat, n=len(pts)))
     return float(_gathered_ratios(_aggregate(spec, pts), pts, np.array([members], dtype=np.intp))[0])
 
 
@@ -332,7 +334,7 @@ def _screen(pts: np.ndarray, outputs: list, fs, budget: int, seed: int):
     return scores, lengths
 
 
-def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> list:
+def audit_profile(specs, xs, fs, subset_budget: int = SUBSET_BUDGET, seed: int = 0) -> list:
     """:func:`empirical_kappa` of every spec in the sequence ``specs`` at
     every f in the sequence ``fs`` on one cloud, bit for bit: ``result[i][j]``
     is ``empirical_kappa(specs[i], xs, fs[j], subset_budget, seed)``.
@@ -347,7 +349,7 @@ def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> l
         check(count_error("f", f, n=n))
     check(count_error("subset_budget", subset_budget, lo=1) or count_error("seed", seed))
     for spec in specs:
-        check_f_hat(spec, n)
+        check(count_error("f_hat", spec.f_hat, n=n))
     subset_budget = int(subset_budget)          # so that the results hold Python numbers
     outputs = [_aggregate(spec, pts) for spec in specs]
     scores, lengths = _screen(pts, outputs, fs, subset_budget, seed)
@@ -371,13 +373,7 @@ def audit_profile(specs, xs, fs, subset_budget: int = 20000, seed: int = 0) -> l
     return [[results[n - f][k] for f in fs] for k in range(len(specs))]
 
 
-def empirical_kappa(
-    spec: AggregatorSpec,
-    xs,
-    f: int,
-    subset_budget: int = 20000,
-    seed: int = 0,
-) -> AuditResult:
+def empirical_kappa(spec: AggregatorSpec, xs, f: int, subset_budget: int = SUBSET_BUDGET, seed: int = 0) -> AuditResult:
     """Maximize :func:`error_ratio` over honest subsets of size n - f.
 
     Enumerates every subset when C(n, f) fits in ``subset_budget``; otherwise

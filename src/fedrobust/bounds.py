@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, check, count_error, kind_error, regime_error
+from .errors import ParameterError, check, count_error, kind_error, real_error, regime_error
 
 
 def stepsize_constant(kappa: float) -> float:
@@ -29,13 +29,14 @@ def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
 
     Known regimes: exact estimation (f == f_hat) for gm/cwtm/cwmed/krum,
     the no-Byzantine case (f == 0) for gm/cwtm/cwmed, and any f <= f_hat for
-    the nearest-neighbour-mixed Krum composite ("krum_nnm").
+    the nearest-neighbour-mixed Krum composite ("krum_nnm").  At f == f_hat
+    == 0 both of the first two apply, and the no-Byzantine one is smaller.
     """
     check(kind_error("aggregator", aggregator, GUARANTEED_KINDS) or count_error("n", n)
           or count_error("f", f, n=n) or count_error("f_hat", f_hat, n=n))
     if aggregator == "krum_nnm":
         return kappa_composite_chain(n, f, f_hat).ceiling
-    if f == 0:
+    if f == 0 and aggregator != "krum":
         if aggregator == "gm":
             return 1.0
         if aggregator == "cwtm":
@@ -43,8 +44,6 @@ def kappa_guarantee(aggregator: str, n: int, f: int, f_hat: int) -> float:
         if aggregator == "cwmed":
             half = (n - 1) // 2
             return half / (n - half)
-        if aggregator == "krum":
-            raise ParameterError("no known coefficient for krum at f=0 with f_hat > 0")
     if f == f_hat:
         if aggregator in ("gm", "cwmed"):
             return 4.0 * ((n - f_hat) / (n - 2 * f_hat)) ** 2
@@ -82,21 +81,22 @@ def kappa_composite_chain(n: int, f: int, f_hat: int) -> CompositeChain:
 def convergence_floor(n: int, f: int, f_hat: int, G: float, mu: float) -> tuple[float, float]:
     """Asymptotic floors (gradient metric, loss gap) that no run with an
     f_hat-degree aggregator can beat on worst-case problems."""
-    check(regime_error(n, f, f_hat))
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    if G < 0:
-        raise ParameterError("G must be >= 0")
+    check(regime_error(n, f, f_hat) or real_error("G", G, lo=0) or real_error("mu", mu, positive=True))
     grad_floor = f_hat * G * G / (n - f - f_hat)
     gap_floor = f_hat * G * G / (2.0 * mu * (n - f - f_hat))
     return grad_floor, gap_floor
 
 
+def _ceiling_errors(kappa, L, H, T, loss_gap0, G) -> tuple:
+    """The rules on the parameters that both ceilings take."""
+    return (real_error("kappa", kappa, lo=0), real_error("L", L, positive=True), count_error("H", H, lo=1),
+            count_error("T", T, lo=1), real_error("loss_gap0", loss_gap0), real_error("G", G))
+
+
 def grad_ceiling(kappa: float, L: float, H: int, T: int, loss_gap0: float, G: float) -> float:
     """Guaranteed bound on the T-round average squared gradient norm under
     the cube-root stepsize rule."""
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
+    check(*_ceiling_errors(kappa, L, H, T, loss_gap0, G))
     c = stepsize_constant(kappa)
     return (16.0 * c * L * H * loss_gap0 + G * G) / T ** (2.0 / 3.0) + 90.0 * kappa * G * G
 
@@ -106,12 +106,8 @@ def gap_ceiling(
 ) -> float:
     """Guaranteed bound on the final loss gap under the power-law stepsize
     rule with exponent beta in (0, 1)."""
-    if not 0 < beta < 1:
-        raise ParameterError("beta must lie in (0, 1)")
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
+    check(*_ceiling_errors(kappa, L, H, T, loss_gap0, G), real_error("mu", mu, positive=True),
+          real_error("beta", beta, below=1))
     c = stepsize_constant(kappa)
     transient = np.exp(-mu * T ** beta / (8.0 * c * L)) * loss_gap0
     return float(transient + G * G / (2.0 * mu * T ** (2.0 - 2.0 * beta)) + 45.0 * kappa * G * G / mu)

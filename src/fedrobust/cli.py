@@ -43,8 +43,9 @@ from .aggregators import AggregatorSpec
 from .attacks import AttackStrategy
 from .engine import RunConfig, Schedule, _field_errors, run_batch
 from .errors import ConfigError, ParameterError, count_error, is_integer, kind_error, real_error
-from .problems import (  # noqa: F401 - looked up by name, see PROBLEM_KINDS
+from .problems import (  # noqa: F401 - the factories are looked up by name, see PROBLEM_KINDS
     homogeneous_quadratic_problem,
+    parameter_errors,
     random_quadratic_problem,
     two_group_quadratic_problem,
 )
@@ -70,7 +71,7 @@ PROBLEM_KINDS = ("homogeneous_quadratic", "random_quadratic", "two_group_quadrat
 # Factory parameters and RunConfig fields that each sweep cell sets.
 _CELL_PARAMS = ("f_hat", "honest_set")
 _CELL_FIELDS = ("problem", "aggregator", "attack", "seed")
-_AUDIT_DEFAULTS = {"n": None, "d": 1, "subset_budget": 20000}
+_AUDIT_DEFAULTS = {"n": None, "d": 1, "subset_budget": audit_mod.SUBSET_BUDGET}
 
 _INVALID = object()  # a value that failed its type check
 _TYPE_NAMES = {
@@ -187,8 +188,9 @@ def _build_spec(cls, section, where: str, errors: list) -> dict:
 
 def _normalize_problem(section, errors) -> dict:
     """kind, then the parameters of the kind's factory by their types and
-    defaults, then the range checks on n, f and seed.  f defaults to 0; an
-    absent seed is left out, and the cell's seed fills it in."""
+    defaults, under the factory's own rules (``problems.parameter_errors``).
+    f defaults to 0; an absent seed is left out, and the cell's seed fills
+    it in.  {} unless n is valid."""
     if _object(section, "problem", errors) is None:
         return {}
     kind = section.get("kind")
@@ -198,12 +200,9 @@ def _normalize_problem(section, errors) -> dict:
     out = {"kind": kind, **_read_fields(
         globals()[f"{kind}_problem"], {"f": 0, **rest}, "problem", errors, skip=_CELL_PARAMS, optional=("seed",)
     )}
-    if out["n"] is _INVALID or not _record(errors, count_error("problem.n", out["n"], lo=1)):
-        return {}
-    for key, n in (("f", out["n"]), ("seed", None)):  # skipped when absent or not an integer
-        if out.get(key, _INVALID) is not _INVALID:
-            _record(errors, count_error(f"problem.{key}", out[key], n=n))
-    return out
+    broken = parameter_errors({key: value for key, value in out.items() if key != "kind" and value is not _INVALID})
+    errors.extend(f"problem.{error}" for error in broken.values())
+    return {} if out["n"] is _INVALID or "n" in broken else out
 
 
 def _normalize_engine(section, errors) -> dict:

@@ -43,7 +43,7 @@ from .aggregators import AggregatorSpec
 from .aggregators import _aggregate as aggregate  # run_round checks its deltas, RunConfig its f_hat
 from .attacks import AttackStrategy, byzantine_upload, check_dimension, noise_stream
 from .bounds import stepsize_constant
-from .errors import ParameterError, check, count_error, kind_error, real_error
+from .errors import ParameterError, check, count_error, kind_error, normalize, real_error
 from .problems import Problem, honest_objective, local_update
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
@@ -58,9 +58,8 @@ class Schedule:
     def __post_init__(self):
         check(kind_error("kind", self.kind, SCHEDULE_KINDS)
               or real_error("gamma", self.gamma, positive=self.kind in ("constant", "step_wise"))
-              or real_error("beta", self.beta))
-        if self.kind == "pl_power" and not 0 < self.beta < 1:
-            raise ParameterError("beta must lie in (0, 1)")
+              or real_error("beta", self.beta, below=1 if self.kind == "pl_power" else None))
+        normalize(self, gamma=float, beta=float)
 
 
 def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: float = 0.0) -> float:
@@ -87,10 +86,9 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
 def _field_errors(values: dict) -> list[str]:
     """One message per rule on RunConfig's T, H, seed and kappa that ``values``
     (field name -> value) breaks; absent fields are not checked.  T, H and seed
-    are Python ints, and kappa a finite real number >= 0 whose stepsize
-    constant is finite."""
-    errors = [count_error(key, values[key], lo, numpy=False) for key, lo in (("T", 0), ("H", 1), ("seed", 0))
-              if key in values]
+    are integers, and kappa a finite real number >= 0 whose stepsize constant
+    is finite."""
+    errors = [count_error(key, values[key], lo) for key, lo in (("T", 0), ("H", 1), ("seed", 0)) if key in values]
     kappa = values.get("kappa", 0.0)  # an absent kappa breaks no rule
     errors.append(real_error("kappa", kappa, lo=0))
     if errors[-1] is None and not math.isfinite(stepsize_constant(kappa)):
@@ -111,9 +109,8 @@ class RunConfig:
     kappa: float = 0.0  # robustness coefficient used by the c' stepsize rule
 
     def __post_init__(self):
-        broken = _field_errors({key: getattr(self, key) for key in ("T", "H", "seed", "kappa")})
-        if broken:
-            raise ParameterError(broken[0])
+        check(*_field_errors({key: getattr(self, key) for key in ("T", "H", "seed", "kappa")}))
+        normalize(self, T=int, H=int, seed=int, kappa=float)
         w0 = np.zeros(self.problem.d) if self.w0 is None else np.atleast_1d(
             np.asarray(self.w0, dtype=np.float64)
         )

@@ -15,9 +15,16 @@ config path such as ``"grid.f"``, whose last part the rule names.
 - :func:`clients_error`, distinct client indices in [0, n): ``honest_set
   indices must be integers, got (0, 1.5)``, ``honest_set must hold 8
   distinct indices in [0, 10)``.
-- :func:`real_error`, a finite real number (a bool is not one), positive or
-  >= lo if asked: ``gamma must be a real number, got '1'``, ``gamma must be
-  positive``, ``kappa = -1.0 violates 0 <= kappa``, ``scale must be finite``.
+- :func:`real_error`, a finite real number (a bool is not one), and, if
+  asked, > 0, >= lo, or in the open interval (0, below): ``gamma must be a
+  real number, got '1'``, ``gamma must be positive``, ``kappa = -1.0
+  violates 0 <= kappa``, ``beta must lie in (0, 1)``, ``scale must be
+  finite``.
+
+Where a checked value is kept, the library keeps a real number as a Python
+float and a count as a Python int (:func:`normalize`), so that a config
+digest reads one spelling of each number: ``G=1`` and ``G=1.0`` give one
+digest.
 """
 
 import math
@@ -49,10 +56,18 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def check(message) -> None:
-    """Raise ParameterError with ``message`` unless it is None."""
-    if message is not None:
-        raise ParameterError(message)
+def check(*messages) -> None:
+    """Raise ParameterError with the first of ``messages`` that is not None."""
+    for message in messages:
+        if message is not None:
+            raise ParameterError(message)
+
+
+def normalize(instance, **kinds) -> None:
+    """Keep each named field of the frozen dataclass ``instance`` as ``kind(value)``:
+    a checked real as a float, a count as an int."""
+    for name, kind in kinds.items():
+        object.__setattr__(instance, name, kind(getattr(instance, name)))
 
 
 def is_integer(value) -> bool:  # Python and numpy integers, but not a bool
@@ -63,16 +78,11 @@ def _violation(name: str, value, lo, rest: str = "") -> str:
     return f"{name} = {value!r} violates {lo} <= {name.rpartition('.')[2]}{rest}"
 
 
-def count_error(name: str, value, lo: int = 0, n=None, numpy: bool = True):
-    """The count rule, where a numpy integer counts unless ``numpy`` is false
-    (RunConfig's T, H and seed, which its digest writes as JSON).
-
-    The minority rule f_hat < n/2 has two scopes: RunConfig and the CLI hold
-    every aggregator to it, while ``aggregate``, ``error_ratio`` and
-    ``audit_profile`` hold only cwtm, krum and ``pre_nnm`` to it
-    (``aggregators.check_f_hat``) and take mean, cwmed and gm at any f_hat."""
+def count_error(name: str, value, lo: int = 0, n=None):
+    """The count rule; a numpy integer counts.  The minority rule f, f_hat <
+    n/2 has one scope: every entry point holds every aggregator to it."""
     if type(value) is not int:
-        if not (is_integer(value) and (numpy or isinstance(value, int))):
+        if not is_integer(value):
             return f"{name} must be an integer, got {value!r}"
         value = int(value)  # so that 2 * value cannot overflow
     if not lo <= value or (n is not None and not 2 * value < n):
@@ -104,7 +114,7 @@ def clients_error(name: str, clients, n: int, size=None):
     return None
 
 
-def real_error(name: str, value, positive: bool = False, lo=None):
+def real_error(name: str, value, positive: bool = False, lo=None, below=None):
     """The real rule; NaN keeps no bound, and an integer too large for a float is not finite."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):  # float: no ABC check
         return f"{name} must be a real number, got {value!r}"
@@ -114,4 +124,6 @@ def real_error(name: str, value, positive: bool = False, lo=None):
         return _violation(name, value, lo)
     if not (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
         return f"{name} must be finite"
+    if below is not None and not 0 < value < below:
+        return f"{name} must lie in (0, {below})"
     return None

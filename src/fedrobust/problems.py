@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError, check, clients_error, count_error, regime_error
+from .errors import ConstructionError, check, clients_error, count_error, normalize, real_error, regime_error
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Problem:
         if centers.ndim != 2 or centers.shape[1:] != curvature.shape:
             raise ConstructionError("centers must have shape (n, d) with d = len(curvature)")
         if not np.all(curvature > 0):
-            raise ConstructionError("curvature must be positive")
+            raise ConstructionError(real_error("curvature", curvature.min(), positive=True))
         if not np.all(np.isfinite(centers)):
             raise ConstructionError("centers must be finite")
         for name, value in (("curvature", curvature), ("centers", centers)):
@@ -61,6 +61,7 @@ class Problem:
         slope.setflags(write=False)
         object.__setattr__(self, "slope", slope)
         honest_set = _honest_set(self.n, self.f, self.honest_set)
+        normalize(self, f=int)
         byzantine_set = tuple(sorted(set(range(self.n)) - set(honest_set)))
         object.__setattr__(self, "honest_set", honest_set)
         object.__setattr__(self, "byzantine_set", byzantine_set)
@@ -106,6 +107,31 @@ def _honest_set(n: int, f: int, honest_set) -> tuple:
     return tuple(map(int, honest_set))
 
 
+# factory parameter -> its rule and bounds, for every one but f, whose bound is n
+_RULES = {
+    "n": (count_error, {"lo": 1}), "d": (count_error, {"lo": 1}), "G": (real_error, {"positive": True}),
+    "G_target": (real_error, {"lo": 0}), "radius": (real_error, {}), "seed": (count_error, {}),
+}
+
+
+def parameter_errors(values: dict) -> dict:
+    """The message of each rule that ``values`` (factory parameter -> value)
+    breaks, by parameter, among the factory parameters that no sweep cell
+    sets: n >= 1, 0 <= f < n/2, d >= 1, G > 0, G_target >= 0, a real radius
+    and seed >= 0.  Absent and other parameters are not checked, nor is f
+    while n breaks its rule.  The factories raise the first message; the CLI
+    collects them all."""
+    n = values.get("n")
+    errors = {}
+    for name, value in values.items():
+        if name == "f":
+            errors[name] = None if count_error("n", n, lo=1) else count_error("f", value, n=n)
+        elif name in _RULES:
+            rule, bounds = _RULES[name]
+            errors[name] = rule(name, value, **bounds)
+    return {name: error for name, error in errors.items() if error is not None}
+
+
 def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, honest_set=None) -> Problem:
     """Scalar worst-case family: f_hat clients hold c*G*(w+1)^2, the other
     n - f_hat hold c*G*w^2, with c chosen so the honest-gradient dispersion
@@ -115,34 +141,22 @@ def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, hone
     runs on this family converge to a point whose gradient metric equals the
     heterogeneity floor f_hat*G^2/(n - f - f_hat).
     """
+    check(*parameter_errors({"n": n, "f": f, "G": G}).values())
     check(regime_error(n, f, f_hat) or count_error("f_hat", f_hat, lo=1))  # the construction needs f_hat >= 1
-    if G <= 0:
-        raise ParameterError("G must be positive")
+    n, f, f_hat, G = int(n), int(f), int(f_hat), float(G)
     c = (n - f) / (2.0 * np.sqrt(f_hat * (n - f - f_hat)))
-    a = c * G
-    return Problem(
-        f=f,
-        honest_set=honest_set,
-        curvature=[a],
-        centers=np.where(np.arange(n) < f_hat, -1.0, 0.0)[:, None],
-        G2=G * G,
-        l_star=c * G * f_hat * (n - f - f_hat) / (n - f) ** 2,
-        descriptor={"kind": "two_group_quadratic", "n": n, "f": f, "f_hat": f_hat, "G": G},
-    )
+    centers = np.where(np.arange(n) < f_hat, -1.0, 0.0)[:, None]
+    return Problem(f=f, honest_set=honest_set, curvature=[c * G], centers=centers, G2=G * G,
+                   l_star=c * G * f_hat * (n - f - f_hat) / (n - f) ** 2,
+                   descriptor={"kind": "two_group_quadratic", "n": n, "f": f, "f_hat": f_hat, "G": G})
 
 
 def homogeneous_quadratic_problem(n: int, f: int = 0, honest_set=None) -> Problem:
     """Every client holds w^2/2; zero heterogeneity, L = mu = 1, l_star = 0."""
-    check(count_error("n", n, lo=1) or count_error("f", f, n=n))  # before n shapes the centers
-    return Problem(
-        f=f,
-        honest_set=honest_set,
-        curvature=[0.5],
-        centers=np.zeros((n, 1)),
-        G2=0.0,
-        l_star=0.0,
-        descriptor={"kind": "homogeneous_quadratic", "n": n, "f": f},
-    )
+    check(*parameter_errors({"n": n, "f": f}).values())  # before n shapes the centers
+    n, f = int(n), int(f)
+    return Problem(f=f, honest_set=honest_set, curvature=[0.5], centers=np.zeros((n, 1)), G2=0.0, l_star=0.0,
+                   descriptor={"kind": "homogeneous_quadratic", "n": n, "f": f})
 
 
 def random_quadratic_problem(
@@ -156,10 +170,10 @@ def random_quadratic_problem(
     gradient-dominance identity hot path stays an exact equality.  ``seed``
     is keyword-only and has no default, so no instance is unseeded.
     """
-    check(count_error("n", n) or count_error("d", d, lo=1))
-    honest_set = _honest_set(n, f, honest_set)  # f's rule too, before n and f shape the draw
-    if G_target < 0:
-        raise ParameterError("G_target must be >= 0")
+    values = {"n": n, "f": f, "d": d, "G_target": G_target, "radius": radius, "seed": seed}
+    check(*parameter_errors(values).values())  # before they shape the draw
+    honest_set = _honest_set(n, f, honest_set)
+    n, f, d, G_target, radius, seed = int(n), int(f), int(d), float(G_target), float(radius), int(seed)
     rng = np.random.default_rng(seed)
     a = float(rng.uniform(0.5, 2.0))
     directions = rng.standard_normal((n, d))
@@ -181,21 +195,11 @@ def random_quadratic_problem(
     honest_centers = centers[list(honest_set)]
     spread = honest_centers - honest_centers.mean(axis=0)
     return Problem(
-        f=f,
-        honest_set=honest_set,
-        curvature=np.full(d, a),
-        centers=centers,
+        f=f, honest_set=honest_set, curvature=np.full(d, a), centers=centers,
         G2=float(np.sum(4.0 * a * a * (spread ** 2).mean(axis=0))),
         l_star=float(np.sum(a * (spread ** 2).mean(axis=0))),
-        descriptor={
-            "kind": "random_quadratic",
-            "n": n,
-            "f": f,
-            "d": d,
-            "G_target": G_target,
-            "radius": radius,
-            "seed": seed,
-        },
+        descriptor={"kind": "random_quadratic", "n": n, "f": f, "d": d, "G_target": G_target, "radius": radius,
+                    "seed": seed},
     )
 
 

@@ -302,8 +302,8 @@ def test_attack_parameters_reject_nan():
     for scale in (nan, inf):
         with pytest.raises(ParameterError, match="scale"):
             AttackStrategy("sign_flip", scale=scale)
-    for vector in ((inf,), (1.0, nan), (0.0, -inf)):
-        with pytest.raises(ParameterError, match="vector entries must be finite"):
+    for vector, i in (((inf,), 0), ((1.0, nan), 1), ((0.0, -inf), 1)):
+        with pytest.raises(ParameterError, match=re.escape(f"vector[{i}] must be finite")):
             AttackStrategy("fixed_vector", vector=vector)
 
 

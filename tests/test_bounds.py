@@ -12,6 +12,7 @@ from fedrobust import (
     kappa_guarantee,
     kappa_lower_bound,
 )
+from fedrobust.bounds import GUARANTEED_KINDS
 
 
 def test_kappa_guarantee_exact_estimation_row():
@@ -27,6 +28,20 @@ def test_kappa_guarantee_no_byzantine_row():
         assert kappa_guarantee("cwtm", n, 0, f_hat) == pytest.approx(f_hat / (n - f_hat))
         half = (n - 1) // 2
         assert kappa_guarantee("cwmed", n, 0, f_hat) == pytest.approx(half / (n - half))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 11])
+def test_kappa_guarantee_at_no_byzantine_and_exact_estimation_takes_the_smaller(n):
+    # at f = f_hat = 0 the no-Byzantine row (f = 0) and the exact-estimation
+    # row (f = f_hat) both apply, where a kind has them; the smaller one is the guarantee
+    half = (n - 1) // 2
+    regimes = {  # kind -> [f = 0 row, f = f_hat row], or its one row, at f_hat = 0
+        "gm": [1.0, 4.0], "cwtm": [0.0, 0.0], "cwmed": [half / (n - half), 4.0], "krum": [6.0],
+        "krum_nnm": [0.0],  # the composite ceiling 84 f_hat / (n - f - f_hat)
+    }
+    assert set(regimes) == set(GUARANTEED_KINDS)
+    for kind, values in regimes.items():
+        assert kappa_guarantee(kind, n, 0, 0) == min(values)
 
 
 def test_kappa_guarantee_composite_row_and_errors():

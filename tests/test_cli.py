@@ -563,6 +563,24 @@ def test_main_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o4")]) == 1
 
 
+@pytest.mark.parametrize("problem, shown", [
+    ({"kind": "two_group_quadratic", "n": 10, "f": 2, "G": -1.0}, ["problem.G must be positive"]),
+    ({"kind": "random_quadratic", "n": 6, "d": 0}, ["problem.d = 0 violates 1 <= d"]),
+    # every problem error at once, as for any other section
+    ({"kind": "random_quadratic", "n": 6, "d": 0, "G_target": -1.0, "radiuss": 2.0}, [
+        "unknown key 'radiuss' in problem; did you mean 'radius'?", "problem.d = 0 violates 1 <= d",
+        "problem.G_target = -1.0 violates 0 <= G_target",
+    ]),
+], ids=["G", "d", "all_at_once"])
+def test_problem_parameter_errors_are_config_errors(tmp_path, capsys, problem, shown):
+    # the factory's own rules are checked before any cell runs: exit 1, not 3 with every cell failed
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(MINIMAL_SIMULATE, aggregator={"kind": "cwtm", "f_hat": 2}, problem=problem)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "".join(f"config error: {line}\n" for line in shown)
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_override(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(dict(MINIMAL_SIMULATE, engine={"T": 1})))

@@ -860,6 +860,40 @@ def test_config_digest_distinguishes_and_is_stable():
     assert len(digests) == 2 and "75242af80417c4a5" in digests
 
 
+def test_each_run_has_one_digest_whatever_the_spelling_of_its_numbers():
+    # reals are kept as Python floats and counts as Python ints where they
+    # enter, so an int for a real or a numpy integer for a count moves no digest
+    def digest(problem, spec=AggregatorSpec("cwtm", f_hat=3), attack=AttackStrategy("honest_mimic"), **fields):
+        return config_digest(RunConfig(problem=problem, aggregator=spec, attack=attack, **{"T": 5, **fields}))
+
+    two_group = two_group_quadratic_problem(10, 2, 3, G=1.0)
+    random = random_quadratic_problem(10, 2, 2, G_target=1.0, radius=2.0, seed=3)
+    assert digest(two_group) == "6c9c0375e50dca02"  # the float spelling's digest, as before
+    i64 = np.int64
+    pairs = [
+        (two_group, two_group_quadratic_problem(10, 2, 3, G=1)),
+        (two_group, two_group_quadratic_problem(i64(10), i64(2), i64(3), G=np.float32(1.0))),
+        (random, random_quadratic_problem(i64(10), i64(2), i64(2), G_target=1, radius=2, seed=i64(3))),
+        (homogeneous_quadratic_problem(10, 2), homogeneous_quadratic_problem(i64(10), i64(2))),
+    ]
+    for problem, respelled in pairs:
+        assert digest(respelled) == digest(problem)
+    for problem, fields, respelled in [
+        (random, dict(spec=AggregatorSpec("gm", f_hat=3, gm_tolerance=1.0, gm_max_iters=50)),
+         dict(spec=AggregatorSpec("gm", f_hat=i64(3), gm_tolerance=1, gm_max_iters=i64(50)))),
+        (random, dict(attack=AttackStrategy("fixed_vector", vector=(1.0, -2.0), variance=5.0, scale=2.0)),
+         dict(attack=AttackStrategy("fixed_vector", vector=[1, np.int8(-2)], variance=5, scale=i64(2)))),
+        (two_group, dict(attack=AttackStrategy("fixed_vector", vector=1.0)),
+         dict(attack=AttackStrategy("fixed_vector", vector=1))),
+        (random, dict(T=5, H=2, seed=7, kappa=0.0, schedule=Schedule("step_wise", gamma=1.0, beta=0.0)),
+         dict(T=i64(5), H=i64(2), seed=i64(7), kappa=0, schedule=Schedule("step_wise", gamma=1, beta=0))),
+    ]:
+        assert digest(problem, **respelled) == digest(problem, **fields)
+    config = RunConfig(problem=random, aggregator=AggregatorSpec("mean"), attack=AttackStrategy("honest_mimic"),
+                       T=i64(5), H=i64(2), seed=i64(7))
+    assert [type(getattr(config, key)) for key in ("T", "H", "seed", "kappa")] == [int, int, int, float]
+
+
 def test_preflight_warns_on_aggressive_stepsize():
     p = homogeneous_quadratic_problem(4)
     config = RunConfig(
@@ -887,8 +921,8 @@ def test_run_config_validation():
     with pytest.raises(ParameterError, match="kappa = nan violates"):
         RunConfig(problem=p, aggregator=AggregatorSpec("mean"),
                   attack=AttackStrategy("honest_mimic"), T=1, kappa=float("nan"))
-    # T, H and seed are Python ints, and neither a bool nor a numpy integer is one
-    for bad in (dict(T=2.5), dict(H=1.5), dict(T=True), dict(seed=2.5), dict(seed=True), dict(seed=np.int64(3))):
+    # T, H and seed are integers, and a bool is not one
+    for bad in (dict(T=2.5), dict(H=1.5), dict(T=True), dict(seed=2.5), dict(seed=True), dict(seed=np.float64(3))):
         key, value = next(iter(bad.items()))
         with pytest.raises(ParameterError) as excinfo:
             RunConfig(problem=p, aggregator=AggregatorSpec("mean"), attack=AttackStrategy("honest_mimic"), **bad)
@@ -907,10 +941,12 @@ def test_run_config_validation():
 
 
 def test_undescribable_config_fails_before_the_first_round(monkeypatch):
-    # the digest is taken before any round runs, so a spec it cannot
-    # serialize wastes no rounds
+    # the digest is taken before any round runs, so a problem descriptor it
+    # cannot serialize wastes no rounds
     monkeypatch.setattr(engine, "run_round", lambda *args: pytest.fail("a round ran"))
-    config = RunConfig(problem=homogeneous_quadratic_problem(4), aggregator=AggregatorSpec("cwtm", f_hat=np.int64(1)),
+    problem = Problem(f=0, honest_set=None, curvature=[0.5], centers=np.zeros((4, 1)), G2=0.0, l_star=0.0,
+                      descriptor={"kind": "tagged", "tags": {1, 2}})
+    config = RunConfig(problem=problem, aggregator=AggregatorSpec("cwtm", f_hat=1),
                        attack=AttackStrategy("honest_mimic"), T=3)
     with pytest.raises(TypeError, match="JSON serializable"):
         run(config)

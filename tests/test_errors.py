@@ -17,7 +17,10 @@ from fedrobust import (
     Schedule,
     aggregate,
     audit_profile,
+    convergence_floor,
     cwtm_break_witness,
+    gap_ceiling,
+    grad_ceiling,
     homogeneous_quadratic_problem,
     kappa_guarantee,
     kappa_lower_bound,
@@ -45,10 +48,6 @@ def test_count_rule_takes_python_and_numpy_integers_only():
     for value in (True, False, np.bool_(True), 1.0, np.float64(2.0), float("nan"), float("inf"), -float("inf"),
                   "3", None, [1]):
         assert count_error("f", value) == f"f must be an integer, got {value!r}"
-    # RunConfig's T, H and seed take Python ints alone
-    assert count_error("seed", 3, numpy=False) is None
-    assert count_error("seed", np.int64(3), numpy=False) == "seed must be an integer, got np.int64(3)"
-    assert count_error("seed", True, numpy=False) == "seed must be an integer, got True"
 
 
 def test_count_rule_lower_bound_and_dotted_names():
@@ -114,6 +113,13 @@ def test_real_rule():
         assert real_error("kappa", value, lo=0) == f"kappa = {value!r} violates 0 <= kappa"
     assert real_error("kappa", 0, lo=0) is None
     assert real_error("kappa", float("inf"), lo=0) == "kappa must be finite"
+    # the open interval (0, below): a value outside it, once finite
+    for value in (0.25, np.float32(0.5), 10**-300):
+        assert real_error("beta", value, below=1) is None
+    for value in (0, 0.0, 1, 1.0, -0.5, 1.5, 10**300):
+        assert real_error("beta", value, below=1) == "beta must lie in (0, 1)"
+    for value in (float("nan"), float("inf"), BIG):
+        assert real_error("beta", value, below=1) == "beta must be finite"
 
 
 def test_check_raises_the_message():
@@ -135,6 +141,7 @@ def _run_config(**fields):
         "aggregator": AggregatorSpec("mean"), "attack": AttackStrategy("honest_mimic"), **fields})
 
 
+NAN, INF = float("nan"), float("inf")
 CLOUD = audit.random_cloud(10, 2, [7])
 F_AT_HALF = "f = 5 violates 0 <= f < n/2 (n=10)"
 F_HAT_AT_HALF = "f_hat = 5 violates 0 <= f_hat < n/2 (n=10)"
@@ -166,6 +173,36 @@ BOUNDARY = [
     ("Schedule_kind", lambda: Schedule("median"), f"kind must be one of {list(SCHEDULE_KINDS)}, got 'median'"),
     ("kappa_guarantee_kind", lambda: kappa_guarantee("median", 10, 2, 2),
      f"aggregator must be one of {list(GUARANTEED_KINDS)}, got 'median'"),
+    ("grad_ceiling_T_inf", lambda: grad_ceiling(1.0, 1.0, 1, INF, 1.0, 1.0), "T must be an integer, got inf"),
+    ("gap_ceiling_T_float", lambda: gap_ceiling(1.0, 1.0, 1.0, 1, 100.0, 0.5, 1.0, 1.0),
+     "T must be an integer, got 100.0"),
+    ("grad_ceiling_H_bool", lambda: grad_ceiling(1.0, 1.0, True, 100, 1.0, 1.0), "H must be an integer, got True"),
+    ("gap_ceiling_H", lambda: gap_ceiling(1.0, 1.0, 1.0, 0, 100, 0.5, 1.0, 1.0), "H = 0 violates 1 <= H"),
+    ("random_seed", lambda: random_quadratic_problem(10, 2, seed=-1), "seed = -1 violates 0 <= seed"),
+    ("random_d", lambda: random_quadratic_problem(10, 2, 0, seed=0), "d = 0 violates 1 <= d"),
+    ("two_group_n", lambda: two_group_quadratic_problem(0, 0, 1), "n = 0 violates 1 <= n"),
+]
+
+
+# entry point, with the value of one real parameter; the parameter; its rule
+REALS = [
+    ("convergence_floor.G", lambda v: convergence_floor(10, 2, 3, G=v, mu=1.0), "G", {"lo": 0}),
+    ("convergence_floor.mu", lambda v: convergence_floor(10, 2, 3, G=1.0, mu=v), "mu", {"positive": True}),
+    ("grad_ceiling.kappa", lambda v: grad_ceiling(v, 1.0, 1, 100, 1.0, 1.0), "kappa", {"lo": 0}),
+    ("grad_ceiling.L", lambda v: grad_ceiling(1.0, v, 1, 100, 1.0, 1.0), "L", {"positive": True}),
+    ("grad_ceiling.loss_gap0", lambda v: grad_ceiling(1.0, 1.0, 1, 100, v, 1.0), "loss_gap0", {}),
+    ("grad_ceiling.G", lambda v: grad_ceiling(1.0, 1.0, 1, 100, 1.0, v), "G", {}),
+    ("gap_ceiling.kappa", lambda v: gap_ceiling(v, 1.0, 1.0, 1, 100, 0.5, 1.0, 1.0), "kappa", {"lo": 0}),
+    ("gap_ceiling.L", lambda v: gap_ceiling(1.0, v, 1.0, 1, 100, 0.5, 1.0, 1.0), "L", {"positive": True}),
+    ("gap_ceiling.mu", lambda v: gap_ceiling(1.0, 1.0, v, 1, 100, 0.5, 1.0, 1.0), "mu", {"positive": True}),
+    ("gap_ceiling.beta", lambda v: gap_ceiling(1.0, 1.0, 1.0, 1, 100, v, 1.0, 1.0), "beta", {"below": 1}),
+    ("gap_ceiling.loss_gap0", lambda v: gap_ceiling(1.0, 1.0, 1.0, 1, 100, 0.5, v, 1.0), "loss_gap0", {}),
+    ("gap_ceiling.G", lambda v: gap_ceiling(1.0, 1.0, 1.0, 1, 100, 0.5, 1.0, v), "G", {}),
+    ("two_group.G", lambda v: two_group_quadratic_problem(10, 2, 3, G=v), "G", {"positive": True}),
+    ("random.G_target", lambda v: random_quadratic_problem(10, 2, G_target=v, seed=0), "G_target", {"lo": 0}),
+    ("random.radius", lambda v: random_quadratic_problem(10, 2, radius=v, seed=0), "radius", {}),
+    ("Schedule.beta", lambda v: Schedule("pl_power", beta=v), "beta", {"below": 1}),
+    ("AttackStrategy.vector", lambda v: AttackStrategy("fixed_vector", vector=(0.5, v)), "vector[1]", {}),
 ]
 
 
@@ -174,6 +211,18 @@ def test_each_entry_point_words_each_rule_one_way(call, message):
     with pytest.raises(ParameterError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", [NAN, INF, "0.5", True], ids=["nan", "inf", "str", "bool"])
+@pytest.mark.parametrize("call, name, rule", [case[1:] for case in REALS], ids=[case[0] for case in REALS])
+def test_each_real_parameter_keeps_the_real_rule(call, name, rule, value):
+    message = real_error(name, value, **rule)
+    assert message is not None
+    with pytest.raises(ParameterError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == message
+    for value in (0.5, np.float32(0.5)):  # numpy floats are real numbers
+        call(value)
 
 
 SIMULATE = {"schema_version": 1, "kind": "simulate", "problem": {"kind": "homogeneous_quadratic", "n": 10},
@@ -204,18 +253,25 @@ def test_the_cli_collects_each_rule_in_the_library_wording(doc, message):
 
 
 # ---------------------------------------------------------------------------
-# the two scopes of the minority rule for f_hat
+# the one scope of the minority rule for f_hat
 
 @pytest.mark.parametrize("kind", ["mean", "gm", "cwmed"])
-def test_f_hat_rule_wide_at_run_config_and_cli_narrow_at_aggregate_and_audit(kind):
+def test_f_hat_rule_has_one_scope(kind, monkeypatch):
     spec = AggregatorSpec(kind, f_hat=5)  # n = 10, so f_hat = n/2
     with pytest.raises(ParameterError, match=re.escape("aggregator." + F_HAT_AT_HALF)):
         _run_config(aggregator=spec)
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(dict(SIMULATE, aggregator={"kind": kind, "f_hat": 5})))
     assert excinfo.value.errors == ["aggregator." + F_HAT_AT_HALF]
-    assert aggregate(spec, CLOUD).shape == (2,)
-    assert audit_profile([spec], CLOUD, [1])[0][0].exhaustive
+    assert aggregate(AggregatorSpec(kind, f_hat=4), CLOUD).shape == (2,)  # the largest f_hat below n/2
+    for points in (CLOUD, CLOUD[None], np.stack([CLOUD, 2 * CLOUD, -CLOUD])):
+        with pytest.raises(ParameterError, match=re.escape(F_HAT_AT_HALF)):
+            aggregate(spec, points)
+    with pytest.raises(ParameterError, match=re.escape(F_HAT_AT_HALF)):
+        audit.error_ratio(spec, CLOUD, range(6))
+    monkeypatch.setattr(audit, "_aggregate", lambda *args: pytest.fail("an audit ran"))
+    with pytest.raises(ParameterError, match=re.escape(F_HAT_AT_HALF)):
+        audit_profile([AggregatorSpec("mean"), spec], CLOUD, [1])
 
 
 @pytest.mark.parametrize("spec", [AggregatorSpec("cwtm", f_hat=5), AggregatorSpec("krum", f_hat=5),
