@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, check, kind_error, normalize, real_error
+from .errors import ParameterError, check, kind_error, normalize, real_error, reals_error, rule_errors
 from .problems import Problem, descend
 
 ATTACK_KINDS = ("honest_mimic", "escalating_outlier", "gaussian_noise", "sign_flip", "fixed_vector")
@@ -132,17 +133,20 @@ class AttackStrategy:
     scale: float = 1.0      # sign_flip
     vector: Optional[tuple] = None  # fixed_vector
 
+    @staticmethod
+    def field_errors(values: dict) -> dict:
+        needed = values.get("kind") == "fixed_vector"
+        return rule_errors(values, {
+            "kind": partial(kind_error, kinds=ATTACK_KINDS), "variance": partial(real_error, lo=0), "scale": real_error,
+            "vector": lambda name, vector: reals_error(name, vector) if vector is not None else (
+                f"{name} is required for a fixed_vector attack" if needed else None)})
+
     def __post_init__(self):
-        check(kind_error("kind", self.kind, ATTACK_KINDS) or real_error("variance", self.variance, lo=0)
-              or real_error("scale", self.scale))
-        if self.kind == "fixed_vector" and self.vector is None:
-            raise ParameterError("fixed_vector attack needs a vector")
+        check(*self.field_errors(vars(self)).values())
         normalize(self, variance=float, scale=float)
         if self.vector is not None:  # a scalar is a 1-vector, and stays a scalar
-            scalar = np.ndim(self.vector) == 0
-            entries = (self.vector,) if scalar else tuple(self.vector)
-            check(*(real_error(f"vector[{i}]", v) for i, v in enumerate(entries)))
-            object.__setattr__(self, "vector", float(self.vector) if scalar else tuple(map(float, entries)))
+            entries = self.vector.tolist() if isinstance(self.vector, np.ndarray) else self.vector
+            object.__setattr__(self, "vector", tuple(map(float, entries)) if np.ndim(entries) else float(entries))
 
 
 def check_dimension(strategy: AttackStrategy, d: int) -> None:

@@ -53,7 +53,6 @@ from typing import Optional
 import numpy as np
 
 from .aggregators import AggregatorSpec, _aggregate, stack_points
-from .aggregators import aggregate  # noqa: F401 - not called here, but bench/spans.py wraps audit.aggregate
 from .bounds import kappa_lower_bound
 from .errors import check, clients_error, count_error
 

@@ -6,16 +6,17 @@ fields use the shortest round-trip float representation, so repeated runs of
 the same config produce byte-identical results.csv files.
 
 Each config kind reads only its own sections (_SECTIONS; README.md has the
-full schema), and the schema is read off the library:
+full schema).  The schema is read off the library, and so are the rules of
+each field, every broken one recorded as ``section.field ...``:
 
 - aggregator, attack and engine.schedule take the fields of AggregatorSpec,
-  AttackStrategy and Schedule, with their types, defaults and range checks;
+  AttackStrategy and Schedule, with their defaults;
 - engine takes the RunConfig fields that no cell sets (T = 100, H = 1,
-  schedule, w0 = None, kappa = 0.0); one number for w0 is repeated over
-  every coordinate;
+  schedule, w0 = None, kappa = 0.0); one number for w0 or attack.vector is
+  a list of one, and w0's is repeated over every coordinate;
 - problem takes kind, f (default 0) and the parameters of the factory
-  f"{kind}_problem", with its type hints and defaults, less f_hat and
-  honest_set; an absent seed is the cell's seed.
+  f"{kind}_problem", with its defaults, less f_hat and honest_set; an
+  absent seed is the cell's seed.
 
 Exit codes: 0 success, 1 invalid config, 2 runtime failure, 3 sweep finished
 with failed cells.
@@ -31,7 +32,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import product
 from pathlib import Path
 
@@ -41,9 +42,10 @@ from . import audit as audit_mod
 from . import bounds
 from .aggregators import AggregatorSpec
 from .attacks import AttackStrategy
-from .engine import RunConfig, Schedule, _field_errors, run_batch
-from .errors import ConfigError, ParameterError, count_error, is_integer, kind_error, real_error
+from .engine import RunConfig, Schedule, run_batch
+from .errors import ConfigError, ParameterError, count_error, kind_error
 from .problems import (  # noqa: F401 - the factories are looked up by name, see PROBLEM_KINDS
+    PROBLEM_KINDS,
     homogeneous_quadratic_problem,
     parameter_errors,
     random_quadratic_problem,
@@ -65,19 +67,10 @@ CSV_COLUMNS = (
     "agg_deviation", "diverged",
 )
 
-# Each kind names the factory f"{kind}_problem", looked up in this module
-# when it is called.
-PROBLEM_KINDS = ("homogeneous_quadratic", "random_quadratic", "two_group_quadratic")
 # Factory parameters and RunConfig fields that each sweep cell sets.
 _CELL_PARAMS = ("f_hat", "honest_set")
 _CELL_FIELDS = ("problem", "aggregator", "attack", "seed")
 _AUDIT_DEFAULTS = {"n": None, "d": 1, "subset_budget": audit_mod.SUBSET_BUDGET}
-
-_INVALID = object()  # a value that failed its type check
-_TYPE_NAMES = {
-    bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
-    tuple: "a list of finite numbers", np.ndarray: "a list of finite numbers",
-}
 
 
 @dataclass
@@ -98,39 +91,22 @@ def _unknown_keys(section: dict, allowed: set, where: str, errors: list) -> None
 
 
 def _object(section, where: str, errors: list) -> dict | None:
-    """``section`` if it is a JSON object, else None after recording an error."""
-    if isinstance(section, dict):
-        return section
+    """``section`` if it is a JSON object ({} if null or absent), else None
+    after recording an error."""
+    if section is None or isinstance(section, dict):
+        return section or {}
     errors.append(f"'{where}' must be an object")
     return None
 
 
-def _is_number(value) -> bool:
-    return real_error("value", value) is None  # a JSON int or float, finite as a float
-
-
-def _typed(value, hint, name: str, errors: list):
-    """``value`` checked against a field type: bool, int, float, str, tuple or
-    array (of numbers, from a JSON list; an array also takes one number), a
-    dataclass (from its section; null means all defaults) or Optional of one
-    of them.  Integers are accepted as floats and converted.  Returns
-    _INVALID after recording an error."""
-    options = typing.get_args(hint) or (hint,)
-    kind = options[0]
-    if is_dataclass(kind):
-        return _build_spec(kind, {} if value is None else value, name, errors)
-    if value is None and type(None) in options:
-        return None
-    if kind is float and _is_number(value):
+def _kept(value, kind):
+    """A value that keeps its field's rules, as the config holds it: a float
+    in a float field, a tuple (one number as a 1-tuple) in a vector field."""
+    if kind is float:
         return float(value)
-    if kind is np.ndarray and _is_number(value):
-        return (float(value),)
-    if kind in (tuple, np.ndarray) and isinstance(value, list) and all(map(_is_number, value)):
-        return tuple(value)
-    if (kind in (bool, str) and isinstance(value, kind)) or (kind is int and is_integer(value)):
-        return value
-    errors.append(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return _INVALID
+    if kind in (tuple, np.ndarray) and value is not None:
+        return tuple(value) if isinstance(value, list) else (float(value),)
+    return value
 
 
 def _record(errors: list, *messages) -> bool:
@@ -142,82 +118,64 @@ def _record(errors: list, *messages) -> bool:
 
 @functools.lru_cache(maxsize=32)
 def _signature(target) -> tuple:
-    """The parameters of the dataclass or factory ``target`` and their type
-    hints, looked up once per target object."""
-    return tuple(inspect.signature(target).parameters.values()), typing.get_type_hints(target)
+    """The parameters of the dataclass or factory ``target`` and their types
+    (X for Optional[X]), looked up once per target object."""
+    kinds = {name: (typing.get_args(hint) or (hint,))[0] for name, hint in typing.get_type_hints(target).items()}
+    return tuple(inspect.signature(target).parameters.values()), kinds
 
 
-def _read_fields(target, section, where: str, errors: list, skip=(), optional=()) -> dict | None:
+def _read_fields(target, section, where: str, rules, errors: list, skip=(), optional=()) -> dict | None:
     """The parameters of the dataclass or factory ``target``, less ``skip``,
     read from their config section (None after recording an error if it is
-    not an object): the parameters are the allowed keys, each value is
-    checked against the parameter's type, and an absent key takes the
-    parameter's default, an empty section where the type is a dataclass.
-    An absent key with no default is left out if ``optional`` names it,
-    else it is required (_INVALID after recording an error)."""
-    if _object(section, where, errors) is None:
+    not an object), with their defaults; a dataclass parameter has a section
+    of its own (null means all defaults), and an absent key with no default
+    is required unless ``optional`` names it.  Each message of ``rules``
+    (values -> message by field) is recorded as ``where.message``, and the
+    fields that keep their rules are returned, as :func:`_kept` holds them."""
+    if (section := _object(section, where, errors)) is None:
         return None
-    params, hints = _signature(target)
+    params, kinds = _signature(target)
     params = [p for p in params if p.name not in skip]
     _unknown_keys(section, {p.name for p in params}, where, errors)
-    out = {}
+    values = {}
     for p in params:
-        hint = hints[p.name]
-        if p.name in section or p.default is not p.empty:
-            default = None if is_dataclass(hint) else p.default
-            out[p.name] = _typed(section.get(p.name, default), hint, f"{where}.{p.name}", errors)
+        if is_dataclass(kinds[p.name]):
+            values[p.name] = _build_spec(kinds[p.name], section.get(p.name), f"{where}.{p.name}", errors)
+        elif p.name in section or p.default is not p.empty:
+            values[p.name] = section.get(p.name, p.default)
         elif p.name not in optional:
             errors.append(f"{where}.{p.name} is required")
-            out[p.name] = _INVALID
-    return out
+    broken = rules(values)
+    errors.extend(f"{where}.{message}" for message in broken.values())
+    return {name: _kept(value, kinds[name]) for name, value in values.items() if name not in broken}
 
 
 def _build_spec(cls, section, where: str, errors: list) -> dict:
-    """Build the library dataclass ``cls`` from its config section and return
-    ``dataclasses.asdict`` of it ({} when it cannot be built); type errors and
-    the dataclass's own range checks are recorded in ``errors``."""
-    kwargs = _read_fields(cls, section, where, errors)
-    if kwargs is None or _INVALID in kwargs.values():
-        return {}
-    try:
-        return asdict(cls(**kwargs))
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-        return {}
+    """``dataclasses.asdict`` of the dataclass ``cls`` built from its config
+    section under its ``field_errors``, else the fields that keep them."""
+    kept = _read_fields(cls, section, where, cls.field_errors, errors) or {}
+    return asdict(cls(**kept)) if len(kept) == len(fields(cls)) else kept
 
 
 def _normalize_problem(section, errors) -> dict:
-    """kind, then the parameters of the kind's factory by their types and
-    defaults, under the factory's own rules (``problems.parameter_errors``).
-    f defaults to 0; an absent seed is left out, and the cell's seed fills
-    it in.  {} unless n is valid."""
-    if _object(section, "problem", errors) is None:
+    """kind, then the parameters of the kind's factory under its rules
+    (``problems.parameter_errors``).  f defaults to 0; an absent seed is
+    left out, and the cell's seed fills it in.  {} unless n is valid."""
+    if (section := _object(section, "problem", errors)) is None:
         return {}
     kind = section.get("kind")
     if not _record(errors, kind_error("problem.kind", kind, PROBLEM_KINDS)):
         return {}
     rest = {key: value for key, value in section.items() if key != "kind"}
-    out = {"kind": kind, **_read_fields(
-        globals()[f"{kind}_problem"], {"f": 0, **rest}, "problem", errors, skip=_CELL_PARAMS, optional=("seed",)
-    )}
-    broken = parameter_errors({key: value for key, value in out.items() if key != "kind" and value is not _INVALID})
-    errors.extend(f"problem.{error}" for error in broken.values())
-    return {} if out["n"] is _INVALID or "n" in broken else out
-
-
-def _normalize_engine(section, errors) -> dict:
-    """The RunConfig fields that no sweep cell sets, under RunConfig's own
-    rules for T, H and kappa."""
-    out = _read_fields(RunConfig, {} if section is None else section, "engine", errors, skip=_CELL_FIELDS) or {}
-    errors.extend(f"engine.{e}" for e in _field_errors({k: v for k, v in out.items() if v is not _INVALID}))
-    return out
+    kept = _read_fields(globals()[f"{kind}_problem"], {"f": 0, **rest}, "problem", parameter_errors, errors,
+                        skip=_CELL_PARAMS, optional=("seed",))
+    return {"kind": kind, **kept} if "n" in kept else {}
 
 
 def _normalize_grid(section, defaults: dict, n, errors) -> dict:
     """Each axis is a non-empty list of integers, 0 <= value < n/2 for f and
     f_hat; an absent axis holds its default, checked where it came from."""
-    section = {} if section is None else section
-    if _object(section, "grid", errors) is None:
+    if (section := _object(section, "grid", errors)) is None:
         return {}
     _unknown_keys(section, set(defaults), "grid", errors)
     out = {}
@@ -267,15 +225,18 @@ def parse_config(text: str) -> ExperimentConfig:
     if "problem" in sections:
         normalized["problem"] = _normalize_problem(raw.get("problem"), errors)
         n = normalized["problem"].get("n")
+    if "aggregator" in sections:
+        agg = normalized["aggregator"] = _build_spec(AggregatorSpec, raw.get("aggregator"), "aggregator", errors)
+        if "f_hat" in agg and n is not None:
+            _record(errors, count_error("aggregator.f_hat", agg["f_hat"], n=n))
+    if "attack" in sections:
         attack = raw.get("attack")
         normalized["attack"] = _build_spec(
             AttackStrategy, {"kind": "honest_mimic"} if attack is None else attack, "attack", errors
         )
-        normalized["engine"] = _normalize_engine(raw.get("engine"), errors)
-    if "aggregator" in sections:
-        agg = normalized["aggregator"] = _build_spec(AggregatorSpec, raw.get("aggregator"), "aggregator", errors)
-        if agg and n is not None:
-            _record(errors, count_error("aggregator.f_hat", agg["f_hat"], n=n))
+    if "engine" in sections:
+        normalized["engine"] = _read_fields(RunConfig, raw.get("engine"), "engine", RunConfig.field_errors, errors,
+                                            skip=_CELL_FIELDS) or {}
     if "grid" in sections:
         problem_f = normalized.get("problem", {}).get("f", 0)
         defaults = {"f_hat": normalized["aggregator"].get("f_hat", 0), "f": problem_f, "seeds": seed}

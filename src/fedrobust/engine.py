@@ -35,6 +35,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -43,7 +44,7 @@ from .aggregators import AggregatorSpec
 from .aggregators import _aggregate as aggregate  # run_round checks its deltas, RunConfig its f_hat
 from .attacks import AttackStrategy, byzantine_upload, check_dimension, noise_stream
 from .bounds import stepsize_constant
-from .errors import ParameterError, check, count_error, kind_error, normalize, real_error
+from .errors import ParameterError, check, count_error, kind_error, normalize, real_error, reals_error, rule_errors
 from .problems import Problem, honest_objective, local_update
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
@@ -55,10 +56,16 @@ class Schedule:
     gamma: float = 0.01   # constant stepsize, or gamma0 for step_wise
     beta: float = 0.5     # pl_power exponent
 
+    @staticmethod
+    def field_errors(values: dict) -> dict:
+        kind = values.get("kind")
+        return rule_errors(values, {
+            "kind": partial(kind_error, kinds=SCHEDULE_KINDS),
+            "gamma": partial(real_error, positive=kind in ("constant", "step_wise")),
+            "beta": partial(real_error, below=1 if kind == "pl_power" else None)})
+
     def __post_init__(self):
-        check(kind_error("kind", self.kind, SCHEDULE_KINDS)
-              or real_error("gamma", self.gamma, positive=self.kind in ("constant", "step_wise"))
-              or real_error("beta", self.beta, below=1 if self.kind == "pl_power" else None))
+        check(*self.field_errors(vars(self)).values())
         normalize(self, gamma=float, beta=float)
 
 
@@ -83,17 +90,11 @@ def stepsize_at(schedule: Schedule, t: int, T: int, L: float, H: int, kappa: flo
     return 0.01 * schedule.gamma
 
 
-def _field_errors(values: dict) -> list[str]:
-    """One message per rule on RunConfig's T, H, seed and kappa that ``values``
-    (field name -> value) breaks; absent fields are not checked.  T, H and seed
-    are integers, and kappa a finite real number >= 0 whose stepsize constant
-    is finite."""
-    errors = [count_error(key, values[key], lo) for key, lo in (("T", 0), ("H", 1), ("seed", 0)) if key in values]
-    kappa = values.get("kappa", 0.0)  # an absent kappa breaks no rule
-    errors.append(real_error("kappa", kappa, lo=0))
-    if errors[-1] is None and not math.isfinite(stepsize_constant(kappa)):
-        errors.append(f"kappa = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
-    return [error for error in errors if error is not None]
+def _kappa_error(name: str, kappa):
+    """kappa is a finite real number >= 0 whose stepsize constant is finite."""
+    error = real_error(name, kappa, lo=0)
+    return error or (None if math.isfinite(stepsize_constant(kappa)) else
+                     f"{name} = {kappa!r} overflows the stepsize constant sqrt(384*kappa)")
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,16 @@ class RunConfig:
     seed: int = 0
     kappa: float = 0.0  # robustness coefficient used by the c' stepsize rule
 
+    @staticmethod
+    def field_errors(values: dict) -> dict:
+        return rule_errors(values, {
+            "T": count_error, "H": partial(count_error, lo=1), "seed": count_error, "kappa": _kappa_error,
+            "w0": lambda name, w0: None if w0 is None else reals_error(name, w0)})
+
     def __post_init__(self):
-        check(*_field_errors({key: getattr(self, key) for key in ("T", "H", "seed", "kappa")}))
+        check(*self.field_errors(vars(self)).values())
         normalize(self, T=int, H=int, seed=int, kappa=float)
-        w0 = np.zeros(self.problem.d) if self.w0 is None else np.atleast_1d(
-            np.asarray(self.w0, dtype=np.float64)
-        )
+        w0 = np.zeros(self.problem.d) if self.w0 is None else np.atleast_1d(np.asarray(self.w0, dtype=np.float64))
         if w0.shape != (self.problem.d,):
             raise ParameterError(f"w0 must have dimension {self.problem.d}")
         object.__setattr__(self, "w0", w0)

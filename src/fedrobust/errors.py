@@ -6,6 +6,11 @@ collects every message of a config, so a rule reads the same wherever it is
 checked.  ``name`` is the parameter as the caller spells it: ``"f"``, or a
 config path such as ``"grid.f"``, whose last part the rule names.
 
+A config target's rules are one function, field values -> message by
+field (:func:`rule_errors`): the ``field_errors`` of each dataclass, and
+``problems.parameter_errors``.  The target raises the first message; the CLI
+records each as ``section.field ...``.
+
 - :func:`count_error`, an integer (a bool is not one) >= lo, and < n/2 when
   n is given: ``f must be an integer, got True``, ``seed = -1 violates
   0 <= seed``, ``grid.f = 10 violates 0 <= f < n/2 (n=20)``.
@@ -20,11 +25,15 @@ config path such as ``"grid.f"``, whose last part the rule names.
   real number, got '1'``, ``gamma must be positive``, ``kappa = -1.0
   violates 0 <= kappa``, ``beta must lie in (0, 1)``, ``scale must be
   finite``.
+- :func:`reals_error`, the real rule on each entry of a vector (one number
+  is one entry): ``w0[1] must be a real number, got None``.
+- :func:`flag_error`, a Python or numpy bool: ``pre_nnm must be a boolean,
+  got 'no'``.
 
 Where a checked value is kept, the library keeps a real number as a Python
-float and a count as a Python int (:func:`normalize`), so that a config
-digest reads one spelling of each number: ``G=1`` and ``G=1.0`` give one
-digest.
+float, a count as a Python int and a flag as a Python bool (:func:`normalize`),
+so that a config digest reads one spelling of each value: ``G=1`` and
+``G=1.0`` give one digest.
 """
 
 import math
@@ -65,7 +74,7 @@ def check(*messages) -> None:
 
 def normalize(instance, **kinds) -> None:
     """Keep each named field of the frozen dataclass ``instance`` as ``kind(value)``:
-    a checked real as a float, a count as an int."""
+    a checked real as a float, a count as an int, a flag as a bool."""
     for name, kind in kinds.items():
         object.__setattr__(instance, name, kind(getattr(instance, name)))
 
@@ -127,3 +136,22 @@ def real_error(name: str, value, positive: bool = False, lo=None, below=None):
     if below is not None and not 0 < value < below:
         return f"{name} must lie in (0, {below})"
     return None
+
+
+def reals_error(name: str, values):
+    """The real rule on each entry (one number is one): the first broken one's, as ``name[i]``."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    entries = values if isinstance(values, (list, tuple)) or np.ndim(values) else (values,)
+    return next(filter(None, (real_error(f"{name}[{i}]", v) for i, v in enumerate(entries))), None)
+
+
+def flag_error(name: str, value):
+    if not isinstance(value, (bool, np.bool_)):
+        return f"{name} must be a boolean, got {value!r}"
+    return None
+
+
+def rule_errors(values: dict, rules: dict) -> dict:
+    """The message of each rule in ``rules`` (field -> rule(field, value))
+    that its field's value in ``values`` breaks, by field."""
+    return {name: error for name, value in values.items() if name in rules and (error := rules[name](name, value))}

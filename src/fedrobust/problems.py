@@ -13,10 +13,11 @@ curvature; each factory passes G^2 and l_star, which are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import ConstructionError, check, clients_error, count_error, normalize, real_error, regime_error
+from .errors import ConstructionError, check, clients_error, count_error, normalize, real_error, regime_error, rule_errors
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,12 @@ def _verify_constants(p: Problem) -> None:
     a = p.curvature
     spread = p.centers[p.honest_index]
     spread = spread - spread.mean(axis=0)
-    l_star = float(np.sum(a * (spread ** 2).mean(axis=0)))
-    g2 = float(np.sum(4.0 * a ** 2 * (spread ** 2).mean(axis=0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a constant past the float range mismatches below
+        l_star = float(np.sum(a * (spread ** 2).mean(axis=0)))
+        g2 = float(np.sum(4.0 * a ** 2 * (spread ** 2).mean(axis=0)))
     for name, (given, computed) in {"G2": (p.G2, g2), "l_star": (p.l_star, l_star)}.items():
         tol = 1e-9 * (1.0 + abs(computed))
-        if abs(given - computed) > tol:
+        if not abs(given - computed) <= tol:  # a difference that is not finite is a mismatch
             raise ConstructionError(
                 f"constant {name}={given} does not match value {computed} recomputed from the losses"
             )
@@ -107,29 +109,33 @@ def _honest_set(n: int, f: int, honest_set) -> tuple:
     return tuple(map(int, honest_set))
 
 
-# factory parameter -> its rule and bounds, for every one but f, whose bound is n
+# Each kind names the factory f"{kind}_problem" of this module.
+PROBLEM_KINDS = ("homogeneous_quadratic", "random_quadratic", "two_group_quadratic")
+
+
+def _g_error(name: str, G):
+    """G > 0, with a finite G2 = G^2."""
+    error = real_error(name, G, positive=True)
+    return error or (None if np.isfinite(float(G) * float(G)) else f"{name} = {G!r} overflows G2 = {name}^2")
+
+
+# factory parameter -> its rule, for every one but f, whose bound is n
 _RULES = {
-    "n": (count_error, {"lo": 1}), "d": (count_error, {"lo": 1}), "G": (real_error, {"positive": True}),
-    "G_target": (real_error, {"lo": 0}), "radius": (real_error, {}), "seed": (count_error, {}),
+    "n": partial(count_error, lo=1), "d": partial(count_error, lo=1), "G": _g_error,
+    "G_target": partial(real_error, lo=0), "radius": real_error, "seed": count_error,
 }
 
 
 def parameter_errors(values: dict) -> dict:
     """The message of each rule that ``values`` (factory parameter -> value)
     breaks, by parameter, among the factory parameters that no sweep cell
-    sets: n >= 1, 0 <= f < n/2, d >= 1, G > 0, G_target >= 0, a real radius
-    and seed >= 0.  Absent and other parameters are not checked, nor is f
-    while n breaks its rule.  The factories raise the first message; the CLI
-    collects them all."""
+    sets: n >= 1, 0 <= f < n/2, d >= 1, G > 0 with a finite square,
+    G_target >= 0, a real radius and seed >= 0.  Absent and other parameters
+    are not checked, nor is f while n breaks its rule.  The factories raise
+    the first message; the CLI collects them all."""
     n = values.get("n")
-    errors = {}
-    for name, value in values.items():
-        if name == "f":
-            errors[name] = None if count_error("n", n, lo=1) else count_error("f", value, n=n)
-        elif name in _RULES:
-            rule, bounds = _RULES[name]
-            errors[name] = rule(name, value, **bounds)
-    return {name: error for name, error in errors.items() if error is not None}
+    f_rule = (lambda name, f: None) if count_error("n", n, lo=1) else partial(count_error, n=n)
+    return rule_errors(values, dict(_RULES, f=f_rule))
 
 
 def two_group_quadratic_problem(n: int, f: int, f_hat: int, G: float = 1.0, honest_set=None) -> Problem:

@@ -30,7 +30,8 @@ from fedrobust.cli import (
     run_audit,
     run_sweep,
 )
-from fedrobust.engine import config_digest
+from fedrobust.attacks import ATTACK_KINDS
+from fedrobust.engine import SCHEDULE_KINDS, config_digest
 from test_aggregators import oracle_weiszfeld
 
 MINIMAL_SIMULATE = {
@@ -92,16 +93,66 @@ def test_unknown_key_suggests_nearest():
 
 
 def test_all_errors_reported_not_just_first():
+    # one broken rule per field (n stays valid, so that f is checked against it)
     bad = {
         "schema_version": 99,
         "kind": "simulate",
-        "problem": {"kind": "homogeneous_quadratic", "n": -1},
-        "aggregator": {"kind": "bogus"},
-        "attack": {"kind": "gaussian_noise", "variance": -3},
+        "problem": {"kind": "random_quadratic", "n": 10, "f": 5, "d": 0, "G_target": -1.0, "radius": "x", "seed": -1},
+        "aggregator": {"kind": "bogus", "f_hat": -1, "pre_nnm": "yes", "gm_tolerance": 0, "gm_max_iters": 0,
+                       "krum_squared": 1},
+        "attack": {"kind": "bogus", "variance": -3, "scale": float("nan"), "vector": [1, "a"]},
+        "engine": {"T": -1, "H": 0, "w0": [None], "kappa": -1.0,
+                   "schedule": {"kind": "bogus", "gamma": "x", "beta": True}},
     }
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(bad))
-    assert len(exc.value.errors) >= 4
+    assert exc.value.errors == [
+        "schema_version must be 1, got 99",
+        "problem.f = 5 violates 0 <= f < n/2 (n=10)",
+        "problem.d = 0 violates 1 <= d",
+        "problem.G_target = -1.0 violates 0 <= G_target",
+        "problem.radius must be a real number, got 'x'",
+        "problem.seed = -1 violates 0 <= seed",
+        f"aggregator.kind must be one of {list(aggregators.KINDS)}, got 'bogus'",
+        "aggregator.f_hat = -1 violates 0 <= f_hat",
+        "aggregator.pre_nnm must be a boolean, got 'yes'",
+        "aggregator.gm_tolerance must be positive",
+        "aggregator.gm_max_iters = 0 violates 1 <= gm_max_iters",
+        "aggregator.krum_squared must be a boolean, got 1",
+        f"attack.kind must be one of {list(ATTACK_KINDS)}, got 'bogus'",
+        "attack.variance = -3 violates 0 <= variance",
+        "attack.scale must be finite",
+        "attack.vector[1] must be a real number, got 'a'",
+        f"engine.schedule.kind must be one of {list(SCHEDULE_KINDS)}, got 'bogus'",
+        "engine.schedule.gamma must be a real number, got 'x'",
+        "engine.schedule.beta must be a real number, got True",
+        "engine.T = -1 violates 0 <= T",
+        "engine.H = 0 violates 1 <= H",
+        "engine.w0[0] must be a real number, got None",
+        "engine.kappa = -1.0 violates 0 <= kappa",
+    ]
+
+
+@pytest.mark.parametrize("sections, shown", [
+    # two broken fields in one section are two lines; a type error reads as the library words it
+    ({"aggregator": {"kind": "gm", "gm_tolerance": -1.0, "gm_max_iters": 0},
+      "attack": {"kind": "gaussian_noise", "variance": -2.0, "scale": "x"},
+      "engine": {"schedule": {"kind": "pl_power", "beta": 2.0}}}, [
+        "attack.variance = -2.0 violates 0 <= variance", "attack.scale must be a real number, got 'x'",
+        "engine.schedule.beta must lie in (0, 1)", "aggregator.gm_tolerance must be positive",
+        "aggregator.gm_max_iters = 0 violates 1 <= gm_max_iters",
+    ]),
+    ({"problem": {"kind": "two_group_quadratic", "n": 10, "G": "x"}, "aggregator": {"kind": "cwtm", "f_hat": "2"},
+      "attack": {"kind": "fixed_vector", "vector": [1, "a"]}, "engine": {"w0": [1, None]}}, [
+        "problem.G must be a real number, got 'x'", "aggregator.f_hat must be an integer, got '2'",
+        "attack.vector[1] must be a real number, got 'a'", "engine.w0[1] must be a real number, got None",
+    ]),
+], ids=["five_errors", "type_errors"])
+def test_every_broken_field_is_one_config_error_line(tmp_path, capsys, sections, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(MINIMAL_SIMULATE, **sections)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert sorted(capsys.readouterr().err.splitlines()) == sorted(f"config error: {line}" for line in shown)
 
 
 def test_sweep_grid_produces_full_product():
@@ -741,6 +792,13 @@ def test_integer_and_float_values_give_the_same_digest():
 
     assert digest(1, 5) == digest(1.0, 5.0)
     assert digest(1, 5) != digest(0.5, 5.0) != digest(0.5, 4.0)
+
+
+def test_one_number_is_a_vector_of_one():
+    # SWEEP_TEMPLATE holds attack.vector [2.0] and engine.w0 1.0
+    template = parse_config(json.dumps(SWEEP_TEMPLATE)).normalized
+    for path, value in (("attack.vector", 2), ("engine.w0", [1])):
+        assert parse_config(json.dumps(_with(SWEEP_TEMPLATE, path, value))).normalized == template
 
 
 def test_readme_config_example_parses():

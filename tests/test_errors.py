@@ -1,8 +1,12 @@
 """The parameter rules of errors.py, and their one wording at every entry
 point that checks them."""
 
+import copy
+import dataclasses
+import inspect
 import json
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -28,12 +32,12 @@ from fedrobust import (
     two_group_quadratic_problem,
     weiszfeld,
 )
-from fedrobust import audit
+from fedrobust import audit, cli, problems
 from fedrobust.aggregators import KINDS
 from fedrobust.attacks import ATTACK_KINDS
 from fedrobust.bounds import GUARANTEED_KINDS
 from fedrobust.cli import CONFIG_KINDS, PROBLEM_KINDS, parse_config
-from fedrobust.engine import SCHEDULE_KINDS
+from fedrobust.engine import SCHEDULE_KINDS, config_digest
 from fedrobust.errors import check, clients_error, count_error, kind_error, real_error, regime_error
 
 BIG = 10**400  # an integer too large for a float
@@ -181,6 +185,17 @@ BOUNDARY = [
     ("random_seed", lambda: random_quadratic_problem(10, 2, seed=-1), "seed = -1 violates 0 <= seed"),
     ("random_d", lambda: random_quadratic_problem(10, 2, 0, seed=0), "d = 0 violates 1 <= d"),
     ("two_group_n", lambda: two_group_quadratic_problem(0, 0, 1), "n = 0 violates 1 <= n"),
+    ("two_group_G_square", lambda: two_group_quadratic_problem(10, 2, 3, G=1e200), "G = 1e+200 overflows G2 = G^2"),
+    ("pre_nnm_str", lambda: AggregatorSpec("mean", pre_nnm="no"), "pre_nnm must be a boolean, got 'no'"),
+    ("pre_nnm_int", lambda: AggregatorSpec("mean", pre_nnm=1), "pre_nnm must be a boolean, got 1"),
+    ("krum_squared_int", lambda: AggregatorSpec("krum", krum_squared=1), "krum_squared must be a boolean, got 1"),
+    ("krum_squared_str", lambda: AggregatorSpec("krum", krum_squared="no"), "krum_squared must be a boolean, got 'no'"),
+    ("fixed_vector_none", lambda: AttackStrategy("fixed_vector"), "vector is required for a fixed_vector attack"),
+    ("w0_str", lambda: _run_config(w0=["a"]), "w0[0] must be a real number, got 'a'"),
+    ("w0_none", lambda: _run_config(w0=[None]), "w0[0] must be a real number, got None"),
+    ("w0_nan", lambda: _run_config(w0=[NAN]), "w0[0] must be finite"),
+    ("w0_inf", lambda: _run_config(w0=np.array([-INF])), "w0[0] must be finite"),
+    ("w0_scalar_str", lambda: _run_config(w0="1.5"), "w0[0] must be a real number, got '1.5'"),
 ]
 
 
@@ -241,7 +256,7 @@ CLI_BOUNDARY = [
     ("problem.kind", dict(SIMULATE, problem={"kind": "median", "n": 10}),
      f"problem.kind must be one of {list(PROBLEM_KINDS)}, got 'median'"),
     ("aggregator.kind", dict(SIMULATE, aggregator={"kind": "median"}),
-     f"aggregator: kind must be one of {list(KINDS)}, got 'median'"),
+     f"aggregator.kind must be one of {list(KINDS)}, got 'median'"),
 ]
 
 
@@ -250,6 +265,53 @@ def test_the_cli_collects_each_rule_in_the_library_wording(doc, message):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(doc))
     assert excinfo.value.errors == [message]
+
+
+def _cli_fields():
+    """(section, its config, field, library entry point, its other arguments)
+    for every field the CLI reads, found as the CLI finds them: a field added
+    later is read here too, and must come with a rule."""
+    cases = []
+    for kind in PROBLEM_KINDS:
+        factory = getattr(problems, f"{kind}_problem")
+        names = inspect.signature(factory).parameters
+        required = {name: value for name, value in {"n": 10, "f": 2, "f_hat": 3, "seed": 0}.items() if name in names}
+        cases += [("problem", {"kind": kind, "n": 10}, name, factory, required)
+                  for name in names if name not in cli._CELL_PARAMS]
+    for section, cls, base in (("aggregator", AggregatorSpec, {"kind": "mean"}),
+                               ("attack", AttackStrategy, {"kind": "honest_mimic"}), ("engine.schedule", Schedule, {})):
+        cases += [(section, base, f.name, cls, base) for f in dataclasses.fields(cls)]
+    hints = typing.get_type_hints(RunConfig)
+    cases += [("engine", {}, f.name, _run_config, {}) for f in dataclasses.fields(RunConfig)
+              if f.name not in cli._CELL_FIELDS and not dataclasses.is_dataclass(hints[f.name])]  # schedule: a section
+    return cases
+
+
+CLI_FIELDS = _cli_fields()
+
+
+@pytest.mark.parametrize("section, config, name, entry, arguments", CLI_FIELDS,
+                         ids=[f"{case[0]}.{case[2]}[{case[1].get('kind', '')}]" for case in CLI_FIELDS])
+def test_every_field_the_cli_reads_has_a_library_rule(section, config, name, entry, arguments):
+    # {} is no field's value: the library rejects it, and the CLI words it the same way
+    with pytest.raises(ParameterError) as lib:
+        entry(**{**arguments, name: {}})
+    target = doc = copy.deepcopy(SIMULATE)
+    for part in section.split("."):
+        target = target.setdefault(part, {})
+    target.update(config, **{name: {}})
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(doc))
+    assert excinfo.value.errors == [f"{section}.{lib.value}"]
+
+
+def test_a_numpy_bool_flag_is_kept_as_a_bool():
+    spec = AggregatorSpec("krum", pre_nnm=np.bool_(True), krum_squared=np.bool_(False))
+    assert type(spec.pre_nnm) is bool and type(spec.krum_squared) is bool
+    assert spec == AggregatorSpec("krum", pre_nnm=True, krum_squared=False)
+    assert spec.name == "krum_nnm"
+    assert config_digest(_run_config(aggregator=spec)) == config_digest(
+        _run_config(aggregator=AggregatorSpec("krum", pre_nnm=True, krum_squared=False)))
 
 
 # ---------------------------------------------------------------------------

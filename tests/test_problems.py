@@ -3,6 +3,7 @@ oracles, the shared-curvature identities, and the array functions against
 a client-by-client oracle."""
 
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -137,6 +138,10 @@ def test_two_group_validation():
         two_group_quadratic_problem(10, 4, 3, 1.0)  # f > f_hat
     with pytest.raises(ParameterError):
         two_group_quadratic_problem(10, 2, 5, 1.0)  # f_hat >= n/2
+    for G in (1e200, 10**200):  # G2 = G^2 would be inf
+        with pytest.raises(ParameterError, match=re.escape(f"G = {G!r} overflows G2 = G^2")):
+            two_group_quadratic_problem(10, 2, 3, G)
+    assert two_group_quadratic_problem(10, 2, 3, 1e150).G2 == 1e150 * 1e150
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +276,12 @@ def test_constants_verified_at_construction():
         Problem(f=0, honest_set=(0,), curvature=-1.0, centers=[[0.0]], G2=0.0, l_star=0.0)
     with pytest.raises(ConstructionError):
         Problem(f=0, honest_set=(0,), curvature=1.0, centers=[[np.inf]], G2=0.0, l_star=0.0)
+    # a constant that is not finite, given or recomputed, never matches
+    for G2, l_star in ((np.nan, 1.0), (np.inf, 1.0), (4.0, np.nan), (-np.inf, 1.0)):
+        with pytest.raises(ConstructionError):
+            Problem(f=0, honest_set=None, curvature=[1.0], centers=[[0.0], [2.0]], G2=G2, l_star=l_star)
+    with pytest.raises(ConstructionError):  # (2a)^2 overflows: no warning, a mismatch
+        Problem(f=0, honest_set=None, curvature=[1e200], centers=[[0.0], [2.0]], G2=np.inf, l_star=1e200)
     # L and mu are derived from the curvature, not passed
     p = Problem(f=0, honest_set=None, curvature=[0.5, 2.0], centers=np.zeros((3, 2)), G2=0.0, l_star=0.0)
     assert (p.L, p.mu) == (4.0, 1.0)
