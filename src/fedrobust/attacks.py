@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, check, kind_error, normalize, real_error, reals_error, rule_errors
+from .errors import check, dimension_error, kind_error, normalize, real_error, reals_error, rule_errors
 from .problems import Problem, descend
 
 ATTACK_KINDS = ("honest_mimic", "escalating_outlier", "gaussian_noise", "sign_flip", "fixed_vector")
@@ -151,8 +151,7 @@ class AttackStrategy:
 
 def check_dimension(strategy: AttackStrategy, d: int) -> None:
     """Raise ParameterError unless a fixed_vector has ``d`` entries (a scalar is a 1-vector)."""
-    if strategy.kind == "fixed_vector" and np.atleast_1d(strategy.vector).shape != (d,):
-        raise ParameterError(f"attack vector must have dimension {d}")
+    check(dimension_error("attack vector", strategy.vector if strategy.kind == "fixed_vector" else None, d))
 
 
 def byzantine_upload(

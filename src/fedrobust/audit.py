@@ -36,10 +36,11 @@ score every subset with the gathered formula.
 A sampled subset is ``np.argsort(keys, axis=1)[:, :size]`` for a row of the
 keys ``default_rng(seed).random((budget, n))``.  The keys are drawn, sorted
 for each f's threshold, turned into weights and scored ``BLOCK`` rows at a
-time in one reused buffer; only each row's fast ratio outlives its block,
-so the window is taken over the whole draw.  The window's rows are then
-re-drawn from the seed's generator, advanced to each block's first window
-row, and turned into subsets by the same sort and threshold.
+time in one reused buffer (a row whose threshold key ties takes that
+argsort); only each row's fast ratio outlives its block, so the window is
+taken over the whole draw.  Its rows are re-drawn from the seed's generator,
+advanced to each block's first window row, and take that argsort itself.
+An exhaustive audit's rows are read from index rows cached with its weights.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ GUARD = 1e-5
 
 # Up to this many gathered values (num subsets of size members, d + 1 values
 # each) scoring every subset the gathered way costs less than the fast path's
-# fixed overhead (crossover 1,500-2,500 on a 2-core x86-64 machine: d = 2-3
-# scores faster from 1,500, d = 5-15 still gathers faster up to 2,400).
+# fixed overhead (crossover 1,500-2,600 on a 2-core x86-64 machine: d = 2-3
+# scores faster from 1,500, d = 1 and d = 5-15 still gather faster at 2,500).
 GATHER_ALL_MAX = 2048
 
 # Rows of keys drawn, scored or re-drawn, and of candidates rescored, at a time.
@@ -137,26 +138,37 @@ def _subset_weights(subsets: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _all_subsets(n: int, size: int) -> np.ndarray:
-    """Read-only weight matrix of every size-subset of range(n), in
-    lexicographic order: the transpose of a C-contiguous (n, num) matrix, so
-    that ``weights.T`` is read row by row."""
+def _all_subsets(n: int, size: int):
+    """Every size-subset of range(n), in lexicographic order, as read-only
+    index rows of the least dtype that holds n, and their read-only weight
+    matrix: the transpose of a C-contiguous (n, num) matrix, so that
+    ``weights.T`` is read row by row."""
     subsets = np.array(list(combinations(range(n), size)), dtype=np.intp)
     weights = np.zeros((n, len(subsets)))     # built transposed: no second copy
     np.put_along_axis(weights, subsets.T, 1.0 / size, axis=0)
-    weights.flags.writeable = False
-    return weights.T
+    subsets = subsets.astype(np.min_scalar_type(n))  # the freed intp rows raise glibc's mmap threshold
+    subsets.flags.writeable = weights.flags.writeable = False
+    return subsets, weights.T
+
+
+def _anchors(n: int, size: int) -> np.ndarray:
+    """Rows 0 and 1 of a sampled audit: the first and the last size clients."""
+    return np.array([range(size), range(n - size, n)], dtype=np.intp)
+
+
+def _key_subsets(keys: np.ndarray, size: int) -> np.ndarray:
+    """Ascending index rows of the sampled subsets of the rows of ``keys``."""
+    return np.sort(np.argsort(keys, axis=1)[:, :size], axis=1)
 
 
 def _threshold_weights(keys: np.ndarray, cut: np.ndarray, size: int, out: np.ndarray) -> None:
-    """Write to ``out`` the weights of the subsets ``np.argsort(keys,
-    axis=1)[:, :size]``, given each row's size-th and (size + 1)-th smallest
-    keys as ``cut``: a row's keys up to its size-th smallest, or, where that
-    key ties the next one and so takes too many, the row's own argsort."""
+    """Write to ``out`` the weights of :func:`_key_subsets`, given each row's
+    size-th and (size + 1)-th smallest keys as ``cut``: its keys up to the
+    size-th smallest, or its own subset where that key ties the next one."""
     np.multiply(keys <= cut[:, :1], 1.0 / size, out=out)
     tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
     if tied.size:
-        out[tied] = _subset_weights(np.argsort(keys[tied], axis=1)[:, :size], keys.shape[1])
+        out[tied] = _subset_weights(_key_subsets(keys[tied], size), keys.shape[1])
 
 
 def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float) -> float:
@@ -227,33 +239,19 @@ def _moment_columns(pts: np.ndarray, outputs: list):
     return columns, lengths
 
 
-def _cached_subsets(weights: np.ndarray, size: int, rows: np.ndarray):
-    """Yield the index rows of ``rows`` of the cached ``weights``, ``BLOCK``
-    at a time, each read as contiguous columns of ``weights.T``."""
-    for lo in range(0, len(rows), BLOCK):
-        yield weights.T.take(rows[lo : lo + BLOCK], axis=1).T.nonzero()[1].reshape(-1, size)
-
-
-def _key_subsets(keys: np.ndarray, size: int) -> np.ndarray:
-    """Ascending index rows of the subsets ``np.argsort(keys, axis=1)[:, :size]``,
-    through the sort and threshold of the forward pass."""
-    ordered = np.sort(keys, axis=1)
-    _threshold_weights(keys, ordered[:, size - 1 : size + 1].copy(), size, ordered)
-    return ordered.nonzero()[1].reshape(-1, size)
-
-
-def _replayed_subsets(seed: int, n: int, size: int, rows: np.ndarray):
-    """Yield the index rows of the sampled ``rows`` (ascending; rows 0 and 1
-    are the anchors, row j + 2 is key row j), the rows of one block of the
-    forward draw at a time, with their keys re-drawn from the stream of
-    ``default_rng(seed)``.
-
-    Each key takes one 64-bit output of the generator, so key row j starts
-    at output j·n: a block's rows are drawn as one span, from the first of
-    them to the last."""
+def _subsets(n: int, size: int, num: int, cached, seed: int, rows):
+    """Yield the index rows of the ascending audit ``rows`` (all ``num`` if
+    None: few enough to gather at once), at most ``BLOCK`` at a time: the
+    ``cached`` rows, else the anchors (rows 0 and 1), then key row j (row
+    j + 2) re-drawn from ``default_rng(seed)`` advanced to output j·n (a key
+    is one 64-bit output), as one span per block of the forward draw."""
+    if cached is not None:
+        yield from [cached] if rows is None else (cached[rows[lo : lo + BLOCK]] for lo in range(0, len(rows), BLOCK))
+        return
+    rows = np.arange(num) if rows is None else rows
     anchors = int(np.searchsorted(rows, 2))
     if anchors:
-        yield np.array([range(size), range(n - size, n)], dtype=np.intp)[rows[:anchors]]
+        yield _anchors(n, size)[rows[:anchors]]
     rows = rows[anchors:] - 2
     bit_generator = np.random.PCG64(seed)
     rng, at, lo = np.random.Generator(bit_generator), 0, 0
@@ -280,13 +278,14 @@ def _worst(output: np.ndarray, pts: np.ndarray, blocks):
 
 
 def _weight_blocks(n: int, fs, budget: int, seed: int):
-    """Yield ``(size, weights, lo, last)``: rows lo, lo + 1, ... of an f's weights, and
-    whether they end them.  An exhaustive f is one block; the sampled f share one
+    """Yield ``(size, num, lo, cached, weights)``: an f's number of rows, the
+    first row of the block, the f's cached index rows (None when sampled), and
+    the block's weights.  An exhaustive f is one block; the sampled f share one
     key draw and one buffer, ``BLOCK`` rows at a time, anchor subsets first."""
     sampled = []
     for f in fs:
         if math.comb(n, f) <= budget:
-            yield n - f, _all_subsets(n, n - f), 0, True
+            yield n - f, math.comb(n, f), 0, *_all_subsets(n, n - f)
         elif n - f not in sampled:
             sampled.append(n - f)
     if not sampled:
@@ -303,27 +302,25 @@ def _weight_blocks(n: int, fs, budget: int, seed: int):
         for size in sampled:
             _threshold_weights(keys, cuts[size], size, ordered)
             if not start:
-                buffer[:2] = _subset_weights(np.array([range(size), range(n - size, n)], dtype=np.intp), n)
-            yield size, buffer[2 if start else 0 : b + 2], start + 2 if start else 0, start + b == budget
+                buffer[:2] = _subset_weights(_anchors(n, size), n)
+            yield size, budget + 2, start + 2 if start else 0, None, buffer[2 if start else 0 : b + 2]
 
 
 def _screen(pts: np.ndarray, outputs: list, fs, budget: int, seed: int):
     """The forward pass over every block of weights.  Return, per size n - f,
-    ``(num, weights, ratios, min_vars)``: the number of rows, the enumerated
-    weights (None when sampled), each output's fast ratio of every row (None
-    when every row is to be gathered) and each output's least fast variance;
-    and the outputs' length bounds.  Only the fast ratios outlive a block,
-    and the key buffer is freed on return, before any row is rescored."""
+    ``(num, cached, ratios, min_vars)``: its row count and cached rows, each
+    output's fast ratio of every row (None when every row is to be gathered)
+    and each output's least fast variance; and the outputs' length bounds.
+    Only the fast ratios outlive a block, and the key buffer is freed on
+    return, before any row is rescored."""
     d = pts.shape[1]
     lengths, scores = None, {}
-    for size, weights, lo, last in _weight_blocks(len(pts), fs, budget, seed):
+    for size, num, lo, cached, weights in _weight_blocks(len(pts), fs, budget, seed):
         if lo == 0:
-            num = len(weights) if last else budget + 2  # so exhaustive iff num <= budget
             fast = num * size * (d + 1) > GATHER_ALL_MAX
             if fast and lengths is None:
                 columns, lengths = _moment_columns(pts, outputs)
-            scores[size] = (num, weights if num <= budget else None,
-                            np.empty((len(outputs), num)) if fast else None, [math.inf] * len(outputs))
+            scores[size] = (num, cached, np.empty((len(outputs), num)) if fast else None, [math.inf] * len(outputs))
         _, _, ratios, min_vars = scores[size]
         if ratios is not None:
             rows = slice(lo, lo + len(weights))
@@ -356,18 +353,14 @@ def audit_profile(specs, xs, fs, subset_budget: int = SUBSET_BUDGET, seed: int =
     for size, (num, cached, ratios, min_vars) in scores.items():
         results[size] = audits = []
         for k, output in enumerate(outputs):
-            if ratios is None:  # few enough rows to gather every one, in one block
-                subsets = ((cached.nonzero()[1].reshape(-1, size),) if cached is not None
-                           else _replayed_subsets(seed, n, size, np.arange(num)))
-            else:
-                rows = _candidates(ratios[k], min_vars[k], size, d, lengths[k])
-                # When every point of the cloud has the same bits, every subset gathers the
-                # same rows and has the same ratio, so the first one stands for all.  Only a
-                # candidate set of more than one block is checked for it: every fast variance
-                # of such a cloud is guarded, so all its rows are candidates.
-                if len(rows) > BLOCK and pts.tobytes() == pts[:1].tobytes() * n:
-                    rows = rows[:1]
-                subsets = _replayed_subsets(seed, n, size, rows) if cached is None else _cached_subsets(cached, size, rows)
+            rows = None if ratios is None else _candidates(ratios[k], min_vars[k], size, d, lengths[k])
+            # When every point of the cloud has the same bits, every subset gathers the
+            # same rows and has the same ratio, so the first one stands for all.  Only a
+            # candidate set of more than one block is checked for it: every fast variance
+            # of such a cloud is guarded, so all its rows are candidates.
+            if rows is not None and len(rows) > BLOCK and pts.tobytes() == pts[:1].tobytes() * n:
+                rows = rows[:1]
+            subsets = _subsets(n, size, num, cached, seed, rows)
             audits.append(AuditResult(*_worst(output, pts, subsets), num, num <= subset_budget))
     return [[results[n - f][k] for f in fs] for k in range(len(specs))]
 
@@ -395,12 +388,8 @@ def lower_bound_witness(n: int, f: int, f_hat: int, d: int = 1) -> WitnessInstan
     expected_ratio = kappa_lower_bound(n, f, f_hat)
     points = np.zeros((n, d))
     points[n - f_hat :, 0] = 1.0
-    return WitnessInstance(
-        points=points,
-        honest_set=tuple(range(f, n)),
-        expected_ratio=expected_ratio,
-        expected_output=np.zeros(d),
-    )
+    return WitnessInstance(points=points, honest_set=tuple(range(f, n)), expected_ratio=expected_ratio,
+                           expected_output=np.zeros(d))
 
 
 def cwtm_break_witness(n: int, f: int, f_hat: int, d: int = 1) -> WitnessInstance:
@@ -416,12 +405,8 @@ def cwtm_break_witness(n: int, f: int, f_hat: int, d: int = 1) -> WitnessInstanc
     points[n - f :, 0] = 1.0
     expected_output = np.zeros(d)
     expected_output[0] = (f - f_hat) / (n - 2 * f_hat)
-    return WitnessInstance(
-        points=points,
-        honest_set=tuple(range(n - f)),
-        expected_ratio=INFINITE_RATIO,
-        expected_output=expected_output,
-    )
+    return WitnessInstance(points=points, honest_set=tuple(range(n - f)), expected_ratio=INFINITE_RATIO,
+                           expected_output=expected_output)
 
 
 def random_cloud(n: int, d: int, seed) -> np.ndarray:

@@ -13,7 +13,8 @@ each field, every broken one recorded as ``section.field ...``:
   AttackStrategy and Schedule, with their defaults;
 - engine takes the RunConfig fields that no cell sets (T = 100, H = 1,
   schedule, w0 = None, kappa = 0.0); one number for w0 or attack.vector is
-  a list of one, and w0's is repeated over every coordinate;
+  a list of one, and w0's is repeated over every coordinate; w0 and a
+  fixed_vector attack's vector have problem.d entries (1 with no d);
 - problem takes kind, f (default 0) and the parameters of the factory
   f"{kind}_problem", with its defaults, less f_hat and honest_set; an
   absent seed is the cell's seed.
@@ -43,7 +44,7 @@ from . import bounds
 from .aggregators import AggregatorSpec
 from .attacks import AttackStrategy
 from .engine import RunConfig, Schedule, run_batch
-from .errors import ConfigError, ParameterError, count_error, kind_error
+from .errors import ConfigError, ParameterError, count_error, dimension_error, kind_error
 from .problems import (  # noqa: F401 - the factories are looked up by name, see PROBLEM_KINDS
     PROBLEM_KINDS,
     homogeneous_quadratic_problem,
@@ -172,6 +173,12 @@ def _normalize_problem(section, errors) -> dict:
     return {"kind": kind, **kept} if "n" in kept else {}
 
 
+def _problem_d(problem: dict):
+    """A normalized problem's d (1 if its factory has none); None while n or d is broken."""
+    takes_d = problem and "d" in {p.name for p in _signature(globals()[f"{problem['kind']}_problem"])[0]}
+    return problem.get("d") if takes_d else 1 if problem else None
+
+
 def _normalize_grid(section, defaults: dict, n, errors) -> dict:
     """Each axis is a non-empty list of integers, 0 <= value < n/2 for f and
     f_hat; an absent axis holds its default, checked where it came from."""
@@ -237,6 +244,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if "engine" in sections:
         normalized["engine"] = _read_fields(RunConfig, raw.get("engine"), "engine", RunConfig.field_errors, errors,
                                             skip=_CELL_FIELDS) or {}
+        attack, d = normalized["attack"], _problem_d(normalized["problem"])
+        vector = attack.get("vector") if attack.get("kind") == "fixed_vector" else None
+        if d is not None:  # one number for w0 is repeated over d
+            _record(errors, dimension_error("engine.w0", normalized["engine"].get("w0"), d, repeated=True),
+                    dimension_error("attack.vector", vector, d))
     if "grid" in sections:
         problem_f = normalized.get("problem", {}).get("f", 0)
         defaults = {"f_hat": normalized["aggregator"].get("f_hat", 0), "f": problem_f, "seeds": seed}
@@ -263,9 +275,7 @@ def _build_problem(pspec: dict, f: int, f_hat: int, seed: int):
 def _build_run_config(cfg: dict, f: int, f_hat: int, seed: int) -> RunConfig:
     problem = _build_problem(cfg["problem"], f, f_hat, seed)
     eng = cfg["engine"]
-    w0 = eng["w0"]
-    if w0 is not None and len(w0) == 1 and problem.d > 1:
-        w0 = [w0[0]] * problem.d
+    w0 = None if eng["w0"] is None else np.resize(eng["w0"], problem.d)  # parse_config kept 1 or d entries
     return RunConfig(
         problem=problem,
         aggregator=AggregatorSpec(**{**cfg["aggregator"], "f_hat": f_hat}),

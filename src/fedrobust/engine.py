@@ -44,7 +44,8 @@ from .aggregators import AggregatorSpec
 from .aggregators import _aggregate as aggregate  # run_round checks its deltas, RunConfig its f_hat
 from .attacks import AttackStrategy, byzantine_upload, check_dimension, noise_stream
 from .bounds import stepsize_constant
-from .errors import ParameterError, check, count_error, kind_error, normalize, real_error, reals_error, rule_errors
+from .errors import (ParameterError, check, count_error, dimension_error, kind_error, normalize, real_error, reals_error,
+                     rule_errors)
 from .problems import Problem, honest_objective, local_update
 
 SCHEDULE_KINDS = ("constant", "grad_cube", "pl_power", "step_wise")
@@ -119,8 +120,7 @@ class RunConfig:
         check(*self.field_errors(vars(self)).values())
         normalize(self, T=int, H=int, seed=int, kappa=float)
         w0 = np.zeros(self.problem.d) if self.w0 is None else np.atleast_1d(np.asarray(self.w0, dtype=np.float64))
-        if w0.shape != (self.problem.d,):
-            raise ParameterError(f"w0 must have dimension {self.problem.d}")
+        check(dimension_error("w0", w0, self.problem.d))
         object.__setattr__(self, "w0", w0)
         check(count_error("aggregator.f_hat", self.aggregator.f_hat, n=self.problem.n))
         check_dimension(self.attack, self.problem.d)

@@ -29,6 +29,8 @@ records each as ``section.field ...``.
   is one entry): ``w0[1] must be a real number, got None``.
 - :func:`flag_error`, a Python or numpy bool: ``pre_nnm must be a boolean,
   got 'no'``.
+- :func:`dimension_error`, d entries, or one that is repeated over d: ``w0
+  must have dimension 3``, ``engine.w0 must have dimension 3 or 1``.
 
 Where a checked value is kept, the library keeps a real number as a Python
 float, a count as a Python int and a flag as a Python bool (:func:`normalize`),
@@ -149,6 +151,12 @@ def flag_error(name: str, value):
     if not isinstance(value, (bool, np.bool_)):
         return f"{name} must be a boolean, got {value!r}"
     return None
+
+
+def dimension_error(name: str, vector, d: int, repeated: bool = False):
+    """The dimension rule on a vector of reals, or None: d entries (one number is one), or one if ``repeated``."""
+    kept = vector is None or np.atleast_1d(vector).shape in ((d,), (1,) if repeated else (d,))
+    return None if kept else f"{name} must have dimension {d}" + (" or 1" if repeated and d > 1 else "")
 
 
 def rule_errors(values: dict, rules: dict) -> dict:

@@ -113,24 +113,24 @@ def _honest_set(n: int, f: int, honest_set) -> tuple:
 PROBLEM_KINDS = ("homogeneous_quadratic", "random_quadratic", "two_group_quadratic")
 
 
-def _g_error(name: str, G):
-    """G > 0, with a finite G2 = G^2."""
-    error = real_error(name, G, positive=True)
+def _g_error(name: str, G, **bound):
+    """The real rule with ``bound`` on G or G_target, with a finite G2 = G^2."""
+    error = real_error(name, G, **bound)
     return error or (None if np.isfinite(float(G) * float(G)) else f"{name} = {G!r} overflows G2 = {name}^2")
 
 
 # factory parameter -> its rule, for every one but f, whose bound is n
 _RULES = {
-    "n": partial(count_error, lo=1), "d": partial(count_error, lo=1), "G": _g_error,
-    "G_target": partial(real_error, lo=0), "radius": real_error, "seed": count_error,
+    "n": partial(count_error, lo=1), "d": partial(count_error, lo=1), "G": partial(_g_error, positive=True),
+    "G_target": partial(_g_error, lo=0), "radius": real_error, "seed": count_error,
 }
 
 
 def parameter_errors(values: dict) -> dict:
     """The message of each rule that ``values`` (factory parameter -> value)
     breaks, by parameter, among the factory parameters that no sweep cell
-    sets: n >= 1, 0 <= f < n/2, d >= 1, G > 0 with a finite square,
-    G_target >= 0, a real radius and seed >= 0.  Absent and other parameters
+    sets: n >= 1, 0 <= f < n/2, d >= 1, G > 0 and G_target >= 0 with finite
+    squares, a real radius and seed >= 0.  Absent and other parameters
     are not checked, nor is f while n breaks its rule.  The factories raise
     the first message; the CLI collects them all."""
     n = values.get("n")
@@ -190,20 +190,20 @@ def random_quadratic_problem(
     honest_centers = centers[list(honest_set)]
     center_mean = honest_centers.mean(axis=0)
     dispersion = float(np.sum(4.0 * a * a * ((honest_centers - center_mean) ** 2).mean(axis=0)))
-    if G_target == 0.0:
-        centers = np.tile(center_mean, (n, 1))
-    else:
-        if dispersion == 0.0:
-            raise ConstructionError("all honest centers coincide; cannot rescale to G_target > 0")
-        s = G_target / np.sqrt(dispersion)
-        centers = center_mean + s * (centers - center_mean)
-
-    honest_centers = centers[list(honest_set)]
-    spread = honest_centers - honest_centers.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a constant past the float range fails in Problem
+        if G_target == 0.0:
+            centers = np.tile(center_mean, (n, 1))
+        else:
+            if dispersion == 0.0:
+                raise ConstructionError("all honest centers coincide; cannot rescale to G_target > 0")
+            s = G_target / np.sqrt(dispersion)
+            centers = center_mean + s * (centers - center_mean)
+        honest_centers = centers[list(honest_set)]
+        spread = honest_centers - honest_centers.mean(axis=0)
+        G2 = float(np.sum(4.0 * a * a * (spread ** 2).mean(axis=0)))
+        l_star = float(np.sum(a * (spread ** 2).mean(axis=0)))
     return Problem(
-        f=f, honest_set=honest_set, curvature=np.full(d, a), centers=centers,
-        G2=float(np.sum(4.0 * a * a * (spread ** 2).mean(axis=0))),
-        l_star=float(np.sum(a * (spread ** 2).mean(axis=0))),
+        f=f, honest_set=honest_set, curvature=np.full(d, a), centers=centers, G2=G2, l_star=l_star,
         descriptor={"kind": "random_quadratic", "n": n, "f": f, "d": d, "G_target": G_target, "radius": radius,
                     "seed": seed},
     )

@@ -36,8 +36,8 @@ from fedrobust.audit import (
     _gathered_ratios,
     _key_subsets,
     _moment_columns,
-    _replayed_subsets,
     _subset_weights,
+    _subsets,
     _threshold_weights,
     random_cloud,
     to_jsonl_row,
@@ -151,7 +151,7 @@ def oracle_profile(specs, xs, fs, subset_budget=20000, seed=0):
         size = n - f
         exhaustive = size not in sampled
         if exhaustive:
-            weights = _all_subsets(n, size)
+            _, weights = _all_subsets(n, size)
         else:
             weights = np.empty((subset_budget + 2, n))
             weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
@@ -446,7 +446,7 @@ def test_threshold_weights_equal_argsort_subsets_under_ties(size):
     np.put_along_axis(want, np.argsort(keys, axis=1)[:, :size], True, axis=1)
     assert np.array_equal(weights != 0, want)
     assert np.all(weights[want] == 1.0 / size)
-    # the replay's index rows, through the same sort and threshold
+    # the replay's index rows: the argsort definition itself
     subsets = _key_subsets(keys, size)
     assert subsets.dtype == np.intp
     assert np.array_equal(subsets, np.sort(np.argsort(keys, axis=1)[:, :size], axis=1))
@@ -463,19 +463,26 @@ def test_advancing_the_generator_replays_one_row_of_the_key_draw(n):
         assert np.array_equal(np.random.Generator(bit_generator).random(n), want[row]), row
 
 
-@pytest.mark.parametrize("n", [18, 20, 24])
+@pytest.mark.parametrize("n", [18, 20, 24, 16])
 def test_replayed_subsets_equal_the_subsets_of_one_draw(n):
-    # anchors first, then key rows spread over blocks: one row, a run, a
-    # whole block and the last row; the blocks come back in order
-    f, budget, seed = 5, 3 * BLOCK + 7, 3
-    size = n - f
-    keys = np.random.default_rng(seed).random((budget, n))
-    anchors = np.array([range(size), range(f, n)], dtype=np.intp)
-    want = np.vstack([anchors, np.sort(np.argsort(keys, axis=1)[:, :size], axis=1)])
-    picks = [np.array([0, 1, 7, BLOCK + 1, budget + 1]), np.arange(BLOCK - 3, BLOCK + 9),
-             np.arange(2 * BLOCK + 2, 3 * BLOCK + 2), np.array([1, budget + 1])]
+    # sampled (n >= 18): anchors first, then key rows spread over blocks: one
+    # row, a run, a whole block and the last row; exhaustive (n = 16, size 9):
+    # the cached rows, first, last and across two blocks; the blocks come back
+    # in order, none longer than BLOCK
+    if n == 16:
+        size, num, seed = 9, math.comb(16, 9), None
+        cached, want = _all_subsets(n, size)[0], oracle_all_subsets(n, size)
+        picks = [np.array([0, 1, BLOCK - 1, BLOCK, num - 1]), np.arange(BLOCK - 5, 2 * BLOCK + 5)]
+    else:
+        f, budget, seed = 5, 3 * BLOCK + 7, 3
+        size, num, cached = n - f, budget + 2, None
+        keys = np.random.default_rng(seed).random((budget, n))
+        anchors = np.array([range(size), range(f, n)], dtype=np.intp)
+        want = np.vstack([anchors, np.sort(np.argsort(keys, axis=1)[:, :size], axis=1)])
+        picks = [np.array([0, 1, 7, BLOCK + 1, budget + 1]), np.arange(BLOCK - 3, BLOCK + 9),
+                 np.arange(2 * BLOCK + 2, 3 * BLOCK + 2), np.array([1, budget + 1])]
     for rows in picks:
-        blocks = list(_replayed_subsets(seed, n, size, rows))
+        blocks = list(_subsets(n, size, num, cached, seed, rows))
         assert all(len(block) <= BLOCK for block in blocks)
         assert np.array_equal(np.concatenate(blocks), want[rows]), rows
 
@@ -525,7 +532,7 @@ def test_transposed_screen_keeps_what_the_row_major_screen_keeps(n):
     for d in (1, 5):
         pts = random_cloud(n, d, [61, n, d])
         for f in range(top + 1):
-            weights = _all_subsets(n, n - f)
+            _, weights = _all_subsets(n, n - f)
             if weights.shape[0] * (n - f) * (d + 1) > GATHER_ALL_MAX:
                 fast += 1
                 for cloud in (pts, mirrored(pts)):
@@ -551,12 +558,17 @@ def test_transposed_screen_keeps_what_the_row_major_screen_keeps_sampled(n):
 
 @pytest.mark.parametrize("n,size", [(6, 4), (10, 7), (16, 9), (16, 16)])
 def test_all_subsets_is_one_cached_read_only_transpose(n, size):
-    # the product reads W^T row by row: a row-major W would be read strided
-    weights = _all_subsets(n, size)
-    assert _all_subsets(n, size) is weights
+    # the product reads W^T row by row: a row-major W would be read strided;
+    # the index rows are kept in the least dtype that holds n
+    cached = _all_subsets(n, size)
+    subsets, weights = cached
+    assert _all_subsets(n, size) is cached
     assert not weights.flags.writeable
     assert weights.T.flags.c_contiguous
     assert np.array_equal(weights, _subset_weights(oracle_all_subsets(n, size), n))
+    assert not subsets.flags.writeable
+    assert subsets.dtype == np.min_scalar_type(n)
+    assert np.array_equal(subsets, oracle_all_subsets(n, size))
 
 
 def cancellation_clouds():

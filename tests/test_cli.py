@@ -350,7 +350,8 @@ def test_an_overflowing_attack_diverges_its_cell_and_the_sweep_goes_on(tmp_path)
     assert [row for row in rows if not row.startswith("cell0001")] == (tmp_path / "alone" / "results.csv").read_text().splitlines()
 
 
-def test_fixed_vector_of_wrong_dimension_is_failed_cell(tmp_path):
+def test_fixed_vector_of_wrong_dimension_is_config_error(tmp_path, capsys):
+    # problem.d (or 1) is known at parse time: a mis-sized vector or w0 exits 1, and no cell runs
     config = {
         "schema_version": 1,
         "kind": "sweep",
@@ -361,12 +362,19 @@ def test_fixed_vector_of_wrong_dimension_is_failed_cell(tmp_path):
         "grid": {"f_hat": [1], "f": [1], "seeds": [0]},
     }
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 3
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    assert summary["failed_cells"] == 1
-    assert "dimension 3" in summary["cells"][0]["error"]
-    assert len((tmp_path / "o" / "results.csv").read_text().splitlines()) == 1  # header only
+    cases = [(config, ["attack.vector must have dimension 3"]),
+             (dict(config, engine={"T": 2, "w0": [1.0, 2.0]}, attack=None), ["engine.w0 must have dimension 3 or 1"]),
+             (dict(config, problem={"kind": "homogeneous_quadratic", "n": 6}, engine={"w0": [1.0, 2.0]}),
+              ["attack.vector must have dimension 1", "engine.w0 must have dimension 1"])]
+    for doc, shown in cases:
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert sorted(capsys.readouterr().err.splitlines()) == [f"config error: {line}" for line in shown]
+        assert not (tmp_path / "o").exists()
+    # one number for w0 is still repeated over d, and a vector of d entries runs
+    path.write_text(json.dumps(dict(config, attack={"kind": "fixed_vector", "vector": [1.0, 2.0, 3.0]},
+                                    engine={"T": 2, "w0": 0.5})))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,8 @@ BOUNDARY = [
     ("random_d", lambda: random_quadratic_problem(10, 2, 0, seed=0), "d = 0 violates 1 <= d"),
     ("two_group_n", lambda: two_group_quadratic_problem(0, 0, 1), "n = 0 violates 1 <= n"),
     ("two_group_G_square", lambda: two_group_quadratic_problem(10, 2, 3, G=1e200), "G = 1e+200 overflows G2 = G^2"),
+    ("random_G_target_square", lambda: random_quadratic_problem(6, 1, 2, G_target=1e200, seed=0),
+     "G_target = 1e+200 overflows G2 = G_target^2"),
     ("pre_nnm_str", lambda: AggregatorSpec("mean", pre_nnm="no"), "pre_nnm must be a boolean, got 'no'"),
     ("pre_nnm_int", lambda: AggregatorSpec("mean", pre_nnm=1), "pre_nnm must be a boolean, got 1"),
     ("krum_squared_int", lambda: AggregatorSpec("krum", krum_squared=1), "krum_squared must be a boolean, got 1"),
@@ -257,6 +259,13 @@ CLI_BOUNDARY = [
      f"problem.kind must be one of {list(PROBLEM_KINDS)}, got 'median'"),
     ("aggregator.kind", dict(SIMULATE, aggregator={"kind": "median"}),
      f"aggregator.kind must be one of {list(KINDS)}, got 'median'"),
+    ("problem.G_target_square", dict(SIMULATE, problem={"kind": "random_quadratic", "n": 6, "f": 1, "G_target": 1e200}),
+     "problem.G_target = 1e+200 overflows G2 = G_target^2"),
+    ("engine.w0_dimension", dict(SIMULATE, problem={"kind": "random_quadratic", "n": 6, "d": 2},
+                                 engine={"w0": [1.0, 2.0, 3.0]}), "engine.w0 must have dimension 2 or 1"),
+    ("attack.vector_dimension", dict(SIMULATE, problem={"kind": "random_quadratic", "n": 6, "d": 2},
+                                     attack={"kind": "fixed_vector", "vector": [1.0]}),
+     "attack.vector must have dimension 2"),
 ]
 
 

@@ -282,6 +282,10 @@ def test_constants_verified_at_construction():
             Problem(f=0, honest_set=None, curvature=[1.0], centers=[[0.0], [2.0]], G2=G2, l_star=l_star)
     with pytest.raises(ConstructionError):  # (2a)^2 overflows: no warning, a mismatch
         Problem(f=0, honest_set=None, curvature=[1e200], centers=[[0.0], [2.0]], G2=np.inf, l_star=1e200)
+    # a G_target with a finite square whose rescaled sums still overflow: no warning, a mismatch
+    for G_target, seed in ((1e154, 0), (5e153, 3)):
+        with pytest.raises(ConstructionError, match="constant G2=inf does not match"):
+            random_quadratic_problem(20, 1, 1, G_target=G_target, seed=seed)
     # L and mu are derived from the curvature, not passed
     p = Problem(f=0, honest_set=None, curvature=[0.5, 2.0], centers=np.zeros((3, 2)), G2=0.0, l_star=0.0)
     assert (p.L, p.mu) == (4.0, 1.0)
