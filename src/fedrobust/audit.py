@@ -36,16 +36,23 @@ score every subset with the gathered formula.
 A sampled subset is ``np.argsort(keys, axis=1)[:, :size]`` for a row of the
 keys ``default_rng(seed).random((budget, n))``.  The keys are drawn, sorted
 for each f's threshold, turned into weights and scored ``BLOCK`` rows at a
-time in one reused buffer (a row whose threshold key ties takes that
-argsort); only each row's fast ratio outlives its block, so the window is
-taken over the whole draw.  Its rows are re-drawn from the seed's generator,
-advanced to each block's first window row, and take that argsort itself.
-An exhaustive audit's rows are read from index rows cached with its weights.
+time (a row whose threshold key ties takes that argsort).  With two usable
+CPUs the calling thread scores the first half of the blocks and a helper
+thread the rest, each from the seed's generator advanced to its first key
+into its own reused buffer; drawing and sorting run in parallel, and every
+step that allocates holds one lock.  Each block is scored as in one serial
+pass, so no result depends on the CPU count.  Only each row's fast ratio
+outlives its block, so the window is taken over the whole draw.  Its rows
+are re-drawn from the seed's generator, advanced to each block's first
+window row, and take that argsort itself.  An exhaustive audit's rows are
+read from index rows cached with its weights.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -277,33 +284,45 @@ def _worst(output: np.ndarray, pts: np.ndarray, blocks):
     return best
 
 
-def _weight_blocks(n: int, fs, budget: int, seed: int):
-    """Yield ``(size, num, lo, cached, weights)``: an f's number of rows, the
-    first row of the block, the f's cached index rows (None when sampled), and
-    the block's weights.  An exhaustive f is one block; the sampled f share one
-    key draw and one buffer, ``BLOCK`` rows at a time, anchor subsets first."""
-    sampled = []
-    for f in fs:
-        if math.comb(n, f) <= budget:
-            yield n - f, math.comb(n, f), 0, *_all_subsets(n, n - f)
-        elif n - f not in sampled:
-            sampled.append(n - f)
-    if not sampled:
-        return
-    rng = np.random.default_rng(seed)
-    buffer = np.empty((2 * min(budget, BLOCK) + 2, n))  # anchors, sorted keys then weights, keys
-    for start in range(0, budget, BLOCK):
-        b = min(BLOCK, budget - start)
-        keys = rng.random(out=buffer[-b:])
-        ordered = buffer[2 : b + 2]
-        np.copyto(ordered, keys)
-        ordered.sort(axis=1)
-        cuts = {size: ordered[:, size - 1 : size + 1].copy() for size in sampled}
-        for size in sampled:
-            _threshold_weights(keys, cuts[size], size, ordered)
-            if not start:
-                buffer[:2] = _subset_weights(_anchors(n, size), n)
-            yield size, budget + 2, start + 2 if start else 0, None, buffer[2 if start else 0 : b + 2]
+def _workers(blocks: int) -> int:
+    """Threads that score a sampled draw of ``blocks`` blocks: one per usable
+    CPU, at most 2, as a third key buffer would break the memory bound."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(2, cpus, blocks)
+
+
+def _score(columns: np.ndarray, score, lo: int, weights: np.ndarray) -> None:
+    """Write each output's fast ratio of the block ``weights`` to rows lo, ...
+    of the size's ``score`` and lower the output's least fast variance."""
+    _, _, ratios, min_vars = score
+    step = len(columns.T) // len(min_vars)      # d + 1 rows per output
+    moments = columns.T @ weights.T             # (k (d + 1), rows)
+    for k in range(len(min_vars)):
+        min_vars[k] = min(min_vars[k], _fast_ratios(moments[k * step : (k + 1) * step], ratios[k, lo : lo + len(weights)]))
+
+
+def _score_keys(errors: list, lock, columns, scores, sizes, rng, buffer, cuts, start: int, stop: int) -> None:
+    """Score key rows [start, stop) for each size, drawn by ``rng`` into ``buffer``
+    (anchors, sorted keys then weights, keys) and cut into ``cuts``.  Every array
+    is allocated under ``lock``: thread timing moves the peak by a few objects."""
+    n = buffer.shape[1]
+    try:
+        for lo in range(start, stop, BLOCK):
+            b = min(BLOCK, stop - lo)
+            keys = rng.random(out=buffer[-b:])
+            ordered = buffer[2 : b + 2]
+            np.copyto(ordered, keys)
+            ordered.sort(axis=1)
+            for cut, size in zip(cuts, sizes):
+                np.copyto(cut[:b], ordered[:, size - 1 : size + 1])
+            for cut, size in zip(cuts, sizes):
+                with lock:
+                    _threshold_weights(keys, cut[:b], size, ordered)
+                    if not lo:
+                        buffer[:2] = _subset_weights(_anchors(n, size), n)
+                    _score(columns, scores[size], lo + 2 if lo else 0, buffer[2 if lo else 0 : b + 2])
+    except BaseException as error:  # noqa: BLE001 - raised by _screen once every run has ended
+        errors.append(error)
 
 
 def _screen(pts: np.ndarray, outputs: list, fs, budget: int, seed: int):
@@ -311,22 +330,48 @@ def _screen(pts: np.ndarray, outputs: list, fs, budget: int, seed: int):
     ``(num, cached, ratios, min_vars)``: its row count and cached rows, each
     output's fast ratio of every row (None when every row is to be gathered)
     and each output's least fast variance; and the outputs' length bounds.
-    Only the fast ratios outlive a block, and the key buffer is freed on
-    return, before any row is rescored."""
-    d = pts.shape[1]
-    lengths, scores = None, {}
-    for size, num, lo, cached, weights in _weight_blocks(len(pts), fs, budget, seed):
-        if lo == 0:
-            fast = num * size * (d + 1) > GATHER_ALL_MAX
-            if fast and lengths is None:
-                columns, lengths = _moment_columns(pts, outputs)
-            scores[size] = (num, cached, np.empty((len(outputs), num)) if fast else None, [math.inf] * len(outputs))
-        _, _, ratios, min_vars = scores[size]
-        if ratios is not None:
-            rows = slice(lo, lo + len(weights))
-            moments = columns.T @ weights.T     # (k (d + 1), rows)
-            for k in range(len(outputs)):
-                min_vars[k] = min(min_vars[k], _fast_ratios(moments[k * (d + 1) : (k + 1) * (d + 1)], ratios[k, rows]))
+
+    An exhaustive f is one block; the sampled f share one key draw, split
+    into ``_workers`` runs.  Only the fast ratios outlive a block, and the key
+    buffers are freed on return, before any row is rescored."""
+    n, d = pts.shape
+    scores, sampled, columns, lengths = {}, [], None, None
+    for f in fs:
+        size = n - f
+        cached, weights = _all_subsets(n, size) if math.comb(n, f) <= budget else (None, None)
+        num = budget + 2 if cached is None else len(cached)
+        fast = num * size * (d + 1) > GATHER_ALL_MAX
+        scores[size] = (num, cached, np.empty((len(outputs), num)) if fast else None, [math.inf] * len(outputs))
+        if fast and lengths is None:
+            columns, lengths = _moment_columns(pts, outputs)
+        if fast and cached is not None:
+            _score(columns, scores[size], 0, weights)
+        elif fast and size not in sampled:
+            sampled.append(size)
+    if not sampled:
+        return scores, lengths
+    blocks = -(-budget // BLOCK)
+    workers = _workers(blocks)
+    edges = [min(BLOCK * -(-blocks * i // workers), budget) for i in range(workers + 1)]
+    runs = []
+    for start, stop in zip(edges, edges[1:]):
+        bit_generator = np.random.PCG64(seed)
+        bit_generator.advance(start * n)         # a key is one 64-bit output
+        rows = min(BLOCK, stop - start)
+        runs.append((np.random.Generator(bit_generator), np.empty((2 * rows + 2, n)),
+                     np.empty((len(sampled), rows, 2)), start, stop))
+    lock, errors = threading.Lock(), []
+    helpers = [threading.Thread(target=_score_keys, args=(errors, lock, columns, scores, sampled, *run))
+               for run in runs[1:]]
+    for helper in helpers:
+        helper.start()
+    try:
+        _score_keys(errors, lock, columns, scores, sampled, *runs[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return scores, lengths
 
 

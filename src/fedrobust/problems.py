@@ -188,14 +188,17 @@ def random_quadratic_problem(
     centers = radii[:, None] * directions
 
     honest_centers = centers[list(honest_set)]
-    center_mean = honest_centers.mean(axis=0)
-    dispersion = float(np.sum(4.0 * a * a * ((honest_centers - center_mean) ** 2).mean(axis=0)))
     with np.errstate(over="ignore", invalid="ignore"):  # a constant past the float range fails in Problem
+        center_mean = honest_centers.mean(axis=0)
+        dispersion = float(np.sum(4.0 * a * a * ((honest_centers - center_mean) ** 2).mean(axis=0)))
         if G_target == 0.0:
             centers = np.tile(center_mean, (n, 1))
         else:
             if dispersion == 0.0:
                 raise ConstructionError("all honest centers coincide; cannot rescale to G_target > 0")
+            if not np.isfinite(dispersion):
+                raise ConstructionError(f"the honest centers' dispersion overflows at radius = {radius:g}; "
+                                        "cannot rescale to G_target > 0")
             s = G_target / np.sqrt(dispersion)
             centers = center_mean + s * (centers - center_mean)
         honest_centers = centers[list(honest_set)]

@@ -4,6 +4,8 @@ adversarial witness families."""
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
@@ -23,6 +25,7 @@ from fedrobust import (
     error_ratio,
     lower_bound_witness,
 )
+from fedrobust import audit
 from fedrobust.aggregators import _aggregate, stack_points
 from fedrobust.audit import (
     BLOCK,
@@ -354,6 +357,92 @@ def test_blocked_key_draws_concatenate_to_one_draw():
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("n", [18, 20, 24])
+def test_an_advanced_generator_draws_the_rows_of_one_draw_from_its_start(n):
+    # each worker of a sampled audit draws its run from PCG64(seed) advanced
+    # to its first key, on a block boundary or off one
+    budget = 2 * BLOCK + 3
+    want = np.random.default_rng(7).random((budget, n))
+    for start, b in ((0, BLOCK), (BLOCK, BLOCK + 3), (2 * BLOCK, 3), (1, BLOCK), (BLOCK + 5, 7), (budget - 1, 1)):
+        bit_generator = np.random.PCG64(7)
+        bit_generator.advance(start * n)
+        assert np.array_equal(np.random.Generator(bit_generator).random((b, n)), want[start : start + b]), start
+
+
+def use_workers(monkeypatch, count):
+    """Split each sampled key draw into ``count`` runs, or one per block if
+    it has fewer blocks, whatever the CPU count."""
+    monkeypatch.setattr(audit, "_workers", lambda blocks: min(count, blocks))
+
+
+@pytest.mark.parametrize("n", [18, 20, 24])
+def test_two_workers_score_every_row_as_one_worker(n, monkeypatch):
+    # an exhaustive f that takes the fast path, with one and with two sampled
+    # f; budgets of two blocks, three blocks with a short last one, and ten
+    top = -(-n // 2) - 1
+    specs = [AggregatorSpec("cwtm", f_hat=top), AggregatorSpec("krum", f_hat=top, pre_nnm=True)]
+    for d in (1, 5):
+        pts = random_cloud(n, d, [83, n, d])
+        outputs = [_aggregate(spec, pts) for spec in specs]
+        for fs in ([2, top], [2, top - 1, top]):
+            for budget in (BLOCK + 1, 2 * BLOCK + 3, 20000):
+                for seed in (0, 1, 2):
+                    got = []
+                    for count in (1, 2):
+                        use_workers(monkeypatch, count)
+                        got.append((*audit._screen(pts, outputs, fs, budget, seed),
+                                    audit_profile(specs, pts, fs, budget, seed)))
+                    (one, one_lengths, one_profile), (two, two_lengths, two_profile) = got
+                    assert one_lengths == two_lengths and one_profile == two_profile, (n, d, fs, budget, seed)
+                    assert [r.exhaustive for r in one_profile[0]] == [True] + [False] * (len(fs) - 1)
+                    assert one.keys() == two.keys()
+                    for size, (num, cached, ratios, min_vars) in one.items():
+                        assert ratios is not None
+                        assert num == two[size][0] and min_vars == two[size][3], (n, d, fs, budget, seed, size)
+                        assert np.array_equal(ratios, two[size][2], equal_nan=True), (n, d, fs, budget, seed, size)
+
+
+def test_more_runs_than_cores_under_fast_thread_switches_score_as_one(monkeypatch):
+    # four runs on at most two cores, switching threads every microsecond:
+    # a least variance or fast ratio lost between the runs would show
+    pts = random_cloud(20, 5, [97])
+    specs = [AggregatorSpec("cwtm", f_hat=6), AggregatorSpec("krum", f_hat=6)]
+    outputs = [_aggregate(spec, pts) for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in (0, 1):
+            got = []
+            for count in (1, 4):
+                use_workers(monkeypatch, count)
+                got.append(audit._screen(pts, outputs, [5, 6], 20000, seed)[0])
+            for (_, _, one, one_min), (_, _, four, four_min) in zip(got[0].values(), got[1].values()):
+                assert one_min == four_min and np.array_equal(one, four, equal_nan=True), seed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("in_helper", [True, False], ids=["helper", "caller"])
+def test_an_exception_in_either_run_reaches_the_caller(in_helper, monkeypatch):
+    pts, specs = random_cloud(20, 5, [89]), [AggregatorSpec("krum", f_hat=6)]
+    threads, threshold = threading.active_count(), audit._threshold_weights
+
+    def failing(keys, cut, size, out):
+        if (threading.current_thread() is threading.main_thread()) != in_helper:
+            raise RuntimeError("run failed")
+        threshold(keys, cut, size, out)
+
+    monkeypatch.setattr(audit, "_threshold_weights", failing)
+    for count in (1, 2):
+        use_workers(monkeypatch, count)
+        if count == 1 and in_helper:  # one run: no helper, so nothing fails
+            assert audit_profile(specs, pts, [6], 20000, 4)[0][0].samples_checked == 20002
+        else:
+            with pytest.raises(RuntimeError, match="run failed"):
+                audit_profile(specs, pts, [6], 20000, 4)
+        assert threading.active_count() == threads
+
+
 def one_ulp_cloud(n, d, value):
     """The cloud ``np.full((n, d), value)`` with one coordinate one ulp
     away: every fast variance is guarded, so every subset is rescored."""
@@ -362,48 +451,47 @@ def one_ulp_cloud(n, d, value):
     return pts
 
 
-@pytest.mark.parametrize("cloud,bound_mb", [("fuzz", 2.0), ("ones", 4.0), ("one_ulp", 4.0)])
-def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb):
-    # At n = 20, d = 5 the reused buffer holds 2 BLOCK rows of n floats
-    # (0.66 MB), and each row's fast ratio takes 8 bytes (0.16 MB).  On the
-    # one-ulp cloud every row is rescored: each block of BLOCK rows is
-    # re-drawn and sorted (three (BLOCK, n) arrays, 0.98 MB at most) and
-    # gathers (BLOCK, 14, 5) points (1.15 MB) and their indices (0.23 MB).
-    # The whole budget in memory at once took 8.25 MB on the fuzz cloud and
-    # 37.9 MB on the all-equal cloud.
-    pts = {"fuzz": random_cloud(20, 5, [53]), "ones": np.ones((20, 5)), "one_ulp": one_ulp_cloud(20, 5, 1.0)}[cloud]
-    spec = AggregatorSpec("krum", f_hat=6)
-    empirical_kappa(spec, pts, 6)
+def traced_peak(call):
+    """Peak traced bytes of the second of two calls of ``call``, and its result."""
+    call()
     tracemalloc.start()
     try:
-        result = empirical_kappa(spec, pts, 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not result.exhaustive and result.samples_checked == 20002
-    assert peak < bound_mb * 1e6, peak
-
-
-def traced_peak(audit):
-    """Peak traced bytes of the second of two calls of ``audit``, and its result."""
-    audit()
-    tracemalloc.start()
-    try:
-        result = audit()
+        result = call()
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
 
-def test_sampled_audit_memory_grows_only_by_the_fast_ratios():
+@pytest.mark.parametrize("cloud,bound_mb", [("fuzz", 2.0), ("ones", 4.0), ("one_ulp", 4.0)])
+def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb, monkeypatch):
+    # At n = 20, d = 5 each worker's reused buffer holds 2 BLOCK + 2 rows of
+    # n floats (0.66 MB; 1.31 MB for two workers), each row's fast ratio
+    # takes 8 bytes (0.16 MB), and the buffers are freed before any row is
+    # rescored.  On the one-ulp cloud every row is rescored: each block of
+    # BLOCK rows is re-drawn and sorted (three (BLOCK, n) arrays, 0.98 MB at
+    # most) and gathers (BLOCK, 14, 5) points (1.15 MB) and their indices
+    # (0.23 MB).  The whole budget in memory at once took 8.25 MB on the fuzz
+    # cloud and 37.9 MB on the all-equal cloud.
+    pts = {"fuzz": random_cloud(20, 5, [53]), "ones": np.ones((20, 5)), "one_ulp": one_ulp_cloud(20, 5, 1.0)}[cloud]
+    spec = AggregatorSpec("krum", f_hat=6)
+    for count in (1, 2):
+        use_workers(monkeypatch, count)
+        peak, result = traced_peak(lambda: empirical_kappa(spec, pts, 6))
+        assert not result.exhaustive and result.samples_checked == 20002
+        assert peak < bound_mb * 1e6, (count, peak)
+
+
+def test_sampled_audit_memory_grows_only_by_the_fast_ratios(monkeypatch):
     # n = 24, f = 7 samples at both budgets (C(24, 7) = 346,104); 180,000
     # more rows may add only their fast ratio, 8 bytes per spec
     pts = random_cloud(24, 5, [73])
-    for specs in ([AggregatorSpec("krum", f_hat=7)],
-                  [AggregatorSpec("cwtm", f_hat=7), AggregatorSpec("krum", f_hat=7, pre_nnm=True)]):
-        small, big = (traced_peak(lambda: audit_profile(specs, pts, [7], budget)) for budget in (20000, 200000))
-        assert [r.samples_checked for r in small[1][0] + big[1][0]] == [20002, 200002]
-        assert big[0] - small[0] <= 8 * 180000 * len(specs) + 0.1e6, (len(specs), big[0] - small[0])
+    for count in (1, 2):
+        use_workers(monkeypatch, count)
+        for specs in ([AggregatorSpec("krum", f_hat=7)],
+                      [AggregatorSpec("cwtm", f_hat=7), AggregatorSpec("krum", f_hat=7, pre_nnm=True)]):
+            small, big = (traced_peak(lambda: audit_profile(specs, pts, [7], budget)) for budget in (20000, 200000))
+            assert [r.samples_checked for r in small[1][0] + big[1][0]] == [20002, 200002]
+            assert big[0] - small[0] <= 8 * 180000 * len(specs) + 0.1e6, (count, len(specs), big[0] - small[0])
 
 
 def test_audit_profile_checks_every_f():
@@ -736,8 +824,6 @@ CONSTANT_CLOUDS = [
 
 @pytest.mark.parametrize("kind,n,d,f,value,ratio,checked,exhaustive", CONSTANT_CLOUDS)
 def test_constant_cloud_audit_rescores_one_subset(kind, n, d, f, value, ratio, checked, exhaustive, monkeypatch):
-    from fedrobust import audit
-
     rescored, gathered = [], audit._gathered_ratios
     monkeypatch.setattr(audit, "_gathered_ratios", lambda output, pts, subsets: rescored.append(len(subsets))
                         or gathered(output, pts, subsets))
@@ -757,8 +843,6 @@ def test_constant_cloud_audit_rescores_one_subset(kind, n, d, f, value, ratio, c
 def test_guard_heavy_exhaustive_audit_equals_oracle(n, d, fs, monkeypatch):
     # every row of the one-ulp cloud is guarded and rescored, BLOCK rows at a
     # time from the cached weights; the mirrored cloud rescores its ties
-    from fedrobust import audit
-
     rescored, gathered = [], audit._gathered_ratios
     monkeypatch.setattr(audit, "_gathered_ratios", lambda output, pts, subsets: rescored.append(len(subsets))
                         or gathered(output, pts, subsets))

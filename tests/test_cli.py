@@ -640,6 +640,20 @@ def test_problem_parameter_errors_are_config_errors(tmp_path, capsys, problem, s
     assert not (tmp_path / "o").exists()
 
 
+def test_a_dispersion_that_overflows_fails_its_cell(tmp_path, capsys):
+    # radius 1e200 passes the parameter rules; the factory's ConstructionError
+    # fails the cell as its other construction errors do: exit 3, no rows
+    problem = {"kind": "random_quadratic", "n": 6, "f": 1, "d": 2, "radius": 1e200}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(MINIMAL_SIMULATE, aggregator={"kind": "cwtm", "f_hat": 1}, problem=problem)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["failed_cells"] == 1
+    assert summary["cells"][0]["error"].startswith("the honest centers' dispersion overflows at radius = 1e+200")
+    assert len((tmp_path / "o" / "results.csv").read_text().splitlines()) == 1  # the header
+    assert capsys.readouterr().err == ""
+
+
 def test_seed_override(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(dict(MINIMAL_SIMULATE, engine={"T": 1})))

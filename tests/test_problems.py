@@ -183,6 +183,16 @@ def test_random_quadratic_degenerate_rescale():
         random_quadratic_problem(1, 0, 2, G_target=1.0, radius=2.0, seed=0)
 
 
+def test_random_quadratic_dispersion_that_overflows_is_a_construction_error():
+    # centers of radius 1e200 (or 1e160) have a dispersion past the float
+    # range: no rescale reaches G_target, and no warning escapes the factory
+    for radius in (1e200, 1e160, 1e308):
+        with pytest.raises(ConstructionError, match="dispersion overflows"):
+            random_quadratic_problem(6, 1, 2, radius=radius, seed=0)
+    assert random_quadratic_problem(6, 1, 2, G_target=0.0, radius=1e200, seed=0).G2 == 0.0
+    assert random_quadratic_problem(6, 1, 2, radius=100.0, seed=0).G2 == pytest.approx(1.0)
+
+
 def test_random_quadratic_is_seeded():
     a = random_quadratic_problem(6, 1, 3, 1.0, 2.0, seed=9)
     b = random_quadratic_problem(6, 1, 3, 1.0, 2.0, seed=9)
