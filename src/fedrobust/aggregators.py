@@ -37,26 +37,23 @@ _EPS = float(np.finfo(np.float64).eps)
 @dataclass(frozen=True)
 class AggregatorSpec:
     """Which rule to apply and with what parameters; :func:`aggregate`
-    defines each rule and option.  ``krum_squared=False`` is kept for
-    comparison."""
+    defines each rule and option."""
 
     kind: str
     f_hat: int = 0
     pre_nnm: bool = False
     gm_tolerance: float = 1e-9
     gm_max_iters: int = 500
-    krum_squared: bool = True
 
     @staticmethod
     def field_errors(values: dict) -> dict:
         return rule_errors(values, {
             "kind": partial(kind_error, kinds=KINDS), "f_hat": count_error, "pre_nnm": flag_error,
-            "gm_tolerance": partial(real_error, positive=True), "gm_max_iters": partial(count_error, lo=1),
-            "krum_squared": flag_error})
+            "gm_tolerance": partial(real_error, positive=True), "gm_max_iters": partial(count_error, lo=1)})
 
     def __post_init__(self):
         check(*self.field_errors(vars(self)).values())
-        normalize(self, f_hat=int, pre_nnm=bool, gm_tolerance=float, gm_max_iters=int, krum_squared=bool)
+        normalize(self, f_hat=int, pre_nnm=bool, gm_tolerance=float, gm_max_iters=int)
 
     @property
     def name(self) -> str:
@@ -282,13 +279,12 @@ def _neighbor_indices(d2: np.ndarray, f_hat: int) -> np.ndarray:
     return d2.argsort(axis=-1, kind="stable")[..., : d2.shape[-1] - f_hat]
 
 
-def _krum_index(pts: np.ndarray, f_hat: int, squared: bool):
+def _krum_index(pts: np.ndarray, f_hat: int):
     d2 = _sq_distance_matrix(pts)
     # a sorted row lists a point's distances nearest first, the terms a stable
-    # argsort gathers in its order (sqrt keeps the order), so no sum changes
-    scores = d2 if squared else np.sqrt(d2)
-    scores.sort(axis=-1)
-    return np.add.reduce(scores[..., : pts.shape[-2] - f_hat], axis=-1).argmin(axis=-1)
+    # argsort gathers in its order, so no sum changes
+    d2.sort(axis=-1)
+    return np.add.reduce(d2[..., : pts.shape[-2] - f_hat], axis=-1).argmin(axis=-1)
 
 
 def _nnm(pts: np.ndarray, f_hat: int) -> np.ndarray:
@@ -312,9 +308,9 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
       Otherwise a Newton iteration runs, with Weiszfeld's step as its
       fallback wherever the Newton step does not descend.  A stack takes
       one Kuhn test, then each cloud's own solve, in one call.
-    - krum: the input point with the smallest summed distance to its
-      n - f_hat nearest neighbours, added nearest first; squared distances
-      unless ``krum_squared`` is false; ties go to the lowest index.
+    - krum: the input point with the smallest summed squared distance to
+      its n - f_hat nearest neighbours, added nearest first; ties go to the
+      lowest index.
     - ``pre_nnm`` (nearest-neighbour mixing): first replace each point by
       the mean of its n - f_hat nearest neighbours, itself included, with a
       stable tie-break, then apply the rule to the mixed points.
@@ -353,4 +349,4 @@ def _aggregate(spec: AggregatorSpec, pts: np.ndarray) -> np.ndarray:
     if spec.kind == "gm":
         return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
     # krum, the one kind left: AggregatorSpec admits no other
-    return _rows(pts, _krum_index(pts, spec.f_hat, spec.krum_squared))
+    return _rows(pts, _krum_index(pts, spec.f_hat))

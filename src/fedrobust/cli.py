@@ -79,9 +79,6 @@ class ExperimentConfig:
     kind: str
     normalized: dict = field(default_factory=dict)
 
-    def serialize(self) -> str:
-        return json.dumps(self.normalized, sort_keys=True, indent=2)
-
 
 def _unknown_keys(section: dict, allowed: set, where: str, errors: list) -> None:
     for key in section:

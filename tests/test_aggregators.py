@@ -211,14 +211,13 @@ def oracle_neighbors(pts, k, count):
     return ranked[:count]
 
 
-def oracle_krum_index(pts, f_hat, squared=True):
+def oracle_krum_index(pts, f_hat):
     n = len(pts)
     best_k, best_score = None, None
     for k in range(n):
         score = 0.0
         for i in oracle_neighbors(pts, k, n - f_hat):
-            d2 = _sqdist(pts[k], pts[i])
-            score += d2 if squared else math.sqrt(d2)
+            score += _sqdist(pts[k], pts[i])
         if best_score is None or score < best_score:
             best_k, best_score = k, score
     return best_k
@@ -764,14 +763,11 @@ def test_krum_examples_against_oracle():
     assert aggregate(AggregatorSpec("krum", f_hat=1), pts)[0] == 0.0
     v = np.array([4.0, 4.0])
     assert np.array_equal(aggregate(AggregatorSpec("krum", f_hat=2), [v] * 5), v)
-    # Scores for the two distance conventions disagree on this instance:
-    # squared selects the point 2, unsquared ties four ways and the lowest
-    # index wins with point 1.  Both are pinned to the brute-force oracle.
+    # squared distances select the point 2, where plain distances would tie
+    # four ways; pinned to the brute-force oracle
     pts = [0.0, 1.0, 2.0, 9.0, 10.0, 11.0]
-    assert oracle_krum_index(pts, 2, squared=True) == 2
-    assert aggregate(AggregatorSpec("krum", f_hat=2, krum_squared=True), pts)[0] == 2.0
-    assert oracle_krum_index(pts, 2, squared=False) == 1
-    assert aggregate(AggregatorSpec("krum", f_hat=2, krum_squared=False), pts)[0] == 1.0
+    assert oracle_krum_index(pts, 2) == 2
+    assert aggregate(AggregatorSpec("krum", f_hat=2), pts)[0] == 2.0
 
 
 def test_krum_brute_force_equivalence():
@@ -781,9 +777,8 @@ def test_krum_brute_force_equivalence():
         d = int(rng.integers(1, 3))
         f_hat = int(rng.integers(0, (n - 1) // 2 + 1))
         pts = rng.integers(-5, 6, size=(n, d)).astype(float)
-        for squared in (True, False):
-            spec = AggregatorSpec("krum", f_hat=f_hat, krum_squared=squared)
-            assert np.array_equal(aggregate(spec, pts), pts[oracle_krum_index(pts, f_hat, squared)])
+        spec = AggregatorSpec("krum", f_hat=f_hat)
+        assert np.array_equal(aggregate(spec, pts), pts[oracle_krum_index(pts, f_hat)])
 
 
 def test_krum_selection_property():
@@ -840,11 +835,10 @@ def vector_oracle_neighbor_indices(d2, f_hat):
     return order[:, : d2.shape[0] - f_hat]
 
 
-def vector_oracle_krum_index(pts, f_hat, squared):
+def vector_oracle_krum_index(pts, f_hat):
     d2 = vector_oracle_sq_distance_matrix(pts)
     neighbors = vector_oracle_neighbor_indices(d2, f_hat)
-    scores_matrix = d2 if squared else np.sqrt(d2)
-    scores = np.take_along_axis(scores_matrix, neighbors, axis=1).sum(axis=1)
+    scores = np.take_along_axis(d2, neighbors, axis=1).sum(axis=1)
     return int(np.argmin(scores))
 
 
@@ -874,10 +868,8 @@ def test_krum_and_nnm_kernels_equal_vectorised_oracles_bitwise(d):
                 assert np.array_equal(_neighbor_indices(d2, f_hat), vector_oracle_neighbor_indices(d2, f_hat))
                 mixed = _nnm(pts, f_hat)
                 assert np.array_equal(mixed, vector_oracle_nnm(pts, f_hat)), (n, f_hat)
-                for squared in (True, False):
-                    for points in (pts, mixed):
-                        got = _krum_index(points, f_hat, squared)
-                        assert got == vector_oracle_krum_index(points, f_hat, squared), (n, f_hat, squared)
+                for points in (pts, mixed):
+                    assert _krum_index(points, f_hat) == vector_oracle_krum_index(points, f_hat), (n, f_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -953,12 +945,13 @@ def cwmed(xs) -> np.ndarray:
     return np.median(stack_points(xs), axis=0)
 
 
-def krum(xs, f_hat: int, squared: bool = True) -> np.ndarray:
+def krum(xs, f_hat: int) -> np.ndarray:
     """Krum selection rule: returns the input point with the smallest summed
-    distance to its n - f_hat nearest neighbours (ties to the lowest index)."""
+    squared distance to its n - f_hat nearest neighbours (ties to the lowest
+    index)."""
     pts = stack_points(xs)
     _check_f_hat(pts.shape[0], f_hat)
-    return pts[_krum_index(pts, f_hat, squared)].copy()
+    return pts[_krum_index(pts, f_hat)].copy()
 
 
 def nnm(xs, f_hat: int) -> np.ndarray:
@@ -983,7 +976,7 @@ def composed_aggregate(spec, xs):
         return cwmed(pts)
     if spec.kind == "gm":
         return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
-    return krum(pts, spec.f_hat, spec.krum_squared)
+    return krum(pts, spec.f_hat)
 
 
 def test_aggregate_matches_public_rule_composition_bitwise():
@@ -995,11 +988,10 @@ def test_aggregate_matches_public_rule_composition_bitwise():
         for kind in ("mean", "cwtm", "cwmed", "gm", "krum"):
             for pre_nnm in (False, True):
                 for f_hat in range(top + 1):
-                    for squared in (True, False):
-                        spec = AggregatorSpec(kind, f_hat=f_hat, pre_nnm=pre_nnm, krum_squared=squared)
-                        got = aggregate(spec, pts)
-                        want = composed_aggregate(spec, pts)
-                        assert got.tobytes() == want.tobytes(), (spec, pts.shape)
+                    spec = AggregatorSpec(kind, f_hat=f_hat, pre_nnm=pre_nnm)
+                    got = aggregate(spec, pts)
+                    want = composed_aggregate(spec, pts)
+                    assert got.tobytes() == want.tobytes(), (spec, pts.shape)
 
 
 def test_aggregate_of_a_stack_equals_each_cloud_alone():

@@ -774,6 +774,28 @@ def test_cwtm_break_witness_examples():
         cwtm_break_witness(16, 4, 4)  # witness only exists under underestimation
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n,f,f_hat,breaks,holds", [
+    (10, 3, 1, (0.2, 0.25, 0.28), (0.29,)),  # threshold 2/7
+    (7, 3, 1, (0.1, 0.49), (0.51,)),         # threshold 1/2
+    (16, 6, 2, (0.1, 0.49), (0.51,)),        # threshold 1/2
+])
+def test_krum_breaks_when_f_hat_underestimates_f_by_two(n, f, f_hat, breaks, holds, d):
+    # n - f honest points at 0, one Byzantine point at t u and f - 1 at u.
+    # For t < 1/2, Krum's squared-distance score picks t u over every honest
+    # point exactly when t < 2 (f - f_hat - 1) / (n - f_hat - 2): the honest
+    # variance is 0 and the error is not, so the ratio is infinite
+    u = np.array([1.0]) if d == 1 else np.array([0.6, 0.0, 0.8])
+    spec = AggregatorSpec("krum", f_hat=f_hat)
+    for t, broken in [(t, True) for t in breaks] + [(t, False) for t in holds]:
+        pts = np.zeros((n, d))
+        pts[n - f] = t * u
+        pts[n - f + 1 :] = u
+        want = pts[n - f] if broken else np.zeros(d)
+        assert np.array_equal(aggregate(spec, pts), want), (t, d)
+        assert error_ratio(spec, pts, range(n - f)) == (math.inf if broken else 0.0), (t, d)
+
+
 def test_witness_embeds_in_higher_dimension():
     w = lower_bound_witness(6, 1, 2, d=3)
     assert w.points.shape == (6, 3)

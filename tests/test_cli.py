@@ -20,6 +20,7 @@ from fedrobust import (
 )
 from fedrobust.cli import (
     CONFIG_KINDS,
+    CSV_COLUMNS,
     PROBLEM_KINDS,
     _build_run_config,
     _cells,
@@ -52,14 +53,14 @@ SWEEP_TEMPLATE = {
 }
 
 GOLDEN_CSV = """run_id,config_digest,round,grad_metric,running_avg_grad,loss_gap,agg_deviation,diverged
-cell0000,22824b6174b3b3d3,0,1.0,1.0,0.5,0.0,0
-cell0000,22824b6174b3b3d3,1,0.81,0.905,0.405,0.0,0
-cell0000,22824b6174b3b3d3,2,0.6561000000000001,0.8220333333333333,0.32805000000000006,0.0,0
-cell0000,22824b6174b3b3d3,3,0.5314410000000002,0.74938525,0.2657205000000001,,0
-cell0001,ec7db04ed1ae01bf,0,1.0,1.0,0.5,0.0,0
-cell0001,ec7db04ed1ae01bf,1,0.81,0.905,0.405,0.0,0
-cell0001,ec7db04ed1ae01bf,2,0.6561000000000001,0.8220333333333333,0.32805000000000006,0.0,0
-cell0001,ec7db04ed1ae01bf,3,0.5314410000000002,0.74938525,0.2657205000000001,,0
+cell0000,b3cf830e831d35a7,0,1.0,1.0,0.5,0.0,0
+cell0000,b3cf830e831d35a7,1,0.81,0.905,0.405,0.0,0
+cell0000,b3cf830e831d35a7,2,0.6561000000000001,0.8220333333333333,0.32805000000000006,0.0,0
+cell0000,b3cf830e831d35a7,3,0.5314410000000002,0.74938525,0.2657205000000001,,0
+cell0001,99372fdcdea0411a,0,1.0,1.0,0.5,0.0,0
+cell0001,99372fdcdea0411a,1,0.81,0.905,0.405,0.0,0
+cell0001,99372fdcdea0411a,2,0.6561000000000001,0.8220333333333333,0.32805000000000006,0.0,0
+cell0001,99372fdcdea0411a,3,0.5314410000000002,0.74938525,0.2657205000000001,,0
 """
 
 
@@ -92,14 +93,22 @@ def test_unknown_key_suggests_nearest():
     assert "aggregater" in joined and "aggregator" in joined
 
 
+def test_krum_squared_is_an_unknown_aggregator_key(tmp_path, capsys):
+    # Krum is the squared-distance rule its bounds are proved for: the
+    # plain-distance option is gone, and a config that still sets it exits 1
+    path = tmp_path / "krum.json"
+    path.write_text(json.dumps(dict(MINIMAL_SIMULATE, aggregator={"kind": "krum", "krum_squared": False})))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: unknown key 'krum_squared' in aggregator\n"
+
+
 def test_all_errors_reported_not_just_first():
     # one broken rule per field (n stays valid, so that f is checked against it)
     bad = {
         "schema_version": 99,
         "kind": "simulate",
         "problem": {"kind": "random_quadratic", "n": 10, "f": 5, "d": 0, "G_target": -1.0, "radius": "x", "seed": -1},
-        "aggregator": {"kind": "bogus", "f_hat": -1, "pre_nnm": "yes", "gm_tolerance": 0, "gm_max_iters": 0,
-                       "krum_squared": 1},
+        "aggregator": {"kind": "bogus", "f_hat": -1, "pre_nnm": "yes", "gm_tolerance": 0, "gm_max_iters": 0},
         "attack": {"kind": "bogus", "variance": -3, "scale": float("nan"), "vector": [1, "a"]},
         "engine": {"T": -1, "H": 0, "w0": [None], "kappa": -1.0,
                    "schedule": {"kind": "bogus", "gamma": "x", "beta": True}},
@@ -118,7 +127,6 @@ def test_all_errors_reported_not_just_first():
         "aggregator.pre_nnm must be a boolean, got 'yes'",
         "aggregator.gm_tolerance must be positive",
         "aggregator.gm_max_iters = 0 violates 1 <= gm_max_iters",
-        "aggregator.krum_squared must be a boolean, got 1",
         f"attack.kind must be one of {list(ATTACK_KINDS)}, got 'bogus'",
         "attack.variance = -3 violates 0 <= variance",
         "attack.scale must be finite",
@@ -175,8 +183,9 @@ def test_empty_grid_axis_rejected():
 
 
 def test_parse_serialize_round_trip():
+    # a normalized config, written back as JSON, parses to itself
     cfg = parse_config(json.dumps(SWEEP_TEMPLATE))
-    again = parse_config(cfg.serialize())
+    again = parse_config(json.dumps(cfg.normalized))
     assert again == cfg
 
 
@@ -200,6 +209,9 @@ def test_golden_csv_bytes(tmp_path):
 # results.csv sha256 of two larger sweeps, recorded before problems were
 # stored as arrays: criterion 9's sweep (random problems, d = 3, Krum after
 # NNM under noise) and a two-group sweep with H = 5 honest-mimic steps.
+# Every sha256 below was re-recorded when AggregatorSpec lost its
+# plain-distance Krum option, which moved each config_digest and no number
+# (PINNED_SWEEP_NUMBERS held).
 PINNED_SWEEPS = [
     ({
         "schema_version": 1,
@@ -211,7 +223,7 @@ PINNED_SWEEPS = [
         "engine": {"T": 50, "H": 2,
                    "schedule": {"kind": "constant", "gamma": 0.005}, "w0": 1.0},
         "grid": {"f_hat": [2, 3], "f": [1, 2], "seeds": [0, 1]},
-    }, "f5937fe255a5f74565fbe0b36d4e393eb4f33d49122a741232e933620862ed7a"),
+    }, "e58161c234040b6108566c539f4dc41fea1b3b8e6ca7424d1216c58aad465375"),
     ({
         "schema_version": 1,
         "kind": "sweep",
@@ -221,7 +233,7 @@ PINNED_SWEEPS = [
         "engine": {"T": 50, "H": 5,
                    "schedule": {"kind": "constant", "gamma": 0.01}, "w0": 1.0},
         "grid": {"f": [0, 2], "f_hat": [3, 4], "seeds": [0]},
-    }, "6cc9cffb402b2f3e9d10e72bdf17cf6c97e5888ab1edcb374d5a49959e084a33"),
+    }, "0e4afbc5d1e6ae2da6cd3f9b7a4a30cab11af0a50f838035192d6cc0debd843f"),
 ] + [
     # one sweep per attack kind not covered above, recorded with the
     # per-client attack layer that byzantine_upload's (f, d) block replaced
@@ -237,11 +249,11 @@ PINNED_SWEEPS = [
         "grid": {"f_hat": [2, 4], "f": [1, 3], "seeds": [0, 5]},
     }, sha256) for attack, sha256 in (
         ({"kind": "sign_flip", "scale": 2.0},
-         "d070a57a37741125b8c892dad090d45e48cd0e04404808a98f5d70261da873d0"),
+         "32a69a1eaaa15613846e6cf1ab0258a980a2518bc5eef698e6cac5901d7349c8"),
         ({"kind": "escalating_outlier"},
-         "95cf4fa6df32f24de70ed2cb6992a9ee832032f3ed1bd73316603ee020285143"),
+         "b777645d24e1159472f09cd4f99b68464dbc935699d895171e9bad698ad1a316"),
         ({"kind": "fixed_vector", "vector": [1.0, -2.0, 0.5]},
-         "e7499cf68fb19d5659ad3cacad9d9f6a60d13a310d0fdb75aeaa005185529bce"),
+         "d3e7eb961abbdc98f20b3ef1173bb86f2ef7462e3a43cfa8fa8417172c7a5a7b"),
     )
 ] + [
     # GM after NNM under noise, recorded with the Newton-safeguarded solver
@@ -258,15 +270,40 @@ PINNED_SWEEPS = [
         "engine": {"T": 50, "H": 1,
                    "schedule": {"kind": "constant", "gamma": 0.01}, "w0": 1.0},
         "grid": {"f_hat": [2, 3], "f": [1, 2], "seeds": [0, 1]},
-    }, "eda0e6d0700348a46e96dd8898cd38a39312d8067d3839ee732e483124c4ff8f"),
+    }, "603f3189743fbd80c1ca29629a7f01aa3d16db6c2f7a57764b51c08482fdca6d"),
 ]
 
 
-@pytest.mark.parametrize("config,sha256", PINNED_SWEEPS,
-                         ids=["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector", "gm_nnm"])
+PINNED_SWEEP_IDS = ["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector", "gm_nnm"]
+
+# sha256 of each PINNED_SWEEPS results.csv with its config_digest column
+# dropped, so a change of the config schema, which moves every digest,
+# shows that no number moved (recorded before AggregatorSpec lost its
+# plain-distance Krum option)
+PINNED_SWEEP_NUMBERS = [
+    "546cd8e6590f69e25987437e8252d0ce2d2aea846cb58825501f84e74f2ec346",
+    "1b8e7508251cd3952a98fff8eb104bb3c1fc4c9cff3121e45c5f27f0f807ef9b",
+    "83dc6c4c9ae98a18869a92e6db5a2c6f6a781604db1d9e18c88008c376cfd423",
+    "0da231bae968e3ecef57f26389f0f3042e035409eeff3ace68c665b268663c7f",
+    "a5e1b61a51b6b7a499a1797ec9fc2f330fd0cb45d7cd39b15c33d048e60fed66",
+    "9517305bf11c6156d0ce57c1b2cb24aeac1e83785229d45e58d255f4e370cd8f",
+]
+
+
+@pytest.mark.parametrize("config,sha256", PINNED_SWEEPS, ids=PINNED_SWEEP_IDS)
 def test_results_csv_sha256_is_pinned(tmp_path, config, sha256):
     assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("config,sha256", [(config, sha256) for (config, _), sha256 in zip(
+    PINNED_SWEEPS, PINNED_SWEEP_NUMBERS)], ids=PINNED_SWEEP_IDS)
+def test_results_csv_numbers_are_pinned(tmp_path, config, sha256):
+    assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
+    column = CSV_COLUMNS.index("config_digest")
+    lines = (tmp_path / "results.csv").read_text().splitlines(keepends=True)
+    numbers = "".join(",".join(v for k, v in enumerate(line.split(",")) if k != column) for line in lines)
+    assert hashlib.sha256(numbers.encode()).hexdigest() == sha256
 
 
 def test_sweep_runs_one_batch_per_f_hat(tmp_path, monkeypatch, capsys):
@@ -483,7 +520,9 @@ def test_grad_ceiling_that_overflows_is_written_as_null(tmp_path):
 # summary.json with each wall_time_ms set to null.  One sweep has a cell
 # that fails (two-group, f > f_hat), the other a cell that diverges.
 # Recorded before sweep, audit and report shared one output path; a
-# refactor of that path must not move them.
+# refactor of that path must not move them.  The summary.json values were
+# re-recorded when AggregatorSpec lost its plain-distance Krum option, which left
+# the config and the digests in them.
 VISIBLE_BYTES = [
     ({
         "schema_version": 1,
@@ -500,7 +539,7 @@ VISIBLE_BYTES = [
         "report.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "report.txt": "7013cfb1d595edfa8cd8e98e4ac6a39ec9b2beb94cf626f38da6c515503695b0",
         "report.json": "3c627fd207c278bfd8b0c4ce0c4cc4485cae434989c88971553b7d66cf86a73c",
-        "summary.json": "92cfbeddc73e6a244482669b58e33ea94e1adef04eabab96c172ffae7728d6ae",
+        "summary.json": "66ceb9486152cab5479434c22840691e2b6e31fb37b86c78a1e190e119f3ec51",
     }),
     ({
         "schema_version": 1,
@@ -517,7 +556,7 @@ VISIBLE_BYTES = [
         "report.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "report.txt": "8f4965c8740057a78b0bf5b6a4cd2ead2423be1bc735e93de12e92722126a9fc",
         "report.json": "8090efe18b00d369af6668781ecd47127c011eb429c79528dc82731640af76fe",
-        "summary.json": "e12b0ef45aecbc333bd8f466c07584c198b17874af5f1ad5a14a44ad30083c2b",
+        "summary.json": "44ec58bd5ff0bb0682d441d179fcd3c3d37b1be7e524f023b59c533caa8c9aa3",
     }),
 ]
 
@@ -652,6 +691,19 @@ def test_a_dispersion_that_overflows_fails_its_cell(tmp_path, capsys):
     assert summary["cells"][0]["error"].startswith("the honest centers' dispersion overflows at radius = 1e+200")
     assert len((tmp_path / "o" / "results.csv").read_text().splitlines()) == 1  # the header
     assert capsys.readouterr().err == ""
+
+
+def test_a_spread_lost_to_rounding_fails_its_cell(tmp_path):
+    # at radius 1e12 the rescaled G2 reads 0.99999, not G_target^2 = 1: the
+    # factory's ConstructionError fails the cell, and the run exits 3
+    problem = {"kind": "random_quadratic", "n": 6, "f": 1, "d": 2, "radius": 1e12}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(MINIMAL_SIMULATE, aggregator={"kind": "cwtm", "f_hat": 1}, problem=problem)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["failed_cells"] == 1
+    assert summary["cells"][0]["error"] == (
+        "G2 = 0.9999858171197888 misses G_target^2: rounding absorbs the spread at radius = 1e+12")
 
 
 def test_seed_override(tmp_path):

@@ -857,7 +857,7 @@ def test_config_digest_distinguishes_and_is_stable():
                         random_quadratic_problem(10, 2, 5, seed=0, honest_set=range(2, 10)),
                         random_quadratic_problem(10, 2, 5, seed=0, honest_set=np.arange(2, 10)))
     }
-    assert len(digests) == 2 and "75242af80417c4a5" in digests
+    assert len(digests) == 2 and "5b3bfa0ba9d23b09" in digests
 
 
 def test_each_run_has_one_digest_whatever_the_spelling_of_its_numbers():
@@ -868,7 +868,7 @@ def test_each_run_has_one_digest_whatever_the_spelling_of_its_numbers():
 
     two_group = two_group_quadratic_problem(10, 2, 3, G=1.0)
     random = random_quadratic_problem(10, 2, 2, G_target=1.0, radius=2.0, seed=3)
-    assert digest(two_group) == "6c9c0375e50dca02"  # the float spelling's digest, as before
+    assert digest(two_group) == "1eff261a609610eb"  # the float spelling's digest, as before
     i64 = np.int64
     pairs = [
         (two_group, two_group_quadratic_problem(10, 2, 3, G=1)),
@@ -991,8 +991,9 @@ def test_descriptor_has_one_entry_per_field():
 
 
 def test_config_digests_are_pinned():
-    # digests recorded from the earlier hand-written descriptor; a change to
-    # how the descriptor is built must not move them
+    # digests recorded from the earlier hand-written descriptor, and again
+    # when AggregatorSpec lost its plain-distance Krum option; a change to how the
+    # descriptor is built must not move them
     p = random_quadratic_problem(7, 2, 3, 1.5, 2.0, seed=11)
     config = RunConfig(
         problem=p,
@@ -1000,13 +1001,13 @@ def test_config_digests_are_pinned():
         attack=AttackStrategy("fixed_vector", vector=(1.0, -2.0, 0.5)), T=9, H=3,
         schedule=Schedule("pl_power", beta=0.25), w0=np.array([1.0, 2.0, 3.0]), seed=5, kappa=0.5,
     )
-    assert config_digest(config) == "12c09f52485713f1"
+    assert config_digest(config) == "39e24ce0dd21ffdb"
 
     centers = [[float(k), -float(k)] for k in range(3)]
     custom = Problem(f=1, honest_set=(0, 1), curvature=[1.0, 1.0], centers=centers, G2=2.0, l_star=0.5)
     config = RunConfig(
-        problem=custom, aggregator=AggregatorSpec("krum", f_hat=1, krum_squared=False),
+        problem=custom, aggregator=AggregatorSpec("krum", f_hat=1),
         attack=AttackStrategy("sign_flip", scale=3.0), T=4,
     )
     assert run_config_descriptor(config)["problem"]["kind"] == "custom"
-    assert config_digest(config) == "3e32e89ff1462ef8"
+    assert config_digest(config) == "f20e93031830347a"

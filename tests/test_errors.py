@@ -190,8 +190,6 @@ BOUNDARY = [
      "G_target = 1e+200 overflows G2 = G_target^2"),
     ("pre_nnm_str", lambda: AggregatorSpec("mean", pre_nnm="no"), "pre_nnm must be a boolean, got 'no'"),
     ("pre_nnm_int", lambda: AggregatorSpec("mean", pre_nnm=1), "pre_nnm must be a boolean, got 1"),
-    ("krum_squared_int", lambda: AggregatorSpec("krum", krum_squared=1), "krum_squared must be a boolean, got 1"),
-    ("krum_squared_str", lambda: AggregatorSpec("krum", krum_squared="no"), "krum_squared must be a boolean, got 'no'"),
     ("fixed_vector_none", lambda: AttackStrategy("fixed_vector"), "vector is required for a fixed_vector attack"),
     ("w0_str", lambda: _run_config(w0=["a"]), "w0[0] must be a real number, got 'a'"),
     ("w0_none", lambda: _run_config(w0=[None]), "w0[0] must be a real number, got None"),
@@ -315,12 +313,12 @@ def test_every_field_the_cli_reads_has_a_library_rule(section, config, name, ent
 
 
 def test_a_numpy_bool_flag_is_kept_as_a_bool():
-    spec = AggregatorSpec("krum", pre_nnm=np.bool_(True), krum_squared=np.bool_(False))
-    assert type(spec.pre_nnm) is bool and type(spec.krum_squared) is bool
-    assert spec == AggregatorSpec("krum", pre_nnm=True, krum_squared=False)
+    spec = AggregatorSpec("krum", pre_nnm=np.bool_(True))
+    assert type(spec.pre_nnm) is bool
+    assert spec == AggregatorSpec("krum", pre_nnm=True)
     assert spec.name == "krum_nnm"
     assert config_digest(_run_config(aggregator=spec)) == config_digest(
-        _run_config(aggregator=AggregatorSpec("krum", pre_nnm=True, krum_squared=False)))
+        _run_config(aggregator=AggregatorSpec("krum", pre_nnm=True)))
 
 
 # ---------------------------------------------------------------------------

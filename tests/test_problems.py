@@ -24,6 +24,7 @@ from fedrobust import (
     two_group_quadratic_problem,
 )
 from fedrobust.engine import config_digest
+from fedrobust.problems import G2_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,18 @@ def test_random_quadratic_dispersion_that_overflows_is_a_construction_error():
             random_quadratic_problem(6, 1, 2, radius=radius, seed=0)
     assert random_quadratic_problem(6, 1, 2, G_target=0.0, radius=1e200, seed=0).G2 == 0.0
     assert random_quadratic_problem(6, 1, 2, radius=100.0, seed=0).G2 == pytest.approx(1.0)
+
+
+def test_random_quadratic_that_loses_its_spread_to_rounding_is_a_construction_error():
+    # centers about the radius from the origin, rescaled to a spread of
+    # about G_target, lose that spread once radius / G_target nears 1/eps:
+    # G2 reads 0.99999 at radius 1e12, 1.32 at 1e16 and 0 from 1e17 on
+    for radius in (1e12, 1e16, 1e17, 1e100):
+        with pytest.raises(ConstructionError, match="rounding absorbs the spread"):
+            random_quadratic_problem(6, 1, 2, radius=radius, seed=0)
+    for radius, G_target in ((1e6, 1.0), (100.0, 1.0), (1e12, 1e6), (1e200, 0.0)):
+        p = random_quadratic_problem(6, 1, 2, G_target=G_target, radius=radius, seed=0)
+        assert abs(p.G2 - G_target ** 2) <= G2_RTOL * G_target ** 2
 
 
 def test_random_quadratic_is_seeded():
