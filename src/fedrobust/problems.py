@@ -111,7 +111,7 @@ def _honest_set(n: int, f: int, honest_set) -> tuple:
 
 # Each kind names the factory f"{kind}_problem" of this module.
 PROBLEM_KINDS = ("homogeneous_quadratic", "random_quadratic", "two_group_quadratic")
-G2_RTOL = 1e-9  # largest relative error of a random problem's G2 against G_target^2; rounding: 1e-10 at radius 1e6
+G2_RTOL = 1e-9  # largest relative error of a random problem's G2 in units of G_target^2; rounding: 1e-10 at radius 1e6
 
 
 def _g_error(name: str, G, **bound):
@@ -171,8 +171,8 @@ def random_quadratic_problem(
 ) -> Problem:
     """Seeded fuzz family: one shared curvature drawn from [0.5, 2], client
     centers drawn in a ball of the given radius, then rescaled about the
-    honest mean so the honest-gradient dispersion equals G_target^2 within a
-    relative ``G2_RTOL`` (a ``ConstructionError`` if rounding absorbs it).
+    honest mean so the honest-gradient dispersion over G_target^2 is 1
+    within ``G2_RTOL`` (a ``ConstructionError`` if rounding absorbs it).
 
     The curvature is a single scalar across coordinates so that the
     gradient-dominance identity hot path stays an exact equality.  ``seed``
@@ -212,7 +212,7 @@ def random_quadratic_problem(
         descriptor={"kind": "random_quadratic", "n": n, "f": f, "d": d, "G_target": G_target, "radius": radius,
                     "seed": seed},
     )
-    if not abs(G2 - G_target ** 2) <= G2_RTOL * G_target ** 2:
+    if G_target > 0.0 and not abs(np.sum(4.0 * a * a * ((spread / G_target) ** 2).mean(axis=0)) - 1.0) <= G2_RTOL:
         raise ConstructionError(f"G2 = {G2!r} misses G_target^2: rounding absorbs the spread at radius = {radius:g}")
     return p
 

@@ -274,8 +274,6 @@ PINNED_SWEEPS = [
 ]
 
 
-PINNED_SWEEP_IDS = ["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector", "gm_nnm"]
-
 # sha256 of each PINNED_SWEEPS results.csv with its config_digest column
 # dropped, so a change of the config schema, which moves every digest,
 # shows that no number moved (recorded before AggregatorSpec lost its
@@ -290,20 +288,17 @@ PINNED_SWEEP_NUMBERS = [
 ]
 
 
-@pytest.mark.parametrize("config,sha256", PINNED_SWEEPS, ids=PINNED_SWEEP_IDS)
-def test_results_csv_sha256_is_pinned(tmp_path, config, sha256):
+@pytest.mark.parametrize("config,sha256,numbers_sha256", [
+    (config, sha256, numbers) for (config, sha256), numbers in zip(PINNED_SWEEPS, PINNED_SWEEP_NUMBERS)
+], ids=["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector", "gm_nnm"])
+def test_results_csv_sha256_is_pinned(tmp_path, config, sha256, numbers_sha256):
     assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
-    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == sha256
-
-
-@pytest.mark.parametrize("config,sha256", [(config, sha256) for (config, _), sha256 in zip(
-    PINNED_SWEEPS, PINNED_SWEEP_NUMBERS)], ids=PINNED_SWEEP_IDS)
-def test_results_csv_numbers_are_pinned(tmp_path, config, sha256):
-    assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
+    csv = (tmp_path / "results.csv").read_bytes()
     column = CSV_COLUMNS.index("config_digest")
-    lines = (tmp_path / "results.csv").read_text().splitlines(keepends=True)
-    numbers = "".join(",".join(v for k, v in enumerate(line.split(",")) if k != column) for line in lines)
-    assert hashlib.sha256(numbers.encode()).hexdigest() == sha256
+    numbers = "".join(",".join(v for k, v in enumerate(line.split(",")) if k != column)
+                      for line in csv.decode().splitlines(keepends=True))
+    assert hashlib.sha256(numbers.encode()).hexdigest() == numbers_sha256  # the numbers first, then the digests
+    assert hashlib.sha256(csv).hexdigest() == sha256
 
 
 def test_sweep_runs_one_batch_per_f_hat(tmp_path, monkeypatch, capsys):

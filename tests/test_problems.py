@@ -206,6 +206,17 @@ def test_random_quadratic_that_loses_its_spread_to_rounding_is_a_construction_er
         assert abs(p.G2 - G_target ** 2) <= G2_RTOL * G_target ** 2
 
 
+def test_random_quadratic_with_no_spread_or_a_subnormal_square_builds():
+    # G_target = 0 tiles the honest mean, and the mean of 7 equal rows can
+    # round one ulp off it, so G2 reads about 1e-33: no spread was lost
+    for d in (1, 3):
+        assert 0.0 < random_quadratic_problem(8, 1, d, G_target=0.0, seed=0).G2 < 1e-30
+    # G_target^2 = 1e-316 is subnormal, so G2 itself rounds to a relative
+    # 3e-8; the spread, in units of G_target, is whole
+    p = random_quadratic_problem(6, 1, 2, G_target=1e-158, radius=1e-153, seed=0)
+    assert p.G2 == pytest.approx(1e-316, rel=1e-6)
+
+
 def test_random_quadratic_is_seeded():
     a = random_quadratic_problem(6, 1, 3, 1.0, 2.0, seed=9)
     b = random_quadratic_problem(6, 1, 3, 1.0, 2.0, seed=9)
