@@ -284,11 +284,15 @@ def _worst(output: np.ndarray, pts: np.ndarray, blocks):
     return best
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, else the CPU count)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _workers(blocks: int) -> int:
     """Threads that score a sampled draw of ``blocks`` blocks: one per usable
     CPU, at most 2, as a third key buffer would break the memory bound."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(2, cpus, blocks)
+    return min(2, usable_cpus(), blocks)
 
 
 def _score(columns: np.ndarray, score, lo: int, weights: np.ndarray) -> None:

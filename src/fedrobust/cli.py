@@ -30,9 +30,14 @@ import difflib
 import functools
 import inspect
 import json
+import os
+import pickle
+import signal
 import sys
+import threading
 import time
 import typing
+import warnings
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import product
 from pathlib import Path
@@ -72,6 +77,13 @@ CSV_COLUMNS = (
 _CELL_PARAMS = ("f_hat", "honest_set")
 _CELL_FIELDS = ("problem", "aggregator", "attack", "seed")
 _AUDIT_DEFAULTS = {"n": None, "d": 1, "subset_budget": audit_mod.SUBSET_BUDGET}
+
+# A GM batch is split across CPUs only if each part holds at least this many
+# run-rounds (the T of its runs, summed).  Time of two GM-after-NNM runs
+# (n = 10, d = 5) split in two over one batch, medians of 120 alternating
+# pairs on a 2-core x86-64 machine: T = 16 1.36x, 24 1.17-1.28x, 32 1.04-1.05x,
+# 48 0.92x, 64 0.85-0.91x, 96 0.80-0.87x.
+SPLIT_MIN_ROUNDS = 48
 
 
 @dataclass
@@ -388,11 +400,112 @@ def _cell_result(head: dict, run_config: RunConfig, record, eng: dict, wall_time
     }
 
 
+def _run_part(configs) -> list:
+    """``run_batch(configs)``: every part of a batch, forked or not, runs
+    from this one line, so a warning has one location whatever the split."""
+    return run_batch(configs)
+
+
+def _parts(configs: list) -> list[list]:
+    """``configs`` cut into contiguous parts of about equal length, one per
+    usable CPU, if the rule is GM and every part holds at least
+    ``SPLIT_MIN_ROUNDS`` run-rounds (fewer parts if that takes fewer);
+    else one part.  Every other rule is vectorised across the batch, so a
+    split would only lose what the lockstep batch shares."""
+    if (not configs or configs[0].aggregator.kind != "gm" or not hasattr(os, "fork")
+            or threading.active_count() > 1):  # a forked child gets only the calling thread
+        return [configs]
+    for count in range(min(audit_mod.usable_cpus(), len(configs)), 1, -1):
+        edges = [len(configs) * i // count for i in range(count + 1)]
+        parts = [configs[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        if min(sum(config.T for config in part) for part in parts) >= SPLIT_MIN_ROUNDS:
+            return parts
+    return [configs]
+
+
+def _fork(part: list) -> tuple[int, int]:
+    """Run ``part`` in a forked child; return its pid and the read end of a
+    pipe that carries ``pickle.dumps((shown, outcome))``: the warnings the
+    part showed and its records, or the exception it raised.  The child
+    leaves by ``os._exit``, so the stdio buffers it inherited are not
+    flushed twice; a child that dies first sends nothing."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        shown = []
+        warnings.showwarning = lambda message, category, filename, lineno, *_: shown.append(
+            (message, category, filename, lineno))
+        try:
+            outcome = _run_part(part)
+        except BaseException as exc:  # noqa: BLE001 - raised again by the parent
+            outcome = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # noqa: BLE001 - an exception pickle cannot carry is sent as its text
+                outcome = RuntimeError(f"{type(exc).__name__}: {exc}")
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps((shown, outcome)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _show(message, category, filename: str, lineno: int) -> None:
+    """Show a warning a child's part showed as this process would have shown
+    it: through its filters, once per location of the module at
+    ``filename``, as ``warnings.warn`` does."""
+    module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
+    where = {} if module is None else {"module": module.__name__, "module_globals": vars(module),
+                                       "registry": vars(module).setdefault("__warningregistry__", {})}
+    warnings.warn_explicit(message, category, filename, lineno, **where)
+
+
+def _run_parts(configs: list) -> list:
+    """``run_batch(configs)`` over its :func:`_parts`: this process runs the
+    first part while each other part runs in a forked child.  Each record equals
+    its run alone, so the records do not depend on the split.  A child's
+    warnings are shown here and its exception is raised here; if any part
+    fails, every child still running is killed, and every child is reaped."""
+    parts = _parts(configs)
+    children = []  # (pid, read end); pid None once reaped
+    try:
+        for part in parts[1:]:
+            children.append(_fork(part))
+        records = _run_part(parts[0])
+        for k, (pid, pipe) in enumerate(children):
+            with open(pipe, "rb", closefd=False) as reader:
+                payload = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            children[k] = None, pipe
+            if not payload:
+                raise ChildProcessError(f"the process of a sweep part ended with exit status "
+                                        f"{os.waitstatus_to_exitcode(status)} and no result")
+            shown, outcome = pickle.loads(payload)
+            for warning in shown:
+                _show(*warning)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            records += outcome
+        return records
+    finally:
+        for pid, pipe in children:
+            os.close(pipe)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _run_cells(cfg: ExperimentConfig, cells) -> list[dict]:
     """Run (index, cell) pairs that share the aggregator spec as one
-    ``run_batch``; results in cell order.  A cell whose run config cannot be
-    built fails alone, with ``wall_time_ms`` 0; each other cell's is the
-    batch's wall time over its cells, so the cells add up to the batch."""
+    ``run_batch``, split by :func:`_run_parts`; results in cell order.  A
+    cell whose run config cannot be built fails alone, with ``wall_time_ms``
+    0; each other cell's is the batch's wall time over its cells, so the
+    cells add up to the batch."""
     started = time.perf_counter()
     results, batch = [], []
     for index, (f, f_hat, seed) in cells:
@@ -402,7 +515,7 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[dict]:
         except ValueError as exc:
             head.update(error=str(exc), rows=[], wall_time_ms=0.0)
         results.append(head)
-    records = run_batch([run_config for _, run_config in batch])
+    records = _run_parts([run_config for _, run_config in batch])
     wall_time_ms = (time.perf_counter() - started) * 1000.0 / max(len(batch), 1)
     for (k, run_config), record in zip(batch, records):
         results[k] = _cell_result(results[k], run_config, record, cfg.normalized["engine"], wall_time_ms)
@@ -412,8 +525,9 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[dict]:
 def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     """Execute every grid cell, streaming rows to results.csv (in cell order)
     and writing summary.json at the end.  The cells of one f_hat, and so of
-    one aggregator spec, run as one batch of ``engine.run_batch``, the
-    batches in the order of their first cells; after each batch every cell
+    one aggregator spec, run as one batch of ``engine.run_batch`` (a GM
+    batch split across CPUs, :func:`_run_parts`), the batches in the order
+    of their first cells; after each batch every cell
     up to the first one not yet run is written out.
 
     Returns the number of failed cells.

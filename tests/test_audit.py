@@ -3,6 +3,7 @@ adversarial witness families."""
 
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -367,6 +368,18 @@ def test_an_advanced_generator_draws_the_rows_of_one_draw_from_its_start(n):
         bit_generator = np.random.PCG64(7)
         bit_generator.advance(start * n)
         assert np.array_equal(np.random.Generator(bit_generator).random((b, n)), want[start : start + b]), start
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_workers_follow_the_usable_cpus(monkeypatch, cpus):
+    # at most two workers, one per usable CPU and per block
+    monkeypatch.setattr(audit, "usable_cpus", lambda: cpus)
+    assert [audit._workers(blocks) for blocks in (1, 2, 10)] == [1, min(cpus, 2), min(cpus, 2)]
+
+
+def test_usable_cpus_are_the_affinity_mask():
+    want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert audit.usable_cpus() == want >= 1
 
 
 def use_workers(monkeypatch, count):

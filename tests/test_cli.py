@@ -6,8 +6,12 @@ import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -16,12 +20,14 @@ import pytest
 
 import fedrobust
 from fedrobust import (
-    AttackStrategy, ConfigError, ParameterError, RunConfig, aggregators, cli, problems, random_quadratic_problem, run,
+    AttackStrategy, ConfigError, ParameterError, RunConfig, aggregators, audit, cli, problems, random_quadratic_problem,
+    run,
 )
 from fedrobust.cli import (
     CONFIG_KINDS,
     CSV_COLUMNS,
     PROBLEM_KINDS,
+    ExperimentConfig,
     _build_run_config,
     _cells,
     load_config,
@@ -292,8 +298,12 @@ PINNED_SWEEP_NUMBERS = [
     (config, sha256, numbers) for (config, sha256), numbers in zip(PINNED_SWEEPS, PINNED_SWEEP_NUMBERS)
 ], ids=["criterion9", "two_group", "sign_flip", "escalating_outlier", "fixed_vector", "gm_nnm"])
 def test_results_csv_sha256_is_pinned(tmp_path, config, sha256, numbers_sha256):
-    assert run_sweep(parse_config(json.dumps(config)), tmp_path, quiet=True) == 0
-    csv = (tmp_path / "results.csv").read_bytes()
+    assert_sweep_pinned(tmp_path, config, sha256, numbers_sha256)
+
+
+def assert_sweep_pinned(out, config, sha256, numbers_sha256):
+    assert run_sweep(parse_config(json.dumps(config)), out, quiet=True) == 0
+    csv = (out / "results.csv").read_bytes()
     column = CSV_COLUMNS.index("config_digest")
     numbers = "".join(",".join(v for k, v in enumerate(line.split(",")) if k != column)
                       for line in csv.decode().splitlines(keepends=True))
@@ -327,11 +337,231 @@ def test_gm_nnm_sweep_stays_next_to_the_oracle_solver(monkeypatch):
         assert record.grad_metric == pytest.approx(want.grad_metric, rel=1e-5)
 
 
-def test_sweep_repeats_byte_identical(tmp_path):
-    cfg = parse_config(json.dumps(SWEEP_TEMPLATE))
-    run_sweep(cfg, tmp_path / "a", quiet=True)
-    run_sweep(cfg, tmp_path / "b", quiet=True)
-    assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
+def test_sweep_repeats_byte_identical(tmp_path, monkeypatch):
+    # a cwmed sweep, and a GM sweep whose batches are split in two
+    forked = spy_forks(monkeypatch, cpus=2)
+    for name, config in (("cwmed", SWEEP_TEMPLATE), ("gm_nnm", PINNED_SWEEPS[-1][0])):
+        cfg = parse_config(json.dumps(config))
+        run_sweep(cfg, tmp_path / name / "a", quiet=True)
+        run_sweep(cfg, tmp_path / name / "b", quiet=True)
+        csv = [(tmp_path / name / run / "results.csv").read_bytes() for run in "ab"]
+        assert csv[0] == csv[1], name
+    assert forked == [2, 2, 2, 2]  # the GM sweep's two batches, twice
+
+
+# ---------------------------------------------------------------------------
+# a GM batch split across CPUs
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """No test of this module leaves a child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def spy_forks(monkeypatch, cpus: int) -> list:
+    """Give the process ``cpus`` usable CPUs; return the list that records
+    the length of each part forked from then on."""
+    monkeypatch.setattr(audit, "usable_cpus", lambda: cpus)
+    forked, fork = [], cli._fork
+    monkeypatch.setattr(cli, "_fork", lambda part: forked.append(len(part)) or fork(part))
+    return forked
+
+
+def spy_sent_warnings(monkeypatch) -> list:
+    """Return the list that records each warning a child sends back to be shown."""
+    sent, show = [], cli._show
+    monkeypatch.setattr(cli, "_show", lambda *warning: sent.append(warning) or show(*warning))
+    return sent
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_gm_nnm_pin_holds_on_any_cpu_count(tmp_path, monkeypatch, cpus):
+    # each batch of four T = 50 runs: one part, two of two runs, or three
+    # of one, one and two runs, as SPLIT_MIN_ROUNDS = 48 allows
+    forked = spy_forks(monkeypatch, cpus)
+    assert_sweep_pinned(tmp_path, PINNED_SWEEPS[-1][0], PINNED_SWEEPS[-1][1], PINNED_SWEEP_NUMBERS[-1])
+    assert forked == {1: [], 2: [2, 2], 3: [1, 2, 1, 2]}[cpus]
+
+
+def test_a_batch_splits_only_for_gm_and_parts_of_enough_rounds(monkeypatch):
+    def configs(kind, T, runs):
+        doc = dict(SWEEP_TEMPLATE, aggregator={"kind": kind}, engine=dict(SWEEP_TEMPLATE["engine"], T=T),
+                   grid={"f_hat": [1], "f": [1], "seeds": list(range(runs))})
+        cfg = parse_config(json.dumps(doc))
+        return [_build_run_config(cfg.normalized, *cell) for cell in _cells(cfg)]
+
+    floor = cli.SPLIT_MIN_ROUNDS
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(audit, "usable_cpus", lambda: cpus)
+        for kind, T, runs, lengths in (
+            ("gm", floor, 3, [[3], [1, 2], [1, 1, 1]]),
+            ("gm", floor - 1, 3, [[3], [3], [3]]),           # no part of one run is long enough
+            ("gm", -(-floor // 2), 5, [[5], [2, 3], [2, 3]]),  # three parts would hold one run of T < floor
+            ("gm", floor, 1, [[1], [1], [1]]),
+            ("cwmed", 10 * floor, 3, [[3], [3], [3]]),
+        ):
+            batch = configs(kind, T, runs)
+            parts = cli._parts(batch)
+            assert [len(part) for part in parts] == lengths[cpus - 1], (cpus, kind, T, runs)
+            assert [config for part in parts for config in part] == batch
+    monkeypatch.delattr(os, "fork")  # no fork, no split
+    assert len(cli._parts(configs("gm", 10 * floor, 3))) == 1
+
+
+def test_no_split_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(audit, "usable_cpus", lambda: 2)
+    cfg = parse_config(json.dumps(PINNED_SWEEPS[-1][0]))
+    batch = [_build_run_config(cfg.normalized, *cell) for cell in _cells(cfg)]
+    assert len(cli._parts(batch)) == 2
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        assert len(cli._parts(batch)) == 1
+    finally:
+        release.set()
+        helper.join()
+
+
+def test_split_progress_lines_print_once_in_cell_order(tmp_path):
+    # stdout is a buffered pipe: the first batch's lines (cells 0 and 1) are
+    # still in the buffer when the second batch forks its parts, and a child
+    # that flushed its copy on leaving would print them twice
+    cfg = tmp_path / "gm.json"
+    cfg.write_text(json.dumps(PINNED_SWEEPS[-1][0]))
+    paths = [str(Path(fedrobust.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("PYTHONUNBUFFERED", None)
+    script = ("import sys; from fedrobust import audit, cli; audit.usable_cpus = lambda: 3; "
+              f"sys.exit(cli.main(['sweep', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == [f"cell{k:04d}" for k in range(8)]
+    csv = (tmp_path / "o" / "results.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == PINNED_SWEEPS[-1][1]
+
+
+def test_split_cells_wall_times_add_up_to_their_batch(tmp_path, monkeypatch):
+    forked, spans, run_parts = spy_forks(monkeypatch, cpus=2), [], cli._run_parts
+
+    def timed(configs):
+        started = time.perf_counter()
+        try:
+            return run_parts(configs)
+        finally:
+            spans.append((time.perf_counter() - started) * 1000.0)
+
+    monkeypatch.setattr(cli, "_run_parts", timed)
+    started = time.perf_counter()
+    assert run_sweep(parse_config(json.dumps(PINNED_SWEEPS[-1][0])), tmp_path, quiet=True) == 0
+    elapsed = (time.perf_counter() - started) * 1000.0
+    cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
+    assert forked == [2, 2] and len(spans) == 2
+    batches = [[cell["wall_time_ms"] for cell in cells if cell["f_hat"] == f_hat] for f_hat in (2, 3)]
+    for times, span in zip(batches, spans):
+        assert len(set(times)) == 1 and span <= sum(times)
+    assert sum(map(sum, batches)) <= elapsed
+
+
+def failing_in(monkeypatch, parent_action, child_action=None):
+    """Make ``cli.run_batch`` call ``parent_action()`` first in this process,
+    and ``child_action()`` in a forked child; either may be None."""
+    parent, run_batch = os.getpid(), cli.run_batch
+
+    def spy(configs):
+        action = parent_action if os.getpid() == parent else child_action
+        if action is not None:
+            action()
+        return run_batch(configs)
+
+    monkeypatch.setattr(cli, "run_batch", spy)
+
+
+def raising(message):
+    def fail():
+        raise ArithmeticError(message.format(pid=os.getpid()))
+    return fail
+
+
+def test_an_exception_in_a_child_part_reaches_the_caller(tmp_path, monkeypatch, capsys):
+    failing_in(monkeypatch, None, raising("part failed in {pid}"))
+    for cpus in (2, 3):
+        forked = spy_forks(monkeypatch, cpus)
+        with pytest.raises(ArithmeticError, match=r"part failed in \d+") as caught:
+            run_sweep(parse_config(json.dumps(PINNED_SWEEPS[-1][0])), tmp_path / "lib", quiet=True)
+        assert caught.type is ArithmeticError and str(caught.value) != f"part failed in {os.getpid()}"
+        assert forked == {2: [2], 3: [1, 2]}[cpus]  # the first batch fails
+    path = tmp_path / "gm.json"
+    path.write_text(json.dumps(PINNED_SWEEPS[-1][0]))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli"), "--quiet"]) == 2
+    assert re.fullmatch(r"runtime error: part failed in \d+\n", capsys.readouterr().err)
+
+
+def test_a_child_that_dies_without_a_result_names_its_exit_status(tmp_path, monkeypatch):
+    failing_in(monkeypatch, None, lambda: os._exit(3))
+    forked = spy_forks(monkeypatch, cpus=2)
+    with pytest.raises(ChildProcessError, match="ended with exit status 3 and no result"):
+        run_sweep(parse_config(json.dumps(PINNED_SWEEPS[-1][0])), tmp_path, quiet=True)
+    assert forked == [2]
+
+
+def test_an_exception_in_the_parent_part_kills_and_reaps_the_children(tmp_path, monkeypatch):
+    # a child that is not killed sleeps for a minute before its part
+    failing_in(monkeypatch, raising("parent part failed"), lambda: time.sleep(60))
+    forked = spy_forks(monkeypatch, cpus=3)
+    reaped, waitpid = [], os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: reaped.append(waitpid(pid, options)) or reaped[-1])
+    started = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="parent part failed"):
+        run_sweep(parse_config(json.dumps(PINNED_SWEEPS[-1][0])), tmp_path, quiet=True)
+    assert time.perf_counter() - started < 30
+    assert forked == [1, 2] and len(reaped) == 2
+    assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL for _, status in reaped)
+
+
+STEPSIZE_WARNING = "stepsize violates the convergence-guarantee precondition; the run may diverge"
+
+
+def stepsize_sweep(seeds) -> ExperimentConfig:
+    """A GM sweep of one T = 50 run per seed at gamma = 0.2: the precondition
+    gamma <= 1/(2L) holds at seed 2 (L = 1.78) and breaks at seeds 0, 4 and
+    5 (L = 2.91, 3.83 and 3.42)."""
+    return parse_config(json.dumps({
+        "schema_version": 1, "kind": "sweep",
+        "problem": {"kind": "random_quadratic", "n": 10, "f": 1, "d": 5, "radius": 5.0},
+        "aggregator": {"kind": "gm", "pre_nnm": True},
+        "attack": {"kind": "gaussian_noise", "variance": 5.0},
+        "engine": {"T": 50, "schedule": {"kind": "constant", "gamma": 0.2}, "w0": 1.0},
+        "grid": {"f": [1], "f_hat": [3], "seeds": seeds},
+    }))
+
+
+@pytest.mark.parametrize("seeds", [[0, 4, 5], [2, 0, 4]], ids=["every_part", "children_only"])
+def test_a_child_part_warning_is_shown_once(tmp_path, monkeypatch, seeds):
+    for cpus in (1, 2, 3):
+        forked, sent = spy_forks(monkeypatch, cpus), spy_sent_warnings(monkeypatch)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("default")
+            assert run_sweep(stepsize_sweep(seeds), tmp_path / f"{cpus}", quiet=True) == 0
+        assert [(w.category, str(w.message)) for w in shown] == [(UserWarning, STEPSIZE_WARNING)]
+        assert shown[0].filename == cli.__file__
+        assert forked == {1: [], 2: [2], 3: [1, 1]}[cpus] and len(sent) == cpus - 1  # one from each child
+        csv = [(tmp_path / f"{k}" / "results.csv").read_bytes() for k in (1, cpus)]
+        assert csv[0] == csv[1]
+
+
+def test_a_warning_filtered_to_an_error_raises_in_the_child(tmp_path, monkeypatch):
+    # only the children's parts break the precondition at 2 and 3 CPUs; the
+    # error is raised there, so no warning is sent back to be shown
+    for cpus in (1, 2, 3):
+        forked, sent = spy_forks(monkeypatch, cpus), spy_sent_warnings(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match=re.escape(STEPSIZE_WARNING)):
+                run_sweep(stepsize_sweep([2, 0, 4]), tmp_path, quiet=True)
+        assert forked == {1: [], 2: [2], 3: [1, 1]}[cpus] and sent == []
 
 
 def test_failed_cell_recorded_and_sweep_continues(tmp_path, capsys):
