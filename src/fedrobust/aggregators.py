@@ -30,7 +30,6 @@ from numpy.linalg import _umath_linalg  # numpy.linalg.solve's gesv gufunc: same
 
 from .errors import DimensionError, check, count_error, flag_error, kind_error, normalize, real_error, rule_errors
 
-KINDS = ("mean", "cwtm", "cwmed", "gm", "krum")
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -96,10 +95,8 @@ def _clouds(xs) -> np.ndarray:
 
 
 def _rows(pts: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """A copy of row ``index`` of an (n, d) cloud, or of row ``index[r]`` of
-    cloud r of an (R, n, d) stack, where ``index`` may hold more axes."""
-    if pts.ndim == 2:
-        return pts.take(index, axis=0)
+    """A copy of row ``index[r]`` of cloud r of an (R, n, d) stack, where
+    ``index`` may hold more axes; one cloud's rows are its own ``take``."""
     count, n, d = pts.shape
     first = np.arange(0, count * n, n).reshape((-1,) + (1,) * (index.ndim - 1))  # each cloud's first row
     return pts.reshape(-1, d).take(index + first, axis=0)
@@ -289,7 +286,25 @@ def _krum_index(pts: np.ndarray, f_hat: int):
 
 def _nnm(pts: np.ndarray, f_hat: int) -> np.ndarray:
     neighbors = _neighbor_indices(_sq_distance_matrix(pts), f_hat)
-    return np.add.reduce(_rows(pts, neighbors), axis=-2) / neighbors.shape[-1]  # what .mean(axis=-2) computes
+    mixed = pts.take(neighbors, axis=0) if pts.ndim == 2 else _rows(pts, neighbors)
+    return np.add.reduce(mixed, axis=-2) / neighbors.shape[-1]  # what .mean(axis=-2) computes
+
+
+def _krum(pts: np.ndarray, f_hat: int) -> np.ndarray:
+    index = _krum_index(pts, f_hat)
+    return pts.take(index, axis=0) if pts.ndim == 2 else _rows(pts, index)
+
+
+# each rule's kernel, after any mixing; each finds its helpers by name, so a tracer can wrap them
+_KERNELS = {
+    "mean": lambda spec, pts: pts.mean(axis=-2),
+    "cwtm": lambda spec, pts: _cwtm(pts, spec.f_hat),
+    # np.median's values, from one sort: the mean of the one or two middle order statistics
+    "cwmed": lambda spec, pts: np.sort(pts, axis=-2)[..., (pts.shape[-2] - 1) // 2 : pts.shape[-2] // 2 + 1, :].mean(-2),
+    "gm": lambda spec, pts: weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point,
+    "krum": lambda spec, pts: _krum(pts, spec.f_hat),
+}
+KINDS = tuple(_KERNELS)
 
 
 def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
@@ -330,23 +345,7 @@ def aggregate(spec: AggregatorSpec, xs) -> np.ndarray:
 def _aggregate(spec: AggregatorSpec, pts: np.ndarray) -> np.ndarray:
     """:func:`aggregate` of an (n, d) matrix or (R, n, d) stack that has
     already been validated, with ``spec`` checked against its n."""
-    if pts.ndim == 3 and len(pts) == 1:  # a stack of one costs what its cloud costs
-        return _aggregate(spec, pts[0])[None]
-    n = pts.shape[-2]
-    if spec.pre_nnm:
-        pts = _nnm(pts, spec.f_hat)
-    if spec.kind == "mean":
-        return pts.mean(axis=-2)
-    if spec.kind == "cwtm":
-        return _cwtm(pts, spec.f_hat)
-    if spec.kind == "cwmed":
-        # np.median's values: the middle order statistic, or the mean of the
-        # two middle ones, from one sort
-        ordered = np.sort(pts, axis=-2)
-        if n % 2:
-            return ordered[..., n // 2, :]
-        return (ordered[..., n // 2 - 1, :] + ordered[..., n // 2, :]) / 2
-    if spec.kind == "gm":
-        return weiszfeld(pts, spec.gm_tolerance, spec.gm_max_iters).point
-    # krum, the one kind left: AggregatorSpec admits no other
-    return _rows(pts, _krum_index(pts, spec.f_hat))
+    one = pts.ndim == 3 and len(pts) == 1  # a stack of one costs what its cloud costs
+    cloud = pts[0] if one else pts
+    out = _KERNELS[spec.kind](spec, _nnm(cloud, spec.f_hat) if spec.pre_nnm else cloud)
+    return out[None] if one else out

@@ -163,12 +163,14 @@ def byzantine_upload(
     copy of it per client.
 
     One call serves a group of R runs that share one attack kind and the
-    honest set of ``problem``, any one of their problems: ``strategy``,
-    ``gamma`` and ``seed`` hold one entry per run, ``w`` is their (R, d)
-    iterates, ``honest_uploads`` their (R, d) mean honest uploads and
-    ``rows`` their (R, f, d) rows, and the result is their (R, f, d) block.
-    One run's call, with its own AttackStrategy, (d,) iterate and (m, d)
-    honest uploads, is a group of one and returns (f, d).
+    honest set of ``problem``, any one of their problems: ``strategy`` is
+    their ``Group``, ``gamma`` and ``seed`` hold one entry per run, ``w`` is
+    their (R, d) iterates, ``honest_uploads`` their (R, d) mean honest
+    uploads and ``rows`` their (R, f, d) rows, and the result is their
+    (R, f, d) block (honest_mimic's is ``rows``, fixed_vector's the group's
+    constant: copy it, do not write it).  One run's call, with its own
+    AttackStrategy, (d,) iterate and (m, d) honest uploads, is a group of
+    one and returns (f, d).
 
     ``rows`` are the round's rows of each Byzantine client that the caller
     already holds: the standard normal draws of a gaussian_noise attack, as
@@ -199,24 +201,38 @@ def byzantine_upload(
         elif rows is None and strategy.kind == "gaussian_noise":
             rows = noise_rows(seed, problem.byzantine_set, t, t + 1, w.shape[0])[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            return byzantine_upload([strategy], problem, w[None], [gamma], H, t, [seed], mean[None],
-                                    None if rows is None else rows[None])[0]
-    kind = strategy[0].kind
+            return byzantine_upload(Group([strategy], problem), problem, w[None], [gamma], H, t, [seed],
+                                    mean[None], None if rows is None else rows[None])[0]
+    kind, constant = strategy[0].kind, strategy.constant
     if kind == "honest_mimic":
         return rows
     if kind == "gaussian_noise":
-        return rows * np.array([math.sqrt(s.variance) for s in strategy])[:, None, None]
+        return rows * constant
     if kind == "fixed_vector":
-        row = np.array([s.vector for s in strategy], dtype=np.float64).reshape(w.shape)
-    else:  # escalating_outlier or sign_flip; AttackStrategy admits no other kind
-        row = _computed_rows(strategy, problem.n, w, gamma, H, t, honest_uploads)
+        return constant
+    if kind == "sign_flip":
+        row = w - constant * (honest_uploads - w)
+    else:  # escalating_outlier; AttackStrategy admits no other kind
+        # (1 - gamma)^H stays one scalar per run: inf, not OverflowError, past the range
+        factors = np.array([np.float64(1.0 - g) ** H for g in gamma])[:, None]
+        row = problem.n * np.abs(factors * w) + t
     return row[:, None].repeat(len(problem.byzantine_set), axis=1)
 
 
-def _computed_rows(strategies, n: int, w: np.ndarray, gamma, H: int, t: int, means: np.ndarray) -> np.ndarray:
-    """The (R, d) uploads of a group of escalating_outlier or sign_flip runs."""
-    if strategies[0].kind == "escalating_outlier":
-        # (1 - gamma)^H stays one scalar per run: inf, not OverflowError, past the range
-        factors = np.array([np.float64(1.0 - g) ** H for g in gamma])[:, None]
-        return n * np.abs(factors * w) + t
-    return w - np.array([s.scale for s in strategies], dtype=np.float64)[:, None] * (means - w)
+class Group(tuple):
+    """The strategies of R runs with one attack kind, as the group form of
+    ``byzantine_upload`` takes them, with their rule's per-run ``constant``
+    stacked once in the shape it meets, so that no round broadcasts it:
+    sign_flip's scales (R, d), gaussian_noise's standard deviations and
+    fixed_vector's block (R, f, d), else None."""
+
+    def __new__(cls, strategies, problem: Problem):
+        group = super().__new__(cls, strategies)
+        kind, block, group.constant = strategies[0].kind, (len(problem.byzantine_set), problem.d), None
+        if kind == "sign_flip":
+            group.constant = np.array([np.full(problem.d, s.scale) for s in strategies])
+        elif kind == "gaussian_noise":
+            group.constant = np.array([np.full(block, math.sqrt(s.variance)) for s in strategies])
+        elif kind == "fixed_vector":
+            group.constant = np.array([np.broadcast_to(s.vector, block) for s in strategies], dtype=np.float64)
+        return group

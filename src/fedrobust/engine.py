@@ -42,7 +42,7 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .aggregators import _aggregate as aggregate  # run_round checks its deltas, RunConfig its f_hat
-from .attacks import AttackStrategy, byzantine_upload, check_dimension, noise_stream
+from .attacks import AttackStrategy, Group, byzantine_upload, check_dimension, noise_stream
 from .bounds import stepsize_constant
 from .errors import (ParameterError, check, count_error, dimension_error, kind_error, normalize, real_error, reals_error,
                      rule_errors)
@@ -208,15 +208,17 @@ def _clients(clouds: np.ndarray, index) -> np.ndarray:
 
 class _Batch:
     """The active runs of a batch in group order, with their configs, noise
-    streams, centers (R, n, d), slopes (R, 1, d) and stepsizes (R, 1, 1):
-    stacked once by ``of``, cut by ``keep`` as runs leave.  A group is a
-    stretch of runs with one honest set and one attack kind; ``groups``
-    holds its slice of runs, first problem, honest and Byzantine clients
-    (slices if the honest set is the first n - f) and noise iterator."""
+    streams and each client's center, slope and stepsize (R, n, d): stacked
+    once by ``of``, cut by ``keep`` as runs leave.  A group is a stretch of
+    runs with one honest set and one attack kind; ``groups`` holds what its
+    rounds read and never change: its slice of runs (None when it spans the
+    batch), first problem, honest and Byzantine clients (slices if the honest
+    set is the first n - f), noise iterator, attack ``Group``, seeds, honest
+    count, and views of its stepsizes and of the (R, d) means a round fills."""
 
     def __init__(self, configs: list, streams: list, centers, slopes, steps):
         self.configs, self.streams, self.centers, self.slopes, self.steps = configs, streams, centers, slopes, steps
-        self.attacks, self.seeds = [c.attack for c in configs], [c.seed for c in configs]
+        self.H, self.spec, self.means = configs[0].H, configs[0].aggregator, np.empty((len(configs), centers.shape[2]))
         self.varying = [(k, c) for k, c in enumerate(configs) if c.schedule.kind == "step_wise"]
         self.groups, start = [], 0
         for _, members in itertools.groupby(configs, _group_key):
@@ -227,15 +229,18 @@ class _Batch:
             if problem.honest_set == tuple(range(m)):
                 honest, byzantine = slice(0, m), slice(m, problem.n)
             noise = None if streams[runs.start] is None else zip(*streams[runs])
-            self.groups.append((runs, problem, honest, byzantine, noise))
+            self.groups.append((None if runs.stop - runs.start == len(configs) else runs, problem, honest, byzantine,
+                                noise, Group([c.attack for c in configs[runs]], problem),
+                                [c.seed for c in configs[runs]], m, steps[runs, 0, 0], self.means[runs]))
 
     @classmethod
     def of(cls, configs: list) -> "_Batch":
         """The batch of ``configs``, in group order, at round 0 (which a run with T = 0 never runs)."""
-        steps = [stepsize_at(c.schedule, 0, max(c.T, 1), c.problem.L, c.H, c.kappa) for c in configs]
-        return cls(configs, [noise_stream(c.attack, c.problem, c.seed, c.T) for c in configs],
-                   np.array([c.problem.centers for c in configs]),
-                   np.array([c.problem.slope for c in configs])[:, None, :], np.array(steps)[:, None, None])
+        centers = np.array([c.problem.centers for c in configs])
+        slopes, steps = np.empty(centers.shape), np.empty(centers.shape)  # per client, so that no round broadcasts them
+        slopes[:] = [[c.problem.slope] for c in configs]
+        steps[:] = [[[stepsize_at(c.schedule, 0, max(c.T, 1), c.problem.L, c.H, c.kappa)]] for c in configs]
+        return cls(configs, [noise_stream(c.attack, c.problem, c.seed, c.T) for c in configs], centers, slopes, steps)
 
     def keep(self, stay: list) -> "_Batch":
         return _Batch([self.configs[k] for k in stay], [self.streams[k] for k in stay],
@@ -254,25 +259,27 @@ def run_round(batch: _Batch, w: np.ndarray, t: int) -> tuple[np.ndarray, list]:
     iterates and, per run, the squared distance between the aggregated delta
     and the mean honest delta.  Every client takes its H >= 1 local steps, as
     honest_mimic sends them.  A run whose deltas are not finite (an upload
-    overflowed) is left out of the aggregation, and its deviation is NaN."""
-    uploads = local_update(w[:, None, :], batch.centers, batch.slopes, batch.steps, batch.configs[0].H)
-    means = np.empty(w.shape)
-    for runs, problem, honest, byzantine, noise in batch.groups:
-        clouds = uploads[runs]
-        honest_uploads = _clients(clouds, honest)
-        np.divide(np.add.reduce(honest_uploads, axis=1), honest_uploads.shape[1], out=means[runs])  # numpy's mean
+    overflowed) is left out of the aggregation, and its deviation is NaN: one
+    finite sum of all deltas shows every delta finite, and only a sum that
+    is not finite has each run's deltas tested."""
+    column = w[:, None, :]
+    uploads = local_update(column, batch.centers, batch.slopes, batch.steps, batch.H)
+    for runs, problem, honest, byzantine, noise, attack, seeds, m, steps, means in batch.groups:
+        clouds, iterates = (uploads, w) if runs is None else (uploads[runs], w[runs])
+        np.divide(np.add.reduce(_clients(clouds, honest), axis=1), m, out=means)  # numpy's mean
         rows = _clients(clouds, byzantine) if noise is None else np.array(next(noise))
-        clouds[:, byzantine] = byzantine_upload(batch.attacks[runs], problem, w[runs], batch.steps[runs, 0, 0],
-                                                batch.configs[0].H, t, batch.seeds[runs], means[runs], rows)
-    deltas = np.subtract(uploads, w[:, None, :], out=uploads)
-    if np.logical_and.reduce(np.isfinite(deltas), axis=None):
-        aggregated = aggregate(batch.configs[0].aggregator, deltas)
+        block = byzantine_upload(attack, problem, iterates, steps, batch.H, t, seeds, means, rows)
+        if block is not rows:
+            clouds[:, byzantine] = block
+    deltas = np.subtract(uploads, column, out=uploads)
+    if math.isfinite(np.add.reduce(deltas, axis=None)):
+        aggregated = aggregate(batch.spec, deltas)
     else:
         finite = np.isfinite(deltas).all(axis=(1, 2))
         aggregated = np.full(w.shape, np.nan)
         if finite.any():
-            aggregated[finite] = aggregate(batch.configs[0].aggregator, deltas[finite])
-    return w + aggregated, _deviations(aggregated, means, w)
+            aggregated[finite] = aggregate(batch.spec, deltas[finite])
+    return w + aggregated, _deviations(aggregated, batch.means, w)
 
 
 def _preflight(config: RunConfig) -> None:
@@ -375,7 +382,7 @@ def _run_batch(configs) -> list[RunRecord]:
                 if not active:
                     break
                 batch = batch.keep(stay)
-            w, deviations = run_round(batch.at(t), w, t)
+            w, deviations = run_round(batch.at(t) if batch.varying else batch, w, t)
             for k, r in enumerate(active):
                 agg_deviation[r][t] = deviations[k]
 

@@ -232,8 +232,8 @@ def local_update(x, centers, slope, gamma, steps: int):
     losses with the given ``centers`` and slope 2a, all broadcast against
     each other: each step is x - gamma * (2a * (x - b_k)), rounded in that
     order.  The engine takes every client of every run of a batch in one
-    call, with (R, 1, d) iterates, (R, n, d) centers, (R, 1, d) slopes and
-    (R, 1, 1) stepsizes.  Returns ``x`` itself when ``steps`` is 0."""
+    call, with (R, 1, d) iterates and (R, n, d) centers, slopes and
+    stepsizes.  Returns ``x`` itself when ``steps`` is 0."""
     for _ in range(steps):
         x = x - gamma * (slope * (x - centers))
     return x

@@ -2,6 +2,7 @@
 identity with the client pipeline, and exact agreement of the one-block
 ``byzantine_upload`` with the per-client oracle it replaced."""
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -9,15 +10,17 @@ import numpy as np
 import pytest
 
 from fedrobust import attacks
-from fedrobust.attacks import noise_rows
+from fedrobust.attacks import ATTACK_KINDS, Group, noise_rows
 from fedrobust import (
     AttackStrategy,
     ParameterError,
     Problem,
+    Schedule,
     byzantine_upload,
     descend,
     homogeneous_quadratic_problem,
     random_quadratic_problem,
+    stepsize_at,
     two_group_quadratic_problem,
 )
 
@@ -98,6 +101,33 @@ def oracle_block(strategy, problem, w, gamma, H, t, seed, honest_uploads, f_hat=
 
 
 # ---------------------------------------------------------------------------
+# oracle: the group form that built each kind's per-run constants every
+# round, kept verbatim (``strategy`` is a list of AttackStrategy)
+
+
+def oracle_group_upload(strategy, problem, w, gamma, H, t, seed, honest_uploads, rows):
+    kind = strategy[0].kind
+    if kind == "honest_mimic":
+        return rows
+    if kind == "gaussian_noise":
+        return rows * np.array([math.sqrt(s.variance) for s in strategy])[:, None, None]
+    if kind == "fixed_vector":
+        row = np.array([s.vector for s in strategy], dtype=np.float64).reshape(w.shape)
+    else:  # escalating_outlier or sign_flip; AttackStrategy admits no other kind
+        row = oracle_computed_rows(strategy, problem.n, w, gamma, H, t, honest_uploads)
+    return row[:, None].repeat(len(problem.byzantine_set), axis=1)
+
+
+def oracle_computed_rows(strategies, n, w, gamma, H, t, means):
+    """The (R, d) uploads of a group of escalating_outlier or sign_flip runs."""
+    if strategies[0].kind == "escalating_outlier":
+        # (1 - gamma)^H stays one scalar per run: inf, not OverflowError, past the range
+        factors = np.array([np.float64(1.0 - g) ** H for g in gamma])[:, None]
+        return n * np.abs(factors * w) + t
+    return w - np.array([s.scale for s in strategies], dtype=np.float64)[:, None] * (means - w)
+
+
+# ---------------------------------------------------------------------------
 # helpers
 
 
@@ -155,6 +185,30 @@ def test_byzantine_upload_equals_stacked_oracle_exactly(strategy_5d):
                             want = oracle_block(strategy, problem, w, 0.05, H, t, seed, honest)
                             assert got.shape == (f, d)
                             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_constants_stacked_once_equal_the_per_round_form(kind):
+    # one Group of three runs serves eight rounds, as the engine holds it; the
+    # stepsizes are a step_wise schedule's, written in place each round, so an
+    # escalating outlier's factor (1 - gamma)^H must follow them
+    problem = random_quadratic_problem(8, 3, 4, 1.0, 2.0, seed=2, honest_set=(0, 2, 3, 5, 7))
+    strategies = [AttackStrategy(kind, variance=0.5 + r, scale=1.5 - r,
+                                 vector=(r, -1.0, 2.5, 1e-3) if kind == "fixed_vector" else None) for r in range(3)]
+    schedules = [Schedule("step_wise", gamma=gamma) for gamma in (0.1, 0.05, 0.2)]
+    group, steps, seeds, H = Group(strategies, problem), np.empty(3), [0, 1, 2], 3
+    rng = np.random.default_rng(7)
+    for t in range(8):
+        previous = steps.copy()
+        steps[:] = [stepsize_at(schedule, t, 8, problem.L, H) for schedule in schedules]
+        w, means, rows = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 3, 4))
+        got = byzantine_upload(group, problem, w, steps, H, t, seeds, means, rows)
+        want = oracle_group_upload(strategies, problem, w, steps, H, t, seeds, means, rows)
+        assert got.shape == want.shape == (3, 3, 4) and got.tobytes() == want.tobytes(), t
+        if kind == "escalating_outlier" and t in (4, 6):  # the stepsizes changed this round
+            stale = oracle_group_upload(strategies, problem, w, previous, H, t, seeds, means, rows)
+            assert not np.array_equal(got, stale)
+    assert (group.constant is None) == (kind in ("honest_mimic", "escalating_outlier"))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: f"{s.kind}-{s.variance}")

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import inspect
 import itertools
+import math
 import warnings
 from typing import Optional
 
@@ -32,9 +33,12 @@ from fedrobust import (
     two_group_quadratic_problem,
     weiszfeld,
 )
-from fedrobust import attacks, engine
-from fedrobust.attacks import ATTACK_KINDS, noise_rows
-from fedrobust.engine import _preflight, config_digest, run_config_descriptor
+from fedrobust import aggregators, attacks, engine
+from fedrobust.attacks import ATTACK_KINDS, noise_rows, noise_stream
+from fedrobust.engine import (_clients, _deviations, _group_key, _metrics, _overflow_free_scale, _preflight, config_digest,
+                              run_config_descriptor)
+from fedrobust.problems import local_update
+from test_attacks import oracle_group_upload
 
 # The oracle also stops at |w| beyond this multiple of the initial scale, a
 # bound the engine once had; the metric check always stops that same row.
@@ -508,6 +512,8 @@ def test_run_matches_oracle_past_the_overflow_guard(config, stop, crosses, monke
     top = np.abs(record.iterates).max(axis=1)
     assert np.any(top > engine._overflow_free_scale(config.problem)) == crosses
     if stop == "metric":
+        # outside _run_batch's np.errstate, where any RuntimeWarning of the
+        # round (its one sum of the deltas included) fails the test
         (w,), _ = run_round(engine._Batch.of([config]), record.iterates[-1:], record.rows - 1)
         assert np.abs(w).max() <= DIVERGENCE_SCALE * (1.0 + np.abs(config.w0).max())
         value, grad = honest_objective(config.problem, w)
@@ -573,8 +579,9 @@ def test_krum_nnm_runs_are_pinned(attack):
 
 def spy_on_the_engine(monkeypatch):
     """Log the arguments of every call the engine makes through the names
-    bench/spans.py wraps: run_round, aggregate and byzantine_upload."""
-    calls = {name: [] for name in ("run_round", "aggregate", "byzantine_upload")}
+    bench/spans.py wraps: run_round, local_update, aggregate and
+    byzantine_upload."""
+    calls = {name: [] for name in ("run_round", "local_update", "aggregate", "byzantine_upload")}
     for name, log in calls.items():
         def spy(*args, _real=getattr(engine, name), _log=log):
             _log.append(args)
@@ -585,12 +592,25 @@ def spy_on_the_engine(monkeypatch):
 
 def test_engine_keeps_the_tracer_contract(monkeypatch):
     # bench/spans.py wraps the module-level names the engine looks up at call
-    # time; a fast path that skipped one of them would blank that layer
-    calls = spy_on_the_engine(monkeypatch)
-    run(krum_nnm_config(0, AttackStrategy("sign_flip", scale=1.0), 8))
-    assert {name: len(log) for name, log in calls.items()} == {name: 8 for name in calls}
-    assert [args[2] for args in calls["run_round"]] == list(range(8))
-    assert [args[5] for args in calls["byzantine_upload"]] == list(range(8))
+    # time; a fast path that skipped one of them would blank that layer.  Each
+    # round calls run_round, local_update and aggregate once, and
+    # byzantine_upload once per group: for a sign flip, for honest_mimic
+    # (whose block the round keeps where it is), for gaussian noise, and for
+    # a batch of two groups
+    flip, mimic = AttackStrategy("sign_flip", scale=1.0), AttackStrategy("honest_mimic")
+    for attacks_of_runs in ([flip], [mimic], [AttackStrategy("gaussian_noise", variance=5.0)], [flip, mimic]):
+        calls = spy_on_the_engine(monkeypatch)
+        configs = [krum_nnm_config(i, attack, 8) for i, attack in enumerate(attacks_of_runs)]
+        records = [run(configs[0])] if len(configs) == 1 else run_batch(configs)
+        monkeypatch.undo()
+        groups = len(configs)
+        assert {name: len(log) for name, log in calls.items()} == {
+            "run_round": 8, "local_update": 8, "aggregate": 8, "byzantine_upload": 8 * groups}
+        assert [args[2] for args in calls["run_round"]] == list(range(8))
+        assert [args[5] for args in calls["byzantine_upload"]] == [t for t in range(8) for _ in range(groups)]
+        assert [args[1].shape[0] for args in calls["aggregate"]] == [groups] * 8
+        for config, record in zip(configs, records):
+            assert_same_record(record, oracle_run_batch([config])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +747,50 @@ def test_an_overflowing_upload_diverges_its_run_alone():
     assert (record.rows, len(record.agg_deviation), record.diverged_round) == (1, 0, 1)
 
 
+def test_finite_deltas_whose_sum_overflows_aggregate_every_run(monkeypatch):
+    # three Byzantine clients send vectors near the float maximum, so the
+    # round's one sum of all deltas overflows although every delta is finite;
+    # CWTM with f_hat = f trims them, and every run goes on, aggregated whole
+    p = random_quadratic_problem(9, 3, 2, 1.0, 2.0, seed=3)
+    configs = [
+        RunConfig(problem=p, aggregator=AggregatorSpec("cwtm", f_hat=3), T=6, H=2,
+                  attack=AttackStrategy("fixed_vector", vector=vector), schedule=Schedule("constant", gamma=0.05),
+                  w0=np.array([1.0 + k, -2.0]), seed=k)
+        for k, vector in enumerate(((1.5e308, 1e308), (1.7e308, -1e3), (1e308, 1.2e308)))
+    ]
+    calls = spy_on_the_engine(monkeypatch)
+    records = run_batch(configs)
+    monkeypatch.undo()
+    assert [args[1].shape[0] for args in calls["aggregate"]] == [3] * 6
+    with np.errstate(over="ignore"):
+        assert all(np.isinf(np.add.reduce(args[1], axis=None)) for args in calls["aggregate"])
+    for config, record in zip(configs, records):
+        assert not record.diverged
+        assert_same_record(record, run(config))
+        assert_same_record(record, oracle_run(config))
+
+
+def test_an_infinite_upload_leaves_only_its_runs_aggregate_nan():
+    # one sign flip's upload overflows to -inf in round 0: the sum of the
+    # deltas is not finite, each run's deltas are then tested, and only that
+    # run's aggregate (and so its next iterate and deviation) is NaN
+    p = random_quadratic_problem(9, 2, 2, 1.0, 2.0, seed=5)
+    configs = [
+        RunConfig(problem=p, aggregator=AggregatorSpec("krum", f_hat=2, pre_nnm=True), T=4, H=1,
+                  attack=AttackStrategy("sign_flip", scale=scale), schedule=Schedule("constant", gamma=0.05),
+                  w0=np.array([40.0 + k, -2.0]), seed=k)
+        for k, scale in enumerate((2.0, 1e308, 0.5))
+    ]
+    w = np.array([config.w0 for config in configs])
+    with np.errstate(over="ignore", invalid="ignore"):  # as _run_batch calls run_round
+        got, deviations = engine.run_round(engine._Batch.of(configs), w, 0)
+        alone = [engine.run_round(engine._Batch.of([config]), w[k : k + 1], 0) for k, config in enumerate(configs)]
+    assert np.isnan(got[1]).all() and math.isnan(deviations[1]) and math.isnan(alone[1][1][0])
+    for k in (0, 2):
+        assert np.isfinite(got[k]).all() and got[k].tobytes() == alone[k][0][0].tobytes()
+        assert deviations[k] == alone[k][1][0]
+
+
 def test_three_exits_in_one_round_keep_the_rest_in_step(monkeypatch):
     # at the top of round 2 one run completes, one cannot record row 2 (its
     # stepsize sends w_2 near 1e200, where the metrics overflow) and one saw
@@ -818,6 +882,175 @@ def test_run_batch_holds_gaussian_noise_one_chunk_at_a_time(monkeypatch):
             spans = [(t0, t1) for seed, t0, t1 in blocks if seed == config.seed]
             assert spans[0][0] == 0 and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
             assert spans[-1][0] < len(record.agg_deviation) <= spans[-1][1]
+
+
+# ---------------------------------------------------------------------------
+# round oracle: the batch loop that sliced each group's runs and rebuilt its
+# attack constants every round, kept verbatim but for the names it calls
+
+class OracleBatch:
+    """The active runs of a batch in group order, with their configs, noise
+    streams, centers (R, n, d), slopes (R, 1, d) and stepsizes (R, 1, 1):
+    stacked once by ``of``, cut by ``keep`` as runs leave.  A group is a
+    stretch of runs with one honest set and one attack kind; ``groups``
+    holds its slice of runs, first problem, honest and Byzantine clients
+    (slices if the honest set is the first n - f) and noise iterator."""
+
+    def __init__(self, configs: list, streams: list, centers, slopes, steps):
+        self.configs, self.streams, self.centers, self.slopes, self.steps = configs, streams, centers, slopes, steps
+        self.attacks, self.seeds = [c.attack for c in configs], [c.seed for c in configs]
+        self.varying = [(k, c) for k, c in enumerate(configs) if c.schedule.kind == "step_wise"]
+        self.groups, start = [], 0
+        for _, members in itertools.groupby(configs, _group_key):
+            runs = slice(start, start + len(list(members)))
+            problem = configs[start].problem
+            m, start = len(problem.honest_set), runs.stop
+            honest, byzantine = problem.honest_index, problem.byzantine_index
+            if problem.honest_set == tuple(range(m)):
+                honest, byzantine = slice(0, m), slice(m, problem.n)
+            noise = None if streams[runs.start] is None else zip(*streams[runs])
+            self.groups.append((runs, problem, honest, byzantine, noise))
+
+    @classmethod
+    def of(cls, configs: list) -> "OracleBatch":
+        steps = [stepsize_at(c.schedule, 0, max(c.T, 1), c.problem.L, c.H, c.kappa) for c in configs]
+        return cls(configs, [noise_stream(c.attack, c.problem, c.seed, c.T) for c in configs],
+                   np.array([c.problem.centers for c in configs]),
+                   np.array([c.problem.slope for c in configs])[:, None, :], np.array(steps)[:, None, None])
+
+    def keep(self, stay: list) -> "OracleBatch":
+        return OracleBatch([self.configs[k] for k in stay], [self.streams[k] for k in stay],
+                           self.centers[stay], self.slopes[stay], self.steps[stay])
+
+    def at(self, t: int) -> "OracleBatch":
+        for k, c in self.varying:
+            self.steps[k] = stepsize_at(c.schedule, t, c.T, c.problem.L, c.H, c.kappa)
+        return self
+
+
+def oracle_run_round(batch, w, t):
+    uploads = local_update(w[:, None, :], batch.centers, batch.slopes, batch.steps, batch.configs[0].H)
+    means = np.empty(w.shape)
+    for runs, problem, honest, byzantine, noise in batch.groups:
+        clouds = uploads[runs]
+        honest_uploads = _clients(clouds, honest)
+        np.divide(np.add.reduce(honest_uploads, axis=1), honest_uploads.shape[1], out=means[runs])  # numpy's mean
+        rows = _clients(clouds, byzantine) if noise is None else np.array(next(noise))
+        clouds[:, byzantine] = oracle_group_upload(batch.attacks[runs], problem, w[runs], batch.steps[runs, 0, 0],
+                                                   batch.configs[0].H, t, batch.seeds[runs], means[runs], rows)
+    deltas = np.subtract(uploads, w[:, None, :], out=uploads)
+    if np.logical_and.reduce(np.isfinite(deltas), axis=None):
+        aggregated = aggregators._aggregate(batch.configs[0].aggregator, deltas)
+    else:
+        finite = np.isfinite(deltas).all(axis=(1, 2))
+        aggregated = np.full(w.shape, np.nan)
+        if finite.any():
+            aggregated[finite] = aggregators._aggregate(batch.configs[0].aggregator, deltas[finite])
+    return w + aggregated, _deviations(aggregated, means, w)
+
+
+def oracle_run_batch(configs):
+    configs = list(configs)
+    digests = []
+    for config in configs:
+        _preflight(config)
+        digests.append(config_digest(config))
+    safe = [_overflow_free_scale(config.problem) for config in configs]
+    iterates = [np.empty((config.T + 1, config.problem.d)) for config in configs]
+    agg_deviation = [np.empty(config.T) for config in configs]
+    rows, aggregations = [0] * len(configs), [0] * len(configs)  # set as each run leaves
+    active = sorted(range(len(configs)), key=lambda r: _group_key(configs[r]))  # so each group is one slice
+    batch = OracleBatch.of([configs[r] for r in active])
+    w = np.array([configs[r].w0 for r in active])
+    deviations = [0.0] * len(configs)  # of the last round, per active run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in itertools.count():
+            tops = np.maximum.reduce(np.abs(w), axis=1).tolist()  # nan where some w_i is
+            stay = []
+            for k, r in enumerate(active):
+                if not math.isfinite(deviations[k]):
+                    rows[r], aggregations[r] = t, t - 1  # round t-1's deltas or deviation
+                elif tops[k] <= safe[r] or np.all(np.isfinite(_metrics(configs[r].problem, w[k : k + 1]))):
+                    iterates[r][t] = w[k]
+                    if t < configs[r].T:
+                        stay.append(k)
+                    else:
+                        rows[r], aggregations[r] = t + 1, t  # completed
+                else:
+                    rows[r] = aggregations[r] = t  # row t is not recorded
+            if len(stay) < len(active):
+                active, w = [active[k] for k in stay], w[stay]
+                if not active:
+                    break
+                batch = batch.keep(stay)
+            w, deviations = oracle_run_round(batch.at(t), w, t)
+            for k, r in enumerate(active):
+                agg_deviation[r][t] = deviations[k]
+    records = []
+    for config, digest, r in zip(configs, digests, range(len(configs))):
+        grad_metric, loss_gap = _metrics(config.problem, iterates[r][: rows[r]])
+        records.append(RunRecord(
+            iterates=iterates[r][: rows[r]],
+            grad_metric=grad_metric,
+            loss_gap=loss_gap,
+            running_avg=np.cumsum(grad_metric) / np.arange(1, rows[r] + 1),
+            agg_deviation=agg_deviation[r][: aggregations[r]],
+            diverged=rows[r] <= config.T,
+            diverged_round=rows[r] if rows[r] <= config.T else None,
+            seed=config.seed,
+            config_digest=digest,
+        ))
+    return records
+
+
+def assert_equal_to_the_round_oracle(configs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        records, want = run_batch(configs), oracle_run_batch(configs)
+    assert len(records) == len(want) == len(configs)
+    for record, oracle in zip(records, want):
+        assert_same_record(record, oracle)
+    return records
+
+
+@pytest.mark.parametrize("attack", ORACLE_ATTACKS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("spec", [
+    AggregatorSpec(kind, f_hat=2, pre_nnm=nnm)
+    for kind, nnm in (("mean", False), ("cwtm", False), ("cwmed", False), ("gm", False), ("gm", True), ("krum", False),
+                      ("krum", True))
+], ids=lambda s: s.name)
+def test_records_equal_the_round_oracle(spec, attack):
+    # R = 1 under a constant and a step_wise schedule, then R = 3 on two
+    # honest sets, one of them gathered, with two groups whose runs leave at
+    # different rounds
+    problems = [random_quadratic_problem(9, 1, 2, 1.0, 2.0, seed=4),
+                random_quadratic_problem(9, 3, 2, 1.0, 2.0, seed=6, honest_set=(0, 1, 3, 4, 6, 8))]
+    base = RunConfig(problem=problems[0], aggregator=spec, attack=attack, T=12, H=2,
+                     schedule=Schedule("constant", gamma=0.05), w0=np.array([1.0, -2.0]), seed=4)
+    step_wise = dataclasses.replace(base, schedule=Schedule("step_wise", gamma=0.1), T=15, seed=5)
+    other = dataclasses.replace(base, problem=problems[1], attack=dataclasses.replace(attack, scale=0.5, variance=2.0),
+                                T=9, w0=np.array([-0.5, 3.0]), seed=6)
+    for configs in ([base], [step_wise], [base, other, step_wise]):
+        assert_equal_to_the_round_oracle(configs)
+
+
+def test_a_run_that_leaves_recuts_the_stacked_constants():
+    # an escalating outlier that CWTM with f_hat = 1 < f = 3 keeps averaging
+    # in diverges in mid-batch; the runs of each other group leave at
+    # different rounds, so every cut must keep each run's own constant
+    escalating = RunConfig(
+        problem=random_quadratic_problem(9, 3, 2, 1.0, 2.0, seed=3), aggregator=AggregatorSpec("cwtm", f_hat=1),
+        attack=AttackStrategy("escalating_outlier"), T=60, H=2, schedule=Schedule("constant", gamma=0.05),
+        w0=np.array([1e140, -2e140]), seed=1)
+    p = random_quadratic_problem(9, 1, 2, 1.0, 2.0, seed=4)
+    attacks_and_T = [(AttackStrategy("sign_flip", scale=2.0), 5), (AttackStrategy("sign_flip", scale=0.5), 40),
+                     (AttackStrategy("gaussian_noise", variance=4.0), 7), (AttackStrategy("gaussian_noise", variance=1.0), 40),
+                     (AttackStrategy("fixed_vector", vector=(3.0, -1.0)), 3), (AttackStrategy("fixed_vector", vector=(0.5, 2.0)), 40)]
+    configs = [escalating] + [dataclasses.replace(escalating, problem=p, attack=attack, T=T, w0=np.array([1.0, -2.0]), seed=k)
+                              for k, (attack, T) in enumerate(attacks_and_T)]
+    records = assert_equal_to_the_round_oracle(configs)
+    assert records[0].diverged and 7 < records[0].rows < 40
+    assert not any(record.diverged for record in records[1:])
 
 
 def test_stepsize_warning_names_the_callers_line():
