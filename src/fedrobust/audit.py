@@ -17,7 +17,9 @@ the members of subset k and 0 elsewhere.  With ``c_j = pts - output_j`` and
 offset ``m`` and mean squared distance ``q``, so ``err = ||m||^2`` and
 ``var = q - err``.  Each moment is one contiguous row, and the exhaustive
 ``W`` is cached as the transpose of a C-contiguous matrix, so the product
-reads ``W^T`` row by row.
+reads ``W^T`` row by row.  The forward pass allocates only each block's
+product, and a byte per row for the guard: the fast ratios are computed in
+the product's own rows, and sampled weights straight from their keys.
 Two rules keep the result equal, bit for bit, to the gathered per-subset
 formula that :func:`error_ratio` uses:
 
@@ -172,7 +174,8 @@ def _threshold_weights(keys: np.ndarray, cut: np.ndarray, size: int, out: np.nda
     """Write to ``out`` the weights of :func:`_key_subsets`, given each row's
     size-th and (size + 1)-th smallest keys as ``cut``: its keys up to the
     size-th smallest, or its own subset where that key ties the next one."""
-    np.multiply(keys <= cut[:, :1], 1.0 / size, out=out)
+    np.less_equal(keys, cut[:, :1], out=out)
+    np.multiply(out, 1.0 / size, out=out)
     tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
     if tied.size:
         out[tied] = _subset_weights(_key_subsets(keys[tied], size), keys.shape[1])
@@ -210,12 +213,13 @@ def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float
 
 def _fast_ratios(moments: np.ndarray, out: np.ndarray) -> float:
     """Write to ``out`` each subset's fast ratio from one output's rows [m; q] of
-    the product, NaN where the guard holds; return the least fast variance."""
+    the product, NaN where the guard holds; return the least fast variance.
+    ``moments`` is consumed: its rows are overwritten with m², var and GUARD·q."""
     d = moments.shape[0] - 1
-    q = moments[d]
-    err = np.add.reduce(moments[:d] * moments[:d], axis=0)  # row by row, in order of j
-    var = q - err
-    np.copyto(var, np.nan, where=var <= GUARD * q)  # the guard: NaN var, as for overflowed rows
+    m, q = moments[:d], moments[d]
+    err = np.add.reduce(np.multiply(m, m, out=m), axis=0, out=out)  # row by row, in order of j
+    var = np.subtract(q, err, out=moments[0])
+    np.copyto(var, np.nan, where=var <= np.multiply(q, GUARD, out=q))  # the guard: NaN var, as for overflowed rows
     np.divide(err, var, out=out)
     return float(np.fmin.reduce(var, initial=np.inf))
 
@@ -297,7 +301,8 @@ def _workers(blocks: int) -> int:
 
 def _score(columns: np.ndarray, score, lo: int, weights: np.ndarray) -> None:
     """Write each output's fast ratio of the block ``weights`` to rows lo, ...
-    of the size's ``score`` and lower the output's least fast variance."""
+    of the size's ``score`` and lower the output's least fast variance.  The
+    product is allocated here, and :func:`_fast_ratios` consumes it."""
     _, _, ratios, min_vars = score
     step = len(columns.T) // len(min_vars)      # d + 1 rows per output
     moments = columns.T @ weights.T             # (k (d + 1), rows)

@@ -137,6 +137,31 @@ def oracle_candidates(moments, size, length):
     return np.flatnonzero(candidates)
 
 
+def oracle_column_fast_ratios(moments, out):
+    """Write to ``out`` each subset's fast ratio from one output's rows [m; q] of
+    the product, NaN where the guard holds; return the least fast variance.
+    ``audit._fast_ratios`` as it was before it consumed its block: it reads
+    ``moments`` and leaves it as it was."""
+    d = moments.shape[0] - 1
+    q = moments[d]
+    err = np.add.reduce(moments[:d] * moments[:d], axis=0)  # row by row, in order of j
+    var = q - err
+    np.copyto(var, np.nan, where=var <= GUARD * q)  # the guard: NaN var, as for overflowed rows
+    np.divide(err, var, out=out)
+    return float(np.fmin.reduce(var, initial=np.inf))
+
+
+def oracle_threshold_weights(keys, cut, size, out):
+    """Write to ``out`` the weights of :func:`_key_subsets`, given each row's
+    size-th and (size + 1)-th smallest keys as ``cut``: its keys up to the
+    size-th smallest, or its own subset where that key ties the next one.
+    ``audit._threshold_weights`` as it was before it compared into ``out``."""
+    np.multiply(keys <= cut[:, :1], 1.0 / size, out=out)
+    tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
+    if tied.size:
+        out[tied] = _subset_weights(_key_subsets(keys[tied], size), keys.shape[1])
+
+
 def oracle_profile(specs, xs, fs, subset_budget=20000, seed=0):
     """``audit_profile`` with each f's whole weight matrix in memory at once:
     one key draw of (subset_budget, n), one product per f over every row,
@@ -483,8 +508,10 @@ def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb, monkeypat
     # rescored.  On the one-ulp cloud every row is rescored: each block of
     # BLOCK rows is re-drawn and sorted (three (BLOCK, n) arrays, 0.98 MB at
     # most) and gathers (BLOCK, 14, 5) points (1.15 MB) and their indices
-    # (0.23 MB).  The whole budget in memory at once took 8.25 MB on the fuzz
-    # cloud and 37.9 MB on the all-equal cloud.
+    # (0.23 MB).  Measured peaks: 0.95 MB on the fuzz and all-equal clouds with
+    # one worker, 1.65 MB with two, and 2.22 MB on the one-ulp cloud with
+    # either.  oracle_profile, which holds the whole budget in memory at once,
+    # peaks at 11.5 MB on the fuzz cloud and 30.1 MB on the other two.
     pts = {"fuzz": random_cloud(20, 5, [53]), "ones": np.ones((20, 5)), "one_ulp": one_ulp_cloud(20, 5, 1.0)}[cloud]
     spec = AggregatorSpec("krum", f_hat=6)
     for count in (1, 2):
@@ -547,6 +574,9 @@ def test_threshold_weights_equal_argsort_subsets_under_ties(size):
     np.put_along_axis(want, np.argsort(keys, axis=1)[:, :size], True, axis=1)
     assert np.array_equal(weights != 0, want)
     assert np.all(weights[want] == 1.0 / size)
+    oracle = np.empty_like(keys)
+    oracle_threshold_weights(keys, ordered[:, size - 1 : size + 1], size, oracle)
+    assert same_bits(weights, oracle)
     # the replay's index rows: the argsort definition itself
     subsets = _key_subsets(keys, size)
     assert subsets.dtype == np.intp
@@ -602,7 +632,7 @@ def assert_screen_keeps_every_maximum(specs, pts, weights):
     for k, (spec, output, length) in enumerate(zip(specs, outputs, lengths)):
         block, oracle_block = moments[k * (d + 1) : (k + 1) * (d + 1)], oracle_moments[:, k * (d + 1) : (k + 1) * (d + 1)]
         ratios = np.empty(len(weights))
-        rows = _candidates(ratios, _fast_ratios(block, ratios), size, d, length)
+        rows = _candidates(ratios, _fast_ratios(block.copy(), ratios), size, d, length)
         exact = _gathered_ratios(output, pts, subsets)
         best = np.flatnonzero(exact == exact.max())
         assert np.isin(best, oracle_candidates(oracle_block, size, length)).all()
@@ -655,6 +685,110 @@ def test_transposed_screen_keeps_what_the_row_major_screen_keeps_sampled(n):
         weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
         _threshold_weights(keys, np.sort(keys, axis=1)[:, size - 1 : size + 1], size, weights[2:])
         assert_screen_keeps_every_maximum(specs, pts, weights)
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes: NaN payloads and signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_fast_ratios_equal_oracle(moments, step):
+    """``_fast_ratios`` of each output's ``step`` rows of a copy of the
+    product ``moments``, which it consumes, writes the unconsumed oracle's
+    fast ratios and returns its least variance, bit for bit.  Return the
+    number of guarded (or overflowed) rows."""
+    owned, guarded = moments.copy(), 0
+    for lo in range(0, len(moments), step):
+        got, want = np.empty(moments.shape[1]), np.empty(moments.shape[1])
+        got_var = _fast_ratios(owned[lo : lo + step], got)
+        want_var = oracle_column_fast_ratios(moments[lo : lo + step], want)
+        assert same_bits(got, want) and same_bits(got_var, want_var), (lo, got_var, want_var)
+        guarded += int(np.count_nonzero(np.isnan(got)))
+    return guarded
+
+
+def criterion_specs(f_hat):
+    return [AggregatorSpec("cwtm", f_hat=f_hat), AggregatorSpec("krum", f_hat=f_hat),
+            AggregatorSpec("krum", f_hat=f_hat, pre_nnm=True)]
+
+
+def assert_exhaustive_fast_ratios_equal_oracle(n, d, pts):
+    """Every f's whole exhaustive block, scored for one spec and for three;
+    return the guarded rows of the three."""
+    top = -(-n // 2) - 1
+    for specs in (criterion_specs(top)[1:2], criterion_specs(top)):
+        columns, _ = _moment_columns(pts, [_aggregate(spec, pts) for spec in specs])
+        guarded = sum(assert_fast_ratios_equal_oracle(columns.T @ _all_subsets(n, n - f)[1].T, d + 1)
+                      for f in range(top + 1))
+    return guarded
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_fast_ratios_equal_the_unconsumed_oracle_exhaustive(n):
+    for d in (1, 5):
+        assert_exhaustive_fast_ratios_equal_oracle(n, d, random_cloud(n, d, [101, n, d]))
+
+
+@pytest.mark.parametrize("cloud", ["one_ulp", "witness", "equal"])
+def test_fast_ratios_equal_the_unconsumed_oracle_on_guarded_rows(cloud):
+    n, top = 16, 7
+    for d in (1, 5):
+        pts = {"one_ulp": one_ulp_cloud(n, d, 3.7), "witness": lower_bound_witness(n, 2, top, d).points,
+               "equal": np.full((n, d), 3.7)}[cloud]
+        assert assert_exhaustive_fast_ratios_equal_oracle(n, d, pts) > 0, (cloud, d)
+
+
+def test_fast_ratios_equal_the_unconsumed_oracle_on_overflow():
+    # moments whose squares, sums and differences overflow to inf or are NaN
+    rng = np.random.default_rng(103)
+    for d in (1, 5):
+        moments = rng.standard_normal((d + 1, 4096)) * 10.0 ** rng.integers(-3, 4, size=(d + 1, 4096))
+        moments[d] = np.abs(moments[d])
+        picks = rng.integers(0, 4096, size=(5, d + 1, 200))
+        for pick, value in zip(picks, (np.inf, -np.inf, np.nan, 1e200, -1e300)):
+            np.put_along_axis(moments, pick, value, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert 0 < assert_fast_ratios_equal_oracle(moments, d + 1) < 4096, d
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_kernels_equal_the_unconsumed_oracles_sampled(n):
+    # the blocks of one key draw as a run cuts them: the anchors block, a
+    # whole block and a short last block, at two sizes
+    budget, d = 2 * BLOCK + 3, 5
+    pts = random_cloud(n, d, [107, n])
+    keys = np.random.default_rng([107, n]).random((budget, n))
+    for f in (4, 6):
+        size = n - f
+        for specs in (criterion_specs(f)[1:2], criterion_specs(f)):
+            columns, _ = _moment_columns(pts, [_aggregate(spec, pts) for spec in specs])
+            for lo in range(0, budget, BLOCK):
+                block = keys[lo : lo + BLOCK]
+                cut = np.sort(block, axis=1)[:, size - 1 : size + 1]
+                got, want = np.full_like(block, np.nan), np.empty_like(block)
+                _threshold_weights(block, cut, size, got)
+                oracle_threshold_weights(block, cut, size, want)
+                assert same_bits(got, want), (n, f, lo)
+                if not lo:
+                    got = np.vstack([_subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n), got])
+                assert_fast_ratios_equal_oracle(columns.T @ got.T, d + 1)
+
+
+def test_exhaustive_audit_memory_is_the_product_and_the_fast_ratios():
+    # n = 16, f = 7, d = 5 scores num = C(16, 7) = 11,440 subsets in one block:
+    # the forward pass holds the product (k (d + 1) rows of num floats, for k
+    # specs), the fast ratios (k rows) and one num-byte guard mask; 64 KB of
+    # slack covers the rest.
+    n, f, d = 16, 7, 5
+    num = math.comb(n, f)
+    pts = random_cloud(n, d, [109])
+    for specs in (criterion_specs(f)[1:2], criterion_specs(f)):
+        peak, result = traced_peak(lambda: audit_profile(specs, pts, [f]))
+        assert [(r.samples_checked, r.exhaustive) for (r,) in result] == [(num, True)] * len(specs)
+        k = len(specs)
+        bound = k * (d + 1) * num * 8 + k * num * 8 + num + 64 * 1024
+        assert peak <= bound, (k, peak, bound)
 
 
 @pytest.mark.parametrize("n,size", [(6, 4), (10, 7), (16, 9), (16, 16)])
