@@ -17,20 +17,28 @@ the members of subset k and 0 elsewhere.  With ``c_j = pts - output_j`` and
 offset ``m`` and mean squared distance ``q``, so ``err = ||m||^2`` and
 ``var = q - err``.  Each moment is one contiguous row, and the exhaustive
 ``W`` is cached as the transpose of a C-contiguous matrix, so the product
-reads ``W^T`` row by row.  The forward pass allocates only each block's
-product, and a byte per row for the guard: the fast ratios are computed in
-the product's own rows, and sampled weights straight from their keys.
-Two rules keep the result equal, bit for bit, to the gathered per-subset
-formula that :func:`error_ratio` uses:
+reads ``W^T`` row by row.
+
+The product and the fast ratios (the screen) are float32: each ``c_j`` is
+computed in float64 and scaled by a power of two so that ``max|c_j|`` lies in
+[1/2, 1), which is exact and keeps every moment in float32's range, then
+``[c_j | q_j]`` is rounded to float32, as are the weights.  The screen is
+only a filter: every reported ratio is rescored in float64 from gathered
+points.  The forward pass allocates only each block's product, and a byte
+per row for the guard: the fast ratios are computed in the product's own
+rows, and sampled weights straight from their keys.  Two rules keep the
+result equal, bit for bit, to the gathered per-subset formula that
+:func:`error_ratio` uses:
 
 - the guard: subsets with ``var <= GUARD * q``, where the subtraction may
   have cancelled (including every subset of identical points), are scored
   with the gathered formula, so ``INFINITE_RATIO`` is still assigned only
   when the gathered variance is exactly 0;
-- the window: every subset whose fast ratio is within the fast path's
-  rounding-error bound (:func:`_fast_error_bound`) of the largest one is
-  rescored with the gathered formula, and the first subset attaining the
-  exact maximum is reported.
+- the window: every subset whose fast ratio is within the rounding-error
+  bound of the float32 screen and the float64 gathered formula
+  (:func:`_fast_error_bound`) of the largest one is rescored with the
+  gathered formula, and the first subset attaining the exact maximum is
+  reported.
 
 Audits of at most ``GATHER_ALL_MAX`` gathered values skip the product and
 score every subset with the gathered formula.
@@ -74,13 +82,19 @@ SUBSET_BUDGET = 20000
 # Numerator at or below this is treated as zero when the denominator vanishes.
 ZERO_ERROR_EPS = 1e-18
 
-# Fast variances at or below this fraction of q are recomputed (the guard).
-GUARD = 1e-5
+# Fast variances at or below this fraction of q are recomputed (the guard); it
+# keeps the float32 screen's relative error of var small (see _fast_error_bound).
+GUARD = 1e-3
 
 # Up to this many gathered values (num subsets of size members, d + 1 values
-# each) scoring every subset the gathered way costs less than the fast path's
-# fixed overhead (crossover 1,500-2,600 on a 2-core x86-64 machine: d = 2-3
-# scores faster from 1,500, d = 1 and d = 5-15 still gather faster at 2,500).
+# each) every subset is scored the gathered way.  The crossover depends on the
+# shape.  Time of the fast path over gathering every subset, per audit of the
+# benchmark's audit_exhaustive clouds (two runs of 21 alternating reps on a
+# 2-core x86-64 machine, float32 screen), by values (n, d, f): 1,440 (16, 5, 1)
+# 1.49-1.51x, 1,680 (10, 1, 3) 1.75-1.78x, 2,160 (10, 5, 2) 1.32-1.37x,
+# 2,520 (10, 1, 4) 1.55-1.58x, 3,360 (16, 1, 2) 1.49-1.61x, 5,040 (10, 5, 3)
+# 0.85-0.90x, 7,560 (10, 5, 4) 0.60-0.65x, 10,080 (16, 5, 2) 0.55-0.59x,
+# 14,560 (16, 1, 3) 0.76-1.13x.
 GATHER_ALL_MAX = 2048
 
 # Rows of keys drawn, scored or re-drawn, and of candidates rescored, at a time.
@@ -89,6 +103,9 @@ GATHER_ALL_MAX = 2048
 BLOCK = 2048
 
 _EPS = float(np.finfo(np.float64).eps)
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).tiny)
+_TINY64 = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -149,11 +166,11 @@ def _subset_weights(subsets: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _all_subsets(n: int, size: int):
     """Every size-subset of range(n), in lexicographic order, as read-only
-    index rows of the least dtype that holds n, and their read-only weight
-    matrix: the transpose of a C-contiguous (n, num) matrix, so that
+    index rows of the least dtype that holds n, and their read-only float32
+    weight matrix: the transpose of a C-contiguous (n, num) matrix, so that
     ``weights.T`` is read row by row."""
     subsets = np.array(list(combinations(range(n), size)), dtype=np.intp)
-    weights = np.zeros((n, len(subsets)))     # built transposed: no second copy
+    weights = np.zeros((n, len(subsets)), dtype=np.float32)  # built transposed: no second copy
     np.put_along_axis(weights, subsets.T, 1.0 / size, axis=0)
     subsets = subsets.astype(np.min_scalar_type(n))  # the freed intp rows raise glibc's mmap threshold
     subsets.flags.writeable = weights.flags.writeable = False
@@ -173,42 +190,79 @@ def _key_subsets(keys: np.ndarray, size: int) -> np.ndarray:
 def _threshold_weights(keys: np.ndarray, cut: np.ndarray, size: int, out: np.ndarray) -> None:
     """Write to ``out`` the weights of :func:`_key_subsets`, given each row's
     size-th and (size + 1)-th smallest keys as ``cut``: its keys up to the
-    size-th smallest, or its own subset where that key ties the next one."""
+    size-th smallest, or its own subset where that key ties the next one.
+    The weights are 1/size rounded to the dtype of ``out``."""
     np.less_equal(keys, cut[:, :1], out=out)
-    np.multiply(out, 1.0 / size, out=out)
+    np.multiply(out, 1.0 / size, out=out)       # in the dtype of out
     tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
     if tied.size:
         out[tied] = _subset_weights(_key_subsets(keys[tied], size), keys.shape[1])
 
 
-def _fast_error_bound(ratio: float, var: float, size: int, d: int, length: float) -> float:
-    """Bound on the difference between the fast ratio and the gathered ratio
-    of a subset with fast ratio at most ``ratio`` and variance at least
-    ``var``.
+def _fast_error_bound(ratio: float, var: float, size: int, d: int, scale) -> float:
+    """Bound on the difference between the float32 fast ratio and the
+    float64 gathered ratio of a subset with fast ratio at most ``ratio`` and
+    fast variance at least ``var``.  ``scale`` is the output's ``(L, tiny)``
+    of :func:`_moment_columns`: L >= max|x_i| + max|c_i|, infinite where the
+    gathered sums of squares may overflow (then every row is rescored), and
+    float64's least normal number, both,
+    like ``var``, in the scaled units of the output's moment columns.  The
+    bound is the sum of a screen term and a gathered term, each to first
+    order, and doubled.
 
-    Let B = (size + d + 4)·eps bound the relative rounding of a weighted sum
-    of size terms of d-term squared norms.  A mean of size rows rounds to
-    within (size + 2)·eps times the largest row norm: the gathered mean at
-    the scale of the points, the fast one at the scale of c.  So with
-    ``length`` L >= max|x_i| + max|c_i|, to first order over both paths,
+    The screen (Higham 2002, ch. 3, at eps = 2u, the float32 eps): the
+    scaled c_i and q_i and the weight 1/size are each rounded once to
+    float32, and each moment sums size nonzero products (zero weights add
+    exactly), so each member's term of m carries a relative error of at most
+    (size + 2)·eps and of q at most (size + 3)·eps; a product or cast that
+    underflows adds at most eta, float32's least normal number.  As q is a
+    weighted sum of non-negative terms, |dq| <= (size + 3)·eps·q + 2·size·eta.
+    By Cauchy-Schwarz on the weighted sum of each subset's members,
+    sum_j (sum_i w|c_ij|)² <= sum_i w·||c_i||² = q, so
+    ||dm|| <= (size + 2)·eps·sqrt(q) + 2·size·sqrt(d)·eta: the subset's own q,
+    not the cloud's L, sets the scale, so this term does not grow with the
+    cloud's distance from the origin (c is formed in float64).  Squaring and
+    summing m adds d·eps·err + d·eta, and the subtraction eps·var.  With
+    q = (1 + r)·var, err = r·var and B = (size + d + 5)·eps,
 
-        |d err| <= 2B·L·sqrt(err) + 2B·err
-        |d var| <= B·q + |d err| + 2B·var + B²L²
+        |dr| <= (1 + r)·|d err|/var + r·|dq|/var + r·eps
+             <= B·[2(1 + r)·sqrt(r(1 + r)) + r(1 + r)] + (1 + r)·U,
+        U = eta·[4·size·sqrt(d·r/var) + (2·size + d)/var],
 
-    (B²L² covers the gathered path squaring offsets from a rounded mean).
-    With q = err + var and err = r·var this gives
+    and the relative error of var is at most rho = 3B(1 + r) + U.  Doubling
+    covers the terms of second order while rho <= 1/2, as 1/(1 - rho) <= 2;
+    otherwise the bound is infinite and every row is rescored.  The guard
+    keeps 1 + r below about 1/GUARD, so rho <= 3B/GUARD + U: about 0.01 at
+    size 16 and d = 5, and at most 1/2 up to size + d + 5 of about 1,400.
 
-        |d r| <= B·[5r + 3r² + 2(1 + r)·L·sqrt(r/var) + r·B·L²/var],
+    The gathered path, in float64: with B64 = (size + d + 4)·eps64, a mean of
+    size rows rounds to within (size + 2)·eps64 times the largest row norm, at
+    the scale of the points, so to first order
 
-    increasing in r and decreasing in var; it is doubled for the terms of
-    second order.  The guard keeps var > GUARD·q, so the relative error of
-    var, which the first-order step assumes small, is at most about
-    3B/GUARD ~ (size + d)·eps/GUARD ~ 1e-9 at n = 16, d = 5.
+        |d err| <= 2·B64·L·sqrt(err) + 2·B64·err
+        |d var| <= B64·q + |d err| + 2·B64·var + B64²L²
+
+    (B64²L² covers squaring offsets from a rounded mean), which gives
+
+        |dr| <= B64·[5r + 3r² + 2(1 + r)·L·sqrt(r/var) + r·B64·L²/var]
+                + (1 + r)·tiny·[(d + 1)/var + 3·sqrt(d/var)],
+
+    the last term for the mean, the squares and the mean of squares that
+    underflow.  Doubled, this term also covers the float64 rounding of c
+    before it is scaled.  Both terms increase in r and decrease in var.
     """
-    b = (size + d + 4) * _EPS
-    spread = length * math.sqrt(ratio / var)
-    return 2.0 * b * (5 * ratio + 3 * ratio * ratio + 2 * (1 + ratio) * spread
-                      + ratio * b * length * length / var)
+    length, tiny = scale
+    r1 = 1.0 + ratio
+    root = math.sqrt(ratio / var)
+    b = (size + d + 5) * _EPS32
+    under = _TINY32 * (4 * size * math.sqrt(d) * root + (2 * size + d) / var)
+    if not 3.0 * b * r1 + under <= 0.5:        # NaN too
+        return math.inf
+    screen = b * (2 * r1 * math.sqrt(ratio * r1) + ratio * r1) + r1 * under
+    b64 = (size + d + 4) * _EPS
+    gathered = (b64 * (5 * ratio + 3 * ratio * ratio + 2 * r1 * length * root + ratio * b64 * length * length / var)
+                + r1 * tiny * ((d + 1) / var + 3 * math.sqrt(d / var)))
+    return 2.0 * (screen + gathered)
 
 
 def _fast_ratios(moments: np.ndarray, out: np.ndarray) -> float:
@@ -224,30 +278,48 @@ def _fast_ratios(moments: np.ndarray, out: np.ndarray) -> float:
     return float(np.fmin.reduce(var, initial=np.inf))
 
 
-def _candidates(ratios: np.ndarray, min_var: float, size: int, d: int, length: float) -> np.ndarray:
+def _candidates(ratios: np.ndarray, min_var: float, size: int, d: int, scale) -> np.ndarray:
     """Rows, from one output's fast ratios of all rows, that may first hold the largest
-    exact ratio: the guarded ones and the window.  ``length`` >= max|x_i| + max|c_i|."""
+    exact ratio: the guarded ones and the window.  ``scale`` is the output's ``(L, tiny)``."""
     top = float(np.fmax.reduce(ratios))         # NaN only if every row is guarded
-    slack = _fast_error_bound(top, min_var, size, d, length)
-    # negated so that the guarded rows, and every row under a NaN bound (from
-    # overflowing inputs, or with no fast row), are kept
-    return np.flatnonzero(~(ratios < top - 2.0 * slack))
+    threshold = top - 2.0 * _fast_error_bound(top, min_var, size, d, scale)
+    if not threshold > 0.0:                     # every fast ratio is >= 0; a NaN keeps every row
+        return np.arange(len(ratios))
+    # compared in float32: rounding the threshold drops no row at or above it;
+    # negated, so that the guarded rows are kept
+    return np.flatnonzero(~(ratios < threshold))
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x·2^k, infinite where it overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 def _moment_columns(pts: np.ndarray, outputs: list):
-    """The (n, k (d + 1)) matrix [c_1 | q_1 | ... | c_k | q_k] of the k
-    outputs, with c_j = pts - outputs[j] and q_j its squared row norms, and
-    for each output a bound on max|x_i| + max|c_i|."""
+    """The float32 (n, k (d + 1)) matrix [c_1 | q_1 | ... | c_k | q_k] of the k
+    outputs, with c_j = pts - outputs[j] scaled by the power of two that puts
+    max|c_j| in [1/2, 1) (1 if it is 0 or not finite) and q_j its squared row
+    norms, and for each output its ``(L, tiny)`` in its scaled units: a bound
+    L >= max|x_i| + max|c_i|, infinite where n·L² overflows in float64, and
+    float64's least normal number."""
     n, d = pts.shape
-    columns = np.empty((n, len(outputs) * (d + 1)))
-    lengths = []
+    columns = np.empty((n, len(outputs) * (d + 1)), dtype=np.float32)
+    scales = []
     for k, output in enumerate(outputs):
-        block = columns[:, k * (d + 1) : (k + 1) * (d + 1)]
-        c = np.subtract(pts, output, out=block[:, :d])
-        sq_norms = np.add.reduce(c * c, axis=1, out=block[:, d])
-        # |x_i| <= |c_i| + |output|
-        lengths.append(2.0 * math.sqrt(np.maximum.reduce(sq_norms)) + math.sqrt(output @ output))
-    return columns, lengths
+        c = pts - output
+        largest = float(np.maximum.reduce(np.abs(c), axis=None))
+        shift = -math.frexp(largest)[1]
+        np.ldexp(c, shift, out=c)               # exact, unless scaling down makes an entry subnormal
+        columns[:, k * (d + 1) : k * (d + 1) + d] = c
+        columns[:, k * (d + 1) + d] = np.add.reduce(c * c, axis=1)
+        # |x_i| <= |c_i| + |output| and |c_i| <= sqrt(d)·max|c|, in the points' units
+        length = 2.0 * math.sqrt(d) * largest + math.sqrt(output @ output)
+        # the gathered path sums at most n squares of at most L² each
+        scales.append((_ldexp(length, shift) if n * length * length < math.inf else math.inf, _ldexp(_TINY64, 2 * shift)))
+    return columns, scales
 
 
 def _subsets(n: int, size: int, num: int, cached, seed: int, rows):
@@ -312,9 +384,11 @@ def _score(columns: np.ndarray, score, lo: int, weights: np.ndarray) -> None:
 
 def _score_keys(errors: list, lock, columns, scores, sizes, rng, buffer, cuts, start: int, stop: int) -> None:
     """Score key rows [start, stop) for each size, drawn by ``rng`` into ``buffer``
-    (anchors, sorted keys then weights, keys) and cut into ``cuts``.  Every array
-    is allocated under ``lock``: thread timing moves the peak by a few objects."""
+    (anchors and sorted keys, which the float32 weights then overwrite; keys)
+    and cut into ``cuts``.  Every array is allocated under ``lock``: thread
+    timing moves the peak by a few objects."""
     n = buffer.shape[1]
+    weights = buffer.view(np.float32).reshape(-1, n)  # row j in the first half of float64 row j // 2
     try:
         for lo in range(start, stop, BLOCK):
             b = min(BLOCK, stop - lo)
@@ -326,10 +400,10 @@ def _score_keys(errors: list, lock, columns, scores, sizes, rng, buffer, cuts, s
                 np.copyto(cut[:b], ordered[:, size - 1 : size + 1])
             for cut, size in zip(cuts, sizes):
                 with lock:
-                    _threshold_weights(keys, cut[:b], size, ordered)
+                    _threshold_weights(keys, cut[:b], size, weights[2 : b + 2])
                     if not lo:
-                        buffer[:2] = _subset_weights(_anchors(n, size), n)
-                    _score(columns, scores[size], lo + 2 if lo else 0, buffer[2 if lo else 0 : b + 2])
+                        weights[:2] = _subset_weights(_anchors(n, size), n)
+                    _score(columns, scores[size], lo + 2 if lo else 0, weights[2 if lo else 0 : b + 2])
     except BaseException as error:  # noqa: BLE001 - raised by _screen once every run has ended
         errors.append(error)
 
@@ -338,27 +412,27 @@ def _screen(pts: np.ndarray, outputs: list, fs, budget: int, seed: int):
     """The forward pass over every block of weights.  Return, per size n - f,
     ``(num, cached, ratios, min_vars)``: its row count and cached rows, each
     output's fast ratio of every row (None when every row is to be gathered)
-    and each output's least fast variance; and the outputs' length bounds.
+    and each output's least fast variance; and the outputs' scales.
 
     An exhaustive f is one block; the sampled f share one key draw, split
     into ``_workers`` runs.  Only the fast ratios outlive a block, and the key
     buffers are freed on return, before any row is rescored."""
     n, d = pts.shape
-    scores, sampled, columns, lengths = {}, [], None, None
+    scores, sampled, columns, scales = {}, [], None, None
     for f in fs:
         size = n - f
         cached, weights = _all_subsets(n, size) if math.comb(n, f) <= budget else (None, None)
         num = budget + 2 if cached is None else len(cached)
         fast = num * size * (d + 1) > GATHER_ALL_MAX
-        scores[size] = (num, cached, np.empty((len(outputs), num)) if fast else None, [math.inf] * len(outputs))
-        if fast and lengths is None:
-            columns, lengths = _moment_columns(pts, outputs)
+        scores[size] = (num, cached, np.empty((len(outputs), num), np.float32) if fast else None, [math.inf] * len(outputs))
+        if fast and scales is None:
+            columns, scales = _moment_columns(pts, outputs)
         if fast and cached is not None:
             _score(columns, scores[size], 0, weights)
         elif fast and size not in sampled:
             sampled.append(size)
     if not sampled:
-        return scores, lengths
+        return scores, scales
     blocks = -(-budget // BLOCK)
     workers = _workers(blocks)
     edges = [min(BLOCK * -(-blocks * i // workers), budget) for i in range(workers + 1)]
@@ -381,7 +455,7 @@ def _screen(pts: np.ndarray, outputs: list, fs, budget: int, seed: int):
             helper.join()
     if errors:
         raise errors[0]
-    return scores, lengths
+    return scores, scales
 
 
 def audit_profile(specs, xs, fs, subset_budget: int = SUBSET_BUDGET, seed: int = 0) -> list:
@@ -402,12 +476,12 @@ def audit_profile(specs, xs, fs, subset_budget: int = SUBSET_BUDGET, seed: int =
         check(count_error("f_hat", spec.f_hat, n=n))
     subset_budget = int(subset_budget)          # so that the results hold Python numbers
     outputs = [_aggregate(spec, pts) for spec in specs]
-    scores, lengths = _screen(pts, outputs, fs, subset_budget, seed)
+    scores, scales = _screen(pts, outputs, fs, subset_budget, seed)
     results = {}
     for size, (num, cached, ratios, min_vars) in scores.items():
         results[size] = audits = []
         for k, output in enumerate(outputs):
-            rows = None if ratios is None else _candidates(ratios[k], min_vars[k], size, d, lengths[k])
+            rows = None if ratios is None else _candidates(ratios[k], min_vars[k], size, d, scales[k])
             # When every point of the cloud has the same bits, every subset gathers the
             # same rows and has the same ratio, so the first one stands for all.  Only a
             # candidate set of more than one block is checked for it: every fast variance

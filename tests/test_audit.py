@@ -111,7 +111,36 @@ def oracle_kappa(spec, xs, f, subset_budget=20000, seed=0):
     return float(ratios[worst]), tuple(int(i) for i in subsets[worst])
 
 
-def oracle_fast_ratios(moments):
+# The float64 screen: the guard, the rounding bound and the moment columns
+# of the audit before its screen ran in float32.  It reports the same
+# worst ratios and subsets, bit for bit, from a float64 product.
+ORACLE_GUARD = 1e-5
+
+
+def oracle_fast_error_bound(ratio, var, size, d, length):
+    """The float64 screen's bound on |fast ratio - gathered ratio|, with
+    ``length`` >= max|x_i| + max|c_i| and ``var`` in the units of the points."""
+    b = (size + d + 4) * float(np.finfo(np.float64).eps)
+    spread = length * math.sqrt(ratio / var)
+    return 2.0 * b * (5 * ratio + 3 * ratio * ratio + 2 * (1 + ratio) * spread
+                      + ratio * b * length * length / var)
+
+
+def oracle_moment_columns(pts, outputs):
+    """The float64 (n, k (d + 1)) matrix [c_1 | q_1 | ... | c_k | q_k], unscaled,
+    and for each output a bound on max|x_i| + max|c_i|."""
+    n, d = pts.shape
+    columns = np.empty((n, len(outputs) * (d + 1)))
+    lengths = []
+    for k, output in enumerate(outputs):
+        block = columns[:, k * (d + 1) : (k + 1) * (d + 1)]
+        c = np.subtract(pts, output, out=block[:, :d])
+        sq_norms = np.add.reduce(c * c, axis=1, out=block[:, d])
+        lengths.append(2.0 * math.sqrt(np.maximum.reduce(sq_norms)) + math.sqrt(output @ output))
+    return columns, lengths
+
+
+def oracle_fast_ratios(moments, guard=ORACLE_GUARD):
     """Each row's fast ratio, -inf where the guard holds, and fast variance,
     from one output's (num, d + 1) block [m | q] of a row-major product."""
     d = moments.shape[1] - 1
@@ -120,20 +149,20 @@ def oracle_fast_ratios(moments):
     for j in range(1, d):
         err += moments[:, j] * moments[:, j]
     var = q - err
-    return np.divide(err, var, out=np.full(q.shape, -np.inf), where=var > GUARD * q), var
+    return np.divide(err, var, out=np.full(q.shape, -np.inf), where=var > guard * q), var
 
 
-def oracle_candidates(moments, size, length):
+def oracle_candidates(moments, size, length, guard=ORACLE_GUARD, bound=oracle_fast_error_bound):
     """The guarded subsets and the window of one output's (num, d + 1) block
-    [m | q] of a whole-budget product."""
+    [m | q] of a whole-budget product; the float64 screen's by default."""
     d = moments.shape[1] - 1
-    ratios, var = oracle_fast_ratios(moments)
+    ratios, var = oracle_fast_ratios(moments, guard)
     fast = ratios > -np.inf
     candidates = ~fast
     top = float(ratios.max())
     if top > -np.inf:
-        slack = _fast_error_bound(top, float(var.min(where=fast, initial=np.inf)), size, d, length)
-        candidates |= ~(ratios < top - 2.0 * slack)
+        slack = bound(top, float(var.min(where=fast, initial=np.inf)), size, d, length)
+        candidates |= ~(ratios < np.float64(top - 2.0 * slack))  # compared in float64
     return np.flatnonzero(candidates)
 
 
@@ -163,9 +192,10 @@ def oracle_threshold_weights(keys, cut, size, out):
 
 
 def oracle_profile(specs, xs, fs, subset_budget=20000, seed=0):
-    """``audit_profile`` with each f's whole weight matrix in memory at once:
-    one key draw of (subset_budget, n), one product per f over every row,
-    and every candidate rescored in one gather."""
+    """``audit_profile`` with the float64 screen and each f's whole weight
+    matrix in memory at once: one key draw of (subset_budget, n), one
+    row-major float64 product per f over every row, and every candidate
+    rescored in one gather."""
     pts = stack_points(xs)
     n, d = pts.shape
     outputs = [_aggregate(spec, pts) for spec in specs]
@@ -180,17 +210,17 @@ def oracle_profile(specs, xs, fs, subset_budget=20000, seed=0):
         size = n - f
         exhaustive = size not in sampled
         if exhaustive:
-            _, weights = _all_subsets(n, size)
+            weights = _subset_weights(oracle_all_subsets(n, size), n)
         else:
             weights = np.empty((subset_budget + 2, n))
             weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
-            _threshold_weights(keys, cuts[size], size, weights[2:])
+            oracle_threshold_weights(keys, cuts[size], size, weights[2:])
         num = weights.shape[0]
         if num * size * (d + 1) <= GATHER_ALL_MAX:
             rows = [slice(None)] * len(specs)
         else:
             if columns is None:
-                columns, lengths = _moment_columns(pts, outputs)
+                columns, lengths = oracle_moment_columns(pts, outputs)
             moments = weights @ columns
             rows = [oracle_candidates(moments[:, k * (d + 1) : (k + 1) * (d + 1)], size, length)
                     for k, length in enumerate(lengths)]
@@ -430,8 +460,8 @@ def test_two_workers_score_every_row_as_one_worker(n, monkeypatch):
                         use_workers(monkeypatch, count)
                         got.append((*audit._screen(pts, outputs, fs, budget, seed),
                                     audit_profile(specs, pts, fs, budget, seed)))
-                    (one, one_lengths, one_profile), (two, two_lengths, two_profile) = got
-                    assert one_lengths == two_lengths and one_profile == two_profile, (n, d, fs, budget, seed)
+                    (one, one_scales, one_profile), (two, two_scales, two_profile) = got
+                    assert one_scales == two_scales and one_profile == two_profile, (n, d, fs, budget, seed)
                     assert [r.exhaustive for r in one_profile[0]] == [True] + [False] * (len(fs) - 1)
                     assert one.keys() == two.keys()
                     for size, (num, cached, ratios, min_vars) in one.items():
@@ -503,15 +533,16 @@ def traced_peak(call):
 @pytest.mark.parametrize("cloud,bound_mb", [("fuzz", 2.0), ("ones", 4.0), ("one_ulp", 4.0)])
 def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb, monkeypatch):
     # At n = 20, d = 5 each worker's reused buffer holds 2 BLOCK + 2 rows of
-    # n floats (0.66 MB; 1.31 MB for two workers), each row's fast ratio
-    # takes 8 bytes (0.16 MB), and the buffers are freed before any row is
-    # rescored.  On the one-ulp cloud every row is rescored: each block of
-    # BLOCK rows is re-drawn and sorted (three (BLOCK, n) arrays, 0.98 MB at
-    # most) and gathers (BLOCK, 14, 5) points (1.15 MB) and their indices
-    # (0.23 MB).  Measured peaks: 0.95 MB on the fuzz and all-equal clouds with
-    # one worker, 1.65 MB with two, and 2.22 MB on the one-ulp cloud with
-    # either.  oracle_profile, which holds the whole budget in memory at once,
-    # peaks at 11.5 MB on the fuzz cloud and 30.1 MB on the other two.
+    # n floats (0.66 MB; 1.31 MB for two workers), whose first half the
+    # float32 weights of a block overwrite; each row's fast ratio takes 4
+    # bytes (0.08 MB), and the buffers are freed before any row is rescored.
+    # On the one-ulp cloud every row is rescored: each block of BLOCK rows is
+    # re-drawn and sorted (three (BLOCK, n) arrays, 0.98 MB at most) and
+    # gathers (BLOCK, 14, 5) points (1.15 MB) and their indices (0.23 MB).
+    # Measured peaks: 0.85 MB on the fuzz and all-equal clouds with one
+    # worker, 1.54 MB with two, and 2.14 MB on the one-ulp cloud with either.
+    # oracle_profile, which holds the whole budget in memory at once, peaks
+    # at 11.5 MB on the fuzz cloud and 30.1 MB on the other two.
     pts = {"fuzz": random_cloud(20, 5, [53]), "ones": np.ones((20, 5)), "one_ulp": one_ulp_cloud(20, 5, 1.0)}[cloud]
     spec = AggregatorSpec("krum", f_hat=6)
     for count in (1, 2):
@@ -523,7 +554,7 @@ def test_sampled_audit_memory_is_bounded_by_the_block(cloud, bound_mb, monkeypat
 
 def test_sampled_audit_memory_grows_only_by_the_fast_ratios(monkeypatch):
     # n = 24, f = 7 samples at both budgets (C(24, 7) = 346,104); 180,000
-    # more rows may add only their fast ratio, 8 bytes per spec
+    # more rows may add only their float32 fast ratio, 4 bytes per spec
     pts = random_cloud(24, 5, [73])
     for count in (1, 2):
         use_workers(monkeypatch, count)
@@ -531,7 +562,7 @@ def test_sampled_audit_memory_grows_only_by_the_fast_ratios(monkeypatch):
                       [AggregatorSpec("cwtm", f_hat=7), AggregatorSpec("krum", f_hat=7, pre_nnm=True)]):
             small, big = (traced_peak(lambda: audit_profile(specs, pts, [7], budget)) for budget in (20000, 200000))
             assert [r.samples_checked for r in small[1][0] + big[1][0]] == [20002, 200002]
-            assert big[0] - small[0] <= 8 * 180000 * len(specs) + 0.1e6, (count, len(specs), big[0] - small[0])
+            assert big[0] - small[0] <= 4 * 180000 * len(specs) + 0.1e6, (count, len(specs), big[0] - small[0])
 
 
 def test_audit_profile_checks_every_f():
@@ -568,13 +599,13 @@ def test_threshold_weights_equal_argsort_subsets_under_ties(size):
     ordered = np.sort(keys, axis=1)
     tied = ordered[:, size - 1] == ordered[:, size]
     assert tied.any() and not tied.all()
-    weights = np.empty_like(keys)
+    weights = np.empty_like(keys, dtype=np.float32)
     _threshold_weights(keys, ordered[:, size - 1 : size + 1], size, weights)
     want = np.zeros_like(keys, dtype=bool)
     np.put_along_axis(want, np.argsort(keys, axis=1)[:, :size], True, axis=1)
     assert np.array_equal(weights != 0, want)
-    assert np.all(weights[want] == 1.0 / size)
-    oracle = np.empty_like(keys)
+    assert np.all(weights[want] == np.float32(1 / size))
+    oracle = np.empty_like(keys, dtype=np.float32)
     oracle_threshold_weights(keys, ordered[:, size - 1 : size + 1], size, oracle)
     assert same_bits(weights, oracle)
     # the replay's index rows: the argsort definition itself
@@ -622,26 +653,27 @@ def assert_screen_keeps_every_maximum(specs, pts, weights):
     """The screen of the transposed product [c | q]ᵀ Wᵀ keeps every subset of
     the rows of ``weights`` that attains the exact maximum, and its fast
     ratio of each row unguarded by either screen is within twice the rounding
-    bound of the oracle screen's, on the row-major product W [c | q]."""
+    bound of the oracle screen's, on the row-major product W [c | q] in the
+    same dtype, with the same guard and bound."""
     d = pts.shape[1]
     size = int(np.count_nonzero(weights[0]))
     subsets = np.nonzero(weights)[1].reshape(-1, size)
     outputs = [_aggregate(spec, pts) for spec in specs]
-    columns, lengths = _moment_columns(pts, outputs)
+    columns, scales = _moment_columns(pts, outputs)
     moments, oracle_moments = columns.T @ weights.T, weights @ columns
-    for k, (spec, output, length) in enumerate(zip(specs, outputs, lengths)):
+    for k, (spec, output, scale) in enumerate(zip(specs, outputs, scales)):
         block, oracle_block = moments[k * (d + 1) : (k + 1) * (d + 1)], oracle_moments[:, k * (d + 1) : (k + 1) * (d + 1)]
-        ratios = np.empty(len(weights))
-        rows = _candidates(ratios, _fast_ratios(block.copy(), ratios), size, d, length)
+        ratios = np.empty(len(weights), block.dtype)
+        rows = _candidates(ratios, _fast_ratios(block.copy(), ratios), size, d, scale)
         exact = _gathered_ratios(output, pts, subsets)
         best = np.flatnonzero(exact == exact.max())
-        assert np.isin(best, oracle_candidates(oracle_block, size, length)).all()
+        assert np.isin(best, oracle_candidates(oracle_block, size, scale, GUARD, _fast_error_bound)).all()
         assert np.isin(best, rows).all(), (spec, pts.shape, size)
-        oracle_ratios, oracle_var = oracle_fast_ratios(oracle_block)
+        oracle_ratios, oracle_var = oracle_fast_ratios(oracle_block, GUARD)
         var = block[d] - np.add.reduce(block[:d] ** 2, axis=0)
         both = np.flatnonzero(~np.isnan(ratios) & (oracle_ratios > -np.inf))
         for r, a, b, v in zip(both, ratios[both], oracle_ratios[both], np.minimum(var, oracle_var)[both]):
-            bound = _fast_error_bound(max(a, b), v, size, d, length)
+            bound = _fast_error_bound(max(a, b), v, size, d, scale)
             assert abs(a - b) <= 2.0 * bound, (spec, pts.shape, size, r, a, b, bound)
 
 
@@ -681,7 +713,7 @@ def test_transposed_screen_keeps_what_the_row_major_screen_keeps_sampled(n):
     pts = random_cloud(n, 5, [67, n])
     for seed in (0, 1, 2):
         keys = np.random.default_rng(seed).random((budget, n))
-        weights = np.empty((budget + 2, n))
+        weights = np.empty((budget + 2, n), np.float32)
         weights[:2] = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
         _threshold_weights(keys, np.sort(keys, axis=1)[:, size - 1 : size + 1], size, weights[2:])
         assert_screen_keeps_every_maximum(specs, pts, weights)
@@ -700,7 +732,7 @@ def assert_fast_ratios_equal_oracle(moments, step):
     number of guarded (or overflowed) rows."""
     owned, guarded = moments.copy(), 0
     for lo in range(0, len(moments), step):
-        got, want = np.empty(moments.shape[1]), np.empty(moments.shape[1])
+        got, want = np.empty(moments.shape[1], moments.dtype), np.empty(moments.shape[1], moments.dtype)
         got_var = _fast_ratios(owned[lo : lo + step], got)
         want_var = oracle_column_fast_ratios(moments[lo : lo + step], want)
         assert same_bits(got, want) and same_bits(got_var, want_var), (lo, got_var, want_var)
@@ -766,20 +798,22 @@ def test_kernels_equal_the_unconsumed_oracles_sampled(n):
             for lo in range(0, budget, BLOCK):
                 block = keys[lo : lo + BLOCK]
                 cut = np.sort(block, axis=1)[:, size - 1 : size + 1]
-                got, want = np.full_like(block, np.nan), np.empty_like(block)
+                got, want = np.full_like(block, np.nan, np.float32), np.empty_like(block, np.float32)
                 _threshold_weights(block, cut, size, got)
                 oracle_threshold_weights(block, cut, size, want)
                 assert same_bits(got, want), (n, f, lo)
                 if not lo:
-                    got = np.vstack([_subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n), got])
+                    anchors = _subset_weights(np.array([range(size), range(f, n)], dtype=np.intp), n)
+                    got = np.vstack([anchors, got], dtype=np.float32)
                 assert_fast_ratios_equal_oracle(columns.T @ got.T, d + 1)
 
 
 def test_exhaustive_audit_memory_is_the_product_and_the_fast_ratios():
     # n = 16, f = 7, d = 5 scores num = C(16, 7) = 11,440 subsets in one block:
-    # the forward pass holds the product (k (d + 1) rows of num floats, for k
-    # specs), the fast ratios (k rows) and one num-byte guard mask; 64 KB of
-    # slack covers the rest.
+    # the forward pass holds the float32 product (k (d + 1) rows of num floats,
+    # for k specs), the float32 fast ratios (k rows) and one num-byte guard
+    # mask; 64 KB of slack covers the rest.  Measured peaks: 334,280 B for one
+    # spec and 975,976 B for three (a float64 screen: 654,988 and 1,938,092).
     n, f, d = 16, 7, 5
     num = math.comb(n, f)
     pts = random_cloud(n, d, [109])
@@ -787,7 +821,7 @@ def test_exhaustive_audit_memory_is_the_product_and_the_fast_ratios():
         peak, result = traced_peak(lambda: audit_profile(specs, pts, [f]))
         assert [(r.samples_checked, r.exhaustive) for (r,) in result] == [(num, True)] * len(specs)
         k = len(specs)
-        bound = k * (d + 1) * num * 8 + k * num * 8 + num + 64 * 1024
+        bound = k * (d + 1) * num * 4 + k * num * 4 + num + 64 * 1024
         assert peak <= bound, (k, peak, bound)
 
 
@@ -800,7 +834,7 @@ def test_all_subsets_is_one_cached_read_only_transpose(n, size):
     assert _all_subsets(n, size) is cached
     assert not weights.flags.writeable
     assert weights.T.flags.c_contiguous
-    assert np.array_equal(weights, _subset_weights(oracle_all_subsets(n, size), n))
+    assert same_bits(weights, (_subset_weights(oracle_all_subsets(n, size), n) != 0) * np.float32(1 / size))
     assert not subsets.flags.writeable
     assert subsets.dtype == np.min_scalar_type(n)
     assert np.array_equal(subsets, oracle_all_subsets(n, size))
@@ -870,6 +904,114 @@ def test_infinite_ratio_only_for_zero_gathered_variance():
         assert got.worst_subset == tuple(range(7))
         assert 0.0 < gathered_variance(clouds[name], got.worst_subset) < 1e-20
         assert 1e20 < got.worst_ratio < INFINITE_RATIO
+
+
+def screen_clouds(n, d):
+    """Clouds that stress the float32 screen, by name: far from the origin,
+    at extreme scales, with a tight cluster, a huge outlier, exact ties,
+    duplicates or one-ulp differences, mirror pairs, and both witnesses."""
+    rng = np.random.default_rng([113, n, d])
+    top = -(-n // 2) - 1
+    fuzz = random_cloud(n, d, [113, n, d])
+    cluster = rng.normal(size=(n, d))
+    cluster[: n - n // 3] *= 1e-8
+    outlier = rng.normal(size=(n, d))
+    outlier[0] *= 1e12
+    duplicates = rng.normal(size=(n, d))
+    duplicates[: n // 2] = duplicates[0]
+    return {
+        "fuzz": fuzz,
+        "offset": 1e6 + 1e-3 * rng.normal(size=(n, d)),
+        "scale+150": 1e150 * fuzz,
+        "scale-150": 1e-150 * fuzz,
+        "scale+154": 4e153 * fuzz,          # some gathered squares overflow
+        "scale-200": 1e-200 * fuzz,         # the gathered squares underflow
+        "cluster": cluster,
+        "outlier": outlier,
+        "half_integers": rng.integers(-4, 5, size=(n, d)) / 2,
+        "duplicates": duplicates,
+        "one_ulp": one_ulp_cloud(n, d, 3.7),
+        "mirrored": mirrored(fuzz),
+        "lower_bound": lower_bound_witness(n, 1, top, d).points,
+        "cwtm_break": cwtm_break_witness(n, top, top - 1, d).points,
+    }
+
+
+def six_rules(f_hat):
+    return [AggregatorSpec("mean"), AggregatorSpec("cwmed"), AggregatorSpec("gm"),
+            *criterion_specs(f_hat)]
+
+
+def assert_unguarded_rows_within_the_bound(specs, pts, fs):
+    """Every row the screen leaves unguarded has a fast ratio within the
+    bound, at the window's top and least variance, of its gathered ratio;
+    where the top is 0 (or the bound infinite) the window keeps every
+    unguarded row.  Return the largest error as a share of its bound."""
+    n, d = pts.shape
+    outputs = [_aggregate(spec, pts) for spec in specs]
+    scores, scales = audit._screen(pts, outputs, fs, 20000, 0)
+    worst = 0.0
+    for size, (num, cached, ratios, min_vars) in scores.items():
+        for k in range(len(outputs) if ratios is not None else 0):
+            fast, unguarded = ratios[k], np.flatnonzero(~np.isnan(ratios[k]))
+            top = float(np.fmax.reduce(fast))
+            slack = _fast_error_bound(top, min_vars[k], size, d, scales[k])
+            if not (top > 0.0 and slack < math.inf):
+                assert np.isin(unguarded, _candidates(fast, min_vars[k], size, d, scales[k])).all()
+                continue
+            lo = 0
+            for subsets in _subsets(n, size, num, cached, 0, unguarded):
+                rows = unguarded[lo : lo + len(subsets)]
+                error = np.abs(fast[rows] - _gathered_ratios(outputs[k], pts, subsets))
+                assert np.all(error <= slack), (specs[k], size, float(error.max()), slack)
+                worst, lo = max(worst, float(error.max()) / slack), lo + len(subsets)
+    return worst
+
+
+@pytest.mark.parametrize("cloud", list(screen_clouds(6, 3)))
+@pytest.mark.parametrize("n", [6, 10, 16, 20, 24])
+def test_float32_screen_reports_what_the_float64_screen_reports(n, cloud):
+    # every f of an exhaustive n, the two largest sampled f at n = 20 and 24,
+    # all six rules: the same worst ratio and subset, bit for bit, as the
+    # float64 screen, which holds every row of a budget in memory at once
+    top = -(-n // 2) - 1
+    pts = screen_clouds(n, 3)[cloud]
+    specs = six_rules(top)
+    fs = list(range(top + 1)) if n <= 16 else [top - 1, top]
+    with np.errstate(over="ignore", invalid="ignore"):  # the gathered squares of scale+154
+        got, want = audit_profile(specs, pts, fs), oracle_profile(specs, pts, fs)
+        assert assert_unguarded_rows_within_the_bound(specs, pts, fs) <= 1.0
+    assert [r.exhaustive for r in got[0]] == [n <= 16] * len(fs)
+    assert repr(got) == repr(want), (n, cloud)  # NaN where the gathered squares overflow
+
+
+@pytest.mark.parametrize("seed", [1, 4, 5])
+def test_every_row_is_rescored_where_the_gathered_squares_may_overflow(seed):
+    # at max|x| = 1e154, n·L² overflows and the gathered sums of squares may:
+    # the float64 screen's window, whose bound stayed finite, missed the
+    # gathered maximum on these clouds; every row is now rescored
+    pts = random_cloud(16, 1, [seed])
+    pts *= 1e154 / np.abs(pts).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in (AggregatorSpec("cwmed"), AggregatorSpec("krum", f_hat=7)):
+            for f in (2, 3):
+                got = empirical_kappa(spec, pts, f)
+                assert repr((got.worst_ratio, got.worst_subset)) == repr(oracle_kappa(spec, pts, f)), (seed, spec, f)
+
+
+@pytest.mark.parametrize("power", [-300, 300])
+def test_screen_of_a_cloud_scaled_by_a_power_of_two_is_the_same(power):
+    # each output's c is scaled so that max|c| lies in [1/2, 1): a cloud
+    # scaled by 2^power, far outside float32's range, has the same float32
+    # columns, so the same fast ratios, least variances, L and results
+    pts, scaled = random_cloud(16, 5, [127]), np.ldexp(random_cloud(16, 5, [127]), power)
+    specs, fs = criterion_specs(7), [3, 7]
+    screens = [audit._screen(cloud, [_aggregate(spec, cloud) for spec in specs], fs, 20000, 0) for cloud in (pts, scaled)]
+    (one, one_scales), (two, two_scales) = screens
+    for size in one:
+        assert same_bits(one[size][2], two[size][2]) and one[size][3] == two[size][3], size
+    assert [length for length, _ in one_scales] == [length for length, _ in two_scales]
+    assert audit_profile(specs, pts, fs) == audit_profile(specs, scaled, fs)
 
 
 # ---------------------------------------------------------------------------
